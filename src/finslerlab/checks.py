@@ -26,7 +26,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import MetricModel, TensorJets, _g_jets, metric_value, s_main_jet
+from .core import (
+    MetricModel,
+    NonPositiveDefiniteError,
+    NonPositiveMetricError,
+    TensorJets,
+    s_main_jet,
+)
+from .expr import EvalDomainError
 from .indicatrix import (
     FibreChart,
     IndicatrixPoint,
@@ -248,9 +255,15 @@ def run_identity_suite(
         for f_index, point in enumerate(points):
             try:
                 rf = restrict_fields(model, point.chart, point.u)
-            except Exception as err:  # record and fail the whole block
+            except (NonPositiveDefiniteError, NonPositiveMetricError, EvalDomainError) as err:
+                # the metric is not Finsler at this point: an input fault, not
+                # an identity exceedance; record where and fail the whole block
+                where = (
+                    f"base {b_index}, fibre {f_index}, chart {point.chart.chart_id}, "
+                    f"u={[float(v) for v in point.u]}"
+                )
                 for key, _, _ in _SUITE:
-                    reports[key].error = f"{type(err).__name__}: {err}"
+                    reports[key].error = f"{type(err).__name__} at {where}: {err}"
                     reports[key].passed = False
                 return list(reports.values())
             for key, _, residual_fn in _SUITE:
@@ -395,17 +408,10 @@ def _s_minus_cf_hessian(model: MetricModel, x, y, c: float) -> np.ndarray:
     n = model.dim
     with_x = model.depends_on_x
     tj = TensorJets(model, x, y, 5 if with_x else 2, with_x)
-    if with_x:
-        total = s_main_jet(tj, 2, y) - c * tj.f_jet.truncated(2)
-    else:
-        total = -c * tj.f_jet.truncated(2)
-    hess = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            hess[i, j] = hess[j, i] = extract_derivative(
-                total, tj.gamma(y_part=(i, j))
-            )
-    return hess
+    total = s_main_jet(tj, 2) - c * tj.f_jet.truncated(2)
+    return np.array(
+        [[extract_derivative(total, tj.gamma(y_part=(i, j))) for j in range(n)] for i in range(n)]
+    )
 
 
 def weak_isotropy_check(

@@ -9,9 +9,10 @@ Subcommands:
     audit       run the isotropy audit plus the weak-isotropy test
 
 Exit codes: 0 on success, 1 when a check fails or the audit reports a
-VIOLATION, 2 on usage or input errors.  Reports are JSON (optionally
-flattened to CSV) and byte-identical for identical configurations; the
-sampling generator is numpy's seeded PCG64.
+VIOLATION, 2 on usage or input errors, including a sampled point where the
+metric is not Finsler (the report names the point).  Reports are JSON
+(optionally flattened to CSV) and byte-identical for identical
+configurations; the sampling generator is numpy's seeded PCG64.
 """
 
 from __future__ import annotations
@@ -69,6 +70,19 @@ def _parse_floats(text: str, field: str) -> list[float]:
         return [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise InputError(field, f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _typed(config: dict, field: str, kind, default=None):
+    """``config[field]`` converted by ``kind`` (int or float), or ``default``
+    when absent; a value of the wrong type is an input error naming the field."""
+    value = config.get(field)
+    if value is None:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        expected = "an integer" if kind is int else "a number"
+        raise InputError(field, f"expected {expected}, got {value!r}") from None
 
 
 def _parse_params(items) -> dict:
@@ -157,10 +171,10 @@ def _resolve_model(config: dict) -> MetricModel:
     expr_text = config.get("metric_expr")
     if bool(metric_id) == bool(expr_text):
         raise InputError("metric", "exactly one of --metric or --metric-expr is required")
-    dim = config.get("dim")
+    dim = _typed(config, "dim", int)
     if dim is None:
         raise InputError("dim", "the dimension is required")
-    if int(dim) < 2:
+    if dim < 2:
         raise InputError("dim", f"dimension must be at least 2, got {dim}")
     params = config.get("params")
     if isinstance(params, (list, tuple)):
@@ -171,10 +185,10 @@ def _resolve_model(config: dict) -> MetricModel:
     volume = config.get("volume")
     try:
         if metric_id:
-            return build(metric_id, int(dim), params, volume)
+            return build(metric_id, dim, params, volume)
         numeric_params = {k: float(v) for k, v in params.items()}
         return MetricModel(
-            int(dim),
+            dim,
             expr_text,
             params=numeric_params,
             volume=volume or "lebesgue",
@@ -189,9 +203,9 @@ def _resolve_model(config: dict) -> MetricModel:
 def _tolerances_from(config: dict) -> dict:
     out = {}
     for tag, dest in _TOL_FLAGS.items():
-        value = config.get(dest)
+        value = _typed(config, dest, float)
         if value is not None:
-            out[tag] = float(value)
+            out[tag] = value
     return out
 
 
@@ -287,9 +301,9 @@ def _cmd_curvature(args) -> int:
 def _cmd_check(args) -> int:
     config = _merge_config(args)
     model = _resolve_model(config)
-    seed = int(config.get("seed", 0))
-    samples = int(config.get("samples", 50))
-    base_points = int(config.get("base_points", 5))
+    seed = _typed(config, "seed", int, 0)
+    samples = _typed(config, "samples", int, 50)
+    base_points = _typed(config, "base_points", int, 5)
     if samples < 1 or base_points < 1:
         raise InputError("samples", "sample counts must be positive")
     tolerances = _tolerances_from(config)
@@ -325,18 +339,22 @@ def _cmd_check(args) -> int:
             "checks": [report.to_dict() for report in reports],
         }
         _emit_json(document, config.get("out"))
+    error = next((report.error for report in reports if report.error), None)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     return 0 if all(report.passed for report in reports) else 1
 
 
 def _cmd_audit(args) -> int:
     config = _merge_config(args)
     model = _resolve_model(config)
-    seed = int(config.get("seed", 0))
-    samples = int(config.get("samples", 40))
-    base_points = int(config.get("base_points", 5))
+    seed = _typed(config, "seed", int, 0)
+    samples = _typed(config, "samples", int, 40)
+    base_points = _typed(config, "base_points", int, 5)
     if samples < 1 or base_points < 1:
         raise InputError("samples", "sample counts must be positive")
-    tol = config.get("tol_thm_1")
+    tol = _typed(config, "tol_thm_1", float)
     rng = np.random.default_rng(seed)
     bases = sample_base_points(model, base_points, rng)
     audits = []

@@ -16,8 +16,20 @@ coefficient sigma(x), and the S-curvature as the derivative of tau along
 the spray, with the divergence form S = dG^m/dy^m - y^m d(ln sigma)/dx^m
 kept as an independent cross-check.
 
-All derivatives come from truncated Taylor jets of F^2 seeded at the flag
-point, so they are exact up to roundoff.  Models are immutable after
+One expansion per flag point: :class:`TensorJets` expands F and F^2 in
+truncated Taylor jets around the point, and each tensor has exactly one
+extractor that reads it off an expansion at a requested jet order --
+:func:`g_jets`, :func:`cartan_jets`, :func:`spray_jets` (with N and E as its
+y-derivatives, :func:`nonlinear_jets` and :func:`berwald_jets`) and
+:func:`s_main_jet`, the volume-free part of S.  g and G are assembled once
+per expansion, at the highest order it carries, and truncated for every
+reader; a lower-order jet is the truncation of a higher-order one, so one
+deep expansion serves every order below it.  :func:`coordinate_tensors`
+builds a single expansion; each single-tensor function builds one of the
+lowest order it needs.  The fibre pipeline in :mod:`finslerlab.indicatrix`
+reads the same extractors.
+
+All derivatives are exact up to roundoff.  Models are immutable after
 construction and every operation is a pure function, so evaluation is safe
 to parallelise over points.
 """
@@ -26,7 +38,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from itertools import combinations_with_replacement, permutations
+from typing import Mapping
 
 import numpy as np
 
@@ -39,7 +53,14 @@ from .expr import (
     iter_nodes,
     parse,
 )
-from .jets import Jet, extract_derivative, jet_matrix_det, jet_matrix_inverse
+from .jets import (
+    Jet,
+    extract_derivative,
+    jet_matrix_det,
+    jet_matrix_inverse,
+    jet_truncated,
+    jet_values,
+)
 
 __all__ = [
     "EIGENVALUE_FLOOR",
@@ -47,6 +68,7 @@ __all__ = [
     "FlagPoint",
     "VolumeSpec",
     "CoordinateTensors",
+    "TensorJets",
     "MetricDefinitionError",
     "NonPositiveDefiniteError",
     "NonPositiveMetricError",
@@ -61,6 +83,12 @@ __all__ = [
     "s_curvature",
     "s_curvature_alt",
     "coordinate_tensors",
+    "g_jets",
+    "cartan_jets",
+    "spray_jets",
+    "nonlinear_jets",
+    "berwald_jets",
+    "s_main_jet",
     "sigma_value",
     "dln_sigma",
 ]
@@ -255,22 +283,27 @@ class CoordinateTensors:
     s: float
 
 
-# -- jet scaffolding ----------------------------------------------------------
+# -- the expansion and its extractors -------------------------------------------
 
 
 class TensorJets:
-    """Taylor data of F and F^2 around a flag point.
+    """Taylor data of F and F^2 around a flag point: the one expansion every
+    coordinate tensor is read from.
 
     ``with_x`` selects jets over the 2n variables (x1..xn, y1..yn); without
     it the x coordinates enter as constants and the jets run over y only,
-    which keeps x-independent metrics usable up to the variable cap.
+    which keeps x-independent metrics usable up to the variable cap.  An
+    expansion of order p carries g and the spray to order p - 2; each is
+    assembled once, at that order, when first read.
     """
 
     def __init__(self, model: MetricModel, x, y, order: int, with_x: bool):
         n = model.dim
         self.n = n
         self.with_x = with_x
+        self.depends_on_x = model.depends_on_x
         self.order = order
+        self.y = np.asarray(y, dtype=float)
         self.n_vars = 2 * n if with_x else n
         if self.n_vars > jets.MAX_VARS:
             raise UnsupportedDimensionError(
@@ -283,16 +316,17 @@ class TensorJets:
             xs = [jets.seed_variable(i + 1, float(x[i]), self.n_vars, order) for i in range(n)]
         else:
             xs = [float(v) for v in x]
-        ys = [
-            jets.seed_variable(self.y_offset + i + 1, float(y[i]), self.n_vars, order)
-            for i in range(n)
-        ]
+        ys = [self.y_jet(i, order) for i in range(n)]
         self.f_jet = evaluate(model.f_ast, xs, ys, model.params)
         if not self.f_jet.value > 0.0:
             raise NonPositiveMetricError(
                 f"F(x, y) = {self.f_jet.value!r} must be positive at x={x}, y={y}"
             )
         self.f2_jet = self.f_jet * self.f_jet
+
+    def y_jet(self, i: int, order: int) -> Jet:
+        """The coordinate y^i (0-based) as a jet of the given order."""
+        return jets.seed_variable(self.y_offset + i + 1, float(self.y[i]), self.n_vars, order)
 
     def gamma(self, x_part=(), y_part=()) -> tuple[int, ...]:
         g = [0] * self.n_vars
@@ -308,109 +342,122 @@ class TensorJets:
         out = self.f2_jet.derivative(self.gamma(x_part, y_part))
         return out if order is None else out.truncated(order)
 
+    @cached_property
+    def g(self) -> np.ndarray:
+        """g_ij to order p - 2; raises unless g is positive definite."""
+        n = self.n
+        g = np.empty((n, n), dtype=object)
+        for i, j in combinations_with_replacement(range(n), 2):
+            g[i, j] = g[j, i] = self.d_f2(y_part=(i, j)) * 0.5
+        _check_pd(jet_values(g), "fundamental tensor")
+        return g
 
-def _check_pd(gmat: np.ndarray, where: str) -> np.ndarray:
+    @cached_property
+    def spray(self) -> np.ndarray:
+        """G^i = (1/4) g^{il} ([F^2]_{x^k y^l} y^k - [F^2]_{x^l}) to order p - 2."""
+        n, order = self.n, self.order - 2
+        g_inv = np.array(jet_matrix_inverse(self.g.tolist()), dtype=object)
+        b = np.empty(n, dtype=object)
+        for l in range(n):
+            term = -self.d_f2(x_part=(l,), order=order)
+            for k in range(n):
+                term = term + self.d_f2(x_part=(k,), y_part=(l,)) * self.y_jet(k, order)
+            b[l] = term
+        return np.dot(g_inv, b) * 0.25
+
+
+def _check_pd(gmat: np.ndarray, where: str) -> None:
     eigenvalues = np.linalg.eigvalsh(gmat)
     if eigenvalues.min() < EIGENVALUE_FLOOR:
         raise NonPositiveDefiniteError(float(eigenvalues.min()), where)
-    return gmat
 
 
-def _g_values(tj: TensorJets) -> np.ndarray:
+def g_jets(tj: TensorJets, order: int) -> np.ndarray:
+    """g_ij = (1/2) [F^2]_{y^i y^j} as jets of the given order (at most p - 2)."""
+    return jet_truncated(tj.g, order)
+
+
+def cartan_jets(tj: TensorJets, order: int) -> np.ndarray:
+    """A_ijk = (F/4) [F^2]_{y^i y^j y^k} as jets of the given order (at most p - 3)."""
     n = tj.n
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = 0.5 * extract_derivative(tj.f2_jet, tj.gamma(y_part=(i, j)))
-    return g
-
-
-def _g_jets(tj: TensorJets, order: int) -> list[list[Jet]]:
-    n = tj.n
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            entry = tj.d_f2(y_part=(i, j), order=order) * 0.5
-            rows[i][j] = entry
-            rows[j][i] = entry
-    return rows
-
-
-def _spray_jets(tj: TensorJets, order: int, y_values: Sequence[float]) -> list[Jet]:
-    """Spray coefficients G^i as jets of the requested order."""
-    n = tj.n
-    if not tj.with_x:
-        return [jets.constant(0.0, tj.n_vars, order) for _ in range(n)]
-    g = _g_jets(tj, order)
-    _check_pd(np.array([[entry.value for entry in row] for row in g]), "fundamental tensor")
-    g_inv = jet_matrix_inverse(g)
-    y_jets = [
-        jets.seed_variable(tj.y_offset + k + 1, float(y_values[k]), tj.n_vars, order)
-        for k in range(n)
-    ]
-    b = []
-    for l in range(n):
-        term = -tj.d_f2(x_part=(l,), order=order)
-        for k in range(n):
-            term = term + tj.d_f2(x_part=(k,), y_part=(l,), order=order) * y_jets[k]
-        b.append(term)
-    spray = []
-    for i in range(n):
-        acc = jets.constant(0.0, tj.n_vars, order)
-        for l in range(n):
-            acc = acc + g_inv[i][l] * b[l]
-        spray.append(acc * 0.25)
-    return spray
-
-
-def _ln_sigma_as_jet(model: MetricModel, x, n_vars: int, order: int, x_offset: int = 0) -> Jet:
-    """ln(sigma(x)) as a jet; only the value and x-gradient are ever consumed."""
-    if model.volume.kind == "lebesgue":
-        return jets.constant(0.0, n_vars, order)
-    value = sigma_value(model, x)
-    grad = dln_sigma(model, x)
-    out = jets.constant(math.log(value), n_vars, order)
-    if order >= 1:
-        space = out.space
-        coeffs = out.coeffs.copy()
-        for i in range(model.dim):
-            unit = tuple(1 if k == x_offset + i else 0 for k in range(n_vars))
-            coeffs[space.index_of[unit]] = grad[i]
-        out = Jet(space, coeffs)
+    quarter_f = 0.25 * tj.f_jet.truncated(order)
+    out = np.empty((n, n, n), dtype=object)
+    for ijk in combinations_with_replacement(range(n), 3):
+        entry = quarter_f * tj.d_f2(y_part=ijk, order=order)
+        for index in permutations(ijk):
+            out[index] = entry
     return out
 
 
-def s_main_jet(tj: TensorJets, order: int, y_values: Sequence[float]) -> Jet:
-    """The volume-independent part of the S-curvature as a jet:
-    (spray derivative of ln sqrt(det g)) around the flag point."""
-    tau_g = jet_matrix_det(_g_jets(tj, order + 1)).ln() * 0.5
-    spray = _spray_jets(tj, order, y_values)
+def spray_jets(tj: TensorJets, order: int) -> np.ndarray:
+    """The spray G^i as jets of the given order (at most p - 2); zero when F
+    does not depend on x."""
+    if not tj.depends_on_x:
+        return np.full(tj.n, jets.constant(0.0, tj.n_vars, order), dtype=object)
+    return jet_truncated(tj.spray, order)
+
+
+def nonlinear_jets(tj: TensorJets, order: int) -> np.ndarray:
+    """N^i_j = dG^i/dy^j as jets of the given order (at most p - 3)."""
+    spray = spray_jets(tj, order + 1)
+    return np.array(
+        [[spray[i].derivative(tj.gamma(y_part=(j,))) for j in range(tj.n)] for i in range(tj.n)],
+        dtype=object,
+    )
+
+
+def berwald_jets(tj: TensorJets, order: int) -> np.ndarray:
+    """E_ij = d^3 G^p / dy^i dy^j dy^p as jets of the given order (at most p - 5)."""
     n = tj.n
+    spray = spray_jets(tj, order + 3)
+    out = np.empty((n, n), dtype=object)
+    for i, j in combinations_with_replacement(range(n), 2):
+        out[i, j] = out[j, i] = sum(
+            spray[p].derivative(tj.gamma(y_part=(i, j, p))) for p in range(n)
+        )
+    return out
+
+
+def s_main_jet(tj: TensorJets, order: int) -> Jet:
+    """The volume-free part of the S-curvature, the spray derivative of
+    ln sqrt(det g): y^i d_{x^i} tau_g - 2 G^i d_{y^i} tau_g, as a jet of the
+    given order (at most p - 3).  S is its value minus y . grad ln sigma.
+
+    It equals y^i d_{x^i} tau_g - y^i N^j_i d_{y^j} tau_g, the derivative
+    along the spray, because N^j_i y^i = 2 G^j (G is 2-homogeneous in y).
+    """
+    if not tj.depends_on_x:
+        return jets.constant(0.0, tj.n_vars, order)
+    tau_g = jet_matrix_det(g_jets(tj, order + 1).tolist()).ln() * 0.5
+    spray = spray_jets(tj, order)
     acc = jets.constant(0.0, tj.n_vars, order)
-    for i in range(n):
-        y_i = jets.seed_variable(tj.y_offset + i + 1, float(y_values[i]), tj.n_vars, order)
-        acc = acc + y_i * tau_g.derivative(tj.gamma(x_part=(i,))).truncated(order)
-        acc = acc - 2.0 * spray[i] * tau_g.derivative(tj.gamma(y_part=(i,))).truncated(order)
+    for i in range(tj.n):
+        acc = acc + tj.y_jet(i, order) * tau_g.derivative(tj.gamma(x_part=(i,)))
+        acc = acc - 2.0 * spray[i] * tau_g.derivative(tj.gamma(y_part=(i,)))
     return acc
 
 
 # -- volume coefficient --------------------------------------------------------
 
 
-def _a_matrix_jets(model: MetricModel, x, order: int):
+def _sigma_jet(model: MetricModel, x, order: int) -> Jet:
+    """sigma(x) as a jet over x, for the custom and riemannian_auto forms."""
     n = model.dim
     xs = [jets.seed_variable(i + 1, float(x[i]), n, order) for i in range(n)]
-    dummy_y = [0.0] * n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = evaluate(model.a_asts[i][j], xs, dummy_y, model.params)
-            if not isinstance(entry, Jet):
-                entry = jets.constant(float(entry), n, order)
-            row.append(entry)
-        rows.append(row)
-    return rows
+
+    def over_x(ast) -> Jet:
+        value = evaluate(ast, xs, [0.0] * n, model.params)
+        return value if isinstance(value, Jet) else jets.constant(float(value), n, order)
+
+    if model.volume.kind == "custom":
+        sigma = over_x(model.volume.sigma_ast)
+        if not sigma.value > 0.0:
+            raise VolumeFormError(f"sigma(x) = {sigma.value!r} must be positive")
+        return sigma
+    det = jet_matrix_det([[over_x(entry) for entry in row] for row in model.a_asts])
+    if not det.value > 0.0:
+        raise VolumeFormError(f"det a(x) = {det.value!r} must be positive")
+    return det.sqrt()
 
 
 def sigma_value(model: MetricModel, x) -> float:
@@ -418,43 +465,20 @@ def sigma_value(model: MetricModel, x) -> float:
     kind = model.volume.kind
     if kind == "lebesgue":
         return 1.0
-    if kind == "custom":
-        value = evaluate(model.volume.sigma_ast, list(x), [0.0] * model.dim, model.params)
-        if not value > 0.0:
-            raise VolumeFormError(f"sigma(x) = {value!r} must be positive")
-        return float(value)
-    if kind == "riemannian_auto":
-        det = jet_matrix_det(_a_matrix_jets(model, x, 0)).value
-        if not det > 0.0:
-            raise VolumeFormError(f"det a(x) = {det!r} must be positive")
-        return math.sqrt(det)
-    return volume.bh_volume_coefficient(model, x)
+    if kind == "busemann_hausdorff":
+        return volume.bh_volume_coefficient(model, x)
+    return _sigma_jet(model, x, 0).value
 
 
 def dln_sigma(model: MetricModel, x) -> np.ndarray:
     """Gradient of ln(sigma) at x."""
-    n = model.dim
     kind = model.volume.kind
     if kind == "lebesgue":
-        return np.zeros(n)
-    if kind == "custom":
-        xs = [jets.seed_variable(i + 1, float(x[i]), n, 1) for i in range(n)]
-        sigma_jet = evaluate(model.volume.sigma_ast, xs, [0.0] * n, model.params)
-        if not isinstance(sigma_jet, Jet):
-            return np.zeros(n)
-        if not sigma_jet.value > 0.0:
-            raise VolumeFormError(f"sigma(x) = {sigma_jet.value!r} must be positive")
-        log_jet = sigma_jet.ln()
-        unit = lambda i: tuple(1 if k == i else 0 for k in range(n))
-        return np.array([extract_derivative(log_jet, unit(i)) for i in range(n)])
-    if kind == "riemannian_auto":
-        det_jet = jet_matrix_det(_a_matrix_jets(model, x, 1))
-        if not det_jet.value > 0.0:
-            raise VolumeFormError(f"det a(x) = {det_jet.value!r} must be positive")
-        log_jet = det_jet.ln() * 0.5
-        unit = lambda i: tuple(1 if k == i else 0 for k in range(n))
-        return np.array([extract_derivative(log_jet, unit(i)) for i in range(n)])
-    return volume.bh_log_gradient(model, x)
+        return np.zeros(model.dim)
+    if kind == "busemann_hausdorff":
+        return volume.bh_log_gradient(model, x)
+    log_sigma = _sigma_jet(model, x, 1).ln()
+    return np.array([extract_derivative(log_sigma, unit) for unit in np.eye(model.dim, dtype=int)])
 
 
 # -- public coordinate operations ----------------------------------------------
@@ -470,130 +494,84 @@ def metric_value(model: MetricModel, point: FlagPoint) -> float:
 def fundamental_tensor(model: MetricModel, point: FlagPoint) -> np.ndarray:
     """g_ij = (1/2) [F^2]_{y^i y^j}; raises if not positive definite."""
     tj = TensorJets(model, point.x, point.y, 2, with_x=False)
-    return _check_pd(_g_values(tj), "fundamental tensor")
+    return jet_values(g_jets(tj, 0))
 
 
 def cartan_tensor(model: MetricModel, point: FlagPoint) -> np.ndarray:
     """A_ijk = (F/4) [F^2]_{y^i y^j y^k}, totally symmetric with A_ijk y^k = 0."""
-    n = model.dim
     tj = TensorJets(model, point.x, point.y, 3, with_x=False)
-    f_value = tj.f_jet.value
-    out = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                value = 0.25 * f_value * extract_derivative(
-                    tj.f2_jet, tj.gamma(y_part=(i, j, k))
-                )
-                for a, b, c in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                    out[a, b, c] = value
-    return out
+    return jet_values(cartan_jets(tj, 0))
 
 
 def spray_coefficients(model: MetricModel, point: FlagPoint) -> np.ndarray:
     """Geodesic spray coefficients G^i; zero for x-independent metrics."""
-    n = model.dim
-    if not model.depends_on_x:
-        TensorJets(model, point.x, point.y, 0, with_x=False)  # positivity check
-        return np.zeros(n)
-    tj = TensorJets(model, point.x, point.y, 2, with_x=True)
-    g = _check_pd(_g_values(tj), "fundamental tensor")
-    g_inv = np.linalg.inv(g)
-    b = np.empty(n)
-    for l in range(n):
-        acc = -extract_derivative(tj.f2_jet, tj.gamma(x_part=(l,)))
-        for k in range(n):
-            acc += extract_derivative(tj.f2_jet, tj.gamma(x_part=(k,), y_part=(l,))) * point.y[k]
-        b[l] = acc
-    return 0.25 * g_inv @ b
+    with_x = model.depends_on_x
+    tj = TensorJets(model, point.x, point.y, 2 if with_x else 0, with_x)
+    return jet_values(spray_jets(tj, 0))
 
 
 def nonlinear_connection(model: MetricModel, point: FlagPoint) -> np.ndarray:
     """N^i_j = dG^i/dy^j."""
-    n = model.dim
     if not model.depends_on_x:
-        return np.zeros((n, n))
+        return np.zeros((model.dim, model.dim))
     tj = TensorJets(model, point.x, point.y, 3, with_x=True)
-    spray = _spray_jets(tj, 1, point.y)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = extract_derivative(spray[i], tj.gamma(y_part=(j,)))
-    return out
+    return jet_values(nonlinear_jets(tj, 0))
 
 
 def mean_berwald(model: MetricModel, point: FlagPoint) -> np.ndarray:
     """E_ij = d^3 G^m / dy^i dy^j dy^m (symmetric, E_ij y^j = 0)."""
-    n = model.dim
     if not model.depends_on_x:
-        return np.zeros((n, n))
+        return np.zeros((model.dim, model.dim))
     tj = TensorJets(model, point.x, point.y, 5, with_x=True)
-    spray = _spray_jets(tj, 3, point.y)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            acc = 0.0
-            for m in range(n):
-                acc += extract_derivative(spray[m], tj.gamma(y_part=(i, j, m)))
-            out[i, j] = out[j, i] = acc
-    return out
+    return jet_values(berwald_jets(tj, 0))
+
+
+def _distortion(model: MetricModel, x, g: np.ndarray) -> float:
+    return 0.5 * math.log(np.linalg.det(g)) - math.log(sigma_value(model, x))
 
 
 def distortion(model: MetricModel, point: FlagPoint) -> float:
     """tau = ln( sqrt(det g) / sigma(x) )."""
-    g = fundamental_tensor(model, point)
-    sigma = sigma_value(model, point.x)
-    return 0.5 * math.log(np.linalg.det(g)) - math.log(sigma)
+    return _distortion(model, point.x, fundamental_tensor(model, point))
+
+
+def _s_value(model: MetricModel, tj: TensorJets, point: FlagPoint) -> float:
+    return s_main_jet(tj, 0).value - float(point.y @ dln_sigma(model, point.x))
 
 
 def s_curvature(model: MetricModel, point: FlagPoint) -> float:
     """S = derivative of the distortion along the spray:
-    S = y^i dtau/dx^i - y^i N^j_i dtau/dy^j."""
-    n = model.dim
-    y = point.y
-    sigma_grad = dln_sigma(model, point.x)
-    if not model.depends_on_x:
-        tj = TensorJets(model, point.x, point.y, 2, with_x=False)
-        _check_pd(_g_values(tj), "fundamental tensor")
-        return -float(y @ sigma_grad)
-    tj = TensorJets(model, point.x, point.y, 3, with_x=True)
-    tau_g = jet_matrix_det(_g_jets(tj, 1)).ln() * 0.5
-    ln_sigma = _ln_sigma_as_jet(model, point.x, tj.n_vars, 1)
-    tau = tau_g - ln_sigma
-    spray = _spray_jets(tj, 1, y)
-    nonlinear = np.array(
-        [
-            [extract_derivative(spray[i], tj.gamma(y_part=(j,))) for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    tau_x = np.array([extract_derivative(tau, tj.gamma(x_part=(i,))) for i in range(n)])
-    tau_y = np.array([extract_derivative(tau, tj.gamma(y_part=(j,))) for j in range(n)])
-    return float(y @ tau_x - (y @ nonlinear.T) @ tau_y)
+    S = y^i dtau/dx^i - 2 G^i dtau/dy^i; raises where g is not positive definite."""
+    with_x = model.depends_on_x
+    tj = TensorJets(model, point.x, point.y, 3 if with_x else 2, with_x)
+    g_jets(tj, 0)  # the positive-definiteness check
+    return _s_value(model, tj, point)
 
 
 def s_curvature_alt(model: MetricModel, point: FlagPoint) -> float:
     """Divergence form S = dG^m/dy^m - y^m d(ln sigma)/dx^m (cross-check route)."""
-    n = model.dim
-    sigma_grad = dln_sigma(model, point.x)
-    if not model.depends_on_x:
-        return -float(point.y @ sigma_grad)
-    tj = TensorJets(model, point.x, point.y, 3, with_x=True)
-    spray = _spray_jets(tj, 1, point.y)
-    div = sum(extract_derivative(spray[m], tj.gamma(y_part=(m,))) for m in range(n))
-    return float(div - point.y @ sigma_grad)
+    div = 0.0
+    if model.depends_on_x:
+        tj = TensorJets(model, point.x, point.y, 3, with_x=True)
+        div = float(np.trace(jet_values(nonlinear_jets(tj, 0))))
+    return float(div - point.y @ dln_sigma(model, point.x))
 
 
 def coordinate_tensors(model: MetricModel, point: FlagPoint) -> CoordinateTensors:
-    g = fundamental_tensor(model, point)
+    """Every coordinate tensor at the flag point, read off one expansion: of
+    order 5 over (x, y) when F depends on x (E takes three y-derivatives of
+    G), of order 3 over y otherwise (the Cartan tensor)."""
+    with_x = model.depends_on_x
+    tj = TensorJets(model, point.x, point.y, 5 if with_x else 3, with_x)
+    g = jet_values(g_jets(tj, 0))
     return CoordinateTensors(
-        f=metric_value(model, point),
+        f=tj.f_jet.value,
         g=g,
         g_inv=np.linalg.inv(g),
-        cartan=cartan_tensor(model, point),
-        spray=spray_coefficients(model, point),
-        nonlinear=nonlinear_connection(model, point),
-        mean_berwald=mean_berwald(model, point),
-        tau=distortion(model, point),
-        s=s_curvature(model, point),
+        cartan=jet_values(cartan_jets(tj, 0)),
+        spray=jet_values(spray_jets(tj, 0)),
+        nonlinear=jet_values(nonlinear_jets(tj, 0)),
+        mean_berwald=jet_values(berwald_jets(tj, 0)),
+        tau=_distortion(model, point.x, g),
+        s=_s_value(model, tj, point),
     )

@@ -9,10 +9,16 @@ so F(x, y(u)) = 1 identically.  The induced metric is the pullback of the
 fundamental tensor, the fibre connection is its Levi-Civita connection, and
 curvature and covariant derivatives are computed in chart coordinates.
 
-Differentiation composes the whole chain (chart, norm, coordinate tensors)
-in truncated Taylor jets over the chart variables: tensors are first
-expanded as jets around the flag point and then composed with the chart
-jets of y(u), so every u-derivative is exact to roundoff.
+One pipeline per fibre point: :func:`fibre_jets` expands F once at the
+embedded flag point (one :class:`~finslerlab.core.TensorJets`, read through
+the core extractors) and composes it with the chart jets of y(u), giving
+chart jets of the induced metric g, the Cartan pullback H, the mean Berwald
+pullback E and the restricted S-curvature, each computed when first read
+at the chart order the caller asked for.  Every u-derivative is exact to
+roundoff.  :func:`restrict_fields`, :func:`fibre_snapshot`,
+:func:`s_third_covariant`, :func:`induced_metric`, :func:`christoffels`,
+:func:`riemann` and the ``*_field`` factories are views of it, built from
+one pullback and one rank-generic covariant derivative.
 
 Sign and index conventions are frozen by the Euclidean calibration: for
 F = |y| in dimension 3 the induced metric at the chart centre is 4 times
@@ -23,7 +29,8 @@ normalises the sectional curvature of the round fibre to +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -31,33 +38,37 @@ from . import jets
 from .core import (
     FlagPoint,
     MetricModel,
-    NonPositiveDefiniteError,
     NonPositiveMetricError,
     TensorJets,
-    _g_jets,
-    _spray_jets,
+    _check_pd,
+    berwald_jets,
+    cartan_jets,
     dln_sigma,
+    g_jets,
     s_main_jet,
 )
 from .expr import evaluate
-from .jets import Jet, extract_derivative, jet_matrix_inverse
+from .jets import Jet, jet_matrix_inverse, jet_truncated, jet_values
 
 __all__ = [
     "CHART_RADIUS",
     "FibreChart",
     "IndicatrixPoint",
+    "FibreJets",
     "RestrictedFields",
     "parameter_direction",
     "direction_chart",
     "chart_transition",
     "transition_jacobian",
     "chart_embed",
+    "fibre_jets",
     "induced_metric",
     "christoffels",
     "riemann",
     "restrict_fields",
     "FibreSnapshot",
     "fibre_snapshot",
+    "s_third_covariant",
     "covariant_derivative",
     "induced_metric_field",
     "cartan_field",
@@ -90,6 +101,12 @@ class FibreChart:
                 f"(requires |x| < {self.model.x_max_norm})"
             )
 
+    @cached_property
+    def sigma_grad(self) -> np.ndarray:
+        """Gradient of ln sigma at the base point, which every point of the
+        chart shares; computed on first use, by the S-curvature only."""
+        return dln_sigma(self.model, self.x)
+
 
 @dataclass(frozen=True, eq=False)
 class IndicatrixPoint:
@@ -117,14 +134,12 @@ def _validate_chart_coord(u: np.ndarray):
 
 
 def parameter_direction(chart_id: str, u) -> np.ndarray:
-    """Inverse stereographic map of the chart coordinate to the unit sphere."""
-    u = np.asarray(u, dtype=float)
-    s = float(u @ u)
-    denom = 1.0 + s
-    theta = np.empty(len(u) + 1)
-    theta[:-1] = 2.0 * u / denom
-    theta[-1] = (1.0 - s) / denom if chart_id == "north" else (s - 1.0) / denom
-    return theta
+    """Inverse stereographic map of the chart coordinate to the unit sphere;
+    generic over floats and jets."""
+    s = sum(ua * ua for ua in u)
+    recip = 1.0 / (1.0 + s)
+    pole = 1.0 - s if chart_id == "north" else s - 1.0
+    return np.array([2.0 * ua * recip for ua in u] + [pole * recip])
 
 
 def direction_chart(theta) -> tuple[str, np.ndarray]:
@@ -161,177 +176,215 @@ def chart_embed(chart: FibreChart, u) -> FlagPoint:
     """Embed the chart coordinate as the flag point (x, theta/F(x, theta))."""
     u = np.asarray(u, dtype=float)
     _validate_chart_coord(u)
-    theta = parameter_direction(chart.chart_id, u)
-    value = chart.model.f(chart.x, theta)
-    if not value > 0.0:
-        raise NonPositiveMetricError(
-            f"F(x, theta) = {value!r} must be positive along the fibre ray"
-        )
-    return FlagPoint(chart.x, theta / value)
+    return FlagPoint(chart.x, jet_values(_y_ujets(chart, u, 0)))
 
 
-def _y_ujets(chart: FibreChart, u0: np.ndarray, order: int) -> list[Jet]:
-    """The embedding y(u) as jets over the chart variables."""
-    model = chart.model
-    m = model.dim - 1
+def _y_ujets(chart: FibreChart, u0: np.ndarray, order: int) -> np.ndarray:
+    """The embedding y(u) = theta(u) / F(x, theta(u)) as jets over the chart
+    variables."""
+    m = len(u0)
     us = [jets.seed_variable(a + 1, float(u0[a]), m, order) for a in range(m)]
-    s = jets.constant(0.0, m, order)
-    for ua in us:
-        s = s + ua * ua
-    denom_recip = (1.0 + s).reciprocal()
-    theta = [2.0 * ua * denom_recip for ua in us]
-    if chart.chart_id == "north":
-        theta.append((1.0 - s) * denom_recip)
-    else:
-        theta.append((s - 1.0) * denom_recip)
-    f_jet = evaluate(model.f_ast, [float(v) for v in chart.x], theta, model.params)
+    theta = parameter_direction(chart.chart_id, us)
+    model = chart.model
+    f_jet = evaluate(model.f_ast, [float(v) for v in chart.x], list(theta), model.params)
     if not f_jet.value > 0.0:
         raise NonPositiveMetricError(
             f"F(x, theta) = {f_jet.value!r} must be positive along the fibre ray"
         )
-    f_recip = f_jet.reciprocal()
-    return [t * f_recip for t in theta]
+    return theta * f_jet.reciprocal()
 
 
-def _embedding_data(chart: FibreChart, u0: np.ndarray, order: int):
-    """y(u) jets of the given order, the base value y0, the partials dy
-    (order-1 jets of one order less), and the nilpotent offsets."""
-    m = chart.model.dim - 1
-    y_u = _y_ujets(chart, u0, order)
-    y0 = np.array([j.value for j in y_u])
-    unit = lambda a: tuple(1 if k == a else 0 for k in range(m))
-    dy = [[y_u[i].derivative(unit(a)) for i in range(len(y_u))] for a in range(m)]
-    deltas = [j.truncated(order - 1) - j.value for j in y_u]
-    return y_u, y0, dy, deltas
+# -- the fibre pipeline -----------------------------------------------------------
+
+# Expansion order each field needs at the flag point beyond its chart order:
+# g = (1/2)[F^2]_yy, H from (F/4)[F^2]_yyy, E = d^3 G/dy^3 with G built from
+# [F^2]_xy, and S from the y- and x-derivatives of ln det g.
+_DEPTH = {"g": 2, "h": 3, "e": 5, "s": 3}
 
 
-def _full_deltas(deltas: list[Jet], with_x: bool, n: int) -> list[Jet]:
-    if not with_x:
+class FibreJets:
+    """Chart jets of g, H, E and S at one fibre point; see :func:`fibre_jets`."""
+
+    def __init__(self, model: MetricModel, chart: FibreChart, y_u, chart_order):
+        top = y_u[0].order - 1
+        self.model = model
+        self.chart = chart
+        self.chart_order = chart_order
+        self.y_u = y_u
+        self.y0 = jet_values(y_u)
+        # dy[a, i] = dy^i/du^a and the offsets y(u) - y0, both to chart order top
+        units = np.eye(len(y_u) - 1, dtype=int)
+        self.dy = np.array([[y.derivative(unit) for y in y_u] for unit in units])
+        self.deltas = [y.truncated(top) - y.value for y in y_u]
+
+    @cached_property
+    def tj(self) -> TensorJets:
+        """The one expansion of F at the embedded flag point, deep enough for
+        every requested field and over (x, y) only where E or S needs the
+        spray of an x-dependent F."""
+        x_dep = self.model.depends_on_x
+        depth = {
+            field: order + _DEPTH[field]
+            for field, order in self.chart_order.items()
+            if x_dep or field in ("g", "h")
+        }
+        with_x = x_dep and ("e" in depth or "s" in depth)
+        return TensorJets(self.model, self.chart.x, self.y0, max(depth.values()), with_x)
+
+    def _deltas(self, order: int) -> list[Jet]:
+        """Offsets of the expansion variables along the chart: zero for x."""
+        deltas = [d.truncated(order) for d in self.deltas]
+        if self.tj.with_x:
+            deltas = [jets.constant(0.0, len(self.dy), order)] * len(deltas) + deltas
         return deltas
-    space = deltas[0].space
-    zero = Jet(space, np.zeros(space.size))
-    return [zero] * n + deltas
+
+    def _on_chart(self, extractor: Callable, field: str) -> np.ndarray:
+        """A totally symmetric tensor at the flag point, composed with y(u) and
+        pulled back to the chart at the field's chart order."""
+        order = self.chart_order[field]
+        deltas = self._deltas(order)
+        composed = _symmetric(lambda jet: jet.compose(deltas), extractor(self.tj, order))
+        return _pullback(composed, jet_truncated(self.dy, order))
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """Induced metric g_ab = g_ij dy^i/du^a dy^j/du^b; raises unless
+        positive definite."""
+        g = self._on_chart(g_jets, "g")
+        _check_pd(jet_values(g), "induced metric")
+        return g
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """Vertical Cartan pullback H_abc.  Its overall sign is fixed by the
+        structure identities: the vertical PDE and Codazzi residuals vanish
+        with this orientation, cf. the Gauss formula of the radial embedding."""
+        return self._on_chart(cartan_jets, "h")
+
+    @cached_property
+    def e(self) -> np.ndarray:
+        """Mean Berwald pullback E_ab; zero when F does not depend on x."""
+        if not self.model.depends_on_x:
+            m = len(self.dy)
+            return np.full((m, m), jets.constant(0.0, m, self.chart_order["e"]))
+        return self._on_chart(berwald_jets, "e")
+
+    @cached_property
+    def s(self) -> Jet:
+        """Restricted S-curvature: the volume-free part composed with y(u),
+        minus y(u) . grad ln sigma."""
+        order = self.chart_order["s"]
+        s = jets.constant(0.0, len(self.dy), order)
+        if self.model.depends_on_x:
+            s = s_main_jet(self.tj, order).compose(self._deltas(order))
+        for i, grad_i in enumerate(self.chart.sigma_grad):
+            if grad_i != 0.0:
+                s = s - grad_i * self.y_u[i].truncated(order)
+        return s
 
 
-# -- induced metric, connection, curvature ------------------------------------
+def fibre_jets(
+    model: MetricModel, chart: FibreChart, u, chart_order: Mapping[str, int]
+) -> FibreJets:
+    """The fibre pipeline at chart coordinate u.
+
+    ``chart_order`` maps each field the caller will read -- ``"g"`` (induced
+    metric), ``"h"`` (Cartan pullback), ``"e"`` (mean Berwald pullback) and
+    ``"s"`` (restricted S-curvature) -- to its chart jet order.  One
+    expansion of F at the embedded flag point, of the lowest order that
+    serves every requested field, feeds them all.
+    """
+    u0 = np.asarray(u, dtype=float)
+    _validate_chart_coord(u0)
+    y_u = _y_ujets(chart, u0, max(chart_order.values()) + 1)
+    return FibreJets(model, chart, y_u, dict(chart_order))
 
 
-def _g_dot_ujets(chart: FibreChart, u0: np.ndarray, order: int):
-    """Induced metric as chart jets: g_ab(u) = g_ij(x, y(u)) dy^i/du^a dy^j/du^b."""
-    model = chart.model
-    n = model.dim
-    y_u, y0, dy, deltas = _embedding_data(chart, u0, order + 1)
-    tj = TensorJets(model, chart.x, y0, order + 2, with_x=False)
-    g_jets = _g_jets(tj, order)
-    g_u = [[g_jets[i][j].compose(deltas) for j in range(n)] for i in range(n)]
-    m = n - 1
-    out = [[None] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(a, m):
-            acc = None
-            for i in range(n):
-                row = None
-                for j in range(n):
-                    term = g_u[i][j] * dy[b][j]
-                    row = term if row is None else row + term
-                term = row * dy[a][i]
-                acc = term if acc is None else acc + term
-            out[a][b] = acc
-            out[b][a] = acc
+# -- tensor calculus in chart coordinates -------------------------------------------
+
+
+def _symmetric(fn: Callable, t: np.ndarray) -> np.ndarray:
+    """``fn`` applied to a totally symmetric array of jets, once per distinct
+    entry; the result is exactly symmetric."""
+    out = np.empty(t.shape, dtype=object)
+    for index in np.ndindex(t.shape):
+        key = tuple(sorted(index))  # visited first in lexicographic order
+        out[index] = fn(t[index]) if key == index else out[key]
     return out
+
+
+def _pullback(t: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """T_ab.. = T_ij.. dy^i/du^a dy^j/du^b .. for a totally symmetric T,
+    contracted one slot at a time."""
+    for _ in range(t.ndim):
+        t = np.tensordot(t, dy, axes=([0], [1]))
+    return _symmetric(lambda jet: jet, t)
+
+
+def _partials(t) -> np.ndarray:
+    """Chart partial derivatives of an array of jets, derivative index last."""
+    t = np.asarray(t)
+    units = np.eye(t.flat[0].n_vars, dtype=int)
+    out = np.empty(t.shape + (len(units),), dtype=object)
+    for index in np.ndindex(t.shape):
+        for d, unit in enumerate(units):
+            out[index + (d,)] = t[index].derivative(unit)
+    return out
+
+
+def _covariant(t, gamma: np.ndarray) -> np.ndarray:
+    """Covariant derivative of a chart tensor of jets, one order lower:
+    nabla_d T_a.. = d_d T_a.. - sum over slots Gamma^e_{d a} T_..e..,
+    with the derivative index appended last."""
+    t = np.asarray(t)
+    out = _partials(t)
+    if t.ndim:
+        order = t.flat[0].order - 1
+        low, gamma = jet_truncated(t, order), jet_truncated(gamma, order)
+    for slot in range(t.ndim):
+        term = np.tensordot(low, gamma, axes=([slot], [0]))  # [.. without slot, d, a]
+        out = out - np.moveaxis(term, -1, slot)
+    return out
+
+
+def _christoffel_jets(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse metric and Levi-Civita symbols Gamma^c_ab (upper index first),
+    as chart jets one order below those of the metric."""
+    order = g[0, 0].order - 1
+    g_inv = np.array(jet_matrix_inverse(jet_truncated(g, order).tolist()))
+    dg = np.moveaxis(_partials(g), -1, 0)  # dg[c, a, b] = d_c g_ab
+    # [d, a, b] = d_a g_db + d_b g_da - d_d g_ab
+    bracket = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+    return g_inv, np.tensordot(g_inv, bracket, axes=1) * 0.5
+
+
+def _curvature(g: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Curvature R^e_bcd = d_c Gamma^e_db - d_d Gamma^e_cb + Gamma^e_cf Gamma^f_db
+    - Gamma^e_df Gamma^f_cb and its lowered form R_abcd = g_ae R^e_bcd, as
+    floats, from Christoffel jets of order >= 1."""
+    gam = jet_values(gamma)
+    dgam = jet_values(_partials(gamma))  # dgam[c, a, b, d] = d_d Gamma^c_ab
+    r_up = (
+        np.einsum("edbc->ebcd", dgam)
+        - np.einsum("ecbd->ebcd", dgam)
+        + np.einsum("ecf,fdb->ebcd", gam, gam)
+        - np.einsum("edf,fcb->ebcd", gam, gam)
+    )
+    return r_up, np.einsum("ae,ebcd->abcd", jet_values(g), r_up)
+
+
+# -- views of the pipeline ----------------------------------------------------------
 
 
 def induced_metric(chart: FibreChart, u) -> np.ndarray:
     """Pullback of the fundamental tensor to the fibre; positive definite."""
-    u0 = np.asarray(u, dtype=float)
-    _validate_chart_coord(u0)
-    gdot = _g_dot_ujets(chart, u0, 0)
-    m = chart.model.dim - 1
-    out = np.array([[gdot[a][b].value for b in range(m)] for a in range(m)])
-    eigenvalues = np.linalg.eigvalsh(out)
-    if eigenvalues.min() < 1e-10:
-        raise NonPositiveDefiniteError(float(eigenvalues.min()), "induced metric")
-    return out
-
-
-def _christoffel_data(gdot_ujets):
-    """Metric value, inverse, and Christoffel symbols from order >= 1 chart jets."""
-    m = len(gdot_ujets)
-    unit = lambda a: tuple(1 if k == a else 0 for k in range(m))
-    g0 = np.array([[gdot_ujets[a][b].value for b in range(m)] for a in range(m)])
-    eigenvalues = np.linalg.eigvalsh(g0)
-    if eigenvalues.min() < 1e-10:
-        raise NonPositiveDefiniteError(float(eigenvalues.min()), "induced metric")
-    g_inv = np.linalg.inv(g0)
-    dg = np.array(
-        [
-            [[extract_derivative(gdot_ujets[a][b], unit(c)) for b in range(m)] for a in range(m)]
-            for c in range(m)
-        ]
-    )  # dg[c, a, b] = d_c g_ab
-    gamma = np.empty((m, m, m))
-    for c in range(m):
-        for a in range(m):
-            for b in range(m):
-                gamma[c, a, b] = 0.5 * sum(
-                    g_inv[c, d] * (dg[a, d, b] + dg[b, d, a] - dg[d, a, b])
-                    for d in range(m)
-                )
-    return g0, g_inv, gamma
+    return jet_values(fibre_jets(chart.model, chart, u, {"g": 0}).g)
 
 
 def christoffels(chart: FibreChart, u) -> np.ndarray:
     """Levi-Civita symbols Gamma^c_ab of the induced metric (upper index first)."""
-    u0 = np.asarray(u, dtype=float)
-    _validate_chart_coord(u0)
-    gdot = _g_dot_ujets(chart, u0, 1)
-    return _christoffel_data(gdot)[2]
-
-
-def _curvature_data(gdot_ujets):
-    """Values, Christoffels (floats and order-1 jets), and the curvature tensors
-    from order-2 chart jets of the induced metric."""
-    m = len(gdot_ujets)
-    unit = lambda a: tuple(1 if k == a else 0 for k in range(m))
-    g0, g_inv, gamma0 = _christoffel_data(gdot_ujets)
-    g1 = [[gdot_ujets[a][b].truncated(1) for b in range(m)] for a in range(m)]
-    ginv_u = jet_matrix_inverse(g1)
-    dg_u = [
-        [[gdot_ujets[a][b].derivative(unit(c)) for b in range(m)] for a in range(m)]
-        for c in range(m)
-    ]
-    gamma_u = [[[None] * m for _ in range(m)] for _ in range(m)]
-    for c in range(m):
-        for a in range(m):
-            for b in range(a, m):
-                acc = None
-                for d in range(m):
-                    term = ginv_u[c][d] * (dg_u[a][d][b] + dg_u[b][d][a] - dg_u[d][a][b])
-                    acc = term if acc is None else acc + term
-                entry = acc * 0.5
-                gamma_u[c][a][b] = entry
-                gamma_u[c][b][a] = entry
-    dgamma = np.array(
-        [
-            [
-                [[extract_derivative(gamma_u[c][a][b], unit(d)) for b in range(m)] for a in range(m)]
-                for c in range(m)
-            ]
-            for d in range(m)
-        ]
-    )  # dgamma[d, c, a, b] = d_d Gamma^c_ab
-    r_up = np.empty((m, m, m, m))
-    for e in range(m):
-        for b in range(m):
-            for c in range(m):
-                for d in range(m):
-                    value = dgamma[c, e, d, b] - dgamma[d, e, c, b]
-                    for f in range(m):
-                        value += gamma0[e, c, f] * gamma0[f, d, b]
-                        value -= gamma0[e, d, f] * gamma0[f, c, b]
-                    r_up[e, b, c, d] = value
-    r_low = np.einsum("ae,ebcd->abcd", g0, r_up)
-    return g0, g_inv, gamma0, gamma_u, r_up, r_low
+    g = fibre_jets(chart.model, chart, u, {"g": 1}).g
+    return jet_values(_christoffel_jets(g)[1])
 
 
 def riemann(chart: FibreChart, u) -> np.ndarray:
@@ -341,13 +394,8 @@ def riemann(chart: FibreChart, u) -> np.ndarray:
     round fibre of sectional curvature +1 gives R_1212 = +16 at the chart
     centre where the metric is 4 times the identity.
     """
-    u0 = np.asarray(u, dtype=float)
-    _validate_chart_coord(u0)
-    gdot = _g_dot_ujets(chart, u0, 2)
-    return _curvature_data(gdot)[5]
-
-
-# -- the restricted field bundle -----------------------------------------------
+    g = fibre_jets(chart.model, chart, u, {"g": 2}).g
+    return _curvature(g, _christoffel_jets(g)[1])[1]
 
 
 @dataclass
@@ -375,212 +423,33 @@ class RestrictedFields:
     e_grad: np.ndarray
 
 
-def _cov_rank2(t_ujets, gamma0: np.ndarray) -> np.ndarray:
-    m = len(t_ujets)
-    unit = lambda a: tuple(1 if k == a else 0 for k in range(m))
-    t0 = np.array([[t_ujets[a][b].value for b in range(m)] for a in range(m)])
-    out = np.empty((m, m, m))
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                value = extract_derivative(t_ujets[a][b], unit(c))
-                for e in range(m):
-                    value -= gamma0[e, c, a] * t0[e, b]
-                    value -= gamma0[e, c, b] * t0[a, e]
-                out[a, b, c] = value
-    return out
-
-
-def _cov_rank3(t_ujets, gamma0: np.ndarray) -> np.ndarray:
-    m = len(t_ujets)
-    unit = lambda a: tuple(1 if k == a else 0 for k in range(m))
-    t0 = np.array(
-        [[[t_ujets[a][b][c].value for c in range(m)] for b in range(m)] for a in range(m)]
-    )
-    out = np.empty((m, m, m, m))
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                for d in range(m):
-                    value = extract_derivative(t_ujets[a][b][c], unit(d))
-                    for e in range(m):
-                        value -= gamma0[e, d, a] * t0[e, b, c]
-                        value -= gamma0[e, d, b] * t0[a, e, c]
-                        value -= gamma0[e, d, c] * t0[a, b, e]
-                    out[a, b, c, d] = value
-    return out
-
-
-def _pullback2(t_u, dy, n, m):
-    out = [[None] * m for _ in range(m)]
-    half = [[None] * n for _ in range(m)]
-    for a in range(m):
-        for j in range(n):
-            acc = None
-            for i in range(n):
-                term = t_u[i][j] * dy[a][i]
-                acc = term if acc is None else acc + term
-            half[a][j] = acc
-    for a in range(m):
-        for b in range(a, m):
-            acc = None
-            for j in range(n):
-                term = half[a][j] * dy[b][j]
-                acc = term if acc is None else acc + term
-            out[a][b] = acc
-            out[b][a] = acc
-    return out
-
-
-def _pullback3(t_u, dy, n, m):
-    stage1 = [[[None] * n for _ in range(n)] for _ in range(m)]
-    for a in range(m):
-        for j in range(n):
-            for k in range(n):
-                acc = None
-                for i in range(n):
-                    term = t_u[i][j][k] * dy[a][i]
-                    acc = term if acc is None else acc + term
-                stage1[a][j][k] = acc
-    stage2 = [[[None] * n for _ in range(m)] for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            for k in range(n):
-                acc = None
-                for j in range(n):
-                    term = stage1[a][j][k] * dy[b][j]
-                    acc = term if acc is None else acc + term
-                stage2[a][b][k] = acc
-    out = [[[None] * m for _ in range(m)] for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                acc = None
-                for k in range(n):
-                    term = stage2[a][b][k] * dy[c][k]
-                    acc = term if acc is None else acc + term
-                out[a][b][c] = acc
-    return out
-
-
 def restrict_fields(model: MetricModel, chart: FibreChart, u) -> RestrictedFields:
     """Compute the full bundle of fibre-restricted fields at one point.
 
-    One order-6 jet of F^2 at the embedded flag point feeds every tensor;
-    the metric and the restricted S-curvature are carried to second chart
-    order (Hessian, curvature) and the Cartan and mean Berwald pullbacks to
-    first order (their covariant derivatives).
+    The metric and the restricted S-curvature are carried to second chart
+    order (curvature, Hessian), the Cartan and mean Berwald pullbacks to
+    first order (their covariant derivatives); one expansion feeds them all.
     """
-    u0 = np.asarray(u, dtype=float)
-    _validate_chart_coord(u0)
-    n = model.dim
-    m = n - 1
-    with_x = model.depends_on_x
-    unit = lambda a: tuple(1 if k == a else 0 for k in range(m))
-
-    y_u3, y0, dy2, deltas2 = _embedding_data(chart, u0, 3)
-    dy1 = [[entry.truncated(1) for entry in row] for row in dy2]
-    deltas1 = [d.truncated(1) for d in deltas2]
-
-    tj = TensorJets(model, chart.x, y0, 6, with_x)
-    full2 = _full_deltas(deltas2, with_x, n)
-    full1 = _full_deltas(deltas1, with_x, n)
-
-    # induced metric to second chart order
-    g2 = _g_jets(tj, 2)
-    g_u = [[g2[i][j].compose(full2) for j in range(n)] for i in range(n)]
-    gdot2 = _pullback2(g_u, dy2, n, m)
-    g0, g_inv, gamma0, gamma_u, r_up, r_low = _curvature_data(gdot2)
-
-    # restricted S-curvature to second chart order
-    sigma_grad = dln_sigma(model, chart.x)
-    if with_x:
-        s_jet = s_main_jet(tj, 3, y0)
-        s_u = s_jet.truncated(2).compose(full2)
-    else:
-        s_u = jets.constant(0.0, m, 2)
-    for i in range(n):
-        if sigma_grad[i] != 0.0:
-            s_u = s_u - sigma_grad[i] * y_u3[i].truncated(2)
-    s0 = s_u.value
-    s_grad = np.array([extract_derivative(s_u, unit(a)) for a in range(m)])
-    s_hess = np.empty((m, m))
-    for a in range(m):
-        for b in range(a, m):
-            alpha = tuple(
-                (1 if k == a else 0) + (1 if k == b else 0) for k in range(m)
-            )
-            value = extract_derivative(s_u, alpha)
-            value -= sum(gamma0[c, a, b] * s_grad[c] for c in range(m))
-            s_hess[a, b] = s_hess[b, a] = value
-
-    # vertical Cartan pullback to first order; the overall sign is fixed by
-    # the structure identities (the vertical PDE and Codazzi residuals vanish
-    # with this orientation, cf. the Gauss formula of the radial embedding)
-    f1 = tj.f_jet.truncated(1)
-    a_u = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                entry = (0.25 * f1 * tj.d_f2(y_part=(i, j, k), order=1)).compose(full1)
-                for p, q, r in (
-                    (i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)
-                ):
-                    a_u[p][q][r] = entry
-    h_u = _pullback3(a_u, dy1, n, m)
-    cartan0 = np.array(
-        [[[h_u[a][b][c].value for c in range(m)] for b in range(m)] for a in range(m)]
-    )
-    cartan_cov = _cov_rank3(h_u, gamma0)
-
-    # mean Berwald pullback to first order
-    if with_x:
-        spray4 = _spray_jets(tj, 4, y0)
-        e_xy = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                acc = None
-                for p in range(n):
-                    term = spray4[p].derivative(tj.gamma(y_part=(i, j, p)))
-                    acc = term if acc is None else acc + term
-                e_xy[i][j] = acc
-                e_xy[j][i] = acc
-        e_u = [[e_xy[i][j].compose(full1) for j in range(n)] for i in range(n)]
-        edot1 = _pullback2(e_u, dy1, n, m)
-    else:
-        zero = jets.constant(0.0, m, 1)
-        edot1 = [[zero for _ in range(m)] for _ in range(m)]
-    berwald0 = np.array(
-        [[edot1[a][b].value for b in range(m)] for a in range(m)]
-    )
-    berwald_cov = _cov_rank2(edot1, gamma0)
-
-    # Berwald scalar e = trace of the pullback against the induced metric
-    g1_u = [[gdot2[a][b].truncated(1) for b in range(m)] for a in range(m)]
-    ginv_u = jet_matrix_inverse(g1_u)
-    e_scalar_u = None
-    for a in range(m):
-        for b in range(m):
-            term = ginv_u[a][b] * edot1[a][b]
-            e_scalar_u = term if e_scalar_u is None else e_scalar_u + term
-    e0 = e_scalar_u.value
-    e_grad = np.array([extract_derivative(e_scalar_u, unit(a)) for a in range(m)])
-
+    fj = fibre_jets(model, chart, u, {"g": 2, "s": 2, "h": 1, "e": 1})
+    g_inv, gamma = _christoffel_jets(fj.g)
+    r_up, r_low = _curvature(fj.g, gamma)
+    ds = _covariant(fj.s, gamma)
+    e = np.sum(g_inv * fj.e)  # the Berwald scalar, trace of the pullback
     return RestrictedFields(
-        g=g0,
-        g_inv=g_inv,
-        gamma=gamma0,
+        g=jet_values(fj.g),
+        g_inv=jet_values(g_inv),
+        gamma=jet_values(gamma),
         riemann=r_low,
         riemann_up=r_up,
-        s=s0,
-        s_grad=s_grad,
-        s_hess=s_hess,
-        cartan=cartan0,
-        cartan_cov=cartan_cov,
-        berwald=berwald0,
-        berwald_cov=berwald_cov,
-        e=e0,
-        e_grad=e_grad,
+        s=fj.s.value,
+        s_grad=jet_values(ds),
+        s_hess=jet_values(_covariant(ds, gamma)),
+        cartan=jet_values(fj.h),
+        cartan_cov=jet_values(_covariant(fj.h, gamma)),
+        berwald=jet_values(fj.e),
+        berwald_cov=jet_values(_covariant(fj.e, gamma)),
+        e=e.value,
+        e_grad=jet_values(_covariant(e, gamma)),
     )
 
 
@@ -596,40 +465,15 @@ class FibreSnapshot:
 
 
 def fibre_snapshot(model: MetricModel, chart: FibreChart, u) -> FibreSnapshot:
-    """Cheap value-level evaluation used by the isotropy scan; one jet of
-    order 5 covers the mean Berwald pullback and the induced metric."""
-    u0 = np.asarray(u, dtype=float)
-    _validate_chart_coord(u0)
-    n = model.dim
-    m = n - 1
-    with_x = model.depends_on_x
-    y_u, y0, dy_jets, _ = _embedding_data(chart, u0, 1)
-    dy = np.array([[dy_jets[a][i].value for i in range(n)] for a in range(m)])
-    tj = TensorJets(model, chart.x, y0, 5 if with_x else 2, with_x)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = 0.5 * extract_derivative(
-                tj.f2_jet, tj.gamma(y_part=(i, j))
-            )
-    if with_x:
-        spray = _spray_jets(tj, 3, y0)
-        e_xy = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                acc = 0.0
-                for p in range(n):
-                    acc += extract_derivative(spray[p], tj.gamma(y_part=(i, j, p)))
-                e_xy[i, j] = e_xy[j, i] = acc
-    else:
-        e_xy = np.zeros((n, n))
-    g_dot = dy @ g @ dy.T
-    eigenvalues = np.linalg.eigvalsh(g_dot)
-    if eigenvalues.min() < 1e-10:
-        raise NonPositiveDefiniteError(float(eigenvalues.min()), "induced metric")
-    berwald = dy @ e_xy @ dy.T
-    e_scalar = float(np.einsum("ab,ab->", np.linalg.inv(g_dot), berwald))
-    return FibreSnapshot(g=g_dot, berwald=berwald, e=e_scalar, flag=FlagPoint(chart.x, y0))
+    """Cheap value-level evaluation used by the isotropy scan."""
+    fj = fibre_jets(model, chart, u, {"g": 0, "e": 0})
+    g_inv = np.array(jet_matrix_inverse(fj.g.tolist()))
+    return FibreSnapshot(
+        g=jet_values(fj.g),
+        berwald=jet_values(fj.e),
+        e=np.sum(g_inv * fj.e).value,
+        flag=FlagPoint(chart.x, fj.y0),
+    )
 
 
 def s_third_covariant(model: MetricModel, chart: FibreChart, u):
@@ -639,160 +483,50 @@ def s_third_covariant(model: MetricModel, chart: FibreChart, u):
     Used to check the commutator of covariant derivatives against the
     curvature contraction on scalars.
     """
-    u0 = np.asarray(u, dtype=float)
-    _validate_chart_coord(u0)
-    n = model.dim
-    m = n - 1
-    with_x = model.depends_on_x
-    unit = lambda a: tuple(1 if k == a else 0 for k in range(m))
-
-    y_u4, y0, dy3, deltas3 = _embedding_data(chart, u0, 4)
-    dy2 = [[entry.truncated(2) for entry in row] for row in dy3]
-    deltas2 = [d.truncated(2) for d in deltas3]
-
-    tj = TensorJets(model, chart.x, y0, 6, with_x)
-    sigma_grad = dln_sigma(model, chart.x)
-    if with_x:
-        s_u = s_main_jet(tj, 3, y0).compose(_full_deltas(deltas3, with_x, n))
-    else:
-        s_u = jets.constant(0.0, m, 3)
-    for i in range(n):
-        if sigma_grad[i] != 0.0:
-            s_u = s_u - sigma_grad[i] * y_u4[i].truncated(3)
-
-    g2 = _g_jets(tj, 2)
-    g_u = [[g2[i][j].compose(_full_deltas(deltas2, with_x, n)) for j in range(n)] for i in range(n)]
-    gdot2 = _pullback2(g_u, dy2, n, m)
-    g0, g_inv, gamma0, gamma_u, r_up, r_low = _curvature_data(gdot2)
-
-    s_grad = np.array([extract_derivative(s_u, unit(a)) for a in range(m)])
-    ds_u = [s_u.derivative(unit(c)).truncated(1) for c in range(m)]
-    hess_u = [[None] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(a, m):
-            alpha = tuple((1 if k == a else 0) + (1 if k == b else 0) for k in range(m))
-            entry = s_u.derivative(alpha).truncated(1)
-            for c in range(m):
-                entry = entry - gamma_u[c][a][b] * ds_u[c]
-            hess_u[a][b] = entry
-            hess_u[b][a] = entry
-    w = _cov_rank2(hess_u, gamma0)
-    return w, s_grad, r_up, r_low
-
-
-# -- generic covariant derivative ------------------------------------------------
+    fj = fibre_jets(model, chart, u, {"g": 2, "s": 3})
+    gamma = _christoffel_jets(fj.g)[1]
+    ds = _covariant(fj.s, gamma)
+    w = _covariant(_covariant(ds, gamma), gamma)
+    r_up, r_low = _curvature(fj.g, gamma)
+    return jet_values(w), jet_values(ds), r_up, r_low
 
 
 def covariant_derivative(chart: FibreChart, u, field, rank: int) -> np.ndarray:
     """Covariant derivative of a chart-coordinate tensor field.
 
     ``field(chart, u, order)`` must return the field as jets over the chart
-    variables (a nested structure of shape (m,)*rank, or a single jet for a
-    scalar).  The derivative index is appended last.
+    variables (an array or nested structure of shape (m,)*rank, or a single
+    jet for a scalar).  The derivative index is appended last.
     """
     u0 = np.asarray(u, dtype=float)
-    _validate_chart_coord(u0)
-    m = chart.model.dim - 1
-    unit = lambda a: tuple(1 if k == a else 0 for k in range(m))
-    values = field(chart, u0, 1)
-    if rank == 0:
-        return np.array([extract_derivative(values, unit(d)) for d in range(m)])
-    gamma0 = christoffels(chart, u0)
-    arr = np.empty((m,) * rank, dtype=object)
-    for idx in np.ndindex(*arr.shape):
-        entry = values
-        for t in idx:
-            entry = entry[t]
-        arr[idx] = entry
-    vals0 = np.vectorize(lambda j: j.value)(arr)
-    out = np.empty((m,) * (rank + 1))
-    for idx in np.ndindex(*arr.shape):
-        for d in range(m):
-            value = extract_derivative(arr[idx], unit(d))
-            for slot in range(rank):
-                for e in range(m):
-                    swapped = list(idx)
-                    swapped[slot] = e
-                    value -= gamma0[e, d, idx[slot]] * vals0[tuple(swapped)]
-            out[idx + (d,)] = value
-    return out
+    t = np.array(field(chart, u0, 1))
+    if t.ndim != rank:
+        raise ValueError(f"the field has rank {t.ndim}, expected {rank}")
+    gamma = _christoffel_jets(fibre_jets(chart.model, chart, u0, {"g": 1}).g)[1]
+    return jet_values(_covariant(t, gamma))
+
+
+def _field(model: MetricModel, field: str) -> Callable:
+    def view(chart: FibreChart, u, order: int):
+        return getattr(fibre_jets(model, chart, u, {field: order}), field)
+
+    return view
 
 
 def induced_metric_field(model: MetricModel) -> Callable:
-    def field(chart: FibreChart, u, order: int):
-        return _g_dot_ujets(chart, np.asarray(u, dtype=float), order)
-
-    return field
+    return _field(model, "g")
 
 
 def cartan_field(model: MetricModel) -> Callable:
-    def field(chart: FibreChart, u, order: int):
-        n = model.dim
-        m = n - 1
-        u0 = np.asarray(u, dtype=float)
-        y_u, y0, dy, deltas = _embedding_data(chart, u0, order + 1)
-        tj = TensorJets(model, chart.x, y0, order + 3, with_x=False)
-        f_jet = tj.f_jet.truncated(order)
-        a_u = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    entry = (0.25 * f_jet * tj.d_f2(y_part=(i, j, k), order=order)).compose(deltas)
-                    for p, q, r in (
-                        (i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)
-                    ):
-                        a_u[p][q][r] = entry
-        return _pullback3(a_u, dy, n, m)
-
-    return field
+    return _field(model, "h")
 
 
 def berwald_field(model: MetricModel) -> Callable:
-    def field(chart: FibreChart, u, order: int):
-        n = model.dim
-        m = n - 1
-        u0 = np.asarray(u, dtype=float)
-        y_u, y0, dy, deltas = _embedding_data(chart, u0, order + 1)
-        if not model.depends_on_x:
-            zero = jets.constant(0.0, m, order)
-            return [[zero for _ in range(m)] for _ in range(m)]
-        tj = TensorJets(model, chart.x, y0, order + 5, with_x=True)
-        spray = _spray_jets(tj, order + 3, y0)
-        full = _full_deltas(deltas, True, n)
-        e_xy = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                acc = None
-                for p in range(n):
-                    term = spray[p].derivative(tj.gamma(y_part=(i, j, p)))
-                    acc = term if acc is None else acc + term
-                e_xy[i][j] = acc
-                e_xy[j][i] = acc
-        e_u = [[e_xy[i][j].compose(full) for j in range(n)] for i in range(n)]
-        return _pullback2(e_u, dy, n, m)
-
-    return field
+    return _field(model, "e")
 
 
 def s_field(model: MetricModel) -> Callable:
-    def field(chart: FibreChart, u, order: int):
-        n = model.dim
-        m = n - 1
-        u0 = np.asarray(u, dtype=float)
-        y_u, y0, dy, deltas = _embedding_data(chart, u0, order + 1)
-        sigma_grad = dln_sigma(model, chart.x)
-        if model.depends_on_x:
-            tj = TensorJets(model, chart.x, y0, order + 3, with_x=True)
-            s_u = s_main_jet(tj, order, y0).compose(_full_deltas(deltas, True, n))
-        else:
-            TensorJets(model, chart.x, y0, 0, with_x=False)
-            s_u = jets.constant(0.0, m, order)
-        for i in range(n):
-            if sigma_grad[i] != 0.0:
-                s_u = s_u - sigma_grad[i] * y_u[i].truncated(order)
-        return s_u
-
-    return field
+    return _field(model, "s")
 
 
 # -- sampling ------------------------------------------------------------------

@@ -16,7 +16,8 @@ order-0 value.
 The module also provides a Richardson-extrapolated central-difference
 estimator, used by the test suite as an oracle that is independent of the
 jet arithmetic, and Gaussian elimination helpers for small matrices with jet
-entries.
+entries.  Tensors of jets are numpy object arrays; :func:`jet_values` and
+:func:`jet_truncated` act on them entrywise.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ __all__ = [
     "seed_variable",
     "constant",
     "extract_derivative",
+    "jet_values",
+    "jet_truncated",
     "finite_difference_oracle",
     "jet_matrix_inverse",
     "jet_matrix_det",
@@ -426,6 +429,16 @@ def extract_derivative(jet: Jet, alpha: Sequence[int]) -> float:
     for a in alpha:
         factor *= math.factorial(a)
     return float(jet.coeffs[jet.space.index_of[alpha]] * factor)
+
+
+def jet_values(array) -> np.ndarray:
+    """The order-0 coefficients of an array of jets, as a float array."""
+    return np.vectorize(lambda jet: jet.value, otypes=[float])(array)
+
+
+def jet_truncated(array, order: int) -> np.ndarray:
+    """An array of jets with every entry truncated to ``order``."""
+    return np.vectorize(lambda jet: jet.truncated(order), otypes=[object])(array)
 
 
 def finite_difference_oracle(

@@ -54,3 +54,31 @@ def random_flag(model, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def core_counts(monkeypatch):
+    """Counts TensorJets expansions and the g and spray assemblies they run."""
+    from functools import cached_property
+
+    from finslerlab import core
+
+    counts = {"expansions": 0, "g": 0, "spray": 0}
+    init = core.TensorJets.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["expansions"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(core.TensorJets, "__init__", counted_init)
+    for name in ("g", "spray"):
+        assemble = vars(core.TensorJets)[name].func
+
+        def counted(self, assemble=assemble, name=name):
+            counts[name] += 1
+            return assemble(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(core.TensorJets, name)
+        monkeypatch.setattr(core.TensorJets, name, prop)
+    return counts

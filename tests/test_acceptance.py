@@ -241,11 +241,11 @@ def test_criterion_6_cross_validation(zoo_models):
             step_s = 2e-3 if order <= 2 else 1.2e-2
             if model.depends_on_x:
                 component = int(rng.integers(0, n))
-                from finslerlab.core import TensorJets, _spray_jets, s_main_jet
+                from finslerlab.core import TensorJets, s_main_jet, spray_jets
 
                 tj = TensorJets(model, x, y, 2 + order, with_x=True)
-                spray_jets = _spray_jets(tj, order, y)
-                exact_g = extract_derivative(spray_jets[component], tj.gamma(y_part=tuple(
+                spray = spray_jets(tj, order)
+                exact_g = extract_derivative(spray[component], tj.gamma(y_part=tuple(
                     i for i in range(n) for _ in range(alpha[i])
                 )))
 
@@ -258,7 +258,7 @@ def test_criterion_6_cross_validation(zoo_models):
                 worst_g = max(worst_g, abs(estimate_g - exact_g) / max(1.0, abs(exact_g)))
 
                 tj_s = TensorJets(model, x, y, 3 + order, with_x=True)
-                s_jet = s_main_jet(tj_s, order, y)
+                s_jet = s_main_jet(tj_s, order)
                 exact_s = extract_derivative(s_jet, tj_s.gamma(y_part=tuple(
                     i for i in range(n) for _ in range(alpha[i])
                 )))

@@ -167,3 +167,45 @@ def test_missing_dim_is_input_error(capsys):
     code = run_cli("check", "--metric", "euclidean")
     assert code == 2
     assert "dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("check", "dim", "three"),
+        ("check", "seed", "zero"),
+        ("check", "samples", "many"),
+        ("check", "base_points", [2]),
+        ("check", "tol_eq_2_1", "tiny"),
+        ("check", "tol_eq_2_2", "tiny"),
+        ("check", "tol_eq_1_11", "tiny"),
+        ("check", "tol_eq_1_12", "tiny"),
+        ("check", "tol_thm_1", "tiny"),
+        ("audit", "dim", "three"),
+        ("audit", "seed", "zero"),
+        ("audit", "samples", "many"),
+        ("audit", "base_points", [2]),
+        ("audit", "tol_thm_1", "tiny"),
+    ],
+)
+def test_badly_typed_config_value_exits_2(tmp_path, capsys, command, field, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"metric": "randers", "dim": 3, field: value}))
+    assert run_cli(command, "--config", str(config)) == 2
+    assert f"{field}:" in capsys.readouterr().err
+
+
+def test_non_convex_point_is_named_and_exits_2(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = run_cli(
+        "check", "--metric-expr", "sqrt(y1^2+y2^2+y3^2) + 0.9*y1^3/(y1^2+y2^2+y3^2)",
+        "--dim", "3", "--samples", "5", "--base-points", "1", "--out", str(out),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "NonPositiveDefiniteError at base 0, fibre " in err
+    assert ", chart " in err and ", u=[" in err
+    doc = json.loads(out.read_text())
+    for check in doc["checks"]:
+        assert not check["pass"]
+        assert check["error"] in err

@@ -293,3 +293,12 @@ def test_minkowski_high_dimension_still_works():
     g = fundamental_tensor(model, p)
     assert g.shape == (6, 6)
     np.testing.assert_allclose(spray_coefficients(model, p), 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("family", ["randers", "minkowski_quartic"])
+def test_coordinate_tensors_one_expansion_per_point(family, core_counts, rng):
+    model = build(family, 3)
+    for _ in range(3):
+        coordinate_tensors(model, random_flag(model, rng))
+    x_dependent = model.depends_on_x
+    assert core_counts == {"expansions": 3, "g": 3, "spray": 3 if x_dependent else 0}

@@ -297,3 +297,33 @@ def test_sampling_is_deterministic(randers3):
     for p1, p2 in zip(pts1, pts2):
         assert p1.chart.chart_id == p2.chart.chart_id
         np.testing.assert_array_equal(p1.u, p2.u)
+
+
+def test_restrict_fields_one_expansion_per_point(randers3, quartic3, core_counts):
+    u = np.array([0.4, -0.3])
+    restrict_fields(randers3, north_chart(randers3, [0.3, 0.2, -0.1]), u)
+    assert core_counts == {"expansions": 1, "g": 1, "spray": 1}
+    restrict_fields(quartic3, north_chart(quartic3, [0.0, 0.0, 0.0]), u)
+    assert core_counts == {"expansions": 2, "g": 2, "spray": 1}
+
+
+def test_volume_gradient_once_per_chart_and_only_for_s(monkeypatch):
+    from finslerlab import indicatrix
+    from finslerlab.checks import weak_isotropy_check
+    from finslerlab.zoo import build
+
+    model = build("funk_ball", 3, volume="bh")
+    calls = []
+    gradient = indicatrix.dln_sigma
+    monkeypatch.setattr(
+        indicatrix, "dln_sigma", lambda model, x: calls.append(1) or gradient(model, x)
+    )
+    x = np.array([0.2, -0.1, 0.3])
+    points = sample_fibre_points(model, x, 4, np.random.default_rng(2))
+    for point in points:
+        fibre_snapshot(model, point.chart, point.u)
+    weak_isotropy_check(model, x, points=points)
+    assert calls == []
+    for point in points:
+        restrict_fields(model, point.chart, point.u)
+    assert len(calls) == len({point.chart.chart_id for point in points})
