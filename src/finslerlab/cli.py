@@ -37,6 +37,7 @@ from .core import (
     MetricModel,
     NonPositiveDefiniteError,
     NonPositiveMetricError,
+    SamplingError,
     UnsupportedDimensionError,
     VolumeFormError,
     coordinate_tensors,
@@ -419,6 +420,7 @@ def main(argv=None) -> int:
         NonPositiveDefiniteError,
         UnsupportedDimensionError,
         QuadratureError,
+        SamplingError,
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

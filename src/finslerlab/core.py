@@ -74,6 +74,7 @@ __all__ = [
     "NonPositiveMetricError",
     "UnsupportedDimensionError",
     "VolumeFormError",
+    "SamplingError",
     "fundamental_tensor",
     "cartan_tensor",
     "spray_coefficients",
@@ -124,6 +125,17 @@ class VolumeFormError(ValueError):
     """The volume form is inconsistent with the model or non-positive."""
 
 
+class SamplingError(ValueError):
+    """A rejection sampler drew no admissible direction within its attempt cap."""
+
+    def __init__(self, model: "MetricModel"):
+        guard = getattr(model.y_guard, "__qualname__", repr(model.y_guard))
+        super().__init__(
+            f"no admissible direction in {model.sample_attempts} draws for metric "
+            f"{model.metric_id!r}: its y_guard {guard} rejected every one"
+        )
+
+
 @dataclass(frozen=True)
 class VolumeSpec:
     """Volume coefficient choice: sigma(x) in dV = sigma(x) dx^1 ... dx^n."""
@@ -162,7 +174,12 @@ class MetricModel:
     ``a_asts`` carries the matrix entries of a Riemannian ground metric and
     is required by the ``riemannian_auto`` volume form, where
     sigma = sqrt(det a(x)).
+
+    The direction samplers stop with :class:`SamplingError` after
+    ``sample_attempts`` draws when ``y_guard`` admits none of them.
     """
+
+    sample_attempts = 10_000
 
     def __init__(
         self,
@@ -239,13 +256,14 @@ class MetricModel:
         return direction / norm * radius
 
     def sample_y(self, rng) -> np.ndarray:
-        while True:
+        for _ in range(self.sample_attempts):
             y = rng.standard_normal(self.dim)
             if np.linalg.norm(y) < 1e-3:
                 continue
             if self.y_guard is not None and not self.y_guard(y):
                 continue
             return y
+        raise SamplingError(self)
 
     def f(self, x, y):
         """Evaluate F(x, y); generic over floats, arrays and jets."""

@@ -14,11 +14,13 @@ embedded flag point (one :class:`~finslerlab.core.TensorJets`, read through
 the core extractors) and composes it with the chart jets of y(u), giving
 chart jets of the induced metric g, the Cartan pullback H, the mean Berwald
 pullback E and the restricted S-curvature, each computed when first read
-at the chart order the caller asked for.  Every u-derivative is exact to
-roundoff.  :func:`restrict_fields`, :func:`fibre_snapshot`,
-:func:`s_third_covariant`, :func:`induced_metric`, :func:`christoffels`,
-:func:`riemann` and the ``*_field`` factories are views of it, built from
-one pullback and one rank-generic covariant derivative.
+at the chart order the caller asked for; the fields of one chart order share
+one monomial basis of y(u) - y(u0), and the two charts of a fibre share one
+gradient of ln sigma.  Every u-derivative is exact to roundoff.
+:func:`restrict_fields`, :func:`fibre_snapshot`, :func:`s_third_covariant`,
+:func:`induced_metric`, :func:`christoffels`, :func:`riemann` and the
+``*_field`` factories are views of it, built from one pullback and one
+rank-generic covariant derivative.
 
 Sign and index conventions are frozen by the Euclidean calibration: for
 F = |y| in dimension 3 the induced metric at the chart centre is 4 times
@@ -28,6 +30,7 @@ normalises the sectional curvature of the round fibre to +1.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
@@ -39,6 +42,7 @@ from .core import (
     FlagPoint,
     MetricModel,
     NonPositiveMetricError,
+    SamplingError,
     TensorJets,
     _check_pd,
     berwald_jets,
@@ -88,6 +92,8 @@ class FibreChart:
     model: MetricModel
     x: np.ndarray
     chart_id: str  # "north" or "south"
+    # holds grad ln sigma at x once computed; the charts of one fibre share it
+    _volume_gradient: dict = dataclasses.field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
@@ -101,11 +107,19 @@ class FibreChart:
                 f"(requires |x| < {self.model.x_max_norm})"
             )
 
-    @cached_property
+    @property
     def sigma_grad(self) -> np.ndarray:
         """Gradient of ln sigma at the base point, which every point of the
-        chart shares; computed on first use, by the S-curvature only."""
-        return dln_sigma(self.model, self.x)
+        fibre shares; computed on first use, by the S-curvature only, and
+        shared with the :meth:`opposite` chart."""
+        if "grad" not in self._volume_gradient:
+            self._volume_gradient["grad"] = dln_sigma(self.model, self.x)
+        return self._volume_gradient["grad"]
+
+    def opposite(self) -> "FibreChart":
+        """The other chart of the same fibre, sharing the volume gradient."""
+        other = "south" if self.chart_id == "north" else "north"
+        return FibreChart(self.model, self.x, other, self._volume_gradient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,6 +230,7 @@ class FibreJets:
         units = np.eye(len(y_u) - 1, dtype=int)
         self.dy = np.array([[y.derivative(unit) for y in y_u] for unit in units])
         self.deltas = [y.truncated(top) - y.value for y in y_u]
+        self._bases: dict[int, jets.MonomialBasis] = {}
 
     @cached_property
     def tj(self) -> TensorJets:
@@ -231,19 +246,23 @@ class FibreJets:
         with_x = x_dep and ("e" in depth or "s" in depth)
         return TensorJets(self.model, self.chart.x, self.y0, max(depth.values()), with_x)
 
-    def _deltas(self, order: int) -> list[Jet]:
-        """Offsets of the expansion variables along the chart: zero for x."""
-        deltas = [d.truncated(order) for d in self.deltas]
-        if self.tj.with_x:
-            deltas = [jets.constant(0.0, len(self.dy), order)] * len(deltas) + deltas
-        return deltas
+    def _basis(self, order: int) -> jets.MonomialBasis:
+        """Monomials of the offsets of the expansion variables along the chart
+        (zero for x), shared by every field composed at this chart order."""
+        basis = self._bases.get(order)
+        if basis is None:
+            deltas = [d.truncated(order) for d in self.deltas]
+            if self.tj.with_x:
+                deltas = [jets.constant(0.0, len(self.dy), order)] * len(deltas) + deltas
+            basis = self._bases[order] = jets.monomial_basis(deltas)
+        return basis
 
     def _on_chart(self, extractor: Callable, field: str) -> np.ndarray:
         """A totally symmetric tensor at the flag point, composed with y(u) and
         pulled back to the chart at the field's chart order."""
         order = self.chart_order[field]
-        deltas = self._deltas(order)
-        composed = _symmetric(lambda jet: jet.compose(deltas), extractor(self.tj, order))
+        basis = self._basis(order)
+        composed = _symmetric(lambda jet: jet.compose(basis), extractor(self.tj, order))
         return _pullback(composed, jet_truncated(self.dy, order))
 
     @cached_property
@@ -276,7 +295,7 @@ class FibreJets:
         order = self.chart_order["s"]
         s = jets.constant(0.0, len(self.dy), order)
         if self.model.depends_on_x:
-            s = s_main_jet(self.tj, order).compose(self._deltas(order))
+            s = s_main_jet(self.tj, order).compose(self._basis(order))
         for i, grad_i in enumerate(self.chart.sigma_grad):
             if grad_i != 0.0:
                 s = s - grad_i * self.y_u[i].truncated(order)
@@ -538,22 +557,27 @@ def sample_fibre_points(
     """Draw fibre points uniformly on the parameter sphere (seeded generator),
     avoiding the chart poles, and attach each to the chart where |u| <= 1."""
     x = np.asarray(x, dtype=float)
-    n = model.dim
+    north = FibreChart(model, x, "north")
+    charts = {"north": north, "south": north.opposite()}
     points: list[IndicatrixPoint] = []
-    charts = {
-        "north": FibreChart(model, x, "north"),
-        "south": FibreChart(model, x, "south"),
-    }
-    while len(points) < count:
-        v = rng.standard_normal(n)
+    for _ in range(count):
+        chart_id, u = direction_chart(_fibre_direction(model, rng))
+        points.append(IndicatrixPoint(charts[chart_id], u))
+    return points
+
+
+def _fibre_direction(model: MetricModel, rng) -> np.ndarray:
+    """One admissible unit direction off the chart poles; raises
+    :class:`~finslerlab.core.SamplingError` after ``model.sample_attempts``
+    rejected draws."""
+    for _ in range(model.sample_attempts):
+        v = rng.standard_normal(model.dim)
         norm = np.linalg.norm(v)
         if norm < 1e-12:
             continue
         theta = v / norm
         if np.linalg.norm(theta[:-1]) < POLE_MARGIN:
             continue
-        if model.y_guard is not None and not model.y_guard(theta):
-            continue
-        chart_id, u = direction_chart(theta)
-        points.append(IndicatrixPoint(charts[chart_id], u))
-    return points
+        if model.y_guard is None or model.y_guard(theta):
+            return theta
+    raise SamplingError(model)

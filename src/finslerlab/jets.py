@@ -9,9 +9,20 @@ discretisation error.
 
 Coefficients are Taylor-normalised (factorials divided out), which keeps the
 truncated Cauchy product free of factorial bookkeeping; factorials reappear
-only in :func:`extract_derivative`.  Unary functions go through Horner
-evaluation of the univariate Taylor polynomial of the outer function at the
-order-0 value.
+only in :meth:`Jet.derivative` and :func:`extract_derivative`.  Unary
+functions go through Horner evaluation of the univariate Taylor polynomial of
+the outer function at the order-0 value.
+
+Index work is done by gather tables, built once per :class:`JetSpace` with
+numpy from one position map (the radix keys of the multi-indices): the
+product table, which :meth:`JetSpace.multiply` reduces with one
+``np.bincount``, and one table per derivative multi-index gamma, which makes
+:meth:`Jet.derivative` one gather scaled by exact integer factors.  The
+tables list their terms in a fixed order, so every product and derivative is
+bit-identical from run to run and to the per-multi-index loops kept as
+references in the tests.  :meth:`Jet.compose` forms the monomials of its
+deltas once, as a :func:`monomial_basis` that every composition with the same
+deltas can share.
 
 The module also provides a Richardson-extrapolated central-difference
 estimator, used by the test suite as an oracle that is independent of the
@@ -24,7 +35,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +44,8 @@ __all__ = [
     "MAX_VARS",
     "Jet",
     "JetDomainError",
+    "MonomialBasis",
+    "monomial_basis",
     "jet_space",
     "seed_variable",
     "constant",
@@ -57,6 +70,9 @@ class JetDomainError(ArithmeticError):
         self.value = value
 
 
+_FACTORIALS = np.array([math.factorial(k) for k in range(MAX_ORDER + 1)], dtype=np.int64)
+
+
 def _compositions(total, parts):
     if parts == 1:
         yield (total,)
@@ -75,9 +91,11 @@ def jet_space(n_vars: int, order: int) -> "JetSpace":
 class JetSpace:
     """Index tables for all jets of a fixed (n_vars, order).
 
-    Holds the graded-lex multi-index list, the inverse lookup, and the sparse
-    convolution table used by multiplication.  Instances are obtained through
-    :func:`jet_space` so the tables are built once per signature.
+    Holds the graded-lex multi-index list, its inverse as a vectorised
+    position map, and the gather tables built from that map: the sparse
+    convolution table used by multiplication and one derivative table per
+    multi-index gamma.  Instances are obtained through :func:`jet_space` so
+    the tables are built once per signature.
     """
 
     def __init__(self, n_vars: int, order: int):
@@ -98,33 +116,57 @@ class JetSpace:
         # grade_offsets[g] is the index of the first multi-index of degree g;
         # the layout is prefix-closed, which truncation relies on.
         self.grade_offsets = tuple(offsets)
+        # Position map: a multi-index of degree <= order has digits <= order,
+        # so its radix-(order + 1) key is unique, and keys add without carry
+        # when the multi-indices do.
+        self._alphas = np.array(indices, dtype=np.int64).reshape(self.size, n_vars)
+        self._radix = (order + 1) ** np.arange(n_vars - 1, -1, -1, dtype=np.int64)
+        self._keys = self._alphas @ self._radix
+        self._key_order = np.argsort(self._keys)
+        self._sorted_keys = self._keys[self._key_order]
         self._mul_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._derivative_tables: dict[tuple[int, ...], tuple[JetSpace, np.ndarray, np.ndarray]] = {}
+
+    def _positions(self, keys: np.ndarray) -> np.ndarray:
+        """Layout positions of the multi-indices with these radix keys."""
+        return self._key_order[np.searchsorted(self._sorted_keys, keys)]
 
     def _mul(self):
+        """Triples (i, j, k) with alpha_i + alpha_j = alpha_k, ordered by i and
+        then j, so that every product sums its terms in the same order."""
         if self._mul_table is None:
-            mi = self.multi_indices
-            lookup = self.index_of
-            offsets = self.grade_offsets
-            ii: list[int] = []
-            jj: list[int] = []
-            kk: list[int] = []
-            for i, a in enumerate(mi):
-                limit = offsets[self.order - sum(a) + 1]
-                for j in range(limit):
-                    b = mi[j]
-                    ii.append(i)
-                    jj.append(j)
-                    kk.append(lookup[tuple(p + q for p, q in zip(a, b))])
-            self._mul_table = (
-                np.asarray(ii, dtype=np.intp),
-                np.asarray(jj, dtype=np.intp),
-                np.asarray(kk, dtype=np.intp),
-            )
+            offsets = np.asarray(self.grade_offsets, dtype=np.intp)
+            degree = np.repeat(np.arange(self.order + 1), np.diff(offsets))
+            counts = offsets[self.order - degree + 1]
+            ii = np.repeat(np.arange(self.size, dtype=np.intp), counts)
+            starts = np.cumsum(counts) - counts
+            jj = np.arange(ii.size, dtype=np.intp) - np.repeat(starts, counts)
+            kk = self._positions(self._keys[ii] + self._keys[jj])
+            self._mul_table = (ii, jj, kk)
         return self._mul_table
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ii, jj, kk = self._mul()
         return np.bincount(kk, weights=a[ii] * b[jj], minlength=self.size)
+
+    def derivative_table(self, gamma: tuple[int, ...]) -> tuple["JetSpace", np.ndarray, np.ndarray]:
+        """The gather table of d^gamma: the result space, and for each of its
+        multi-indices beta the position of beta + gamma here and the factor
+        (beta + gamma)! / beta!, an exact integer."""
+        table = self._derivative_tables.get(gamma)
+        if table is None:
+            if len(gamma) != self.n_vars:
+                raise ValueError("gamma must have one entry per variable")
+            total = sum(gamma)
+            if total > self.order:
+                raise ValueError(f"|gamma| = {total} exceeds jet order {self.order}")
+            space = jet_space(self.n_vars, self.order - total)
+            beta = space._alphas
+            alpha = beta + np.array(gamma, dtype=np.int64)
+            factor = _FACTORIALS[alpha].prod(axis=1) // _FACTORIALS[beta].prod(axis=1)
+            table = (space, self._positions(alpha @ self._radix), factor.astype(float))
+            self._derivative_tables[gamma] = table
+        return table
 
 
 class Jet:
@@ -336,74 +378,66 @@ class Jet:
 
     def derivative(self, gamma: Sequence[int]) -> "Jet":
         """The jet of the partial derivative d^gamma f, of order reduced by |gamma|."""
-        gamma = tuple(int(g) for g in gamma)
-        if len(gamma) != self.n_vars:
-            raise ValueError("gamma must have one entry per variable")
-        total = sum(gamma)
-        if total > self.order:
-            raise ValueError(f"|gamma| = {total} exceeds jet order {self.order}")
-        space = jet_space(self.n_vars, self.order - total)
-        out = np.empty(space.size)
-        src = self.space.index_of
-        for t, beta in enumerate(space.multi_indices):
-            alpha = tuple(b + g for b, g in zip(beta, gamma))
-            factor = 1.0
-            for b, g in zip(beta, gamma):
-                for step in range(1, g + 1):
-                    factor *= b + step
-            out[t] = self.coeffs[src[alpha]] * factor
-        return Jet(space, out)
+        space, src, factor = self.space.derivative_table(tuple(int(g) for g in gamma))
+        return Jet(space, self.coeffs[src] * factor)
 
-    def compose(self, deltas: Sequence["Jet"]) -> "Jet":
+    def compose(self, deltas: "Sequence[Jet] | MonomialBasis") -> "Jet":
         """Substitute nilpotent jets for the variables of this expansion.
 
         ``deltas[i]`` stands for the offset of variable i from the expansion
         point and must have a zero order-0 coefficient; all deltas share one
-        jet space, which is also the space of the result.
+        jet space, which is also the space of the result.  Passing the
+        :func:`monomial_basis` of the deltas instead lets every composition
+        with the same deltas share their monomials.
         """
-        if len(deltas) != self.n_vars:
+        basis = deltas if isinstance(deltas, MonomialBasis) else monomial_basis(deltas)
+        if basis.n_vars != self.n_vars:
             raise ValueError("one delta jet is required per variable")
-        uspace = deltas[0].space
-        for d in deltas:
-            if d.space is not uspace:
-                raise ValueError("delta jets must share one jet space")
-            if d.coeffs[0] != 0.0:
-                raise ValueError("delta jets must have zero order-0 coefficient")
-        is_zero = [not np.any(d.coeffs) for d in deltas]
-        out = np.zeros(uspace.size)
-        out[0] = self.coeffs[0]
-        memo: dict[tuple[int, ...], np.ndarray | None] = {
-            tuple([0] * self.n_vars): None  # sentinel for the constant monomial
-        }
+        limit = self.space.grade_offsets[min(basis.space.order, self.order) + 1]
+        # the terms are summed in layout order, row after row
+        out = (self.coeffs[:limit, None] * basis.rows[:limit]).sum(axis=0)
+        return Jet(basis.space, out)
 
-        def monomial(alpha: tuple[int, ...]) -> np.ndarray | None:
-            if alpha in memo:
-                return memo[alpha]
-            i = next(k for k, a in enumerate(alpha) if a)
-            if is_zero[i]:
-                memo[alpha] = None
-                return None
-            sub = tuple(a - 1 if k == i else a for k, a in enumerate(alpha))
-            base = monomial(sub)
-            if sub == tuple([0] * self.n_vars):
-                value = deltas[i].coeffs
-            elif base is None:
-                memo[alpha] = None
-                return None
-            else:
-                value = uspace.multiply(base, deltas[i].coeffs)
-            memo[alpha] = value
-            return value
 
-        limit = self.space.grade_offsets[min(uspace.order, self.order) + 1]
-        for idx in range(1, limit):
-            c = self.coeffs[idx]
-            if c == 0.0:
-                continue
-            mono = monomial(self.space.multi_indices[idx])
-            if mono is not None:
-                out += c * mono
-        return Jet(uspace, out)
+class MonomialBasis(NamedTuple):
+    """The monomials delta^alpha of a set of nilpotent delta jets.
+
+    ``rows[k]`` holds the coefficients, in ``space``, of the monomial of the
+    k-th multi-index of ``jet_space(n_vars, space.order)``; monomials of
+    higher degree vanish.  Built by :func:`monomial_basis`.
+    """
+
+    space: JetSpace
+    n_vars: int
+    rows: np.ndarray
+
+
+def monomial_basis(deltas: Sequence[Jet]) -> MonomialBasis:
+    """Every monomial of the deltas up to their order, each one product of a
+    lower monomial and the delta of its first variable."""
+    if not deltas:
+        raise ValueError("one delta jet is required per variable")
+    uspace = deltas[0].space
+    for d in deltas:
+        if d.space is not uspace:
+            raise ValueError("delta jets must share one jet space")
+        if d.coeffs[0] != 0.0:
+            raise ValueError("delta jets must have zero order-0 coefficient")
+    src = jet_space(len(deltas), uspace.order)
+    first = np.argmax(src._alphas != 0, axis=1)
+    sub = src._positions(src._keys - src._radix[first])
+    zero = [not np.any(d.coeffs) for d in deltas]
+    rows = np.zeros((src.size, uspace.size))
+    rows[0, 0] = 1.0
+    live = np.zeros(src.size, dtype=bool)  # rows that are not identically zero
+    live[0] = True
+    for k in range(1, src.size):
+        i, s = first[k], sub[k]
+        if zero[i] or not live[s]:
+            continue
+        live[k] = True
+        rows[k] = deltas[i].coeffs if s == 0 else uspace.multiply(rows[s], deltas[i].coeffs)
+    return MonomialBasis(uspace, len(deltas), rows)
 
 
 # -- spec-level convenience wrappers ---------------------------------------

@@ -209,3 +209,23 @@ def test_non_convex_point_is_named_and_exits_2(tmp_path, capsys):
     for check in doc["checks"]:
         assert not check["pass"]
         assert check["error"] in err
+
+
+def test_guard_rejecting_every_direction_exits_2(monkeypatch, capsys):
+    from finslerlab import cli
+
+    resolve = cli._resolve_model
+
+    def no_directions(config):
+        model = resolve(config)
+        model.y_guard = lambda y: False
+        model.sample_attempts = 20
+        return model
+
+    monkeypatch.setattr(cli, "_resolve_model", no_directions)
+    for command in ("check", "audit"):
+        code = run_cli(
+            command, "--metric", "euclidean", "--dim", "3", "--samples", "2", "--base-points", "1"
+        )
+        assert code == 2
+        assert "y_guard" in capsys.readouterr().err

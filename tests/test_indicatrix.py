@@ -307,7 +307,7 @@ def test_restrict_fields_one_expansion_per_point(randers3, quartic3, core_counts
     assert core_counts == {"expansions": 2, "g": 2, "spray": 1}
 
 
-def test_volume_gradient_once_per_chart_and_only_for_s(monkeypatch):
+def test_volume_gradient_once_per_base_point_and_only_for_s(monkeypatch):
     from finslerlab import indicatrix
     from finslerlab.checks import weak_isotropy_check
     from finslerlab.zoo import build
@@ -324,6 +324,30 @@ def test_volume_gradient_once_per_chart_and_only_for_s(monkeypatch):
         fibre_snapshot(model, point.chart, point.u)
     weak_isotropy_check(model, x, points=points)
     assert calls == []
+    assert {point.chart.chart_id for point in points} == {"north", "south"}
     for point in points:
         restrict_fields(model, point.chart, point.u)
-    assert len(calls) == len({point.chart.chart_id for point in points})
+    assert len(calls) == 1
+
+
+def test_samplers_stop_when_the_guard_rejects_every_direction(monkeypatch):
+    from finslerlab.core import MetricModel, SamplingError
+
+    monkeypatch.setattr(MetricModel, "sample_attempts", 25)
+
+    def never(y):
+        return False
+
+    norm = "sqrt(y1^2 + y2^2 + y3^2)"
+    with pytest.raises(SamplingError, match="y_guard .*never rejected every one"):
+        MetricModel(3, norm, y_guard=never)
+    model = MetricModel(3, norm, y_guard=never, validate=False)
+    rng = np.random.default_rng(0)
+    with pytest.raises(SamplingError, match="no admissible direction in 25 draws"):
+        model.sample_y(rng)
+    # exactly the capped number of draws was taken
+    fresh = np.random.default_rng(0)
+    fresh.standard_normal((25, 3))
+    assert rng.standard_normal() == fresh.standard_normal()
+    with pytest.raises(SamplingError, match="never"):
+        sample_fibre_points(model, np.zeros(3), 2, rng)

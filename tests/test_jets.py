@@ -212,3 +212,147 @@ def test_jets_match_fd_oracle_on_zoo_f2(zoo_models, rng):
                 step = 1e-3 if order <= 2 else 5e-3
                 est = finite_difference_oracle(f2_plain, point, tuple(alpha), step)
                 assert abs(est - exact) <= 1e-4 * max(1.0, abs(exact))
+
+
+# -- gather tables against the per-call loops they replaced ---------------------
+
+
+def _gammas(n_vars, order):
+    from itertools import combinations_with_replacement
+
+    for total in range(order + 1):
+        for slots in combinations_with_replacement(range(n_vars), total):
+            yield tuple(slots.count(k) for k in range(n_vars))
+
+
+def _reference_derivative(jet, gamma):
+    """d^gamma by the multi-index loop: out[beta] = coeffs[beta + gamma] times
+    the product of (beta_k + 1) .. (beta_k + gamma_k)."""
+    space = jet_space(jet.n_vars, jet.order - sum(gamma))
+    out = np.empty(space.size)
+    for t, beta in enumerate(space.multi_indices):
+        alpha = tuple(b + g for b, g in zip(beta, gamma))
+        factor = 1.0
+        for b, g in zip(beta, gamma):
+            for step in range(1, g + 1):
+                factor *= b + step
+        out[t] = jet.coeffs[jet.space.index_of[alpha]] * factor
+    return out
+
+
+def _reference_mul_table(space):
+    ii, jj, kk = [], [], []
+    for i, a in enumerate(space.multi_indices):
+        for j in range(space.grade_offsets[space.order - sum(a) + 1]):
+            b = space.multi_indices[j]
+            ii.append(i)
+            jj.append(j)
+            kk.append(space.index_of[tuple(p + q for p, q in zip(a, b))])
+    return ii, jj, kk
+
+
+_TABLE_SPACES = [(1, 8), (2, 4), (3, 3), (4, 6), (6, 6), (8, 6)]
+
+
+@pytest.mark.parametrize("n_vars,order", _TABLE_SPACES)
+def test_derivative_table_is_bit_identical_to_the_loop(n_vars, order):
+    rng = np.random.default_rng(n_vars * 10 + order)
+    space = jet_space(n_vars, order)
+    jet = Jet(space, rng.standard_normal(space.size) * 10.0 ** rng.integers(-3, 4, space.size))
+    gammas = list(_gammas(n_vars, order))
+    if n_vars >= 6:  # a seeded sample of the 924 or 3003 multi-indices
+        gammas = [gammas[k] for k in rng.choice(len(gammas), 60, replace=False)]
+    for gamma in gammas:
+        out = jet.derivative(gamma)
+        assert out.space is jet_space(n_vars, order - sum(gamma))
+        np.testing.assert_array_equal(out.coeffs, _reference_derivative(jet, gamma))
+
+
+def test_derivative_rejects_bad_gamma():
+    jet = seed_variable(1, 1.0, 2, 2)
+    with pytest.raises(ValueError, match="one entry per variable"):
+        jet.derivative((1,))
+    with pytest.raises(ValueError, match="exceeds jet order"):
+        jet.derivative((2, 1))
+
+
+@pytest.mark.parametrize("n_vars,order", _TABLE_SPACES)
+def test_product_table_equals_the_loop_in_order(n_vars, order):
+    ii, jj, kk = jet_space(n_vars, order)._mul()
+    ref = _reference_mul_table(jet_space(n_vars, order))
+    for got, want in zip((ii, jj, kk), ref):
+        np.testing.assert_array_equal(got, want)
+
+
+def _reference_compose(jet, deltas):
+    """Composition by one memoised product chain per monomial."""
+    uspace = deltas[0].space
+    is_zero = [not np.any(d.coeffs) for d in deltas]
+    out = np.zeros(uspace.size)
+    out[0] = jet.coeffs[0]
+    memo = {}
+
+    def monomial(alpha):
+        if alpha not in memo:
+            i = next(k for k, a in enumerate(alpha) if a)
+            sub = tuple(a - 1 if k == i else a for k, a in enumerate(alpha))
+            if is_zero[i]:
+                memo[alpha] = None
+            elif not any(sub):
+                memo[alpha] = deltas[i].coeffs
+            else:
+                base = monomial(sub)
+                memo[alpha] = None if base is None else uspace.multiply(base, deltas[i].coeffs)
+        return memo[alpha]
+
+    limit = jet.space.grade_offsets[min(uspace.order, jet.order) + 1]
+    for idx in range(1, limit):
+        mono = monomial(jet.space.multi_indices[idx])
+        if mono is not None:
+            out += jet.coeffs[idx] * mono
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_vars,n_chart,chart_order,order,zero_slots",
+    [
+        (1, 1, 3, 3, 0),  # univariate
+        (1, 1, 4, 2, 0),  # expansion order below the chart order
+        (3, 2, 2, 6, 0),
+        (6, 2, 3, 6, 3),  # the x slots of a fibre composition are zero
+        (8, 3, 2, 6, 4),
+        (2, 2, 2, 4, 2),  # every delta zero
+    ],
+)
+def test_compose_basis_matches_the_monomial_route(n_vars, n_chart, chart_order, order, zero_slots):
+    from finslerlab.jets import monomial_basis
+
+    rng = np.random.default_rng(n_vars + 10 * n_chart + 100 * chart_order)
+    us = [seed_variable(a + 1, rng.uniform(-0.5, 0.5), n_chart, chart_order) for a in range(n_chart)]
+    deltas = []
+    for i in range(n_vars):
+        if i < zero_slots:
+            deltas.append(constant(0.0, n_chart, chart_order))
+            continue
+        d = (rng.uniform(-1, 1) * us[i % n_chart] + us[(i + 1) % n_chart] * us[i % n_chart]).exp()
+        deltas.append(d - d.value)
+    space = jet_space(n_vars, order)
+    basis = monomial_basis(deltas)
+    for trial in range(3):
+        jet = Jet(space, rng.standard_normal(space.size))
+        want = _reference_compose(jet, deltas)
+        scale = max(1.0, np.max(np.abs(want)))
+        for got in (jet.compose(deltas), jet.compose(basis)):
+            assert got.space is deltas[0].space
+            np.testing.assert_allclose(got.coeffs, want, rtol=0, atol=1e-13 * scale)
+
+
+def test_compose_validates_deltas():
+    jet = seed_variable(1, 1.0, 2, 2)
+    u = seed_variable(1, 0.5, 1, 2)
+    with pytest.raises(ValueError, match="one delta jet is required per variable"):
+        jet.compose([u - 0.5])
+    with pytest.raises(ValueError, match="zero order-0 coefficient"):
+        jet.compose([u, u - 0.5])
+    with pytest.raises(ValueError, match="share one jet space"):
+        jet.compose([u - 0.5, seed_variable(1, 0.5, 1, 3) - 0.5])
