@@ -21,6 +21,7 @@ Stable tags identify the checks in reports and tolerance flags:
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -38,6 +39,7 @@ from .indicatrix import (
     FibreChart,
     IndicatrixPoint,
     RestrictedFields,
+    berwald_fields,
     chart_embed,
     fibre_snapshot,
     restrict_fields,
@@ -50,6 +52,7 @@ __all__ = [
     "TAGS",
     "DEFAULT_TOLERANCES",
     "CheckReport",
+    "FibrePointError",
     "SchurAudit",
     "WeakIsotropyRecord",
     "check_pde",
@@ -82,6 +85,36 @@ DEFAULT_TOLERANCES = {
     "eq-2.5": 1e-5,
     "thm-1": 1e-5,
 }
+
+
+# the metric is not Finsler at a sampled point: an input fault, not a defect
+_DOMAIN_ERRORS = (NonPositiveDefiniteError, NonPositiveMetricError, EvalDomainError)
+
+
+def _where(fibre: int, point: IndicatrixPoint) -> str:
+    return f"fibre {fibre}, chart {point.chart.chart_id}, u={[float(v) for v in point.u]}"
+
+
+class FibrePointError(ValueError):
+    """A domain fault at one sampled fibre point of an audit stage
+    (``schur`` or ``weak-isotropy``); :meth:`located` adds the base point."""
+
+    def __init__(self, error: Exception, fibre: int, point: IndicatrixPoint, stage: str):
+        self.error = error
+        self.where = f"{_where(fibre, point)}, stage {stage}"
+        super().__init__(f"{type(error).__name__} at {self.where}: {error}")
+
+    def located(self, base: int) -> str:
+        return f"{type(self.error).__name__} at base {base}, {self.where}: {self.error}"
+
+
+@contextmanager
+def _stage(stage: str, fibre: int, point: IndicatrixPoint):
+    """Re-raise a domain fault inside the block as a :class:`FibrePointError`."""
+    try:
+        yield
+    except _DOMAIN_ERRORS as err:
+        raise FibrePointError(err, fibre, point, stage) from err
 
 
 def _scale(*terms) -> float:
@@ -255,13 +288,9 @@ def run_identity_suite(
         for f_index, point in enumerate(points):
             try:
                 rf = restrict_fields(model, point.chart, point.u)
-            except (NonPositiveDefiniteError, NonPositiveMetricError, EvalDomainError) as err:
-                # the metric is not Finsler at this point: an input fault, not
-                # an identity exceedance; record where and fail the whole block
-                where = (
-                    f"base {b_index}, fibre {f_index}, chart {point.chart.chart_id}, "
-                    f"u={[float(v) for v in point.u]}"
-                )
+            except _DOMAIN_ERRORS as err:
+                # not an identity exceedance; record where and fail the whole block
+                where = f"base {b_index}, {_where(f_index, point)}"
                 for key, _, _ in _SUITE:
                     reports[key].error = f"{type(err).__name__} at {where}: {err}"
                     reports[key].passed = False
@@ -343,11 +372,12 @@ def schur_audit(
     max_iso = 0.0
     e_values = []
     max_grad = 0.0
-    for point in points:
-        rf = restrict_fields(model, point.chart, point.u)
-        max_iso = max(max_iso, isotropy_residual_from_fields(rf, model.dim))
-        e_values.append(rf.e)
-        grad_norm = float(np.sqrt(rf.e_grad @ rf.g_inv @ rf.e_grad))
+    for f_index, point in enumerate(points):
+        with _stage("schur", f_index, point):
+            bf = berwald_fields(model, point.chart, point.u)
+        max_iso = max(max_iso, isotropy_residual_from_fields(bf, model.dim))
+        e_values.append(bf.e)
+        grad_norm = float(np.sqrt(bf.e_grad @ bf.g_inv @ bf.e_grad))
         max_grad = max(max_grad, grad_norm)
     e_min = min(e_values)
     e_max = max(e_values)
@@ -434,11 +464,13 @@ def weak_isotropy_check(
     if points is None:
         points = sample_fibre_points(model, x, fibre_samples, rng)
     if c is None:
-        snap = fibre_snapshot(model, points[0].chart, points[0].u)
+        with _stage("weak-isotropy", 0, points[0]):
+            snap = fibre_snapshot(model, points[0].chart, points[0].u)
         c = snap.e / (model.dim - 1)
     worst = 0.0
-    for point in points:
-        flag = chart_embed(point.chart, point.u)
-        hess = _s_minus_cf_hessian(model, flag.x, flag.y, c)
+    for f_index, point in enumerate(points):
+        with _stage("weak-isotropy", f_index, point):
+            flag = chart_embed(point.chart, point.u)
+            hess = _s_minus_cf_hessian(model, flag.x, flag.y, c)
         worst = max(worst, _maxabs(hess))
     return WeakIsotropyRecord(c=c, max_hessian_residual=worst, samples=len(points))

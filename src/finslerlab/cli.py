@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a check fails or the audit reports a
 VIOLATION, 2 on usage or input errors, including a sampled point where the
-metric is not Finsler (the report names the point).  Reports are JSON
+metric is not Finsler (the error names the point, and in the audit the
+stage).  Reports are JSON
 (optionally flattened to CSV) and byte-identical for identical
 configurations; the sampling generator is numpy's seeded PCG64.
 """
@@ -26,6 +27,7 @@ import numpy as np
 from . import __version__
 from .checks import (
     DEFAULT_TOLERANCES,
+    FibrePointError,
     run_identity_suite,
     sample_base_points,
     schur_audit,
@@ -43,7 +45,7 @@ from .core import (
     coordinate_tensors,
 )
 from .expr import ExprError
-from .indicatrix import FibreChart, direction_chart, restrict_fields
+from .indicatrix import FibreChart, berwald_fields, direction_chart
 from .volume import QuadratureError
 from .zoo import RandersConditionViolated, build, entries, zoo_ids
 
@@ -271,7 +273,7 @@ def _cmd_curvature(args) -> int:
     point = FlagPoint(np.asarray(x), np.asarray(y))
     tensors = coordinate_tensors(model, point)
     chart_id, u = direction_chart(point.y)
-    rf = restrict_fields(model, FibreChart(model, point.x, chart_id), u)
+    fibre = berwald_fields(model, FibreChart(model, point.x, chart_id), u)
     document = {
         "schema_version": SCHEMA_VERSION,
         "command": "curvature",
@@ -290,9 +292,9 @@ def _cmd_curvature(args) -> int:
         "fibre": {
             "chart": chart_id,
             "u": list(u),
-            "induced_metric": rf.g.tolist(),
-            "berwald_pullback": rf.berwald.tolist(),
-            "e": rf.e,
+            "induced_metric": fibre.g.tolist(),
+            "berwald_pullback": fibre.berwald.tolist(),
+            "e": fibre.e,
         },
     }
     _emit_json(document, config.get("out"))
@@ -361,19 +363,23 @@ def _cmd_audit(args) -> int:
     audits = []
     worst = "isotropic-and-constant"
     for index, x in enumerate(bases):
-        audit = schur_audit(
-            model,
-            x,
-            fibre_samples=samples,
-            seed=seed,
-            tol_isotropy=tol,
-            tol_constancy=tol,
-            rng=rng,
-        )
-        record = {"base": index, "x": list(x), "schur": audit.to_dict()}
-        if audit.verdict == "isotropic-and-constant":
-            weak = weak_isotropy_check(model, x, fibre_samples=samples, rng=rng)
-            record["weak_isotropy"] = weak.to_dict()
+        try:
+            audit = schur_audit(
+                model,
+                x,
+                fibre_samples=samples,
+                seed=seed,
+                tol_isotropy=tol,
+                tol_constancy=tol,
+                rng=rng,
+            )
+            record = {"base": index, "x": list(x), "schur": audit.to_dict()}
+            if audit.verdict == "isotropic-and-constant":
+                weak = weak_isotropy_check(model, x, fibre_samples=samples, rng=rng)
+                record["weak_isotropy"] = weak.to_dict()
+        except FibrePointError as err:
+            print(f"error: {err.located(index)}", file=sys.stderr)
+            return 2
         audits.append(record)
         if audit.verdict == "VIOLATION":
             worst = "VIOLATION"

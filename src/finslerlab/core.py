@@ -46,6 +46,7 @@ import numpy as np
 
 from . import jets, volume
 from .expr import (
+    EvalDomainError,
     Node,
     Var,
     check_positive_homogeneity,
@@ -235,10 +236,13 @@ class MetricModel:
                 f"{report.max_rel_deviation:.3e} at {report.worst}"
             )
         rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            x = self.sample_x(rng)
-            y = self.sample_y(rng)
-            value = self.f(x, y)
+        draws = [(self.sample_x(rng), self.sample_y(rng)) for _ in range(trials)]
+        try:
+            values = np.broadcast_to(self.f(*np.transpose(draws, (1, 2, 0))), trials)
+        except EvalDomainError:
+            values = [None] * trials  # evaluate one trial at a time: the first fault raises
+        for (x, y), value in zip(draws, values):
+            value = self.f(x, y) if value is None else float(value)
             if not value > 0.0:
                 raise MetricDefinitionError(
                     f"F must be positive on y != 0; got {value!r} at x={x}, y={y}"

@@ -462,28 +462,43 @@ def check_positive_homogeneity(
     x_radius: float = 1.0,
 ) -> HomogeneityReport:
     """Sample random (x, y, a) with a in [0.1, 10] and report the worst
-    relative violation of positive 1-homogeneity in y."""
+    relative violation of positive 1-homogeneity in y.
+
+    The trials are drawn one after another from the seeded generator and F
+    is evaluated once over the stacked samples; a domain fault at any trial
+    raises :class:`EvalDomainError`."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    worst_dev = 0.0
-    worst = None
+    xs, ys, lams = [], [], []
     for _ in range(trials):
         direction = rng.standard_normal(dim)
         norm = np.linalg.norm(direction)
         if norm < 1e-12:
             continue
         radius = x_radius * rng.uniform(0.0, 1.0) ** (1.0 / dim)
-        x = direction / norm * radius
+        xs.append(direction / norm * radius)
         y = rng.standard_normal(dim)
         while np.linalg.norm(y) < 1e-3:
             y = rng.standard_normal(dim)
-        lam = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-        f_base = evaluate(node, list(x), list(y), params)
+        ys.append(y)
+        lams.append(math.exp(rng.uniform(math.log(0.1), math.log(10.0))))
+    worst_dev, worst = 0.0, None
+    if xs:
+        x, y, lam = np.array(xs).T, np.array(ys).T, np.array(lams)
+        lam_f = lam * evaluate(node, list(x), list(y), params)
         f_scaled = evaluate(node, list(x), list(lam * y), params)
-        denom = abs(lam * f_base)
-        dev = float(abs(f_scaled - lam * f_base) / denom) if denom > 0 else math.inf
-        if dev > worst_dev:
-            worst_dev = dev
-            worst = {"x": x.tolist(), "y": y.tolist(), "lambda": lam, "deviation": dev}
+        denom = np.abs(lam_f)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dev = np.where(denom > 0, np.abs(f_scaled - lam_f) / denom, math.inf)
+        # the first trial with the largest deviation; a NaN deviation never counts
+        k = int(np.argmax(np.where(dev > 0.0, dev, -math.inf)))
+        if dev[k] > 0.0:
+            worst_dev = float(dev[k])
+            worst = {
+                "x": xs[k].tolist(),
+                "y": ys[k].tolist(),
+                "lambda": lams[k],
+                "deviation": worst_dev,
+            }
     return HomogeneityReport(max_rel_deviation=worst_dev, trials=trials, worst=worst)

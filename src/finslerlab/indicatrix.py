@@ -17,10 +17,10 @@ pullback E and the restricted S-curvature, each computed when first read
 at the chart order the caller asked for; the fields of one chart order share
 one monomial basis of y(u) - y(u0), and the two charts of a fibre share one
 gradient of ln sigma.  Every u-derivative is exact to roundoff.
-:func:`restrict_fields`, :func:`fibre_snapshot`, :func:`s_third_covariant`,
-:func:`induced_metric`, :func:`christoffels`, :func:`riemann` and the
-``*_field`` factories are views of it, built from one pullback and one
-rank-generic covariant derivative.
+:func:`restrict_fields`, :func:`fibre_snapshot`, :func:`berwald_fields`,
+:func:`s_third_covariant`, :func:`induced_metric`, :func:`christoffels`,
+:func:`riemann` and the ``*_field`` factories are views of it, built from
+one pullback and one rank-generic covariant derivative.
 
 Sign and index conventions are frozen by the Euclidean calibration: for
 F = |y| in dimension 3 the induced metric at the chart centre is 4 times
@@ -72,6 +72,8 @@ __all__ = [
     "restrict_fields",
     "FibreSnapshot",
     "fibre_snapshot",
+    "BerwaldFields",
+    "berwald_fields",
     "s_third_covariant",
     "covariant_derivative",
     "induced_metric_field",
@@ -492,6 +494,35 @@ def fibre_snapshot(model: MetricModel, chart: FibreChart, u) -> FibreSnapshot:
         berwald=jet_values(fj.e),
         e=np.sum(g_inv * fj.e).value,
         flag=FlagPoint(chart.x, fj.y0),
+    )
+
+
+@dataclass
+class BerwaldFields:
+    """What the isotropy audit reads at one fibre point: the induced metric
+    and its inverse, the mean Berwald pullback, the Berwald scalar
+    e = tr_g E and its chart gradient."""
+
+    g: np.ndarray
+    g_inv: np.ndarray
+    berwald: np.ndarray
+    e: float
+    e_grad: np.ndarray
+
+
+def berwald_fields(model: MetricModel, chart: FibreChart, u) -> BerwaldFields:
+    """g and E to first chart order and nothing else: no S-curvature, so no
+    volume gradient, and no Cartan pullback or curvature.  Every value
+    equals its counterpart in :func:`restrict_fields` bit for bit."""
+    fj = fibre_jets(model, chart, u, {"g": 1, "e": 1})
+    g_inv = np.array(jet_matrix_inverse(fj.g.tolist()))
+    e = np.sum(g_inv * fj.e)
+    return BerwaldFields(
+        g=jet_values(fj.g),
+        g_inv=jet_values(g_inv),
+        berwald=jet_values(fj.e),
+        e=e.value,
+        e_grad=jet_values(_partials(e)),
     )
 
 

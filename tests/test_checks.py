@@ -3,6 +3,7 @@ import pytest
 
 from finslerlab.checks import (
     DEFAULT_TOLERANCES,
+    FibrePointError,
     check_cartan_symmetry,
     check_codazzi,
     check_gauss,
@@ -125,6 +126,31 @@ def test_schur_audit_dim2_never_asserts(rng):
         assert audit.verdict != "VIOLATION"
         # a 1-dimensional fibre is trivially isotropic
         assert audit.max_isotropy_residual <= 1e-12
+
+
+def test_schur_audit_reads_no_volume_gradient_and_expands_once_per_point(
+    monkeypatch, core_counts
+):
+    from finslerlab import indicatrix
+
+    model = build("funk_ball", 4, volume="bh")
+    calls = []
+    monkeypatch.setattr(indicatrix, "dln_sigma", lambda model, x: calls.append(1))
+    audit = schur_audit(model, np.array([0.2, -0.1, 0.3, 0.1]), fibre_samples=3, seed=2)
+    assert audit.verdict == "isotropic-and-constant"
+    assert calls == []
+    assert core_counts["expansions"] == 3
+
+
+def test_domain_fault_names_the_fibre_point_and_stage():
+    model = MetricModel(3, "sqrt(y1^2+y2^2+y3^2) + 0.9*y1^3/(y1^2+y2^2+y3^2)")
+    x = np.zeros(3)
+    with pytest.raises(FibrePointError, match=r"^NonPositiveDefiniteError at fibre 0, chart ") as info:
+        schur_audit(model, x, fibre_samples=5, seed=4)
+    assert ", stage schur: " in str(info.value)
+    assert info.value.located(2).startswith("NonPositiveDefiniteError at base 2, fibre 0, chart ")
+    with pytest.raises(FibrePointError, match=", stage weak-isotropy: "):
+        weak_isotropy_check(model, x, fibre_samples=5, seed=4)
 
 
 def test_weak_isotropy_funk(funk3):

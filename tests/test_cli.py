@@ -211,6 +211,19 @@ def test_non_convex_point_is_named_and_exits_2(tmp_path, capsys):
         assert check["error"] in err
 
 
+def test_non_convex_point_in_the_audit_is_named_and_exits_2(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = run_cli(
+        "audit", "--metric-expr", "sqrt(y1^2+y2^2+y3^2) + 0.9*y1^3/(y1^2+y2^2+y3^2)",
+        "--dim", "3", "--samples", "5", "--base-points", "1", "--out", str(out),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "NonPositiveDefiniteError at base 0, fibre " in err
+    assert ", chart " in err and ", u=[" in err and ", stage schur: " in err
+    assert not out.exists()
+
+
 def test_guard_rejecting_every_direction_exits_2(monkeypatch, capsys):
     from finslerlab import cli
 

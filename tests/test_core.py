@@ -21,6 +21,7 @@ from finslerlab.core import (
     sigma_value,
     spray_coefficients,
 )
+from finslerlab.expr import EvalDomainError
 from finslerlab.jets import finite_difference_oracle
 from finslerlab.zoo import build, funk_norm
 
@@ -267,6 +268,14 @@ def test_non_positive_rejected():
     # 1-homogeneous but changes sign on the cone
     with pytest.raises(MetricDefinitionError, match="positive"):
         MetricModel(2, "y1 + 0*y2", validation_trials=64)
+
+
+def test_validation_reports_the_first_failing_trial():
+    # F < 0 at every trial, undefined (x2 > 0.93) only at a later positivity trial
+    with pytest.raises(MetricDefinitionError, match="positive"):
+        MetricModel(2, "-sqrt(y1^2 + y2^2) / sqrt(0.93 - x2)")
+    with pytest.raises(EvalDomainError, match="sqrt"):
+        MetricModel(2, "sqrt(y1^2 + y2^2) / sqrt(0.93 - x2)")
 
 
 def test_coordinate_tensors_bundle(funk3):

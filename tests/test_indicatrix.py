@@ -7,6 +7,7 @@ from finslerlab.indicatrix import (
     FibreChart,
     IndicatrixPoint,
     berwald_field,
+    berwald_fields,
     cartan_field,
     chart_embed,
     chart_transition,
@@ -305,6 +306,28 @@ def test_restrict_fields_one_expansion_per_point(randers3, quartic3, core_counts
     assert core_counts == {"expansions": 1, "g": 1, "spray": 1}
     restrict_fields(quartic3, north_chart(quartic3, [0.0, 0.0, 0.0]), u)
     assert core_counts == {"expansions": 2, "g": 2, "spray": 1}
+
+
+@pytest.mark.parametrize(
+    "family, dim, volume",
+    [
+        ("randers", 3, None),
+        ("funk_ball", 4, "bh"),
+        ("minkowski_quartic", 3, None),
+        ("riemannian", 3, "auto"),
+    ],
+)
+def test_berwald_fields_equal_restrict_fields_bit_for_bit(family, dim, volume):
+    from finslerlab.zoo import build
+
+    model = build(family, dim, volume=volume)
+    rng = np.random.default_rng(31)
+    x = model.sample_x(rng)
+    for point in sample_fibre_points(model, x, 3, rng):
+        rf = restrict_fields(model, point.chart, point.u)
+        bf = berwald_fields(model, point.chart, point.u)
+        for name in ("g", "g_inv", "berwald", "e", "e_grad"):
+            np.testing.assert_array_equal(getattr(bf, name), getattr(rf, name), err_msg=name)
 
 
 def test_volume_gradient_once_per_base_point_and_only_for_s(monkeypatch):
