@@ -32,6 +32,7 @@ from .core import (
     NonPositiveDefiniteError,
     NonPositiveMetricError,
     TensorJets,
+    g_jets,
     s_main_jet,
 )
 from .expr import EvalDomainError
@@ -40,7 +41,7 @@ from .indicatrix import (
     IndicatrixPoint,
     RestrictedFields,
     berwald_fields,
-    chart_embed,
+    fibre_jets,
     fibre_snapshot,
     restrict_fields,
     s_third_covariant,
@@ -429,16 +430,17 @@ class WeakIsotropyRecord:
         }
 
 
-def _s_minus_cf_hessian(model: MetricModel, x, y, c: float) -> np.ndarray:
-    """y-Hessian of S(x, .) - c F(x, .) at y, via jets.
+def _s_minus_cf_hessian(tj: TensorJets, c: float) -> np.ndarray:
+    """y-Hessian of S(x, .) - c F(x, .) at the flag point of the expansion,
+    which must be of order 5 over (x, y), or 2 over y for an x-free F;
+    raises unless g is positive definite there.
 
     The volume contribution to S is linear in y at fixed x, so it drops out
     of the Hessian and only the spray part is differentiated.
     """
-    n = model.dim
-    with_x = model.depends_on_x
-    tj = TensorJets(model, x, y, 5 if with_x else 2, with_x)
-    total = s_main_jet(tj, 2) - c * tj.f_jet.truncated(2)
+    n = tj.n
+    g_jets(tj, 0)  # the positive-definiteness check, which an x-free S skips
+    total = s_main_jet(tj, 2) - c * tj.f_jet.truncated(2, x_degree=0)
     return np.array(
         [[extract_derivative(total, tj.gamma(y_part=(i, j))) for j in range(n)] for i in range(n)]
     )
@@ -457,20 +459,20 @@ def weak_isotropy_check(
 
     ``c`` defaults to e/(n-1) measured at the first sampled fibre point; a
     meaningful result therefore presumes the fibrewise constancy of e that
-    :func:`schur_audit` establishes.
+    :func:`schur_audit` establishes.  One expansion per point serves the
+    Hessian and, at the first point, c.  Every point checks that g is
+    positive definite.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
     if points is None:
         points = sample_fibre_points(model, x, fibre_samples, rng)
-    if c is None:
-        with _stage("weak-isotropy", 0, points[0]):
-            snap = fibre_snapshot(model, points[0].chart, points[0].u)
-        c = snap.e / (model.dim - 1)
     worst = 0.0
     for f_index, point in enumerate(points):
         with _stage("weak-isotropy", f_index, point):
-            flag = chart_embed(point.chart, point.u)
-            hess = _s_minus_cf_hessian(model, flag.x, flag.y, c)
+            fj = fibre_jets(model, point.chart, point.u, {"g": 0, "e": 0})
+            if c is None:
+                c = fj.snapshot().e / (model.dim - 1)
+            hess = _s_minus_cf_hessian(fj.tj, c)
         worst = max(worst, _maxabs(hess))
     return WeakIsotropyRecord(c=c, max_hessian_residual=worst, samples=len(points))

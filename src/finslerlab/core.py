@@ -29,6 +29,16 @@ builds a single expansion; each single-tensor function builds one of the
 lowest order it needs.  The fibre pipeline in :mod:`finslerlab.indicatrix`
 reads the same extractors.
 
+x enters to first order.  No tensor here needs more than one x-derivative
+of F (G takes [F^2]_x and [F^2]_{xy}; N, E and S differentiate G and
+ln det g along y once more, and S along x once), so an expansion over
+(x, y) carries only the coefficients of joint x-degree at most 1: 714
+instead of 3003 at (2n, p) = (8, 6).  Every coefficient it keeps equals
+the full expansion's bit for bit.  A derivative along x leaves no x-linear
+coefficient, so the spray, N, E and the volume-free S live in the x-free
+space of the expansion, and the factors multiplied with them (g^{-1}, y,
+d tau_g / dy) are truncated to it explicitly.
+
 All derivatives are exact up to roundoff.  Models are immutable after
 construction and every operation is a pure function, so evaluation is safe
 to parallelise over points.
@@ -312,11 +322,16 @@ class TensorJets:
     """Taylor data of F and F^2 around a flag point: the one expansion every
     coordinate tensor is read from.
 
-    ``with_x`` selects jets over the 2n variables (x1..xn, y1..yn); without
-    it the x coordinates enter as constants and the jets run over y only,
-    which keeps x-independent metrics usable up to the variable cap.  An
-    expansion of order p carries g and the spray to order p - 2; each is
-    assembled once, at that order, when first read.
+    ``with_x`` selects jets over the 2n variables (x1..xn, y1..yn) in which
+    x enters to first order (joint x-degree at most 1, see
+    :func:`~finslerlab.jets.jet_space`), since no tensor needs more than one
+    x-derivative of F; without it the x coordinates enter as constants and
+    the jets run over y only, which keeps x-independent metrics usable up to
+    the variable cap.  A field that has taken its x-derivative (the spray,
+    and N, E and the volume-free S read from it) lives in the x-free space
+    of the same variables (:meth:`x_free`); its other factors are truncated
+    to it explicitly.  An expansion of order p carries g and the spray to
+    order p - 2; each is assembled once, at that order, when first read.
     """
 
     def __init__(self, model: MetricModel, x, y, order: int, with_x: bool):
@@ -334,11 +349,13 @@ class TensorJets:
                 f"{jets.MAX_VARS // 2})"
             )
         self.y_offset = n if with_x else 0
+        self.x_vars = self.y_offset  # the variables limited to x-degree 1
+        space = jets.jet_space(self.n_vars, order, self.x_vars)
         if with_x:
-            xs = [jets.seed_variable(i + 1, float(x[i]), self.n_vars, order) for i in range(n)]
+            xs = [space.variable(i + 1, float(x[i])) for i in range(n)]
         else:
             xs = [float(v) for v in x]
-        ys = [self.y_jet(i, order) for i in range(n)]
+        ys = [space.variable(self.y_offset + i + 1, float(self.y[i])) for i in range(n)]
         self.f_jet = evaluate(model.f_ast, xs, ys, model.params)
         if not self.f_jet.value > 0.0:
             raise NonPositiveMetricError(
@@ -346,9 +363,15 @@ class TensorJets:
             )
         self.f2_jet = self.f_jet * self.f_jet
 
+    def x_free(self, order: int) -> jets.JetSpace:
+        """The space of the fields that have taken an x-derivative: order
+        ``order``, no x-linear coefficient (the full space over y without
+        ``with_x``)."""
+        return jets.jet_space(self.n_vars, order, self.x_vars, 0)
+
     def y_jet(self, i: int, order: int) -> Jet:
-        """The coordinate y^i (0-based) as a jet of the given order."""
-        return jets.seed_variable(self.y_offset + i + 1, float(self.y[i]), self.n_vars, order)
+        """The coordinate y^i (0-based) as an x-free jet of the given order."""
+        return self.x_free(order).variable(self.y_offset + i + 1, float(self.y[i]))
 
     def gamma(self, x_part=(), y_part=()) -> tuple[int, ...]:
         g = [0] * self.n_vars
@@ -376,15 +399,17 @@ class TensorJets:
 
     @cached_property
     def spray(self) -> np.ndarray:
-        """G^i = (1/4) g^{il} ([F^2]_{x^k y^l} y^k - [F^2]_{x^l}) to order p - 2."""
+        """G^i = (1/4) g^{il} ([F^2]_{x^k y^l} y^k - [F^2]_{x^l}) to order p - 2,
+        x-free."""
         n, order = self.n, self.order - 2
-        g_inv = np.array(jet_matrix_inverse(self.g.tolist()), dtype=object)
         b = np.empty(n, dtype=object)
         for l in range(n):
             term = -self.d_f2(x_part=(l,), order=order)
             for k in range(n):
                 term = term + self.d_f2(x_part=(k,), y_part=(l,)) * self.y_jet(k, order)
             b[l] = term
+        g = jet_truncated(self.g, order, x_degree=0)
+        g_inv = np.array(jet_matrix_inverse(g.tolist()), dtype=object)
         return np.dot(g_inv, b) * 0.25
 
 
@@ -412,10 +437,10 @@ def cartan_jets(tj: TensorJets, order: int) -> np.ndarray:
 
 
 def spray_jets(tj: TensorJets, order: int) -> np.ndarray:
-    """The spray G^i as jets of the given order (at most p - 2); zero when F
-    does not depend on x."""
+    """The spray G^i as x-free jets of the given order (at most p - 2); zero
+    when F does not depend on x."""
     if not tj.depends_on_x:
-        return np.full(tj.n, jets.constant(0.0, tj.n_vars, order), dtype=object)
+        return np.full(tj.n, tj.x_free(order).constant(0.0), dtype=object)
     return jet_truncated(tj.spray, order)
 
 
@@ -442,20 +467,21 @@ def berwald_jets(tj: TensorJets, order: int) -> np.ndarray:
 
 def s_main_jet(tj: TensorJets, order: int) -> Jet:
     """The volume-free part of the S-curvature, the spray derivative of
-    ln sqrt(det g): y^i d_{x^i} tau_g - 2 G^i d_{y^i} tau_g, as a jet of the
-    given order (at most p - 3).  S is its value minus y . grad ln sigma.
+    ln sqrt(det g): y^i d_{x^i} tau_g - 2 G^i d_{y^i} tau_g, as an x-free jet
+    of the given order (at most p - 3).  S is its value minus y . grad ln sigma.
 
     It equals y^i d_{x^i} tau_g - y^i N^j_i d_{y^j} tau_g, the derivative
     along the spray, because N^j_i y^i = 2 G^j (G is 2-homogeneous in y).
     """
+    acc = tj.x_free(order).constant(0.0)
     if not tj.depends_on_x:
-        return jets.constant(0.0, tj.n_vars, order)
+        return acc
     tau_g = jet_matrix_det(g_jets(tj, order + 1).tolist()).ln() * 0.5
     spray = spray_jets(tj, order)
-    acc = jets.constant(0.0, tj.n_vars, order)
     for i in range(tj.n):
         acc = acc + tj.y_jet(i, order) * tau_g.derivative(tj.gamma(x_part=(i,)))
-        acc = acc - 2.0 * spray[i] * tau_g.derivative(tj.gamma(y_part=(i,)))
+        d_y = tau_g.derivative(tj.gamma(y_part=(i,))).truncated(order, x_degree=0)
+        acc = acc - 2.0 * spray[i] * d_y
     return acc
 
 

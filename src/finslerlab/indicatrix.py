@@ -249,14 +249,16 @@ class FibreJets:
         return TensorJets(self.model, self.chart.x, self.y0, max(depth.values()), with_x)
 
     def _basis(self, order: int) -> jets.MonomialBasis:
-        """Monomials of the offsets of the expansion variables along the chart
-        (zero for x), shared by every field composed at this chart order."""
+        """Monomials of the offsets of the expansion variables along the chart,
+        shared by every field composed at this chart order.  x stays at the
+        base point (zero offset), so the monomials are those of the x-free
+        jets of the expansion."""
         basis = self._bases.get(order)
         if basis is None:
             deltas = [d.truncated(order) for d in self.deltas]
             if self.tj.with_x:
                 deltas = [jets.constant(0.0, len(self.dy), order)] * len(deltas) + deltas
-            basis = self._bases[order] = jets.monomial_basis(deltas)
+            basis = self._bases[order] = jets.monomial_basis(deltas, self.tj.x_vars, 0)
         return basis
 
     def _on_chart(self, extractor: Callable, field: str) -> np.ndarray:
@@ -264,7 +266,9 @@ class FibreJets:
         pulled back to the chart at the field's chart order."""
         order = self.chart_order[field]
         basis = self._basis(order)
-        composed = _symmetric(lambda jet: jet.compose(basis), extractor(self.tj, order))
+        composed = _symmetric(
+            lambda jet: jet.truncated(order, x_degree=0).compose(basis), extractor(self.tj, order)
+        )
         return _pullback(composed, jet_truncated(self.dy, order))
 
     @cached_property
@@ -302,6 +306,16 @@ class FibreJets:
             if grad_i != 0.0:
                 s = s - grad_i * self.y_u[i].truncated(order)
         return s
+
+    def snapshot(self) -> "FibreSnapshot":
+        """Values of g and E, the Berwald scalar e = tr_g E, and the flag point."""
+        g_inv = np.array(jet_matrix_inverse(self.g.tolist()))
+        return FibreSnapshot(
+            g=jet_values(self.g),
+            berwald=jet_values(self.e),
+            e=np.sum(g_inv * self.e).value,
+            flag=FlagPoint(self.chart.x, self.y0),
+        )
 
 
 def fibre_jets(
@@ -487,14 +501,7 @@ class FibreSnapshot:
 
 def fibre_snapshot(model: MetricModel, chart: FibreChart, u) -> FibreSnapshot:
     """Cheap value-level evaluation used by the isotropy scan."""
-    fj = fibre_jets(model, chart, u, {"g": 0, "e": 0})
-    g_inv = np.array(jet_matrix_inverse(fj.g.tolist()))
-    return FibreSnapshot(
-        g=jet_values(fj.g),
-        berwald=jet_values(fj.e),
-        e=np.sum(g_inv * fj.e).value,
-        flag=FlagPoint(chart.x, fj.y0),
-    )
+    return fibre_jets(model, chart, u, {"g": 0, "e": 0}).snapshot()
 
 
 @dataclass

@@ -13,6 +13,19 @@ only in :meth:`Jet.derivative` and :func:`extract_derivative`.  Unary
 functions go through Horner evaluation of the univariate Taylor polynomial of
 the outer function at the order-0 value.
 
+A space may limit the joint degree of its first ``x_vars`` variables to
+``x_degree`` (``jet_space(n_vars, order, x_vars, x_degree)``): it keeps the
+multi-indices of the full graded-lex list that obey the limit, in the same
+order, and the product terms among them, in the same order, so every
+coefficient it keeps is bit-identical to the full space's.  Truncation rule:
+no kept coefficient of a product, a unary function or a derivative depends
+on a dropped one.  Derivative rule: a derivative along the limited
+variables uses up x-degree, so d^gamma lands in the space whose limit is
+lower by the x-part of gamma -- a derivative along x of an x-linear jet has
+no x-linear coefficient, which could not be computed from what the jet
+carries.  Jets of different limits do not mix (``ValueError``); callers
+truncate explicitly with :meth:`Jet.truncated`.
+
 Index work is done by gather tables, built once per :class:`JetSpace` with
 numpy from one position map (the radix keys of the multi-indices): the
 product table, which :meth:`JetSpace.multiply` reduces with one
@@ -34,7 +47,6 @@ entries.  Tensors of jets are numpy object arrays; :func:`jet_values` and
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -73,42 +85,61 @@ class JetDomainError(ArithmeticError):
 _FACTORIALS = np.array([math.factorial(k) for k in range(MAX_ORDER + 1)], dtype=np.int64)
 
 
-def _compositions(total, parts):
+def _compositions(total, parts, capped=0, cap=0):
+    """The compositions of ``total`` into ``parts`` in graded-lex order (first
+    part descending), keeping those whose first ``capped`` parts sum to at
+    most ``cap``."""
     if parts == 1:
-        yield (total,)
+        if not capped or total <= cap:
+            yield (total,)
         return
-    for head in range(total, -1, -1):
-        for tail in _compositions(total - head, parts - 1):
+    for head in range(min(total, cap) if capped else total, -1, -1):
+        rest = (capped - 1, cap - head) if capped else (0, 0)
+        for tail in _compositions(total - head, parts - 1, *rest):
             yield (head,) + tail
 
 
-@lru_cache(maxsize=None)
-def jet_space(n_vars: int, order: int) -> "JetSpace":
-    """Shared (cached) index tables for jets with this variable count and order."""
-    return JetSpace(n_vars, order)
+_SPACES: dict[tuple[int, int, int, int], "JetSpace"] = {}
+
+
+def jet_space(n_vars: int, order: int, x_vars: int = 0, x_degree: int = 1) -> "JetSpace":
+    """The shared index tables for jets of this signature, one object per
+    space: the first ``x_vars`` variables (none by default) enter with joint
+    degree at most ``x_degree``."""
+    key = (n_vars, order, x_vars, x_degree if x_vars else 0)
+    space = _SPACES.get(key)
+    if space is None:
+        space = _SPACES[key] = JetSpace(*key)
+    return space
 
 
 class JetSpace:
-    """Index tables for all jets of a fixed (n_vars, order).
+    """Index tables for all jets of a fixed (n_vars, order, x_vars, x_degree).
 
     Holds the graded-lex multi-index list, its inverse as a vectorised
     position map, and the gather tables built from that map: the sparse
     convolution table used by multiplication and one derivative table per
-    multi-index gamma.  Instances are obtained through :func:`jet_space` so
-    the tables are built once per signature.
+    multi-index gamma.  With ``x_vars`` > 0 the list keeps only the
+    multi-indices whose first ``x_vars`` entries sum to at most
+    ``x_degree``.  Instances are obtained through :func:`jet_space` so the
+    tables are built once per signature.
     """
 
-    def __init__(self, n_vars: int, order: int):
+    def __init__(self, n_vars: int, order: int, x_vars: int = 0, x_degree: int = 0):
         if not 1 <= n_vars <= MAX_VARS:
             raise ValueError(f"n_vars must be in [1, {MAX_VARS}], got {n_vars}")
         if not 0 <= order <= MAX_ORDER:
             raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
+        if not 0 <= x_vars < n_vars or x_degree < 0:
+            raise ValueError(f"x_vars must be in [0, {n_vars}) and x_degree >= 0")
         self.n_vars = n_vars
         self.order = order
+        self.x_vars = x_vars
+        self.x_degree = x_degree
         indices: list[tuple[int, ...]] = []
         offsets = [0]
         for total in range(order + 1):
-            indices.extend(_compositions(total, n_vars))
+            indices.extend(_compositions(total, n_vars, x_vars, x_degree))
             offsets.append(len(indices))
         self.multi_indices = tuple(indices)
         self.index_of = {alpha: i for i, alpha in enumerate(indices)}
@@ -120,12 +151,20 @@ class JetSpace:
         # so its radix-(order + 1) key is unique, and keys add without carry
         # when the multi-indices do.
         self._alphas = np.array(indices, dtype=np.int64).reshape(self.size, n_vars)
+        self._x_degrees = self._alphas[:, :x_vars].sum(axis=1)
         self._radix = (order + 1) ** np.arange(n_vars - 1, -1, -1, dtype=np.int64)
         self._keys = self._alphas @ self._radix
         self._key_order = np.argsort(self._keys)
         self._sorted_keys = self._keys[self._key_order]
         self._mul_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._derivative_tables: dict[tuple[int, ...], tuple[JetSpace, np.ndarray, np.ndarray]] = {}
+        self._restrictions: dict[JetSpace, np.ndarray] = {}
+
+    def __repr__(self):
+        if not self.x_vars:
+            return f"JetSpace({self.n_vars}, {self.order})"
+        limit = f"x_vars={self.x_vars}, x_degree={self.x_degree}"
+        return f"JetSpace({self.n_vars}, {self.order}, {limit})"
 
     def _positions(self, keys: np.ndarray) -> np.ndarray:
         """Layout positions of the multi-indices with these radix keys."""
@@ -133,7 +172,9 @@ class JetSpace:
 
     def _mul(self):
         """Triples (i, j, k) with alpha_i + alpha_j = alpha_k, ordered by i and
-        then j, so that every product sums its terms in the same order."""
+        then j, so that every product sums its terms in the same order.  The
+        x-degree limit only drops triples, so every kept coefficient sums the
+        same terms in the same order as in the space without the limit."""
         if self._mul_table is None:
             offsets = np.asarray(self.grade_offsets, dtype=np.intp)
             degree = np.repeat(np.arange(self.order + 1), np.diff(offsets))
@@ -141,6 +182,9 @@ class JetSpace:
             ii = np.repeat(np.arange(self.size, dtype=np.intp), counts)
             starts = np.cumsum(counts) - counts
             jj = np.arange(ii.size, dtype=np.intp) - np.repeat(starts, counts)
+            if self.x_vars:
+                keep = self._x_degrees[ii] + self._x_degrees[jj] <= self.x_degree
+                ii, jj = ii[keep], jj[keep]
             kk = self._positions(self._keys[ii] + self._keys[jj])
             self._mul_table = (ii, jj, kk)
         return self._mul_table
@@ -152,7 +196,12 @@ class JetSpace:
     def derivative_table(self, gamma: tuple[int, ...]) -> tuple["JetSpace", np.ndarray, np.ndarray]:
         """The gather table of d^gamma: the result space, and for each of its
         multi-indices beta the position of beta + gamma here and the factor
-        (beta + gamma)! / beta!, an exact integer."""
+        (beta + gamma)! / beta!, an exact integer.
+
+        A derivative along x uses up x-degree: the result space allows
+        ``x_degree`` minus the x-part of gamma, so no coefficient it holds
+        depends on a coefficient this space does not carry.
+        """
         table = self._derivative_tables.get(gamma)
         if table is None:
             if len(gamma) != self.n_vars:
@@ -160,13 +209,43 @@ class JetSpace:
             total = sum(gamma)
             if total > self.order:
                 raise ValueError(f"|gamma| = {total} exceeds jet order {self.order}")
-            space = jet_space(self.n_vars, self.order - total)
+            x_part = sum(gamma[: self.x_vars])
+            if x_part > self.x_degree:
+                raise ValueError(f"x-degree {x_part} of gamma exceeds the limit {self.x_degree}")
+            space = jet_space(self.n_vars, self.order - total, self.x_vars, self.x_degree - x_part)
             beta = space._alphas
             alpha = beta + np.array(gamma, dtype=np.int64)
             factor = _FACTORIALS[alpha].prod(axis=1) // _FACTORIALS[beta].prod(axis=1)
             table = (space, self._positions(alpha @ self._radix), factor.astype(float))
             self._derivative_tables[gamma] = table
         return table
+
+    def restriction(self, space: "JetSpace") -> np.ndarray:
+        """Positions here of the multi-indices of ``space``, a space of the
+        same variables whose order and x-degree limit are no higher."""
+        src = self._restrictions.get(space)
+        if src is None:
+            if (space.n_vars, space.x_vars) != (self.n_vars, self.x_vars) or (
+                space.order > self.order or space.x_degree > self.x_degree
+            ):
+                raise ValueError("can only restrict to a lower order or x-degree")
+            src = self._restrictions[space] = self._positions(space._alphas @ self._radix)
+        return src
+
+    def constant(self, value: float) -> "Jet":
+        coeffs = np.zeros(self.size)
+        coeffs[0] = float(value)
+        return Jet(self, coeffs)
+
+    def variable(self, i: int, value: float) -> "Jet":
+        """Jet of the i-th coordinate function (i is 1-based)."""
+        if not 1 <= i <= self.n_vars:
+            raise ValueError(f"variable index {i} out of range [1, {self.n_vars}]")
+        jet = self.constant(value)
+        if self.order >= 1:
+            unit = tuple(1 if k == i - 1 else 0 for k in range(self.n_vars))
+            jet.coeffs[self.index_of[unit]] = 1.0
+        return jet
 
 
 class Jet:
@@ -187,23 +266,12 @@ class Jet:
 
     @staticmethod
     def constant(value: float, n_vars: int, order: int) -> "Jet":
-        space = jet_space(n_vars, order)
-        coeffs = np.zeros(space.size)
-        coeffs[0] = float(value)
-        return Jet(space, coeffs)
+        return jet_space(n_vars, order).constant(value)
 
     @staticmethod
     def variable(i: int, value: float, n_vars: int, order: int) -> "Jet":
         """Jet of the i-th coordinate function (i is 1-based)."""
-        if not 1 <= i <= n_vars:
-            raise ValueError(f"variable index {i} out of range [1, {n_vars}]")
-        space = jet_space(n_vars, order)
-        coeffs = np.zeros(space.size)
-        coeffs[0] = float(value)
-        if order >= 1:
-            unit = tuple(1 if k == i - 1 else 0 for k in range(n_vars))
-            coeffs[space.index_of[unit]] = 1.0
-        return Jet(space, coeffs)
+        return jet_space(n_vars, order).variable(i, value)
 
     # -- basic queries ----------------------------------------------------
 
@@ -229,8 +297,8 @@ class Jet:
         if isinstance(other, Jet):
             if other.space is not self.space:
                 raise ValueError(
-                    "jet arithmetic requires matching variable count and order: "
-                    f"({self.n_vars}, {self.order}) vs ({other.n_vars}, {other.order})"
+                    "jet arithmetic requires matching variable count and order, and the "
+                    f"same x-degree limit: {self.space!r} vs {other.space!r}"
                 )
             return other.coeffs
         if isinstance(other, (int, float, np.floating, np.integer)):
@@ -264,11 +332,7 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            if other.space is not self.space:
-                raise ValueError(
-                    "jet arithmetic requires matching variable count and order"
-                )
-            return Jet(self.space, self.space.multiply(self.coeffs, other.coeffs))
+            return Jet(self.space, self.space.multiply(self.coeffs, self._coerce(other)))
         if isinstance(other, (int, float, np.floating, np.integer)):
             return Jet(self.space, self.coeffs * float(other))
         return NotImplemented
@@ -307,7 +371,7 @@ class Jet:
     def _int_pow(self, n: int) -> "Jet":
         if n < 0:
             return self.reciprocal()._int_pow(-n)
-        result = Jet.constant(1.0, self.n_vars, self.order)
+        result = self.space.constant(1.0)
         base = self
         while n:
             if n & 1:
@@ -367,14 +431,19 @@ class Jet:
 
     # -- structural operations ---------------------------------------------
 
-    def truncated(self, order: int) -> "Jet":
-        """Copy of this jet truncated to a lower order."""
-        if order == self.order:
+    def truncated(self, order: int, x_degree: int | None = None) -> "Jet":
+        """Copy of this jet truncated to a lower order and, if given, to a
+        lower x-degree limit."""
+        here = self.space
+        if order > here.order:
+            raise ValueError(f"cannot extend a jet from order {here.order} to {order}")
+        x_degree = here.x_degree if x_degree is None else x_degree
+        space = jet_space(here.n_vars, order, here.x_vars, x_degree)
+        if space is here:
             return self
-        if order > self.order:
-            raise ValueError(f"cannot extend a jet from order {self.order} to {order}")
-        space = jet_space(self.n_vars, order)
-        return Jet(space, self.coeffs[: space.size].copy())
+        if space.x_degree == here.x_degree:  # the layout is prefix-closed
+            return Jet(space, self.coeffs[: space.size].copy())
+        return Jet(space, self.coeffs[here.restriction(space)])
 
     def derivative(self, gamma: Sequence[int]) -> "Jet":
         """The jet of the partial derivative d^gamma f, of order reduced by |gamma|."""
@@ -388,11 +457,19 @@ class Jet:
         point and must have a zero order-0 coefficient; all deltas share one
         jet space, which is also the space of the result.  Passing the
         :func:`monomial_basis` of the deltas instead lets every composition
-        with the same deltas share their monomials.
+        with the same deltas share their monomials; the basis must be built
+        for this jet's x-degree limit.
         """
-        basis = deltas if isinstance(deltas, MonomialBasis) else monomial_basis(deltas)
-        if basis.n_vars != self.n_vars:
+        here = self.space
+        if isinstance(deltas, MonomialBasis):
+            basis = deltas
+        else:
+            basis = monomial_basis(deltas, here.x_vars, here.x_degree)
+        rows = basis.rows_space
+        if rows.n_vars != here.n_vars:
             raise ValueError("one delta jet is required per variable")
+        if (rows.x_vars, rows.x_degree) != (here.x_vars, here.x_degree):
+            raise ValueError("the monomial basis is built for another x-degree limit")
         limit = self.space.grade_offsets[min(basis.space.order, self.order) + 1]
         # the terms are summed in layout order, row after row
         out = (self.coeffs[:limit, None] * basis.rows[:limit]).sum(axis=0)
@@ -403,18 +480,20 @@ class MonomialBasis(NamedTuple):
     """The monomials delta^alpha of a set of nilpotent delta jets.
 
     ``rows[k]`` holds the coefficients, in ``space``, of the monomial of the
-    k-th multi-index of ``jet_space(n_vars, space.order)``; monomials of
-    higher degree vanish.  Built by :func:`monomial_basis`.
+    k-th multi-index of ``rows_space``, the space of the expanded variables
+    to the order of the deltas; monomials of higher degree vanish.  Built by
+    :func:`monomial_basis`.
     """
 
     space: JetSpace
-    n_vars: int
+    rows_space: JetSpace
     rows: np.ndarray
 
 
-def monomial_basis(deltas: Sequence[Jet]) -> MonomialBasis:
+def monomial_basis(deltas: Sequence[Jet], x_vars: int = 0, x_degree: int = 1) -> MonomialBasis:
     """Every monomial of the deltas up to their order, each one product of a
-    lower monomial and the delta of its first variable."""
+    lower monomial and the delta of its first variable; the monomials are
+    those of the jets with this x-degree limit (see :func:`jet_space`)."""
     if not deltas:
         raise ValueError("one delta jet is required per variable")
     uspace = deltas[0].space
@@ -423,7 +502,7 @@ def monomial_basis(deltas: Sequence[Jet]) -> MonomialBasis:
             raise ValueError("delta jets must share one jet space")
         if d.coeffs[0] != 0.0:
             raise ValueError("delta jets must have zero order-0 coefficient")
-    src = jet_space(len(deltas), uspace.order)
+    src = jet_space(len(deltas), uspace.order, x_vars, x_degree)
     first = np.argmax(src._alphas != 0, axis=1)
     sub = src._positions(src._keys - src._radix[first])
     zero = [not np.any(d.coeffs) for d in deltas]
@@ -437,7 +516,7 @@ def monomial_basis(deltas: Sequence[Jet]) -> MonomialBasis:
             continue
         live[k] = True
         rows[k] = deltas[i].coeffs if s == 0 else uspace.multiply(rows[s], deltas[i].coeffs)
-    return MonomialBasis(uspace, len(deltas), rows)
+    return MonomialBasis(uspace, src, rows)
 
 
 # -- spec-level convenience wrappers ---------------------------------------
@@ -459,6 +538,8 @@ def extract_derivative(jet: Jet, alpha: Sequence[int]) -> float:
         raise ValueError("alpha must have one entry per variable")
     if sum(alpha) > jet.order:
         raise ValueError(f"|alpha| = {sum(alpha)} exceeds jet order {jet.order}")
+    if alpha not in jet.space.index_of:
+        raise ValueError(f"alpha = {alpha} exceeds the x-degree limit of the jet")
     factor = 1.0
     for a in alpha:
         factor *= math.factorial(a)
@@ -470,9 +551,10 @@ def jet_values(array) -> np.ndarray:
     return np.vectorize(lambda jet: jet.value, otypes=[float])(array)
 
 
-def jet_truncated(array, order: int) -> np.ndarray:
-    """An array of jets with every entry truncated to ``order``."""
-    return np.vectorize(lambda jet: jet.truncated(order), otypes=[object])(array)
+def jet_truncated(array, order: int, x_degree: int | None = None) -> np.ndarray:
+    """An array of jets with every entry truncated to ``order`` (and to the
+    x-degree limit ``x_degree``, if given)."""
+    return np.vectorize(lambda jet: jet.truncated(order, x_degree), otypes=[object])(array)
 
 
 def finite_difference_oracle(
@@ -540,10 +622,7 @@ def jet_matrix_inverse(matrix) -> list[list[Jet]]:
     a = _as_jet_matrix(matrix)
     n = len(a)
     space = a[0][0].space
-    inv = [
-        [Jet.constant(1.0 if i == j else 0.0, space.n_vars, space.order) for j in range(n)]
-        for i in range(n)
-    ]
+    inv = [[space.constant(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(a[r][col].value))
         if abs(a[pivot_row][col].value) < 1e-14:
@@ -570,7 +649,7 @@ def jet_matrix_det(matrix) -> Jet:
     a = _as_jet_matrix(matrix)
     n = len(a)
     space = a[0][0].space
-    det = Jet.constant(1.0, space.n_vars, space.order)
+    det = space.constant(1.0)
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(a[r][col].value))
         if abs(a[pivot_row][col].value) < 1e-14:

@@ -14,8 +14,8 @@ from finslerlab.checks import (
     schur_audit,
     weak_isotropy_check,
 )
-from finslerlab.core import MetricModel
-from finslerlab.indicatrix import FibreChart, IndicatrixPoint, sample_fibre_points
+from finslerlab.core import MetricModel, NonPositiveDefiniteError, fundamental_tensor
+from finslerlab.indicatrix import FibreChart, IndicatrixPoint, chart_embed, sample_fibre_points
 from finslerlab.zoo import build
 
 
@@ -151,6 +151,23 @@ def test_domain_fault_names_the_fibre_point_and_stage():
     assert info.value.located(2).startswith("NonPositiveDefiniteError at base 2, fibre 0, chart ")
     with pytest.raises(FibrePointError, match=", stage weak-isotropy: "):
         weak_isotropy_check(model, x, fibre_samples=5, seed=4)
+
+
+def test_weak_isotropy_checks_convexity_at_every_point():
+    model = MetricModel(3, "sqrt(y1^2+y2^2+y3^2) + 0.9*y1^3/(y1^2+y2^2+y3^2)")
+    x = np.zeros(3)
+    points = sample_fibre_points(model, x, 40, np.random.default_rng(1))
+    bad = []
+    for index, point in enumerate(points):
+        try:
+            fundamental_tensor(model, chart_embed(point.chart, point.u))
+        except NonPositiveDefiniteError:
+            bad.append(index)
+    assert len(bad) == 9 and bad[0] > 0  # the first point is convex
+    first_bad = rf"^NonPositiveDefiniteError at fibre {bad[0]}, chart "
+    with pytest.raises(FibrePointError, match=first_bad) as info:
+        weak_isotropy_check(model, x, points=points, c=0.0)
+    assert ", stage weak-isotropy: fundamental tensor is not positive" in str(info.value)
 
 
 def test_weak_isotropy_funk(funk3):

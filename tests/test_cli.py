@@ -242,3 +242,17 @@ def test_guard_rejecting_every_direction_exits_2(monkeypatch, capsys):
         )
         assert code == 2
         assert "y_guard" in capsys.readouterr().err
+
+
+def test_audit_expands_once_per_fibre_point(tmp_path, core_counts):
+    # 3 schur points and 3 weak-isotropy points per base point; c comes from
+    # the first weak-isotropy expansion
+    out = tmp_path / "audit.json"
+    code = run_cli(
+        "audit", "--metric", "funk_ball", "--dim", "4", "--volume", "bh",
+        "--samples", "3", "--base-points", "2", "--seed", "5", "--out", str(out),
+    )
+    assert code == 0
+    records = json.loads(out.read_text())["audits"]
+    assert all("weak_isotropy" in record for record in records)
+    assert core_counts["expansions"] == 6 * 2

@@ -311,3 +311,68 @@ def test_coordinate_tensors_one_expansion_per_point(family, core_counts, rng):
         coordinate_tensors(model, random_flag(model, rng))
     x_dependent = model.depends_on_x
     assert core_counts == {"expansions": 3, "g": 3, "spray": 3 if x_dependent else 0}
+
+
+# -- x enters to first order: the program against a full-space expansion ------
+
+
+def _full_space_reference(model, x, y, order):
+    """The expansion the program builds, redone over the full (2n, order)
+    space: seeds from ``jet_space(2n, order)`` through ``expr.evaluate`` and
+    no x-degree limit anywhere (``x_vars`` = 0 makes every x-free space the
+    full space), so the same extractors run on it unchanged."""
+    import copy
+
+    from finslerlab.core import TensorJets
+    from finslerlab.expr import evaluate
+    from finslerlab.jets import jet_space
+
+    n = model.dim
+    space = jet_space(2 * n, order)
+    ref = copy.copy(TensorJets(model, x, y, order, with_x=True))
+    ref.x_vars = 0
+    xs = [space.variable(i + 1, x[i]) for i in range(n)]
+    ys = [space.variable(n + i + 1, y[i]) for i in range(n)]
+    ref.f_jet = evaluate(model.f_ast, xs, ys, model.params)
+    ref.f2_jet = ref.f_jet * ref.f_jet
+    return ref
+
+
+def _assert_restriction(got, want, x_degree):
+    """Every jet of ``got`` carries the coefficients of ``want`` at its own
+    multi-indices, bit for bit, and has the expected x-degree limit."""
+    for g, w in zip(np.asarray(got, dtype=object).flat, np.asarray(want, dtype=object).flat):
+        assert w.space.x_vars == 0 and g.space.x_degree == x_degree
+        kept = [w.space.index_of[alpha] for alpha in g.space.multi_indices]
+        assert g.coeffs.tobytes() == w.coeffs[kept].tobytes()
+
+
+@pytest.mark.parametrize("family,dim", [("randers", 3), ("funk_ball", 4)])
+def test_x_linear_expansion_matches_the_full_space_bit_for_bit(family, dim):
+    from finslerlab.core import (
+        TensorJets,
+        berwald_jets,
+        cartan_jets,
+        g_jets,
+        nonlinear_jets,
+        s_main_jet,
+        spray_jets,
+    )
+
+    model = build(family, dim)
+    rng = np.random.default_rng(dim)
+    order = 6
+    for _ in range(2):
+        x, y = model.sample_x(rng) * 0.8, model.sample_y(rng)
+        tj = TensorJets(model, x, y, order, with_x=True)
+        ref = _full_space_reference(model, x, y, order)
+        _assert_restriction(tj.f_jet, ref.f_jet, 1)
+        assert tj.f_jet.space.size < ref.f_jet.space.size
+        for p in (0, order - 3):
+            _assert_restriction(g_jets(tj, p + 1), g_jets(ref, p + 1), 1)
+            _assert_restriction(cartan_jets(tj, p), cartan_jets(ref, p), 1)
+            _assert_restriction(spray_jets(tj, p + 1), spray_jets(ref, p + 1), 0)
+            _assert_restriction(nonlinear_jets(tj, p), nonlinear_jets(ref, p), 0)
+            _assert_restriction(s_main_jet(tj, p), s_main_jet(ref, p), 0)
+        for p in (0, order - 5):
+            _assert_restriction(berwald_jets(tj, p), berwald_jets(ref, p), 0)

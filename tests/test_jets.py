@@ -225,10 +225,11 @@ def _gammas(n_vars, order):
             yield tuple(slots.count(k) for k in range(n_vars))
 
 
-def _reference_derivative(jet, gamma):
+def _reference_derivative(jet, gamma, space=None):
     """d^gamma by the multi-index loop: out[beta] = coeffs[beta + gamma] times
-    the product of (beta_k + 1) .. (beta_k + gamma_k)."""
-    space = jet_space(jet.n_vars, jet.order - sum(gamma))
+    the product of (beta_k + 1) .. (beta_k + gamma_k), for every beta of the
+    result space (by default the full space of the lower order)."""
+    space = space or jet_space(jet.n_vars, jet.order - sum(gamma))
     out = np.empty(space.size)
     for t, beta in enumerate(space.multi_indices):
         alpha = tuple(b + g for b, g in zip(beta, gamma))
@@ -245,9 +246,12 @@ def _reference_mul_table(space):
     for i, a in enumerate(space.multi_indices):
         for j in range(space.grade_offsets[space.order - sum(a) + 1]):
             b = space.multi_indices[j]
+            k = space.index_of.get(tuple(p + q for p, q in zip(a, b)))
+            if k is None:  # beyond the x-degree limit
+                continue
             ii.append(i)
             jj.append(j)
-            kk.append(space.index_of[tuple(p + q for p, q in zip(a, b))])
+            kk.append(k)
     return ii, jj, kk
 
 
@@ -356,3 +360,137 @@ def test_compose_validates_deltas():
         jet.compose([u, u - 0.5])
     with pytest.raises(ValueError, match="share one jet space"):
         jet.compose([u - 0.5, seed_variable(1, 0.5, 1, 3) - 0.5])
+
+
+# -- x-linear spaces: the first x_vars variables enter to joint degree 1 -------
+
+
+_X_LINEAR_SPACES = [(6, 6, 3), (8, 6, 4)]
+
+
+def _kept(full, space):
+    """Positions in the full space of the multi-indices of ``space``."""
+    return np.array([full.index_of[alpha] for alpha in space.multi_indices])
+
+
+def _random_jet(space, rng):
+    return Jet(space, rng.standard_normal(space.size) * 10.0 ** rng.integers(-3, 4, space.size))
+
+
+@pytest.mark.parametrize("n_vars,order,x_vars", _X_LINEAR_SPACES)
+def test_x_linear_space_keeps_the_full_layout_and_product_terms_in_order(n_vars, order, x_vars):
+    full, space = jet_space(n_vars, order), jet_space(n_vars, order, x_vars)
+    kept = _kept(full, space)
+    assert np.all(np.diff(kept) > 0)  # the graded-lex order is kept
+    assert all(sum(alpha[:x_vars]) <= 1 for alpha in space.multi_indices)
+    assert sum(sum(alpha[:x_vars]) <= 1 for alpha in full.multi_indices) == space.size
+    # the product table is the full table filtered to the kept results, in order
+    fi, fj, fk = full._mul()
+    keep = np.isin(fk, kept)
+    ii, jj, kk = space._mul()
+    for got, want in zip((ii, jj, kk), (fi, fj, fk)):
+        np.testing.assert_array_equal(kept[got], want[keep])
+
+
+@pytest.mark.parametrize("n_vars,order,x_vars", _X_LINEAR_SPACES)
+def test_x_linear_tables_equal_the_loops(n_vars, order, x_vars):
+    rng = np.random.default_rng(13 * n_vars + order)
+    space = jet_space(n_vars, order, x_vars)
+    for got, want in zip(space._mul(), _reference_mul_table(space)):
+        np.testing.assert_array_equal(got, want)
+    jet = _random_jet(space, rng)
+    gammas = [g for g in _gammas(n_vars, order) if sum(g[:x_vars]) <= 1]
+    for k in rng.choice(len(gammas), 60, replace=False):
+        out = jet.derivative(gammas[k])
+        np.testing.assert_array_equal(out.coeffs, _reference_derivative(jet, gammas[k], out.space))
+
+
+@pytest.mark.parametrize("n_vars,order,x_vars", _X_LINEAR_SPACES)
+def test_x_linear_products_are_the_restricted_full_products_bit_for_bit(n_vars, order, x_vars):
+    rng = np.random.default_rng(7 * n_vars + order)
+    full, space = jet_space(n_vars, order), jet_space(n_vars, order, x_vars)
+    kept = _kept(full, space)
+    for _ in range(3):
+        a, b = _random_jet(full, rng), _random_jet(full, rng)
+        ra, rb = Jet(space, a.coeffs[kept]), Jet(space, b.coeffs[kept])
+        assert (ra * rb).coeffs.tobytes() == (a * b).coeffs[kept].tobytes()
+        c = a + (2.0 + abs(a.value))  # positive order-0 part for the unary functions
+        rc = Jet(space, c.coeffs[kept])
+        for op in (Jet.reciprocal, Jet.sqrt, Jet.ln, lambda jet: jet ** 3):
+            assert op(rc).coeffs.tobytes() == op(c).coeffs[kept].tobytes()
+
+
+@pytest.mark.parametrize("n_vars,order,x_vars", _X_LINEAR_SPACES)
+def test_x_linear_derivatives_are_the_restricted_full_derivatives(n_vars, order, x_vars):
+    rng = np.random.default_rng(11 * n_vars + order)
+    full, space = jet_space(n_vars, order), jet_space(n_vars, order, x_vars)
+    jet = _random_jet(full, rng)
+    restricted = Jet(space, jet.coeffs[_kept(full, space)])
+    gammas = [g for g in _gammas(n_vars, order) if sum(g[:x_vars]) <= 1]
+    for k in rng.choice(len(gammas), 60, replace=False):
+        gamma = gammas[k]
+        out, want = restricted.derivative(gamma), jet.derivative(gamma)
+        along_x = sum(gamma[:x_vars])
+        assert out.space is jet_space(n_vars, order - sum(gamma), x_vars, 1 - along_x)
+        assert out.coeffs.tobytes() == want.coeffs[_kept(want.space, out.space)].tobytes()
+
+
+def test_an_x_derivative_has_no_x_linear_coefficient():
+    space = jet_space(8, 6, 4)
+    jet = Jet(space, np.random.default_rng(3).standard_normal(space.size))
+    d_x = jet.derivative((0, 1, 0, 0, 1, 0, 0, 0))
+    assert d_x.space is jet_space(8, 4, 4, 0)
+    assert all(not any(alpha[:4]) for alpha in d_x.space.multi_indices)
+    assert d_x.space.size == jet_space(4, 4).size
+    with pytest.raises(ValueError, match="x-degree 1 of gamma exceeds the limit 0"):
+        d_x.derivative((1, 0, 0, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="x-degree 2 of gamma exceeds the limit 1"):
+        jet.derivative((1, 1, 0, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="exceeds the x-degree limit"):
+        extract_derivative(d_x, (1, 0, 0, 0, 0, 0, 0, 0))
+
+
+def test_mixing_an_x_free_jet_with_an_x_linear_jet_raises():
+    space = jet_space(6, 4, 3)
+    jet = Jet(space, np.random.default_rng(5).standard_normal(space.size))
+    d_x = jet.derivative((1, 0, 0, 0, 0, 0))  # x-free, order 3
+    x_linear = jet.truncated(3)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError, match="matching variable count and order"):
+            op(d_x, x_linear)
+        with pytest.raises(ValueError, match="matching variable count and order"):
+            op(x_linear, d_x)
+    # an explicit truncation makes them mix
+    x_free = x_linear.truncated(3, x_degree=0)
+    assert x_free.space is d_x.space
+    assert x_free.coeffs.tobytes() == x_linear.coeffs[_kept(x_linear.space, d_x.space)].tobytes()
+    assert (d_x * x_free).space is d_x.space
+    with pytest.raises(ValueError, match="can only restrict"):
+        x_free.truncated(3, x_degree=1)
+
+
+def test_jet_space_is_one_object_per_signature():
+    assert jet_space(6, 6) is jet_space(6, 6, 0) is jet_space(6, 6, 0, 1)
+    assert jet_space(6, 6) is jet_space(6, 6, x_vars=0, x_degree=0)
+    assert jet_space(8, 6, 4) is jet_space(8, 6, 4, 1) is jet_space(8, 6, x_vars=4, x_degree=1)
+    assert jet_space(8, 6, 4, 0) is not jet_space(8, 6, 4)
+    assert jet_space(8, 6, 4) is not jet_space(8, 6)
+    # the derivative tables hand back the cached spaces, too
+    assert seed_variable(1, 0.5, 6, 3).derivative((0, 1, 0, 0, 0, 0)).space is jet_space(6, 2)
+
+
+def test_compose_needs_a_basis_of_the_same_x_degree_limit():
+    from finslerlab.jets import monomial_basis
+
+    us = [seed_variable(a + 1, 0.3 * a, 2, 2) for a in range(2)]
+    zero = constant(0.0, 2, 2)
+    deltas = [zero, zero, us[0] - us[0].value, (us[0] * us[1]).exp() - 1.0]
+    jet = Jet(jet_space(4, 3, 2), np.random.default_rng(9).standard_normal(jet_space(4, 3, 2).size))
+    x_free = jet.truncated(3, x_degree=0)
+    basis = monomial_basis(deltas, 2, 0)
+    with pytest.raises(ValueError, match="another x-degree limit"):
+        jet.compose(basis)
+    # x stays put (zero deltas), so the x-linear part contributes nothing
+    np.testing.assert_allclose(
+        x_free.compose(basis).coeffs, jet.compose(deltas).coeffs, rtol=0, atol=1e-13
+    )
