@@ -3,70 +3,9 @@
 Define a metric as an expression (or pick a built-in family), and the
 package computes its coordinate tensors by exact truncated-Taylor
 differentiation, restricts them to the unit-sphere fibres, and verifies the
-structural identities they satisfy at sampled points.
+structural identities they satisfy at sampled points.  The API lives in the
+submodules: ``expr``, ``jets``, ``core``, ``volume``, ``zoo``,
+``indicatrix``, ``checks`` and ``cli``.
 """
-
-from .checks import (
-    DEFAULT_TOLERANCES,
-    CheckReport,
-    SchurAudit,
-    WeakIsotropyRecord,
-    check_cartan_symmetry,
-    check_codazzi,
-    check_gauss,
-    check_pde,
-    check_ricci,
-    isotropy_residual,
-    run_identity_suite,
-    schur_audit,
-    weak_isotropy_check,
-)
-from .core import (
-    CoordinateTensors,
-    FlagPoint,
-    MetricDefinitionError,
-    MetricModel,
-    NonPositiveDefiniteError,
-    VolumeSpec,
-    cartan_tensor,
-    coordinate_tensors,
-    distortion,
-    fundamental_tensor,
-    mean_berwald,
-    nonlinear_connection,
-    s_curvature,
-    s_curvature_alt,
-    spray_coefficients,
-)
-from .expr import (
-    EvalDomainError,
-    ParseError,
-    check_positive_homogeneity,
-    evaluate,
-    parse,
-    serialize,
-)
-from .indicatrix import (
-    FibreChart,
-    IndicatrixPoint,
-    RestrictedFields,
-    chart_embed,
-    christoffels,
-    covariant_derivative,
-    induced_metric,
-    restrict_fields,
-    riemann,
-    sample_fibre_points,
-)
-from .jets import (
-    Jet,
-    JetDomainError,
-    constant,
-    extract_derivative,
-    finite_difference_oracle,
-    seed_variable,
-)
-from .volume import bh_volume_coefficient
-from .zoo import RandersConditionViolated, build, entries, zoo_ids
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,12 +42,12 @@ from .indicatrix import (
     RestrictedFields,
     berwald_fields,
     fibre_jets,
-    fibre_snapshot,
     restrict_fields,
     s_third_covariant,
     sample_fibre_points,
 )
 from .jets import extract_derivative
+from .volume import QuadratureError
 
 __all__ = [
     "TAGS",
@@ -56,10 +56,10 @@ __all__ = [
     "FibrePointError",
     "SchurAudit",
     "WeakIsotropyRecord",
-    "check_pde",
-    "check_codazzi",
-    "check_cartan_symmetry",
-    "check_gauss",
+    "pde_residual",
+    "codazzi_residual",
+    "cartan_symmetry_residual",
+    "gauss_residual",
     "check_ricci",
     "isotropy_residual",
     "schur_audit",
@@ -88,8 +88,14 @@ DEFAULT_TOLERANCES = {
 }
 
 
-# the metric is not Finsler at a sampled point: an input fault, not a defect
-_DOMAIN_ERRORS = (NonPositiveDefiniteError, NonPositiveMetricError, EvalDomainError)
+# the metric is not Finsler at a sampled point, or its volume coefficient
+# cannot be computed there: an input fault, not a defect
+_DOMAIN_ERRORS = (
+    NonPositiveDefiniteError,
+    NonPositiveMetricError,
+    EvalDomainError,
+    QuadratureError,
+)
 
 
 def _where(fibre: int, point: IndicatrixPoint) -> str:
@@ -162,27 +168,14 @@ def gauss_residual(rf: RestrictedFields) -> tuple[np.ndarray, float]:
     return residual, _scale(rf.riemann, hh, gg)
 
 
-# -- per-point public check operations -------------------------------------------
+def isotropy_residual(fields, dim: int) -> float:
+    """max|E - (e/(n-1)) g| / max(1, max|E|) for any bundle exposing g,
+    berwald and e (restricted fields, Berwald fields or a snapshot)."""
+    iso = fields.berwald - (fields.e / (dim - 1)) * fields.g
+    return _maxabs(iso) / max(1.0, _maxabs(fields.berwald))
 
 
-def _fields_at(model: MetricModel, point: IndicatrixPoint) -> RestrictedFields:
-    return restrict_fields(model, point.chart, point.u)
-
-
-def check_pde(model: MetricModel, point: IndicatrixPoint) -> np.ndarray:
-    return pde_residual(_fields_at(model, point))[0]
-
-
-def check_codazzi(model: MetricModel, point: IndicatrixPoint) -> np.ndarray:
-    return codazzi_residual(_fields_at(model, point))[0]
-
-
-def check_cartan_symmetry(model: MetricModel, point: IndicatrixPoint) -> np.ndarray:
-    return cartan_symmetry_residual(_fields_at(model, point))[0]
-
-
-def check_gauss(model: MetricModel, point: IndicatrixPoint) -> np.ndarray:
-    return gauss_residual(_fields_at(model, point))[0]
+# -- the commutator check, which needs a third derivative of S -------------------
 
 
 def check_ricci(model: MetricModel, point: IndicatrixPoint) -> np.ndarray:
@@ -192,18 +185,6 @@ def check_ricci(model: MetricModel, point: IndicatrixPoint) -> np.ndarray:
     lhs = w - np.transpose(w, (0, 2, 1))
     rhs = np.einsum("eabc,e->abc", r_up, s_grad)
     return lhs - rhs
-
-
-def isotropy_residual(model: MetricModel, point: IndicatrixPoint) -> float:
-    """max|E - (e/(n-1)) g| / max(1, max|E|) at the point."""
-    snap = fibre_snapshot(model, point.chart, point.u)
-    return isotropy_residual_from_fields(snap, model.dim)
-
-
-def isotropy_residual_from_fields(rf, dim: int) -> float:
-    """Accepts any bundle exposing g, berwald and e (full fields or snapshot)."""
-    iso = rf.berwald - (rf.e / (dim - 1)) * rf.g
-    return _maxabs(iso) / max(1.0, _maxabs(rf.berwald))
 
 
 # -- reports ---------------------------------------------------------------------
@@ -334,26 +315,12 @@ class SchurAudit:
     e_spread: float
     max_e_gradient: float
     asserted: bool
-    tol_isotropy: float
-    tol_constancy: float
+    tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "tag": TAGS["schur"],
-            "verdict": self.verdict,
-            "metric_id": self.metric_id,
-            "dim": self.dim,
-            "seed": self.seed,
-            "samples": self.samples,
-            "max_isotropy_residual": self.max_isotropy_residual,
-            "e_min": self.e_min,
-            "e_max": self.e_max,
-            "e_spread": self.e_spread,
-            "max_e_gradient": self.max_e_gradient,
-            "asserted": self.asserted,
-            "tol_isotropy": self.tol_isotropy,
-            "tol_constancy": self.tol_constancy,
-        }
+        record = asdict(self)
+        tol = record.pop("tol")  # bounds both the isotropy and the constancy test
+        return {"tag": TAGS["schur"], **record, "tol_isotropy": tol, "tol_constancy": tol}
 
 
 def schur_audit(
@@ -361,12 +328,13 @@ def schur_audit(
     x,
     fibre_samples: int = 40,
     seed: int = 0,
-    tol_isotropy: float | None = None,
-    tol_constancy: float | None = None,
+    tol: float | None = None,
     rng=None,
 ) -> SchurAudit:
-    tol_iso = DEFAULT_TOLERANCES["thm-1"] if tol_isotropy is None else tol_isotropy
-    tol_const = DEFAULT_TOLERANCES["thm-1"] if tol_constancy is None else tol_constancy
+    """Audit one fibre; ``tol`` (default the ``thm-1`` tolerance) bounds both
+    the isotropy residual and the variation of the Berwald scalar."""
+    if tol is None:
+        tol = DEFAULT_TOLERANCES["thm-1"]
     if rng is None:
         rng = np.random.default_rng(seed)
     points = sample_fibre_points(model, x, fibre_samples, rng)
@@ -376,15 +344,15 @@ def schur_audit(
     for f_index, point in enumerate(points):
         with _stage("schur", f_index, point):
             bf = berwald_fields(model, point.chart, point.u)
-        max_iso = max(max_iso, isotropy_residual_from_fields(bf, model.dim))
+        max_iso = max(max_iso, isotropy_residual(bf, model.dim))
         e_values.append(bf.e)
         grad_norm = float(np.sqrt(bf.e_grad @ bf.g_inv @ bf.e_grad))
         max_grad = max(max_grad, grad_norm)
     e_min = min(e_values)
     e_max = max(e_values)
     spread = e_max - e_min
-    isotropic = max_iso <= tol_iso
-    constant = spread <= tol_const and max_grad <= tol_const
+    isotropic = max_iso <= tol
+    constant = spread <= tol and max_grad <= tol
     if not isotropic:
         verdict = "non-isotropic"
     elif constant:
@@ -405,8 +373,7 @@ def schur_audit(
         e_spread=spread,
         max_e_gradient=max_grad,
         asserted=model.dim >= 3,
-        tol_isotropy=tol_iso,
-        tol_constancy=tol_const,
+        tol=tol,
     )
 
 
@@ -423,11 +390,7 @@ class WeakIsotropyRecord:
     samples: int
 
     def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "max_hessian_residual": self.max_hessian_residual,
-            "samples": self.samples,
-        }
+        return asdict(self)
 
 
 def _s_minus_cf_hessian(tj: TensorJets, c: float) -> np.ndarray:
@@ -453,12 +416,11 @@ def weak_isotropy_check(
     seed: int = 0,
     rng=None,
     points: Sequence[IndicatrixPoint] | None = None,
-    c: float | None = None,
 ) -> WeakIsotropyRecord:
     """Check that S - (e/(n-1)) F has a vanishing y-Hessian at fixed x.
 
-    ``c`` defaults to e/(n-1) measured at the first sampled fibre point; a
-    meaningful result therefore presumes the fibrewise constancy of e that
+    c = e/(n-1) is measured at the first sampled fibre point; a meaningful
+    result therefore presumes the fibrewise constancy of e that
     :func:`schur_audit` establishes.  One expansion per point serves the
     Hessian and, at the first point, c.  Every point checks that g is
     positive definite.
@@ -468,6 +430,7 @@ def weak_isotropy_check(
     if points is None:
         points = sample_fibre_points(model, x, fibre_samples, rng)
     worst = 0.0
+    c = None
     for f_index, point in enumerate(points):
         with _stage("weak-isotropy", f_index, point):
             fj = fibre_jets(model, point.chart, point.u, {"g": 0, "e": 0})

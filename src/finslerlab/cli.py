@@ -11,9 +11,9 @@ Subcommands:
 Exit codes: 0 on success, 1 when a check fails or the audit reports a
 VIOLATION, 2 on usage or input errors, including a sampled point where the
 metric is not Finsler (the error names the point, and in the audit the
-stage).  Reports are JSON
-(optionally flattened to CSV) and byte-identical for identical
-configurations; the sampling generator is numpy's seeded PCG64.
+stage).  Reports are JSON (``check`` can flatten its report to CSV) and
+byte-identical for identical configurations; the sampling generator is
+numpy's seeded PCG64.
 """
 
 from __future__ import annotations
@@ -122,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--config", help="JSON file with the same fields; flags override")
         p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
 
     p_zoo = sub.add_parser("zoo", help="list built-in metric families")
     p_zoo.add_argument("--out", help="write the listing to this path instead of stdout")
@@ -134,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the identity checks")
     add_metric_flags(p_check)
+    p_check.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
     p_check.add_argument("--samples", type=int, help="fibre samples per base point (default 50)")
     p_check.add_argument("--base-points", type=int, help="number of base points (default 5)")
     p_check.add_argument("--seed", type=int, help="sampling seed (default 0)")
@@ -212,6 +212,13 @@ def _tolerances_from(config: dict) -> dict:
     return out
 
 
+def _json_only(config: dict) -> None:
+    """Only ``check`` writes CSV; a config asking another command for it fails."""
+    fmt = config.get("format", "json")
+    if fmt != "json":
+        raise InputError("format", f"this command writes json only, got {fmt!r}")
+
+
 def _echo_config(config: dict, model: MetricModel, extra: dict) -> dict:
     echo = {
         "metric": config.get("metric") or "expr",
@@ -259,6 +266,7 @@ def _cmd_zoo(args) -> int:
 
 def _cmd_curvature(args) -> int:
     config = _merge_config(args)
+    _json_only(config)
     model = _resolve_model(config)
     if "x" not in config or "y" not in config:
         raise InputError("x/y", "both --x and --y are required")
@@ -351,6 +359,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_audit(args) -> int:
     config = _merge_config(args)
+    _json_only(config)
     model = _resolve_model(config)
     seed = _typed(config, "seed", int, 0)
     samples = _typed(config, "samples", int, 40)
@@ -369,8 +378,7 @@ def _cmd_audit(args) -> int:
                 x,
                 fibre_samples=samples,
                 seed=seed,
-                tol_isotropy=tol,
-                tol_constancy=tol,
+                tol=tol,
                 rng=rng,
             )
             record = {"base": index, "x": list(x), "schur": audit.to_dict()}

@@ -107,6 +107,10 @@ __all__ = [
 
 EIGENVALUE_FLOOR = 1e-10
 
+# the seeded trials on which a model checks that F is positive and 1-homogeneous
+VALIDATION_TRIALS = 64
+VALIDATION_SEED = 987654321
+
 VOLUME_KINDS = ("lebesgue", "busemann_hausdorff", "riemannian_auto", "custom")
 
 
@@ -205,8 +209,6 @@ class MetricModel:
         x_max_norm: float = math.inf,
         y_guard=None,
         validate: bool = True,
-        validation_trials: int = 64,
-        validation_seed: int = 987654321,
     ):
         dim = int(dim)
         if dim < 2:
@@ -234,9 +236,10 @@ class MetricModel:
             ):
                 raise VolumeFormError("the volume coefficient may only depend on x")
         if validate:
-            self._validate(validation_trials, validation_seed)
+            self._validate()
 
-    def _validate(self, trials: int, seed: int):
+    def _validate(self):
+        trials, seed = VALIDATION_TRIALS, VALIDATION_SEED
         report = check_positive_homogeneity(
             self.f_ast, self.dim, trials, seed, self.params, x_radius=self.x_radius
         )
@@ -491,11 +494,12 @@ def s_main_jet(tj: TensorJets, order: int) -> Jet:
 def _sigma_jet(model: MetricModel, x, order: int) -> Jet:
     """sigma(x) as a jet over x, for the custom and riemannian_auto forms."""
     n = model.dim
-    xs = [jets.seed_variable(i + 1, float(x[i]), n, order) for i in range(n)]
+    space = jets.jet_space(n, order)
+    xs = [space.variable(i + 1, float(x[i])) for i in range(n)]
 
     def over_x(ast) -> Jet:
         value = evaluate(ast, xs, [0.0] * n, model.params)
-        return value if isinstance(value, Jet) else jets.constant(float(value), n, order)
+        return value if isinstance(value, Jet) else space.constant(float(value))
 
     if model.volume.kind == "custom":
         sigma = over_x(model.volume.sigma_ast)

@@ -17,10 +17,9 @@ pullback E and the restricted S-curvature, each computed when first read
 at the chart order the caller asked for; the fields of one chart order share
 one monomial basis of y(u) - y(u0), and the two charts of a fibre share one
 gradient of ln sigma.  Every u-derivative is exact to roundoff.
-:func:`restrict_fields`, :func:`fibre_snapshot`, :func:`berwald_fields`,
-:func:`s_third_covariant`, :func:`induced_metric`, :func:`christoffels`,
-:func:`riemann` and the ``*_field`` factories are views of it, built from
-one pullback and one rank-generic covariant derivative.
+:func:`restrict_fields`, :func:`fibre_snapshot`, :func:`berwald_fields` and
+:func:`s_third_covariant` are views of it, built from one pullback and one
+rank-generic covariant derivative.
 
 Sign and index conventions are frozen by the Euclidean calibration: for
 F = |y| in dimension 3 the induced metric at the chart centre is 4 times
@@ -66,20 +65,12 @@ __all__ = [
     "transition_jacobian",
     "chart_embed",
     "fibre_jets",
-    "induced_metric",
-    "christoffels",
-    "riemann",
     "restrict_fields",
     "FibreSnapshot",
     "fibre_snapshot",
     "BerwaldFields",
     "berwald_fields",
     "s_third_covariant",
-    "covariant_derivative",
-    "induced_metric_field",
-    "cartan_field",
-    "berwald_field",
-    "s_field",
     "sample_fibre_points",
 ]
 
@@ -198,8 +189,8 @@ def chart_embed(chart: FibreChart, u) -> FlagPoint:
 def _y_ujets(chart: FibreChart, u0: np.ndarray, order: int) -> np.ndarray:
     """The embedding y(u) = theta(u) / F(x, theta(u)) as jets over the chart
     variables."""
-    m = len(u0)
-    us = [jets.seed_variable(a + 1, float(u0[a]), m, order) for a in range(m)]
+    space = jets.jet_space(len(u0), order)
+    us = [space.variable(a + 1, float(value)) for a, value in enumerate(u0)]
     theta = parameter_direction(chart.chart_id, us)
     model = chart.model
     f_jet = evaluate(model.f_ast, [float(v) for v in chart.x], list(theta), model.params)
@@ -257,7 +248,7 @@ class FibreJets:
         if basis is None:
             deltas = [d.truncated(order) for d in self.deltas]
             if self.tj.with_x:
-                deltas = [jets.constant(0.0, len(self.dy), order)] * len(deltas) + deltas
+                deltas = [deltas[0].space.constant(0.0)] * len(deltas) + deltas
             basis = self._bases[order] = jets.monomial_basis(deltas, self.tj.x_vars, 0)
         return basis
 
@@ -291,7 +282,7 @@ class FibreJets:
         """Mean Berwald pullback E_ab; zero when F does not depend on x."""
         if not self.model.depends_on_x:
             m = len(self.dy)
-            return np.full((m, m), jets.constant(0.0, m, self.chart_order["e"]))
+            return np.full((m, m), jets.jet_space(m, self.chart_order["e"]).constant(0.0))
         return self._on_chart(berwald_jets, "e")
 
     @cached_property
@@ -299,7 +290,7 @@ class FibreJets:
         """Restricted S-curvature: the volume-free part composed with y(u),
         minus y(u) . grad ln sigma."""
         order = self.chart_order["s"]
-        s = jets.constant(0.0, len(self.dy), order)
+        s = jets.jet_space(len(self.dy), order).constant(0.0)
         if self.model.depends_on_x:
             s = s_main_jet(self.tj, order).compose(self._basis(order))
         for i, grad_i in enumerate(self.chart.sigma_grad):
@@ -308,13 +299,12 @@ class FibreJets:
         return s
 
     def snapshot(self) -> "FibreSnapshot":
-        """Values of g and E, the Berwald scalar e = tr_g E, and the flag point."""
+        """Values of g and E, and the Berwald scalar e = tr_g E."""
         g_inv = np.array(jet_matrix_inverse(self.g.tolist()))
         return FibreSnapshot(
             g=jet_values(self.g),
             berwald=jet_values(self.e),
             e=np.sum(g_inv * self.e).value,
-            flag=FlagPoint(self.chart.x, self.y0),
         )
 
 
@@ -411,28 +401,6 @@ def _curvature(g: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray
 # -- views of the pipeline ----------------------------------------------------------
 
 
-def induced_metric(chart: FibreChart, u) -> np.ndarray:
-    """Pullback of the fundamental tensor to the fibre; positive definite."""
-    return jet_values(fibre_jets(chart.model, chart, u, {"g": 0}).g)
-
-
-def christoffels(chart: FibreChart, u) -> np.ndarray:
-    """Levi-Civita symbols Gamma^c_ab of the induced metric (upper index first)."""
-    g = fibre_jets(chart.model, chart, u, {"g": 1}).g
-    return jet_values(_christoffel_jets(g)[1])
-
-
-def riemann(chart: FibreChart, u) -> np.ndarray:
-    """Lowered curvature tensor R_abcd of the induced metric.
-
-    Convention: R_abcd = g_ae (d_c Gamma^e_db - d_d Gamma^e_cb + ...), so a
-    round fibre of sectional curvature +1 gives R_1212 = +16 at the chart
-    centre where the metric is 4 times the identity.
-    """
-    g = fibre_jets(chart.model, chart, u, {"g": 2}).g
-    return _curvature(g, _christoffel_jets(g)[1])[1]
-
-
 @dataclass
 class RestrictedFields:
     """Every fibre-restricted field at one indicatrix point.
@@ -491,12 +459,11 @@ def restrict_fields(model: MetricModel, chart: FibreChart, u) -> RestrictedField
 @dataclass
 class FibreSnapshot:
     """Values-only fibre data (no derivatives): induced metric, mean Berwald
-    pullback, Berwald scalar, and the embedded flag point."""
+    pullback and Berwald scalar."""
 
     g: np.ndarray
     berwald: np.ndarray
     e: float
-    flag: FlagPoint
 
 
 def fibre_snapshot(model: MetricModel, chart: FibreChart, u) -> FibreSnapshot:
@@ -546,44 +513,6 @@ def s_third_covariant(model: MetricModel, chart: FibreChart, u):
     w = _covariant(_covariant(ds, gamma), gamma)
     r_up, r_low = _curvature(fj.g, gamma)
     return jet_values(w), jet_values(ds), r_up, r_low
-
-
-def covariant_derivative(chart: FibreChart, u, field, rank: int) -> np.ndarray:
-    """Covariant derivative of a chart-coordinate tensor field.
-
-    ``field(chart, u, order)`` must return the field as jets over the chart
-    variables (an array or nested structure of shape (m,)*rank, or a single
-    jet for a scalar).  The derivative index is appended last.
-    """
-    u0 = np.asarray(u, dtype=float)
-    t = np.array(field(chart, u0, 1))
-    if t.ndim != rank:
-        raise ValueError(f"the field has rank {t.ndim}, expected {rank}")
-    gamma = _christoffel_jets(fibre_jets(chart.model, chart, u0, {"g": 1}).g)[1]
-    return jet_values(_covariant(t, gamma))
-
-
-def _field(model: MetricModel, field: str) -> Callable:
-    def view(chart: FibreChart, u, order: int):
-        return getattr(fibre_jets(model, chart, u, {field: order}), field)
-
-    return view
-
-
-def induced_metric_field(model: MetricModel) -> Callable:
-    return _field(model, "g")
-
-
-def cartan_field(model: MetricModel) -> Callable:
-    return _field(model, "h")
-
-
-def berwald_field(model: MetricModel) -> Callable:
-    return _field(model, "e")
-
-
-def s_field(model: MetricModel) -> Callable:
-    return _field(model, "s")
 
 
 # -- sampling ------------------------------------------------------------------

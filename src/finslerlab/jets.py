@@ -33,21 +33,21 @@ product table, which :meth:`JetSpace.multiply` reduces with one
 :meth:`Jet.derivative` one gather scaled by exact integer factors.  The
 tables list their terms in a fixed order, so every product and derivative is
 bit-identical from run to run and to the per-multi-index loops kept as
-references in the tests.  :meth:`Jet.compose` forms the monomials of its
-deltas once, as a :func:`monomial_basis` that every composition with the same
-deltas can share.
+references in the tests.  :meth:`Jet.compose` reads the monomials of its
+deltas from a :func:`monomial_basis`, formed once and shared by every
+composition with the same deltas.
 
-The module also provides a Richardson-extrapolated central-difference
-estimator, used by the test suite as an oracle that is independent of the
-jet arithmetic, and Gaussian elimination helpers for small matrices with jet
-entries.  Tensors of jets are numpy object arrays; :func:`jet_values` and
-:func:`jet_truncated` act on them entrywise.
+Jets are built by :meth:`JetSpace.constant` and :meth:`JetSpace.variable`
+on a space from :func:`jet_space`.  The module also provides Gaussian
+elimination helpers for small matrices with jet entries.  Tensors of jets
+are numpy object arrays; :func:`jet_values` and :func:`jet_truncated` act
+on them entrywise.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,12 +59,9 @@ __all__ = [
     "MonomialBasis",
     "monomial_basis",
     "jet_space",
-    "seed_variable",
-    "constant",
     "extract_derivative",
     "jet_values",
     "jet_truncated",
-    "finite_difference_oracle",
     "jet_matrix_inverse",
     "jet_matrix_det",
 ]
@@ -105,8 +102,9 @@ _SPACES: dict[tuple[int, int, int, int], "JetSpace"] = {}
 def jet_space(n_vars: int, order: int, x_vars: int = 0, x_degree: int = 1) -> "JetSpace":
     """The shared index tables for jets of this signature, one object per
     space: the first ``x_vars`` variables (none by default) enter with joint
-    degree at most ``x_degree``."""
-    key = (n_vars, order, x_vars, x_degree if x_vars else 0)
+    degree at most ``x_degree``.  At order 0 the limit keeps only the
+    constant whatever its value, so it is stored as 0."""
+    key = (n_vars, order, x_vars, x_degree if x_vars and order else 0)
     space = _SPACES.get(key)
     if space is None:
         space = _SPACES[key] = JetSpace(*key)
@@ -261,17 +259,6 @@ class Jet:
     def __init__(self, space: JetSpace, coeffs: np.ndarray):
         self.space = space
         self.coeffs = coeffs
-
-    # -- construction ---------------------------------------------------
-
-    @staticmethod
-    def constant(value: float, n_vars: int, order: int) -> "Jet":
-        return jet_space(n_vars, order).constant(value)
-
-    @staticmethod
-    def variable(i: int, value: float, n_vars: int, order: int) -> "Jet":
-        """Jet of the i-th coordinate function (i is 1-based)."""
-        return jet_space(n_vars, order).variable(i, value)
 
     # -- basic queries ----------------------------------------------------
 
@@ -450,25 +437,19 @@ class Jet:
         space, src, factor = self.space.derivative_table(tuple(int(g) for g in gamma))
         return Jet(space, self.coeffs[src] * factor)
 
-    def compose(self, deltas: "Sequence[Jet] | MonomialBasis") -> "Jet":
+    def compose(self, basis: "MonomialBasis") -> "Jet":
         """Substitute nilpotent jets for the variables of this expansion.
 
-        ``deltas[i]`` stands for the offset of variable i from the expansion
-        point and must have a zero order-0 coefficient; all deltas share one
-        jet space, which is also the space of the result.  Passing the
-        :func:`monomial_basis` of the deltas instead lets every composition
-        with the same deltas share their monomials; the basis must be built
-        for this jet's x-degree limit.
+        ``basis`` is the :func:`monomial_basis` of the deltas, the offsets of
+        the variables from the expansion point, built for this jet's x-degree
+        limit; every composition with the same deltas can share it.  The
+        result lives in the jet space of the deltas.
         """
         here = self.space
-        if isinstance(deltas, MonomialBasis):
-            basis = deltas
-        else:
-            basis = monomial_basis(deltas, here.x_vars, here.x_degree)
         rows = basis.rows_space
         if rows.n_vars != here.n_vars:
             raise ValueError("one delta jet is required per variable")
-        if (rows.x_vars, rows.x_degree) != (here.x_vars, here.x_degree):
+        if rows is not jet_space(here.n_vars, rows.order, here.x_vars, here.x_degree):
             raise ValueError("the monomial basis is built for another x-degree limit")
         limit = self.space.grade_offsets[min(basis.space.order, self.order) + 1]
         # the terms are summed in layout order, row after row
@@ -519,18 +500,6 @@ def monomial_basis(deltas: Sequence[Jet], x_vars: int = 0, x_degree: int = 1) ->
     return MonomialBasis(uspace, src, rows)
 
 
-# -- spec-level convenience wrappers ---------------------------------------
-
-
-def seed_variable(i: int, value: float, n_vars: int, order: int) -> Jet:
-    """Jet of the i-th coordinate function (1-based index)."""
-    return Jet.variable(i, value, n_vars, order)
-
-
-def constant(value: float, n_vars: int, order: int) -> Jet:
-    return Jet.constant(value, n_vars, order)
-
-
 def extract_derivative(jet: Jet, alpha: Sequence[int]) -> float:
     """Return d^alpha f at the expansion point, i.e. alpha! * coeffs[alpha]."""
     alpha = tuple(int(a) for a in alpha)
@@ -555,47 +524,6 @@ def jet_truncated(array, order: int, x_degree: int | None = None) -> np.ndarray:
     """An array of jets with every entry truncated to ``order`` (and to the
     x-degree limit ``x_degree``, if given)."""
     return np.vectorize(lambda jet: jet.truncated(order, x_degree), otypes=[object])(array)
-
-
-def finite_difference_oracle(
-    f: Callable[[np.ndarray], float],
-    point: Sequence[float],
-    alpha: Sequence[int],
-    step: float,
-) -> float:
-    """Central-difference estimate of d^alpha f at ``point``.
-
-    Mixed derivatives are built by recursive first-order central differences;
-    one Richardson extrapolation level removes the leading h^2 error term.
-    Intended as a test oracle, independent of the jet arithmetic.
-    """
-    alpha = [int(a) for a in alpha]
-    if sum(alpha) > 4:
-        raise ValueError("the finite-difference oracle supports |alpha| <= 4")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    base = [float(v) for v in point]
-
-    def estimate(h: float) -> float:
-        def rec(p: list[float], a: list[int]) -> float:
-            for i, ai in enumerate(a):
-                if ai:
-                    break
-            else:
-                return float(f(np.asarray(p)))
-            a2 = a.copy()
-            a2[i] -= 1
-            pp = p.copy()
-            pm = p.copy()
-            pp[i] += h
-            pm[i] -= h
-            return (rec(pp, a2) - rec(pm, a2)) / (2.0 * h)
-
-        return rec(base, alpha)
-
-    coarse = estimate(step)
-    fine = estimate(step / 2.0)
-    return (4.0 * fine - coarse) / 3.0
 
 
 # -- linear algebra over the jet ring ---------------------------------------

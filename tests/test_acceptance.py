@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from finslerlab.checks import (
-    isotropy_residual_from_fields,
+    isotropy_residual,
     run_identity_suite,
     schur_audit,
     weak_isotropy_check,
@@ -32,16 +32,15 @@ from finslerlab.indicatrix import (
     FibreChart,
     chart_embed,
     fibre_snapshot,
-    induced_metric,
     restrict_fields,
-    riemann,
     sample_fibre_points,
 )
-from finslerlab.jets import extract_derivative, finite_difference_oracle, seed_variable
+from finslerlab.jets import extract_derivative, jet_space
 from finslerlab.volume import bh_volume_coefficient
 from finslerlab.zoo import build
 
 from conftest import random_flag
+from fd_oracle import finite_difference_oracle
 
 
 def _report(name: str, passed: bool, detail: str):
@@ -65,7 +64,7 @@ def test_criterion_1_funk_quantitative_suite(funk3):
         for pt in fibre_points:
             snap = fibre_snapshot(funk3, pt.chart, pt.u)
             e_values.append(snap.e)
-            worst_iso = max(worst_iso, isotropy_residual_from_fields(snap, 3))
+            worst_iso = max(worst_iso, isotropy_residual(snap, 3))
         worst_e = max(worst_e, max(abs(e - 4.0) for e in e_values))
         worst_spread = max(worst_spread, max(e_values) - min(e_values))
         weak = weak_isotropy_check(funk3, x, points=fibre_points)
@@ -148,8 +147,8 @@ def test_criterion_4_euclidean_calibration(euclid3):
     worst_sectional = worst_gauss = 0.0
     for _ in range(50):
         u = rng.uniform(-1.5, 1.5, 2)
-        g = induced_metric(chart, u)
-        r = riemann(chart, u)
+        rf = restrict_fields(euclid3, chart, u)
+        g, r = rf.g, rf.riemann
         sectional = r[0, 1, 0, 1] / (g[0, 0] * g[1, 1] - g[0, 1] ** 2)
         worst_sectional = max(worst_sectional, abs(sectional - 1.0))
         constant_curvature = np.einsum("ac,bd->abcd", g, g) - np.einsum(
@@ -212,8 +211,9 @@ def test_criterion_6_cross_validation(zoo_models):
             point = FlagPoint(x, y)
 
             # derivatives of F^2 at every order 1..4, one random multi-index each
-            xj = [seed_variable(i + 1, x[i], 2 * n, 4) for i in range(n)]
-            yj = [seed_variable(n + i + 1, y[i], 2 * n, 4) for i in range(n)]
+            space = jet_space(2 * n, 4)
+            xj = [space.variable(i + 1, x[i]) for i in range(n)]
+            yj = [space.variable(n + i + 1, y[i]) for i in range(n)]
             f_jet = evaluate(model.f_ast, xj, yj, model.params)
             f2_jet = f_jet * f_jet
 

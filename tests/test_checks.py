@@ -4,18 +4,25 @@ import pytest
 from finslerlab.checks import (
     DEFAULT_TOLERANCES,
     FibrePointError,
-    check_cartan_symmetry,
-    check_codazzi,
-    check_gauss,
-    check_pde,
+    cartan_symmetry_residual,
     check_ricci,
+    codazzi_residual,
+    gauss_residual,
     isotropy_residual,
+    pde_residual,
     run_identity_suite,
     schur_audit,
     weak_isotropy_check,
 )
 from finslerlab.core import MetricModel, NonPositiveDefiniteError, fundamental_tensor
-from finslerlab.indicatrix import FibreChart, IndicatrixPoint, chart_embed, sample_fibre_points
+from finslerlab.indicatrix import (
+    FibreChart,
+    IndicatrixPoint,
+    chart_embed,
+    fibre_snapshot,
+    restrict_fields,
+    sample_fibre_points,
+)
 from finslerlab.zoo import build
 
 
@@ -25,12 +32,14 @@ def fibre_point(model, x, u):
 
 def test_pde_residual_riemannian(riem3):
     point = fibre_point(riem3, [0.2, -0.3, 0.1], np.array([0.4, 0.2]))
-    assert np.max(np.abs(check_pde(riem3, point))) <= 1e-9
+    rf = restrict_fields(riem3, point.chart, point.u)
+    assert np.max(np.abs(pde_residual(rf)[0])) <= 1e-9
 
 
 def test_pde_residual_funk_is_the_normalisation_calibration(funk3):
     point = fibre_point(funk3, [0.5, 0.0, 0.0], np.array([0.3, -0.2]))
-    assert np.max(np.abs(check_pde(funk3, point))) <= 1e-5
+    rf = restrict_fields(funk3, point.chart, point.u)
+    assert np.max(np.abs(pde_residual(rf)[0])) <= 1e-5
 
 
 def test_pde_residual_quartic_with_volume():
@@ -41,32 +50,35 @@ def test_pde_residual_quartic_with_volume():
         metric_id="quartic-volume",
     )
     point = fibre_point(model, [0.1, -0.2, 0.3], np.array([0.35, 0.55]))
-    assert np.max(np.abs(check_pde(model, point))) <= 1e-9
+    rf = restrict_fields(model, point.chart, point.u)
+    assert np.max(np.abs(pde_residual(rf)[0])) <= 1e-9
 
 
 def test_identity_residuals_randers(randers3, rng):
     x = randers3.sample_x(rng)
     for point in sample_fibre_points(randers3, x, 5, rng):
-        assert np.max(np.abs(check_pde(randers3, point))) <= 1e-5
-        assert np.max(np.abs(check_codazzi(randers3, point))) <= 1e-4
-        assert np.max(np.abs(check_cartan_symmetry(randers3, point))) <= 1e-5
-        assert np.max(np.abs(check_gauss(randers3, point))) <= 1e-5
+        rf = restrict_fields(randers3, point.chart, point.u)
+        assert np.max(np.abs(pde_residual(rf)[0])) <= 1e-5
+        assert np.max(np.abs(codazzi_residual(rf)[0])) <= 1e-4
+        assert np.max(np.abs(cartan_symmetry_residual(rf)[0])) <= 1e-5
+        assert np.max(np.abs(gauss_residual(rf)[0])) <= 1e-5
         assert np.max(np.abs(check_ricci(randers3, point))) <= 1e-5
 
 
 def test_gauss_euclidean_reduces_to_round_sphere(euclid3):
     point = fibre_point(euclid3, [0.0, 0.0, 0.0], np.array([0.3, 0.8]))
-    assert np.max(np.abs(check_gauss(euclid3, point))) <= 1e-7
+    rf = restrict_fields(euclid3, point.chart, point.u)
+    assert np.max(np.abs(gauss_residual(rf)[0])) <= 1e-7
 
 
 def test_isotropy_residual_funk(funk3):
     point = fibre_point(funk3, [0.3, 0.1, 0.0], np.array([0.5, -0.4]))
-    assert isotropy_residual(funk3, point) <= 1e-6
+    assert isotropy_residual(fibre_snapshot(funk3, point.chart, point.u), 3) <= 1e-6
 
 
 def test_isotropy_residual_riemannian(riem3):
     point = fibre_point(riem3, [0.2, -0.3, 0.1], np.array([0.4, 0.2]))
-    assert isotropy_residual(riem3, point) <= 1e-12
+    assert isotropy_residual(fibre_snapshot(riem3, point.chart, point.u), 3) <= 1e-12
 
 
 def test_isotropy_residual_randers_flags_non_isotropy(randers3, rng):
@@ -76,7 +88,8 @@ def test_isotropy_residual_randers_flags_non_isotropy(randers3, rng):
     for _ in range(3):
         x = randers3.sample_x(rng)
         for point in sample_fibre_points(randers3, x, 10, rng):
-            worst = max(worst, isotropy_residual(randers3, point))
+            snap = fibre_snapshot(randers3, point.chart, point.u)
+            worst = max(worst, isotropy_residual(snap, 3))
     assert worst > 1e-2
 
 
@@ -166,7 +179,7 @@ def test_weak_isotropy_checks_convexity_at_every_point():
     assert len(bad) == 9 and bad[0] > 0  # the first point is convex
     first_bad = rf"^NonPositiveDefiniteError at fibre {bad[0]}, chart "
     with pytest.raises(FibrePointError, match=first_bad) as info:
-        weak_isotropy_check(model, x, points=points, c=0.0)
+        weak_isotropy_check(model, x, points=points)
     assert ", stage weak-isotropy: fundamental tensor is not positive" in str(info.value)
 
 

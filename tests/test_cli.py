@@ -256,3 +256,38 @@ def test_audit_expands_once_per_fibre_point(tmp_path, core_counts):
     records = json.loads(out.read_text())["audits"]
     assert all("weak_isotropy" in record for record in records)
     assert core_counts["expansions"] == 6 * 2
+
+
+def test_quadrature_failure_is_named_in_the_report_and_exits_2(tmp_path, capsys):
+    # b = 0.97 puts the unit set so close to the origin that the BH sphere
+    # quadrature of F^-3 does not settle
+    out = tmp_path / "report.json"
+    code = run_cli(
+        "check", "--metric-expr", "sqrt(y1^2+y2^2+y3^2) + 0.97*y1", "--dim", "3",
+        "--volume", "bh", "--base-points", "1", "--samples", "1", "--out", str(out),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "QuadratureError at base 0, fibre 0, chart " in err
+    assert ", u=[" in err and "sphere quadrature did not converge" in err
+    doc = json.loads(out.read_text())
+    for check in doc["checks"]:
+        assert not check["pass"]
+        assert check["error"].startswith("QuadratureError at base 0, fibre 0, chart ")
+        assert check["error"] in err
+
+
+@pytest.mark.parametrize("command", ["audit", "curvature"])
+def test_only_check_writes_csv(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "metric": "funk_ball", "dim": 3, "base_points": 1, "samples": 2,
+        "x": "0,0,0", "y": "0,0,1", "format": "csv",
+    }))
+    out = tmp_path / "report"
+    assert run_cli(command, "--config", str(config), "--out", str(out)) == 2
+    assert "format:" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as info:
+        run_cli(command, "--metric", "funk_ball", "--dim", "3", "--format", "csv")
+    assert info.value.code == 2

@@ -20,7 +20,7 @@ from finslerlab.expr import (
     parse,
     serialize,
 )
-from finslerlab.jets import seed_variable
+from finslerlab.jets import jet_space
 
 
 def test_parse_sqrt_sum():
@@ -187,7 +187,8 @@ def test_plain_evaluation_matches_jet_order_zero(zoo_models, rng):
             y = model.sample_y(rng)
             plain = model.f(x, y)
             n = model.dim
-            xj = [seed_variable(i + 1, x[i], 2 * n, 2) for i in range(n)]
-            yj = [seed_variable(n + i + 1, y[i], 2 * n, 2) for i in range(n)]
+            space = jet_space(2 * n, 2)
+            xj = [space.variable(i + 1, x[i]) for i in range(n)]
+            yj = [space.variable(n + i + 1, y[i]) for i in range(n)]
             jet = evaluate(model.f_ast, xj, yj, model.params)
             assert abs(jet.value - plain) <= 1e-13 * max(1.0, abs(plain))

@@ -6,25 +6,22 @@ from finslerlab.core import FlagPoint, fundamental_tensor, metric_value, s_curva
 from finslerlab.indicatrix import (
     FibreChart,
     IndicatrixPoint,
-    berwald_field,
+    _christoffel_jets,
+    _covariant,
     berwald_fields,
-    cartan_field,
     chart_embed,
     chart_transition,
-    christoffels,
-    covariant_derivative,
     direction_chart,
+    fibre_jets,
     fibre_snapshot,
-    induced_metric,
-    induced_metric_field,
     parameter_direction,
     restrict_fields,
-    riemann,
-    s_field,
     sample_fibre_points,
     transition_jacobian,
 )
-from finslerlab.jets import finite_difference_oracle
+from finslerlab.jets import jet_values
+
+from fd_oracle import finite_difference_oracle
 
 
 def north_chart(model, x):
@@ -71,16 +68,18 @@ def test_embedding_unit_level_and_rank(zoo_models, rng):
 
 def test_induced_metric_euclidean_round_factor(euclid3):
     chart = north_chart(euclid3, [0.0, 0.0, 0.0])
-    np.testing.assert_allclose(induced_metric(chart, np.zeros(2)), 4.0 * np.eye(2), atol=1e-12)
     np.testing.assert_allclose(
-        induced_metric(chart, np.array([1.0, 0.0])), np.eye(2), atol=1e-12
+        restrict_fields(euclid3, chart, np.zeros(2)).g, 4.0 * np.eye(2), atol=1e-12
+    )
+    np.testing.assert_allclose(
+        restrict_fields(euclid3, chart, np.array([1.0, 0.0])).g, np.eye(2), atol=1e-12
     )
 
 
 def test_induced_metric_matches_fd_pullback(randers3, rng):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
     u = np.array([0.4, -0.6])
-    g_dot = induced_metric(chart, u)
+    g_dot = restrict_fields(randers3, chart, u).g
     flag = chart_embed(chart, u)
     g = fundamental_tensor(randers3, flag)
     jacobian = np.empty((3, 2))
@@ -95,12 +94,12 @@ def test_induced_metric_matches_fd_pullback(randers3, rng):
 
 def test_christoffels_euclidean_center(euclid3):
     chart = north_chart(euclid3, [0.0, 0.0, 0.0])
-    np.testing.assert_allclose(christoffels(chart, np.zeros(2)), 0.0, atol=1e-12)
+    np.testing.assert_allclose(restrict_fields(euclid3, chart, np.zeros(2)).gamma, 0.0, atol=1e-12)
 
 
 def test_riemann_euclidean_calibration(euclid3):
     chart = north_chart(euclid3, [0.0, 0.0, 0.0])
-    r = riemann(chart, np.zeros(2))
+    r = restrict_fields(euclid3, chart, np.zeros(2)).riemann
     assert r[0, 1, 0, 1] == pytest.approx(16.0, rel=1e-10)
 
 
@@ -108,7 +107,7 @@ def test_riemann_algebraic_symmetries(randers3, rng):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
     for _ in range(3):
         u = rng.uniform(-1.0, 1.0, 2)
-        r = riemann(chart, u)
+        r = restrict_fields(randers3, chart, u).riemann
         scale = max(1.0, np.max(np.abs(r)))
         assert np.max(np.abs(r + np.transpose(r, (1, 0, 2, 3)))) <= 1e-6 * scale
         assert np.max(np.abs(r + np.transpose(r, (0, 1, 3, 2)))) <= 1e-6 * scale
@@ -121,8 +120,8 @@ def test_euclidean_sectional_curvature(euclid3, rng):
     chart = north_chart(euclid3, [0.0, 0.0, 0.0])
     for _ in range(50):
         u = rng.uniform(-1.5, 1.5, 2)
-        g = induced_metric(chart, u)
-        r = riemann(chart, u)
+        rf = restrict_fields(euclid3, chart, u)
+        g, r = rf.g, rf.riemann
         sectional = r[0, 1, 0, 1] / (g[0, 0] * g[1, 1] - g[0, 1] ** 2)
         assert sectional == pytest.approx(1.0, abs=1e-7)
 
@@ -157,16 +156,15 @@ def test_snapshot_matches_bundle(randers3, rng):
 
 def test_covariant_derivative_constant_scalar(randers3):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
-    field = lambda chart, u, order: jets.constant(3.0, 2, order)
-    np.testing.assert_allclose(
-        covariant_derivative(chart, np.array([0.4, 0.1]), field, 0), 0.0, atol=1e-10
-    )
+    gamma = _christoffel_jets(fibre_jets(randers3, chart, np.array([0.4, 0.1]), {"g": 1}).g)[1]
+    scalar = jets.jet_space(2, 1).constant(3.0)
+    np.testing.assert_allclose(jet_values(_covariant(scalar, gamma)), 0.0, atol=1e-10)
 
 
 def test_metric_compatibility(randers3, rng):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
-    u = rng.uniform(-1, 1, 2)
-    nabla_g = covariant_derivative(chart, u, induced_metric_field(randers3), 2)
+    g = fibre_jets(randers3, chart, rng.uniform(-1, 1, 2), {"g": 1}).g
+    nabla_g = jet_values(_covariant(g, _christoffel_jets(g)[1]))
     assert np.max(np.abs(nabla_g)) <= 1e-7
 
 
@@ -255,24 +253,12 @@ def test_fibre_covariant_derivative_matches_fd(randers3):
     np.testing.assert_allclose(cov_fd, rf.berwald_cov, atol=1e-5)
 
 
-def test_field_factories_consistent(randers3):
-    chart = north_chart(randers3, [0.3, 0.2, -0.1])
-    u = np.array([0.4, 0.25])
-    rf = restrict_fields(randers3, chart, u)
-    nabla_h = covariant_derivative(chart, u, cartan_field(randers3), 3)
-    np.testing.assert_allclose(nabla_h, rf.cartan_cov, atol=1e-10)
-    nabla_e = covariant_derivative(chart, u, berwald_field(randers3), 2)
-    np.testing.assert_allclose(nabla_e, rf.berwald_cov, atol=1e-10)
-    ds = covariant_derivative(chart, u, s_field(randers3), 0)
-    np.testing.assert_allclose(ds, rf.s_grad, atol=1e-12)
-
-
 def test_chart_validity_enforced(euclid3):
     chart = north_chart(euclid3, [0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="validity"):
         IndicatrixPoint(chart, np.array([5.0, 0.0]))
     with pytest.raises(ValueError, match="validity"):
-        induced_metric(chart, np.array([4.5, 0.0]))
+        restrict_fields(euclid3, chart, np.array([4.5, 0.0]))
 
 
 def test_chart_embed_rejects_nonpositive_ray():
@@ -287,7 +273,7 @@ def test_chart_embed_rejects_nonpositive_ray():
 
 def test_christoffels_torsion_free(randers3, rng):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
-    gamma = christoffels(chart, rng.uniform(-1, 1, 2))
+    gamma = restrict_fields(randers3, chart, rng.uniform(-1, 1, 2)).gamma
     np.testing.assert_allclose(gamma, np.transpose(gamma, (0, 2, 1)), atol=1e-14)
 
 

@@ -8,23 +8,23 @@ from hypothesis import strategies as st
 from finslerlab.jets import (
     Jet,
     JetDomainError,
-    constant,
     extract_derivative,
-    finite_difference_oracle,
     jet_matrix_det,
     jet_matrix_inverse,
     jet_space,
-    seed_variable,
+    monomial_basis,
 )
+
+from fd_oracle import finite_difference_oracle
 
 
 def test_seed_and_square():
-    j = seed_variable(1, 3.0, 1, 2)
+    j = jet_space(1, 2).variable(1, 3.0)
     np.testing.assert_allclose((j * j).coeffs, [9.0, 6.0, 1.0])
 
 
 def test_seed_layout():
-    j = seed_variable(2, 0.0, 2, 1)
+    j = jet_space(2, 1).variable(2, 0.0)
     space = jet_space(2, 1)
     assert j.coeffs[space.index_of[(0, 0)]] == 0.0
     assert j.coeffs[space.index_of[(0, 1)]] == 1.0
@@ -33,60 +33,60 @@ def test_seed_layout():
 
 def test_seed_index_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        seed_variable(3, 1.0, 2, 2)
+        jet_space(2, 2).variable(3, 1.0)
 
 
 def test_sqrt_series():
-    j = seed_variable(1, 4.0, 1, 3).sqrt()
+    j = jet_space(1, 3).variable(1, 4.0).sqrt()
     np.testing.assert_allclose(j.coeffs, [2.0, 0.25, -1.0 / 64.0, 1.0 / 512.0], rtol=1e-15)
 
 
 def test_mixed_product_derivative():
-    a = seed_variable(1, 2.0, 2, 2)
-    b = seed_variable(2, 5.0, 2, 2)
+    a = jet_space(2, 2).variable(1, 2.0)
+    b = jet_space(2, 2).variable(2, 5.0)
     assert extract_derivative(a * b, (1, 1)) == pytest.approx(1.0)
 
 
 def test_ln_domain_error():
-    j = constant(-1.0, 1, 2)
+    j = jet_space(1, 2).constant(-1.0)
     with pytest.raises(JetDomainError) as info:
         j.ln()
     assert info.value.fn == "ln"
 
 
 def test_division_by_zero_jet():
-    j = seed_variable(1, 0.0, 1, 2)
+    j = jet_space(1, 2).variable(1, 0.0)
     with pytest.raises(JetDomainError):
-        constant(1.0, 1, 2) / j
+        jet_space(1, 2).constant(1.0) / j
 
 
 def test_extract_cubic():
-    t = seed_variable(1, 2.0, 1, 3)
+    t = jet_space(1, 3).variable(1, 2.0)
     cubic = t * t * t
     assert extract_derivative(cubic, (3,)) == pytest.approx(6.0)
 
 
 def test_extract_exp_mixed():
-    x = seed_variable(1, 0.0, 2, 2)
-    y = seed_variable(2, 0.0, 2, 2)
+    x = jet_space(2, 2).variable(1, 0.0)
+    y = jet_space(2, 2).variable(2, 0.0)
     assert extract_derivative((x + y).exp(), (1, 1)) == pytest.approx(1.0)
 
 
 def test_extract_order_overflow():
-    j = seed_variable(1, 1.0, 1, 2)
+    j = jet_space(1, 2).variable(1, 1.0)
     with pytest.raises(ValueError, match="exceeds jet order"):
         extract_derivative(j, (3,))
 
 
 def test_space_mismatch_rejected():
-    a = seed_variable(1, 1.0, 1, 2)
-    b = seed_variable(1, 1.0, 1, 3)
+    a = jet_space(1, 2).variable(1, 1.0)
+    b = jet_space(1, 3).variable(1, 1.0)
     with pytest.raises(ValueError, match="matching variable count and order"):
         a + b
 
 
 def test_integer_pow_allows_negative_base():
-    j = seed_variable(1, -2.0, 1, 2)
+    j = jet_space(1, 2).variable(1, -2.0)
     np.testing.assert_allclose((j ** 2).coeffs, [4.0, -4.0, 1.0])
     with pytest.raises(JetDomainError):
         j ** 0.5
@@ -94,7 +94,7 @@ def test_integer_pow_allows_negative_base():
 
 def test_derivative_shift():
     # f = t^4 at t = 2: f'' as a jet of order 2
-    t = seed_variable(1, 2.0, 1, 4)
+    t = jet_space(1, 4).variable(1, 2.0)
     f = t ** 4
     second = f.derivative((2,))
     assert second.order == 2
@@ -104,17 +104,17 @@ def test_derivative_shift():
 
 def test_compose_univariate_against_direct():
     # f(y) = y^3 expanded at y0=2, evaluated on y = y0 + (u^2) as a chart jet
-    y = seed_variable(1, 2.0, 1, 3)
+    y = jet_space(1, 3).variable(1, 2.0)
     f = y * y * y
-    u = seed_variable(1, 0.5, 1, 3)
+    u = jet_space(1, 3).variable(1, 0.5)
     delta = u * u - 0.25  # nilpotent: (u0+h)^2 - u0^2
-    composed = f.compose([delta])
+    composed = f.compose(monomial_basis([delta]))
     direct = (u * u + 2.0 - 0.25) ** 3
     np.testing.assert_allclose(composed.coeffs, direct.coeffs, rtol=1e-13)
 
 
 def test_truncated_prefix():
-    j = seed_variable(1, 1.5, 2, 3) * seed_variable(2, -0.5, 2, 3)
+    j = jet_space(2, 3).variable(1, 1.5) * jet_space(2, 3).variable(2, -0.5)
     t = j.truncated(2)
     np.testing.assert_allclose(t.coeffs, j.coeffs[: jet_space(2, 2).size])
 
@@ -167,13 +167,13 @@ def test_fd_oracle_order_cap():
 
 
 def test_jet_matrix_inverse_and_det():
-    x = seed_variable(1, 0.3, 2, 2)
-    y = seed_variable(2, -0.2, 2, 2)
+    x = jet_space(2, 2).variable(1, 0.3)
+    y = jet_space(2, 2).variable(2, -0.2)
     m = [[2.0 + x * x, x * y], [x * y, 1.0 + y * y]]
     inv = jet_matrix_inverse(m)
     for i in range(2):
         for j in range(2):
-            acc = constant(0.0, 2, 2)
+            acc = jet_space(2, 2).constant(0.0)
             for k in range(2):
                 acc = acc + m[i][k] * inv[k][j]
             expect = 1.0 if i == j else 0.0
@@ -187,7 +187,6 @@ def test_jet_matrix_inverse_and_det():
 def test_jets_match_fd_oracle_on_zoo_f2(zoo_models, rng):
     """Jet derivatives of F^2 against the finite-difference oracle, |alpha| <= 4."""
     from finslerlab.expr import evaluate
-    from finslerlab.jets import seed_variable as seed
 
     for model in zoo_models:
         n = model.dim
@@ -195,8 +194,9 @@ def test_jets_match_fd_oracle_on_zoo_f2(zoo_models, rng):
             x = model.sample_x(rng)
             y = model.sample_y(rng)
             y = y / np.linalg.norm(y) * 2.0
-            xj = [seed(i + 1, x[i], 2 * n, 4) for i in range(n)]
-            yj = [seed(n + i + 1, y[i], 2 * n, 4) for i in range(n)]
+            space = jet_space(2 * n, 4)
+            xj = [space.variable(i + 1, x[i]) for i in range(n)]
+            yj = [space.variable(n + i + 1, y[i]) for i in range(n)]
             f = evaluate(model.f_ast, xj, yj, model.params)
             f2 = f * f
 
@@ -273,7 +273,7 @@ def test_derivative_table_is_bit_identical_to_the_loop(n_vars, order):
 
 
 def test_derivative_rejects_bad_gamma():
-    jet = seed_variable(1, 1.0, 2, 2)
+    jet = jet_space(2, 2).variable(1, 1.0)
     with pytest.raises(ValueError, match="one entry per variable"):
         jet.derivative((1,))
     with pytest.raises(ValueError, match="exceeds jet order"):
@@ -329,14 +329,13 @@ def _reference_compose(jet, deltas):
     ],
 )
 def test_compose_basis_matches_the_monomial_route(n_vars, n_chart, chart_order, order, zero_slots):
-    from finslerlab.jets import monomial_basis
-
     rng = np.random.default_rng(n_vars + 10 * n_chart + 100 * chart_order)
-    us = [seed_variable(a + 1, rng.uniform(-0.5, 0.5), n_chart, chart_order) for a in range(n_chart)]
+    chart = jet_space(n_chart, chart_order)
+    us = [chart.variable(a + 1, rng.uniform(-0.5, 0.5)) for a in range(n_chart)]
     deltas = []
     for i in range(n_vars):
         if i < zero_slots:
-            deltas.append(constant(0.0, n_chart, chart_order))
+            deltas.append(chart.constant(0.0))
             continue
         d = (rng.uniform(-1, 1) * us[i % n_chart] + us[(i + 1) % n_chart] * us[i % n_chart]).exp()
         deltas.append(d - d.value)
@@ -346,20 +345,20 @@ def test_compose_basis_matches_the_monomial_route(n_vars, n_chart, chart_order, 
         jet = Jet(space, rng.standard_normal(space.size))
         want = _reference_compose(jet, deltas)
         scale = max(1.0, np.max(np.abs(want)))
-        for got in (jet.compose(deltas), jet.compose(basis)):
-            assert got.space is deltas[0].space
-            np.testing.assert_allclose(got.coeffs, want, rtol=0, atol=1e-13 * scale)
+        got = jet.compose(basis)
+        assert got.space is deltas[0].space
+        np.testing.assert_allclose(got.coeffs, want, rtol=0, atol=1e-13 * scale)
 
 
 def test_compose_validates_deltas():
-    jet = seed_variable(1, 1.0, 2, 2)
-    u = seed_variable(1, 0.5, 1, 2)
+    jet = jet_space(2, 2).variable(1, 1.0)
+    u = jet_space(1, 2).variable(1, 0.5)
     with pytest.raises(ValueError, match="one delta jet is required per variable"):
-        jet.compose([u - 0.5])
+        jet.compose(monomial_basis([u - 0.5]))
     with pytest.raises(ValueError, match="zero order-0 coefficient"):
-        jet.compose([u, u - 0.5])
+        jet.compose(monomial_basis([u, u - 0.5]))
     with pytest.raises(ValueError, match="share one jet space"):
-        jet.compose([u - 0.5, seed_variable(1, 0.5, 1, 3) - 0.5])
+        jet.compose(monomial_basis([u - 0.5, jet_space(1, 3).variable(1, 0.5) - 0.5]))
 
 
 # -- x-linear spaces: the first x_vars variables enter to joint degree 1 -------
@@ -476,14 +475,34 @@ def test_jet_space_is_one_object_per_signature():
     assert jet_space(8, 6, 4, 0) is not jet_space(8, 6, 4)
     assert jet_space(8, 6, 4) is not jet_space(8, 6)
     # the derivative tables hand back the cached spaces, too
-    assert seed_variable(1, 0.5, 6, 3).derivative((0, 1, 0, 0, 0, 0)).space is jet_space(6, 2)
+    assert jet_space(6, 3).variable(1, 0.5).derivative((0, 1, 0, 0, 0, 0)).space is jet_space(6, 2)
+
+
+def test_order_zero_spaces_ignore_the_x_degree_limit():
+    # at order 0 every limit keeps only the constant: one space, one table
+    assert jet_space(8, 0, 4, 0) is jet_space(8, 0, 4, 1) is jet_space(8, 0, 4)
+    assert jet_space(6, 0, 3, 0) is jet_space(6, 0, 3, 1)
+    assert jet_space(6, 1, 3, 0) is not jet_space(6, 1, 3, 1)
+    assert jet_space(8, 1, 4, 0).size < jet_space(8, 1, 4, 1).size
+
+
+def test_x_free_truncation_of_a_y_derivative_drops_the_x_linear_coefficients():
+    space = jet_space(6, 4, 3)
+    jet = Jet(space, np.random.default_rng(4).standard_normal(space.size))
+    d_y = jet.derivative((0, 0, 0, 0, 1, 0))
+    assert d_y.space is jet_space(6, 3, 3, 1)
+    for order in (2, 0):
+        x_free = d_y.truncated(order, x_degree=0)
+        assert x_free.space is jet_space(6, order, 3, 0)
+        assert all(not any(alpha[:3]) for alpha in x_free.space.multi_indices)
+        assert x_free.space.size == jet_space(3, order).size
+        kept = _kept(d_y.space, x_free.space)
+        assert x_free.coeffs.tobytes() == d_y.coeffs[kept].tobytes()
 
 
 def test_compose_needs_a_basis_of_the_same_x_degree_limit():
-    from finslerlab.jets import monomial_basis
-
-    us = [seed_variable(a + 1, 0.3 * a, 2, 2) for a in range(2)]
-    zero = constant(0.0, 2, 2)
+    us = [jet_space(2, 2).variable(a + 1, 0.3 * a) for a in range(2)]
+    zero = jet_space(2, 2).constant(0.0)
     deltas = [zero, zero, us[0] - us[0].value, (us[0] * us[1]).exp() - 1.0]
     jet = Jet(jet_space(4, 3, 2), np.random.default_rng(9).standard_normal(jet_space(4, 3, 2).size))
     x_free = jet.truncated(3, x_degree=0)
@@ -491,6 +510,5 @@ def test_compose_needs_a_basis_of_the_same_x_degree_limit():
     with pytest.raises(ValueError, match="another x-degree limit"):
         jet.compose(basis)
     # x stays put (zero deltas), so the x-linear part contributes nothing
-    np.testing.assert_allclose(
-        x_free.compose(basis).coeffs, jet.compose(deltas).coeffs, rtol=0, atol=1e-13
-    )
+    full = jet.compose(monomial_basis(deltas, 2, 1))
+    np.testing.assert_allclose(x_free.compose(basis).coeffs, full.coeffs, rtol=0, atol=1e-13)

@@ -5,7 +5,7 @@ import pytest
 
 from finslerlab.core import FlagPoint, metric_value, spray_coefficients
 from finslerlab.expr import evaluate
-from finslerlab.jets import extract_derivative, seed_variable
+from finslerlab.jets import extract_derivative, jet_space
 from finslerlab.zoo import RandersConditionViolated, build, entries, funk_norm, zoo_ids
 
 from conftest import random_flag
@@ -54,8 +54,9 @@ def test_funk_pde(funk3, rng):
     for _ in range(100):
         x = funk3.sample_x(rng)
         y = funk3.sample_y(rng)
-        xj = [seed_variable(i + 1, x[i], 2 * n, 1) for i in range(n)]
-        yj = [seed_variable(n + i + 1, y[i], 2 * n, 1) for i in range(n)]
+        space = jet_space(2 * n, 1)
+        xj = [space.variable(i + 1, x[i]) for i in range(n)]
+        yj = [space.variable(n + i + 1, y[i]) for i in range(n)]
         f = evaluate(funk3.f_ast, xj, yj, funk3.params)
         for k in range(n):
             alpha_x = tuple(1 if i == k else 0 for i in range(2 * n))
