@@ -11,15 +11,17 @@ curvature and covariant derivatives are computed in chart coordinates.
 
 One pipeline per fibre point: :func:`fibre_jets` expands F once at the
 embedded flag point (one :class:`~finslerlab.core.TensorJets`, read through
-the core extractors) and composes it with the chart jets of y(u), giving
-chart jets of the induced metric g, the Cartan pullback H, the mean Berwald
-pullback E and the restricted S-curvature, each computed when first read
-at the chart order the caller asked for; the fields of one chart order share
-one monomial basis of y(u) - y(u0), and the two charts of a fibre share one
-gradient of ln sigma.  Every u-derivative is exact to roundoff.
-:func:`restrict_fields`, :func:`fibre_snapshot`, :func:`berwald_fields` and
-:func:`s_third_covariant` are views of it, built from one pullback and one
-rank-generic covariant derivative.
+the core extractors) and composes it with y(u) into the induced metric g,
+the Cartan pullback H, the mean Berwald pullback E and the restricted
+S-curvature, each computed when first read at the chart order the caller
+asked for, as one float array of jet coefficients ``(*slots, size)`` over
+``jet_space(n - 1, order)``: products are :func:`~finslerlab.jets.jet_einsum`
+contractions, derivatives gathers along the last axis.  The fields of one
+chart order share one monomial basis of y(u) - y(u0), and the two charts
+of a fibre share one gradient of ln sigma.  Every u-derivative is exact to
+roundoff.  :func:`restrict_fields`, :func:`fibre_snapshot`,
+:func:`berwald_fields` and :func:`s_third_covariant` are views of it, built
+from one pullback and one rank-generic covariant derivative.
 
 Sign and index conventions are frozen by the Euclidean calibration: for
 F = |y| in dimension 3 the induced metric at the chart centre is 4 times
@@ -51,7 +53,6 @@ from .core import (
     s_main_jet,
 )
 from .expr import evaluate
-from .jets import Jet, jet_matrix_inverse, jet_truncated, jet_values
 
 __all__ = [
     "CHART_RADIUS",
@@ -183,12 +184,12 @@ def chart_embed(chart: FibreChart, u) -> FlagPoint:
     """Embed the chart coordinate as the flag point (x, theta/F(x, theta))."""
     u = np.asarray(u, dtype=float)
     _validate_chart_coord(u)
-    return FlagPoint(chart.x, jet_values(_y_ujets(chart, u, 0)))
+    return FlagPoint(chart.x, _y_ujets(chart, u, 0)[:, 0])
 
 
 def _y_ujets(chart: FibreChart, u0: np.ndarray, order: int) -> np.ndarray:
-    """The embedding y(u) = theta(u) / F(x, theta(u)) as jets over the chart
-    variables."""
+    """The embedding y(u) = theta(u) / F(x, theta(u)) as a chart field: one
+    row of coefficients over the chart variables per component of y."""
     space = jets.jet_space(len(u0), order)
     us = [space.variable(a + 1, float(value)) for a, value in enumerate(u0)]
     theta = parameter_direction(chart.chart_id, us)
@@ -198,7 +199,7 @@ def _y_ujets(chart: FibreChart, u0: np.ndarray, order: int) -> np.ndarray:
         raise NonPositiveMetricError(
             f"F(x, theta) = {f_jet.value!r} must be positive along the fibre ray"
         )
-    return theta * f_jet.reciprocal()
+    return np.array([y.coeffs for y in theta * f_jet.reciprocal()])
 
 
 # -- the fibre pipeline -----------------------------------------------------------
@@ -210,20 +211,21 @@ _DEPTH = {"g": 2, "h": 3, "e": 5, "s": 3}
 
 
 class FibreJets:
-    """Chart jets of g, H, E and S at one fibre point; see :func:`fibre_jets`."""
+    """Chart jets of g, H, E and S at one fibre point, each over the
+    :meth:`space` of its chart order; see :func:`fibre_jets`."""
 
-    def __init__(self, model: MetricModel, chart: FibreChart, y_u, chart_order):
-        top = y_u[0].order - 1
+    def __init__(self, model: MetricModel, chart: FibreChart, y_u: np.ndarray, chart_order):
         self.model = model
         self.chart = chart
         self.chart_order = chart_order
         self.y_u = y_u
-        self.y0 = jet_values(y_u)
-        # dy[a, i] = dy^i/du^a and the offsets y(u) - y0, both to chart order top
-        units = np.eye(len(y_u) - 1, dtype=int)
-        self.dy = np.array([[y.derivative(unit) for y in y_u] for unit in units])
-        self.deltas = [y.truncated(top) - y.value for y in y_u]
+        space = jets.jet_space(len(y_u) - 1, max(chart_order.values()) + 1)  # that of y_u
+        self.dy = np.moveaxis(_partials(space, y_u), -2, 0)  # dy^i/du^a at [a, i]
         self._bases: dict[int, jets.MonomialBasis] = {}
+
+    def space(self, order: int) -> jets.JetSpace:
+        """The jet space of the chart fields of this chart order."""
+        return jets.jet_space(len(self.dy), order)
 
     @cached_property
     def tj(self) -> TensorJets:
@@ -237,7 +239,7 @@ class FibreJets:
             if x_dep or field in ("g", "h")
         }
         with_x = x_dep and ("e" in depth or "s" in depth)
-        return TensorJets(self.model, self.chart.x, self.y0, max(depth.values()), with_x)
+        return TensorJets(self.model, self.chart.x, self.y_u[:, 0], max(depth.values()), with_x)
 
     def _basis(self, order: int) -> jets.MonomialBasis:
         """Monomials of the offsets of the expansion variables along the chart,
@@ -246,28 +248,29 @@ class FibreJets:
         jets of the expansion."""
         basis = self._bases.get(order)
         if basis is None:
-            deltas = [d.truncated(order) for d in self.deltas]
+            space = self.space(order)
+            deltas = self.y_u[:, : space.size].copy()
+            deltas[:, 0] = 0.0  # the offsets y(u) - y(u0)
             if self.tj.with_x:
-                deltas = [deltas[0].space.constant(0.0)] * len(deltas) + deltas
-            basis = self._bases[order] = jets.monomial_basis(deltas, self.tj.x_vars, 0)
+                deltas = np.concatenate([np.zeros_like(deltas), deltas])
+            basis = self._bases[order] = jets.monomial_basis(space, deltas, self.tj.x_vars, 0)
         return basis
 
     def _on_chart(self, extractor: Callable, field: str) -> np.ndarray:
         """A totally symmetric tensor at the flag point, composed with y(u) and
         pulled back to the chart at the field's chart order."""
         order = self.chart_order[field]
-        basis = self._basis(order)
-        composed = _symmetric(
-            lambda jet: jet.truncated(order, x_degree=0).compose(basis), extractor(self.tj, order)
-        )
-        return _pullback(composed, jet_truncated(self.dy, order))
+        space, t = self.space(order), extractor(self.tj, order)
+        flag = [jet.truncated(order, x_degree=0) for jet in t.flat]
+        composed = jets.jet_compose(flag, self._basis(order)).reshape(t.shape + (-1,))
+        return _pullback(space, composed, self.dy[..., : space.size])
 
     @cached_property
     def g(self) -> np.ndarray:
         """Induced metric g_ab = g_ij dy^i/du^a dy^j/du^b; raises unless
         positive definite."""
         g = self._on_chart(g_jets, "g")
-        _check_pd(jet_values(g), "induced metric")
+        _check_pd(g[..., 0], "induced metric")
         return g
 
     @cached_property
@@ -282,30 +285,23 @@ class FibreJets:
         """Mean Berwald pullback E_ab; zero when F does not depend on x."""
         if not self.model.depends_on_x:
             m = len(self.dy)
-            return np.full((m, m), jets.jet_space(m, self.chart_order["e"]).constant(0.0))
+            return np.zeros((m, m, self.space(self.chart_order["e"]).size))
         return self._on_chart(berwald_jets, "e")
 
     @cached_property
-    def s(self) -> Jet:
+    def s(self) -> np.ndarray:
         """Restricted S-curvature: the volume-free part composed with y(u),
         minus y(u) . grad ln sigma."""
         order = self.chart_order["s"]
-        s = jets.jet_space(len(self.dy), order).constant(0.0)
+        s = -(self.chart.sigma_grad @ self.y_u[:, : self.space(order).size])
         if self.model.depends_on_x:
-            s = s_main_jet(self.tj, order).compose(self._basis(order))
-        for i, grad_i in enumerate(self.chart.sigma_grad):
-            if grad_i != 0.0:
-                s = s - grad_i * self.y_u[i].truncated(order)
+            s = s + jets.jet_compose([s_main_jet(self.tj, order)], self._basis(order))[0]
         return s
 
     def snapshot(self) -> "FibreSnapshot":
         """Values of g and E, and the Berwald scalar e = tr_g E."""
-        g_inv = np.array(jet_matrix_inverse(self.g.tolist()))
-        return FibreSnapshot(
-            g=jet_values(self.g),
-            berwald=jet_values(self.e),
-            e=np.sum(g_inv * self.e).value,
-        )
+        g, berwald = self.g[..., 0], self.e[..., 0]
+        return FibreSnapshot(g=g, berwald=berwald, e=float(np.sum(np.linalg.inv(g) * berwald)))
 
 
 def fibre_jets(
@@ -325,77 +321,62 @@ def fibre_jets(
     return FibreJets(model, chart, y_u, dict(chart_order))
 
 
-# -- tensor calculus in chart coordinates -------------------------------------------
+# -- tensor calculus in chart coordinates; ``space`` is that of the first field ------
 
 
-def _symmetric(fn: Callable, t: np.ndarray) -> np.ndarray:
-    """``fn`` applied to a totally symmetric array of jets, once per distinct
-    entry; the result is exactly symmetric."""
-    out = np.empty(t.shape, dtype=object)
-    for index in np.ndindex(t.shape):
-        key = tuple(sorted(index))  # visited first in lexicographic order
-        out[index] = fn(t[index]) if key == index else out[key]
-    return out
-
-
-def _pullback(t: np.ndarray, dy: np.ndarray) -> np.ndarray:
+def _pullback(space: jets.JetSpace, t: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """T_ab.. = T_ij.. dy^i/du^a dy^j/du^b .. for a totally symmetric T,
-    contracted one slot at a time."""
-    for _ in range(t.ndim):
-        t = np.tensordot(t, dy, axes=([0], [1]))
-    return _symmetric(lambda jet: jet, t)
+    contracted one slot at a time; made exactly symmetric by reading every
+    entry at its sorted multi-index."""
+    for _ in range(t.ndim - 1):
+        t = jets.jet_einsum(space, "i...,ai->...a", t, dy)
+    return t[tuple(np.sort(np.indices(t.shape[:-1]), axis=0))]
 
 
-def _partials(t) -> np.ndarray:
-    """Chart partial derivatives of an array of jets, derivative index last."""
-    t = np.asarray(t)
-    units = np.eye(t.flat[0].n_vars, dtype=int)
-    out = np.empty(t.shape + (len(units),), dtype=object)
-    for index in np.ndindex(t.shape):
-        for d, unit in enumerate(units):
-            out[index + (d,)] = t[index].derivative(unit)
-    return out
+def _partials(space: jets.JetSpace, t: np.ndarray) -> np.ndarray:
+    """Chart partial derivatives of a field, derivative slot last."""
+    tables = [space.derivative_table(tuple(map(int, unit))) for unit in np.eye(space.n_vars)]
+    return np.stack([t[..., src] * factor for _, src, factor in tables], axis=-2)
 
 
-def _covariant(t, gamma: np.ndarray) -> np.ndarray:
-    """Covariant derivative of a chart tensor of jets, one order lower:
+def _covariant(space: jets.JetSpace, t: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Covariant derivative of a chart tensor, one order lower:
     nabla_d T_a.. = d_d T_a.. - sum over slots Gamma^e_{d a} T_..e..,
     with the derivative index appended last."""
-    t = np.asarray(t)
-    out = _partials(t)
-    if t.ndim:
-        order = t.flat[0].order - 1
-        low, gamma = jet_truncated(t, order), jet_truncated(gamma, order)
-    for slot in range(t.ndim):
-        term = np.tensordot(low, gamma, axes=([slot], [0]))  # [.. without slot, d, a]
-        out = out - np.moveaxis(term, -1, slot)
+    out = _partials(space, t)
+    low = jets.jet_space(space.n_vars, space.order - 1)
+    t, gamma = t[..., : low.size], gamma[..., : low.size]
+    slots = "abcdefgh"[: t.ndim - 1]
+    for a in slots:  # y is the summed index e, z the derivative index d
+        out = out - jets.jet_einsum(low, f"{slots.replace(a, 'y')},yz{a}->{slots}z", t, gamma)
     return out
 
 
-def _christoffel_jets(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _christoffel_jets(space: jets.JetSpace, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse metric and Levi-Civita symbols Gamma^c_ab (upper index first),
     as chart jets one order below those of the metric."""
-    order = g[0, 0].order - 1
-    g_inv = np.array(jet_matrix_inverse(jet_truncated(g, order).tolist()))
-    dg = np.moveaxis(_partials(g), -1, 0)  # dg[c, a, b] = d_c g_ab
+    low = jets.jet_space(space.n_vars, space.order - 1)
+    g_inv = jets.neumann_inverse(low, g[..., : low.size])
+    dg = np.moveaxis(_partials(space, g), -2, 0)  # dg[c, a, b] = d_c g_ab
     # [d, a, b] = d_a g_db + d_b g_da - d_d g_ab
-    bracket = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    return g_inv, np.tensordot(g_inv, bracket, axes=1) * 0.5
+    bracket = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
+    return g_inv, jets.jet_einsum(low, "cd,dab->cab", g_inv, bracket) * 0.5
 
 
 def _curvature(g: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Curvature R^e_bcd = d_c Gamma^e_db - d_d Gamma^e_cb + Gamma^e_cf Gamma^f_db
     - Gamma^e_df Gamma^f_cb and its lowered form R_abcd = g_ae R^e_bcd, as
     floats, from Christoffel jets of order >= 1."""
-    gam = jet_values(gamma)
-    dgam = jet_values(_partials(gamma))  # dgam[c, a, b, d] = d_d Gamma^c_ab
+    first = jets.jet_space(len(gamma), 1)
+    gam = gamma[..., 0]
+    dgam = _partials(first, gamma[..., : first.size])[..., 0]  # d_d Gamma^c_ab at [c, a, b, d]
     r_up = (
         np.einsum("edbc->ebcd", dgam)
         - np.einsum("ecbd->ebcd", dgam)
         + np.einsum("ecf,fdb->ebcd", gam, gam)
         - np.einsum("edf,fcb->ebcd", gam, gam)
     )
-    return r_up, np.einsum("ae,ebcd->abcd", jet_values(g), r_up)
+    return r_up, np.einsum("ae,ebcd->abcd", g[..., 0], r_up)
 
 
 # -- views of the pipeline ----------------------------------------------------------
@@ -434,25 +415,26 @@ def restrict_fields(model: MetricModel, chart: FibreChart, u) -> RestrictedField
     first order (their covariant derivatives); one expansion feeds them all.
     """
     fj = fibre_jets(model, chart, u, {"g": 2, "s": 2, "h": 1, "e": 1})
-    g_inv, gamma = _christoffel_jets(fj.g)
+    first = fj.space(1)
+    g_inv, gamma = _christoffel_jets(fj.space(2), fj.g)
     r_up, r_low = _curvature(fj.g, gamma)
-    ds = _covariant(fj.s, gamma)
-    e = np.sum(g_inv * fj.e)  # the Berwald scalar, trace of the pullback
+    ds = _covariant(fj.space(2), fj.s, gamma)
+    e = jets.jet_einsum(first, "ab,ab->", g_inv, fj.e)  # the Berwald scalar tr_g E
     return RestrictedFields(
-        g=jet_values(fj.g),
-        g_inv=jet_values(g_inv),
-        gamma=jet_values(gamma),
+        g=fj.g[..., 0],
+        g_inv=g_inv[..., 0],
+        gamma=gamma[..., 0],
         riemann=r_low,
         riemann_up=r_up,
-        s=fj.s.value,
-        s_grad=jet_values(ds),
-        s_hess=jet_values(_covariant(ds, gamma)),
-        cartan=jet_values(fj.h),
-        cartan_cov=jet_values(_covariant(fj.h, gamma)),
-        berwald=jet_values(fj.e),
-        berwald_cov=jet_values(_covariant(fj.e, gamma)),
-        e=e.value,
-        e_grad=jet_values(_covariant(e, gamma)),
+        s=float(fj.s[0]),
+        s_grad=ds[..., 0],
+        s_hess=_covariant(first, ds, gamma)[..., 0],
+        cartan=fj.h[..., 0],
+        cartan_cov=_covariant(first, fj.h, gamma)[..., 0],
+        berwald=fj.e[..., 0],
+        berwald_cov=_covariant(first, fj.e, gamma)[..., 0],
+        e=float(e[0]),
+        e_grad=_covariant(first, e, gamma)[..., 0],
     )
 
 
@@ -489,14 +471,15 @@ def berwald_fields(model: MetricModel, chart: FibreChart, u) -> BerwaldFields:
     volume gradient, and no Cartan pullback or curvature.  Every value
     equals its counterpart in :func:`restrict_fields` bit for bit."""
     fj = fibre_jets(model, chart, u, {"g": 1, "e": 1})
-    g_inv = np.array(jet_matrix_inverse(fj.g.tolist()))
-    e = np.sum(g_inv * fj.e)
+    first = fj.space(1)
+    g_inv = jets.neumann_inverse(first, fj.g)
+    e = jets.jet_einsum(first, "ab,ab->", g_inv, fj.e)
     return BerwaldFields(
-        g=jet_values(fj.g),
-        g_inv=jet_values(g_inv),
-        berwald=jet_values(fj.e),
-        e=e.value,
-        e_grad=jet_values(_partials(e)),
+        g=fj.g[..., 0],
+        g_inv=g_inv[..., 0],
+        berwald=fj.e[..., 0],
+        e=float(e[0]),
+        e_grad=_partials(first, e)[..., 0],
     )
 
 
@@ -508,11 +491,11 @@ def s_third_covariant(model: MetricModel, chart: FibreChart, u):
     curvature contraction on scalars.
     """
     fj = fibre_jets(model, chart, u, {"g": 2, "s": 3})
-    gamma = _christoffel_jets(fj.g)[1]
-    ds = _covariant(fj.s, gamma)
-    w = _covariant(_covariant(ds, gamma), gamma)
+    gamma = _christoffel_jets(fj.space(2), fj.g)[1]
+    ds = _covariant(fj.space(3), fj.s, gamma)
+    w = _covariant(fj.space(1), _covariant(fj.space(2), ds, gamma), gamma)
     r_up, r_low = _curvature(fj.g, gamma)
-    return jet_values(w), jet_values(ds), r_up, r_low
+    return w[..., 0], ds[..., 0], r_up, r_low
 
 
 # -- sampling ------------------------------------------------------------------

@@ -28,20 +28,20 @@ truncate explicitly with :meth:`Jet.truncated`.
 
 Index work is done by gather tables, built once per :class:`JetSpace` with
 numpy from one position map (the radix keys of the multi-indices): the
-product table, which :meth:`JetSpace.multiply` reduces with one
-``np.bincount``, and one table per derivative multi-index gamma, which makes
-:meth:`Jet.derivative` one gather scaled by exact integer factors.  The
-tables list their terms in a fixed order, so every product and derivative is
-bit-identical from run to run and to the per-multi-index loops kept as
-references in the tests.  :meth:`Jet.compose` reads the monomials of its
-deltas from a :func:`monomial_basis`, formed once and shared by every
-composition with the same deltas.
+product table, which :meth:`JetSpace.multiply` and :func:`jet_einsum` reduce
+with ``np.bincount``, and one table per derivative multi-index gamma, which
+makes :meth:`Jet.derivative` one gather scaled by exact integer factors.
+The tables list their terms in a fixed order, so every product and
+derivative is bit-identical from run to run and to the per-multi-index
+loops kept as references in the tests.
 
 Jets are built by :meth:`JetSpace.constant` and :meth:`JetSpace.variable`
-on a space from :func:`jet_space`.  The module also provides Gaussian
-elimination helpers for small matrices with jet entries.  Tensors of jets
-are numpy object arrays; :func:`jet_values` and :func:`jet_truncated` act
-on them entrywise.
+on a space from :func:`jet_space`.  At a flag point a tensor of jets is a
+numpy object array of :class:`Jet`, for :func:`jet_values`,
+:func:`jet_truncated`, :func:`jet_matrix_inverse` and :func:`jet_matrix_det`.
+On a fibre chart it is one float array ``(*slots, size)`` over one space,
+for :func:`jet_einsum` and :func:`neumann_inverse`; :func:`jet_compose`
+makes one from flag-point jets and the :func:`monomial_basis` of the offsets.
 """
 
 from __future__ import annotations
@@ -62,6 +62,9 @@ __all__ = [
     "extract_derivative",
     "jet_values",
     "jet_truncated",
+    "jet_compose",
+    "jet_einsum",
+    "neumann_inverse",
     "jet_matrix_inverse",
     "jet_matrix_det",
 ]
@@ -437,67 +440,81 @@ class Jet:
         space, src, factor = self.space.derivative_table(tuple(int(g) for g in gamma))
         return Jet(space, self.coeffs[src] * factor)
 
-    def compose(self, basis: "MonomialBasis") -> "Jet":
-        """Substitute nilpotent jets for the variables of this expansion.
-
-        ``basis`` is the :func:`monomial_basis` of the deltas, the offsets of
-        the variables from the expansion point, built for this jet's x-degree
-        limit; every composition with the same deltas can share it.  The
-        result lives in the jet space of the deltas.
-        """
-        here = self.space
-        rows = basis.rows_space
-        if rows.n_vars != here.n_vars:
-            raise ValueError("one delta jet is required per variable")
-        if rows is not jet_space(here.n_vars, rows.order, here.x_vars, here.x_degree):
-            raise ValueError("the monomial basis is built for another x-degree limit")
-        limit = self.space.grade_offsets[min(basis.space.order, self.order) + 1]
-        # the terms are summed in layout order, row after row
-        out = (self.coeffs[:limit, None] * basis.rows[:limit]).sum(axis=0)
-        return Jet(basis.space, out)
-
 
 class MonomialBasis(NamedTuple):
-    """The monomials delta^alpha of a set of nilpotent delta jets.
-
-    ``rows[k]`` holds the coefficients, in ``space``, of the monomial of the
-    k-th multi-index of ``rows_space``, the space of the expanded variables
-    to the order of the deltas; monomials of higher degree vanish.  Built by
-    :func:`monomial_basis`.
-    """
+    """From :func:`monomial_basis`: ``rows[k]`` holds, in ``space``, the
+    monomial delta^alpha of the k-th multi-index alpha of ``rows_space``, the
+    space of the expanded variables to the order of the deltas."""
 
     space: JetSpace
     rows_space: JetSpace
     rows: np.ndarray
 
 
-def monomial_basis(deltas: Sequence[Jet], x_vars: int = 0, x_degree: int = 1) -> MonomialBasis:
-    """Every monomial of the deltas up to their order, each one product of a
-    lower monomial and the delta of its first variable; the monomials are
-    those of the jets with this x-degree limit (see :func:`jet_space`)."""
-    if not deltas:
-        raise ValueError("one delta jet is required per variable")
-    uspace = deltas[0].space
-    for d in deltas:
-        if d.space is not uspace:
-            raise ValueError("delta jets must share one jet space")
-        if d.coeffs[0] != 0.0:
-            raise ValueError("delta jets must have zero order-0 coefficient")
-    src = jet_space(len(deltas), uspace.order, x_vars, x_degree)
+def monomial_basis(space: JetSpace, deltas, x_vars: int = 0, x_degree: int = 1) -> MonomialBasis:
+    """Every monomial, up to their order, of the deltas: one row of
+    coefficients in ``space`` per expanded variable, with no order-0 part.
+    The monomials are those of the jets with this x-degree limit; each grade
+    is one product of the monomials a grade lower and their first deltas."""
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 2 or not len(deltas) or deltas.shape[1] != space.size:
+        raise ValueError("one delta jet is required per variable; they share one jet space")
+    if np.any(deltas[:, 0] != 0.0):
+        raise ValueError("delta jets must have zero order-0 coefficient")
+    src = jet_space(len(deltas), space.order, x_vars, x_degree)
     first = np.argmax(src._alphas != 0, axis=1)
     sub = src._positions(src._keys - src._radix[first])
-    zero = [not np.any(d.coeffs) for d in deltas]
-    rows = np.zeros((src.size, uspace.size))
+    rows = np.zeros((src.size, space.size))
     rows[0, 0] = 1.0
-    live = np.zeros(src.size, dtype=bool)  # rows that are not identically zero
-    live[0] = True
-    for k in range(1, src.size):
-        i, s = first[k], sub[k]
-        if zero[i] or not live[s]:
-            continue
-        live[k] = True
-        rows[k] = deltas[i].coeffs if s == 0 else uspace.multiply(rows[s], deltas[i].coeffs)
-    return MonomialBasis(uspace, src, rows)
+    for lo, hi in zip(src.grade_offsets[1:-1], src.grade_offsets[2:]):
+        rows[lo:hi] = jet_einsum(space, "r,r->r", rows[sub[lo:hi]], deltas[first[lo:hi]])
+    return MonomialBasis(space, src, rows)
+
+
+def jet_compose(jets: Sequence[Jet], basis: MonomialBasis) -> np.ndarray:
+    """Substitute the deltas of ``basis``, built for the x-degree limit of
+    the jets, for the variables of each jet: one row per jet of the
+    coefficients of its composition in the space of the deltas."""
+    here = jets[0].space
+    rows = basis.rows_space
+    if rows.n_vars != here.n_vars:
+        raise ValueError("one delta jet is required per variable")
+    if rows is not jet_space(here.n_vars, rows.order, here.x_vars, here.x_degree):
+        raise ValueError("the monomial basis is built for another x-degree limit")
+    if any(jet.space is not here for jet in jets):
+        raise ValueError("the composed jets must share one jet space")
+    limit = here.grade_offsets[min(basis.space.order, here.order) + 1]
+    coeffs = np.array([jet.coeffs[:limit] for jet in jets])
+    return (coeffs[:, :, None] * basis.rows[:limit]).sum(axis=1)  # in layout order
+
+
+def jet_einsum(space: JetSpace, subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, a, b)`` over the slot axes of two arrays of
+    jets, with the jet product of ``space`` along their last axis.  Each
+    product-table term is contracted over the slots, then summed in table
+    order by one offset ``np.bincount``: with no summed index every entry is
+    :meth:`JetSpace.multiply` of its operands, bit for bit."""
+    ii, jj, kk = space._mul()
+    left, right, out = subscripts.replace("->", ",").split(",")
+    terms = np.einsum(f"{left}Z,{right}Z->{out}Z", a[..., ii], b[..., jj])
+    rows = math.prod(terms.shape[:-1])
+    slots = (np.arange(rows)[:, None] * space.size + kk).ravel()
+    summed = np.bincount(slots, weights=terms.ravel(), minlength=rows * space.size)
+    return summed.reshape(terms.shape[:-1] + (space.size,))
+
+
+def neumann_inverse(space: JetSpace, a: np.ndarray) -> np.ndarray:
+    """Inverse of an (m, m) matrix of jets over ``space`` with an invertible
+    value matrix a0: a = a0 + N with N nilpotent, so the Neumann series
+    sum_k (-a0^-1 N)^k a0^-1 ends at k = order (summed by Horner's rule)."""
+    out = np.zeros_like(a)
+    out[..., 0] = np.linalg.inv(a[..., 0])
+    lead = out.copy()
+    step = -np.einsum("ab,bcz->acz", lead[..., 0], a)
+    step[..., 0] = 0.0
+    for _ in range(space.order):
+        out = lead + jet_einsum(space, "ab,bc->ac", step, out)
+    return out
 
 
 def extract_derivative(jet: Jet, alpha: Sequence[int]) -> float:

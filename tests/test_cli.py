@@ -195,6 +195,22 @@ def test_badly_typed_config_value_exits_2(tmp_path, capsys, command, field, valu
     assert f"{field}:" in capsys.readouterr().err
 
 
+def test_check_takes_only_the_tolerances_of_its_checks(tmp_path, capsys):
+    argv = ["check", "--metric", "euclidean", "--dim", "2", "--samples", "1", "--base-points", "1"]
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv, "--tol-thm-1", "1e-30")
+    assert info.value.code == 2
+    assert "unrecognized arguments: --tol-thm-1" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tol_thm_1": 1e-30}))
+    assert run_cli(*argv, "--config", str(config)) == 2
+    assert capsys.readouterr().err.startswith("error: tol_thm_1:")
+    out = tmp_path / "report.json"
+    assert run_cli(*argv, "--tol-eq-2.1", "1e-3", "--out", str(out)) == 0
+    tolerances = json.loads(out.read_text())["config"]["tolerances"]
+    assert tolerances == {"eq-1.11": 1e-5, "eq-1.12": 1e-5, "eq-2.1": 1e-3, "eq-2.2": 1e-4}
+
+
 def test_non_convex_point_is_named_and_exits_2(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run_cli(

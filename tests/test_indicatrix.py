@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from finslerlab import jets
 from finslerlab.core import FlagPoint, fundamental_tensor, metric_value, s_curvature
 from finslerlab.indicatrix import (
     FibreChart,
@@ -19,7 +18,6 @@ from finslerlab.indicatrix import (
     sample_fibre_points,
     transition_jacobian,
 )
-from finslerlab.jets import jet_values
 
 from fd_oracle import finite_difference_oracle
 
@@ -156,15 +154,16 @@ def test_snapshot_matches_bundle(randers3, rng):
 
 def test_covariant_derivative_constant_scalar(randers3):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
-    gamma = _christoffel_jets(fibre_jets(randers3, chart, np.array([0.4, 0.1]), {"g": 1}).g)[1]
-    scalar = jets.jet_space(2, 1).constant(3.0)
-    np.testing.assert_allclose(jet_values(_covariant(scalar, gamma)), 0.0, atol=1e-10)
+    fj = fibre_jets(randers3, chart, np.array([0.4, 0.1]), {"g": 1})
+    gamma = _christoffel_jets(fj.space(1), fj.g)[1]
+    scalar = fj.space(1).constant(3.0).coeffs
+    np.testing.assert_allclose(_covariant(fj.space(1), scalar, gamma), 0.0, atol=1e-10)
 
 
 def test_metric_compatibility(randers3, rng):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
-    g = fibre_jets(randers3, chart, rng.uniform(-1, 1, 2), {"g": 1}).g
-    nabla_g = jet_values(_covariant(g, _christoffel_jets(g)[1]))
+    fj = fibre_jets(randers3, chart, rng.uniform(-1, 1, 2), {"g": 1})
+    nabla_g = _covariant(fj.space(1), fj.g, _christoffel_jets(fj.space(1), fj.g)[1])
     assert np.max(np.abs(nabla_g)) <= 1e-7
 
 
@@ -314,6 +313,45 @@ def test_berwald_fields_equal_restrict_fields_bit_for_bit(family, dim, volume):
         bf = berwald_fields(model, point.chart, point.u)
         for name in ("g", "g_inv", "berwald", "e", "e_grad"):
             np.testing.assert_array_equal(getattr(bf, name), getattr(rf, name), err_msg=name)
+
+
+_ALL_VIEWS = ("restrict_fields", "s_third_covariant", "berwald_fields", "fibre_snapshot")
+_RIEMANNIAN = {"a11": "exp(x1)", "a22": "1 + x2^2", "a33": "2 + x1*x3", "a12": "0.3*x3"}
+
+
+@pytest.mark.parametrize(
+    "family, dim, params, volume, views",
+    [
+        ("randers", 3, None, None, _ALL_VIEWS),
+        ("funk_ball", 3, None, None, _ALL_VIEWS),
+        ("funk_ball", 4, None, "bh", ("berwald_fields", "fibre_snapshot")),
+        ("minkowski_quartic", 3, None, None, _ALL_VIEWS),
+        ("riemannian", 3, _RIEMANNIAN, "auto", _ALL_VIEWS),
+        ("euclidean", 2, None, None, _ALL_VIEWS),
+    ],
+    ids=["randers3", "funk3", "funk4-bh", "quartic3", "riemannian3-auto", "euclidean2"],
+)
+def test_chart_fields_match_the_object_array_oracle(family, dim, params, volume, views):
+    """Every field of every view against the object-array pipeline, to 1e-13
+    relative to max(1, |value|): the array code sums in another order."""
+    from finslerlab import indicatrix
+    from finslerlab.zoo import build
+
+    import chart_oracle
+
+    model = build(family, dim, params, volume)
+    rng = np.random.default_rng(dim)
+    for point in sample_fibre_points(model, model.sample_x(rng), 3, rng):
+        for view in views:
+            got = getattr(indicatrix, view)(model, point.chart, point.u)
+            want = getattr(chart_oracle, view)(model, point.chart, point.u)
+            if isinstance(got, tuple):
+                fields = [(f"{view}[{i}]", a, b) for i, (a, b) in enumerate(zip(got, want))]
+            else:
+                fields = [(f"{view}.{f}", getattr(got, f), getattr(want, f)) for f in vars(got)]
+            for name, a, b in fields:
+                b = np.asarray(b, dtype=float)
+                assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b))), name
 
 
 def test_volume_gradient_once_per_base_point_and_only_for_s(monkeypatch):

@@ -9,10 +9,13 @@ from finslerlab.jets import (
     Jet,
     JetDomainError,
     extract_derivative,
+    jet_compose,
+    jet_einsum,
     jet_matrix_det,
     jet_matrix_inverse,
     jet_space,
     monomial_basis,
+    neumann_inverse,
 )
 
 from fd_oracle import finite_difference_oracle
@@ -102,15 +105,20 @@ def test_derivative_shift():
     assert extract_derivative(second, (1,)) == pytest.approx(24.0 * 2.0)
 
 
+def _basis_of(deltas, *limit):
+    """The monomial basis of a list of delta jets."""
+    return monomial_basis(deltas[0].space, [d.coeffs for d in deltas], *limit)
+
+
 def test_compose_univariate_against_direct():
     # f(y) = y^3 expanded at y0=2, evaluated on y = y0 + (u^2) as a chart jet
     y = jet_space(1, 3).variable(1, 2.0)
     f = y * y * y
     u = jet_space(1, 3).variable(1, 0.5)
     delta = u * u - 0.25  # nilpotent: (u0+h)^2 - u0^2
-    composed = f.compose(monomial_basis([delta]))
+    composed = jet_compose([f], _basis_of([delta]))[0]
     direct = (u * u + 2.0 - 0.25) ** 3
-    np.testing.assert_allclose(composed.coeffs, direct.coeffs, rtol=1e-13)
+    np.testing.assert_allclose(composed, direct.coeffs, rtol=1e-13)
 
 
 def test_truncated_prefix():
@@ -340,25 +348,26 @@ def test_compose_basis_matches_the_monomial_route(n_vars, n_chart, chart_order, 
         d = (rng.uniform(-1, 1) * us[i % n_chart] + us[(i + 1) % n_chart] * us[i % n_chart]).exp()
         deltas.append(d - d.value)
     space = jet_space(n_vars, order)
-    basis = monomial_basis(deltas)
-    for trial in range(3):
-        jet = Jet(space, rng.standard_normal(space.size))
+    basis = _basis_of(deltas)
+    assert basis.space is chart
+    trials = [Jet(space, rng.standard_normal(space.size)) for _ in range(3)]
+    for jet, got in zip(trials, jet_compose(trials, basis)):
         want = _reference_compose(jet, deltas)
         scale = max(1.0, np.max(np.abs(want)))
-        got = jet.compose(basis)
-        assert got.space is deltas[0].space
-        np.testing.assert_allclose(got.coeffs, want, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
 
 
 def test_compose_validates_deltas():
     jet = jet_space(2, 2).variable(1, 1.0)
     u = jet_space(1, 2).variable(1, 0.5)
     with pytest.raises(ValueError, match="one delta jet is required per variable"):
-        jet.compose(monomial_basis([u - 0.5]))
+        jet_compose([jet], _basis_of([u - 0.5]))
     with pytest.raises(ValueError, match="zero order-0 coefficient"):
-        jet.compose(monomial_basis([u, u - 0.5]))
+        _basis_of([u, u - 0.5])
     with pytest.raises(ValueError, match="share one jet space"):
-        jet.compose(monomial_basis([u - 0.5, jet_space(1, 3).variable(1, 0.5) - 0.5]))
+        monomial_basis(u.space, np.zeros((2, jet_space(1, 3).size)))
+    with pytest.raises(ValueError, match="share one jet space"):
+        jet_compose([jet, jet_space(2, 3).variable(1, 1.0)], _basis_of([u - 0.5, u - 0.5]))
 
 
 # -- x-linear spaces: the first x_vars variables enter to joint degree 1 -------
@@ -506,9 +515,74 @@ def test_compose_needs_a_basis_of_the_same_x_degree_limit():
     deltas = [zero, zero, us[0] - us[0].value, (us[0] * us[1]).exp() - 1.0]
     jet = Jet(jet_space(4, 3, 2), np.random.default_rng(9).standard_normal(jet_space(4, 3, 2).size))
     x_free = jet.truncated(3, x_degree=0)
-    basis = monomial_basis(deltas, 2, 0)
+    basis = _basis_of(deltas, 2, 0)
     with pytest.raises(ValueError, match="another x-degree limit"):
-        jet.compose(basis)
+        jet_compose([jet], basis)
     # x stays put (zero deltas), so the x-linear part contributes nothing
-    full = jet.compose(monomial_basis(deltas, 2, 1))
-    np.testing.assert_allclose(x_free.compose(basis).coeffs, full.coeffs, rtol=0, atol=1e-13)
+    full = jet_compose([jet], _basis_of(deltas, 2, 1))
+    np.testing.assert_allclose(jet_compose([x_free], basis), full, rtol=0, atol=1e-13)
+
+
+# -- chart fields: arrays of jet coefficients, (*slots, size) over one space ----
+
+_chart_spaces = st.tuples(st.integers(1, 3), st.integers(0, 4))
+_slot_shapes = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chart_spaces, _slot_shapes, _seeds)
+def test_jet_einsum_products_are_entrywise_multiply_bit_for_bit(key, shape, seed):
+    space = jet_space(*key)
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2,) + shape + (space.size,))
+    got = jet_einsum(space, "...,...->...", a, b)
+    for index in np.ndindex(shape):
+        want = Jet(space, a[index]) * Jet(space, b[index])
+        assert got[index].tobytes() == want.coeffs.tobytes()
+
+
+def _sum_of_products(space, pairs):
+    """Sum of jet products, one ``Jet *`` per pair of coefficient rows."""
+    total = space.constant(0.0)
+    for x, y in pairs:
+        total = total + Jet(space, x) * Jet(space, y)
+    return total.coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chart_spaces, st.tuples(*[st.integers(1, 3)] * 3), _seeds)
+def test_jet_einsum_contractions_are_sums_of_jet_products(key, shape, seed):
+    """A matrix product of jets and the full contraction of two matrices, each
+    coefficient within 1e-15 of the sum of the magnitudes of its terms."""
+    space = jet_space(*key)
+    rng = np.random.default_rng(seed)
+    p, q, r = shape
+    a, c = rng.standard_normal((2, p, q, space.size))
+    b = rng.standard_normal((q, r, space.size))
+    got = jet_einsum(space, "ab,bc->ac", a, b)
+    bound = 1e-15 * jet_einsum(space, "ab,bc->ac", abs(a), abs(b))
+    for i, k in np.ndindex(p, r):
+        want = _sum_of_products(space, [(a[i, j], b[j, k]) for j in range(q)])
+        assert np.all(np.abs(got[i, k] - want) <= bound[i, k])
+    got = jet_einsum(space, "ab,ab->", a, c)
+    want = _sum_of_products(space, [(a[ij], c[ij]) for ij in np.ndindex(p, q)])
+    assert np.all(np.abs(got - want) <= 1e-15 * jet_einsum(space, "ab,ab->", abs(a), abs(c)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chart_spaces, st.integers(1, 3), _seeds)
+def test_neumann_inverse_times_the_matrix_is_the_identity(key, m, seed):
+    """Both products with the inverse are the identity to roundoff: every
+    coefficient within 1e-13 of the sum of the magnitudes of its terms."""
+    space = jet_space(*key)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, m, space.size))
+    a[..., 0] = 2.0 * np.eye(m) + 0.5 * rng.standard_normal((m, m))
+    inverse = neumann_inverse(space, a)
+    identity = np.zeros_like(a)
+    identity[..., 0] = np.eye(m)
+    for x, y in ((a, inverse), (inverse, a)):
+        product = jet_einsum(space, "ab,bc->ac", x, y)
+        bound = 1e-13 * jet_einsum(space, "ab,bc->ac", abs(x), abs(y))
+        assert np.all(np.abs(product - identity) <= bound)
