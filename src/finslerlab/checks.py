@@ -1,4 +1,5 @@
-"""Pointwise residual checks of the fibre identities, plus the isotropy audit.
+"""Pointwise residual checks of the fibre identities, plus the isotropy audit
+and the weak-isotropy test it feeds.
 
 Each check evaluates one identity of the restricted fields at sampled
 indicatrix points and reports the worst residual, normalised per point by
@@ -16,14 +17,19 @@ Stable tags identify the checks in reports and tolerance flags:
     eq-2.5   commutator of covariant derivatives against the curvature
     thm-1    isotropy audit: pointwise isotropy forces a fibrewise-constant
              Berwald scalar (asserted for dim >= 3)
+
+The audit of a fibre is one pass over its sampled points: one expansion per
+point gives g, E, e and grad e for ``thm-1`` and, while every point so far
+is isotropic, the y-Hessians of S and F for the weak-isotropy test, whose
+residual max |Hess S - c Hess F| with c = e/(n-1) is formed once the fibre
+is found isotropic with constant e.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -32,15 +38,12 @@ from .core import (
     NonPositiveDefiniteError,
     NonPositiveMetricError,
     TensorJets,
-    g_jets,
     s_main_jet,
 )
 from .expr import EvalDomainError
 from .indicatrix import (
-    FibreChart,
     IndicatrixPoint,
     RestrictedFields,
-    berwald_fields,
     fibre_jets,
     restrict_fields,
     s_third_covariant,
@@ -63,7 +66,6 @@ __all__ = [
     "check_ricci",
     "isotropy_residual",
     "schur_audit",
-    "weak_isotropy_check",
     "run_identity_suite",
     "sample_base_points",
 ]
@@ -103,25 +105,16 @@ def _where(fibre: int, point: IndicatrixPoint) -> str:
 
 
 class FibrePointError(ValueError):
-    """A domain fault at one sampled fibre point of an audit stage
-    (``schur`` or ``weak-isotropy``); :meth:`located` adds the base point."""
+    """A domain fault at one sampled fibre point of the isotropy audit, whose
+    one stage is ``schur``; :meth:`located` adds the base point."""
 
-    def __init__(self, error: Exception, fibre: int, point: IndicatrixPoint, stage: str):
+    def __init__(self, error: Exception, fibre: int, point: IndicatrixPoint):
         self.error = error
-        self.where = f"{_where(fibre, point)}, stage {stage}"
+        self.where = f"{_where(fibre, point)}, stage schur"
         super().__init__(f"{type(error).__name__} at {self.where}: {error}")
 
     def located(self, base: int) -> str:
         return f"{type(self.error).__name__} at base {base}, {self.where}: {self.error}"
-
-
-@contextmanager
-def _stage(stage: str, fibre: int, point: IndicatrixPoint):
-    """Re-raise a domain fault inside the block as a :class:`FibrePointError`."""
-    try:
-        yield
-    except _DOMAIN_ERRORS as err:
-        raise FibrePointError(err, fibre, point, stage) from err
 
 
 def _scale(*terms) -> float:
@@ -170,7 +163,7 @@ def gauss_residual(rf: RestrictedFields) -> tuple[np.ndarray, float]:
 
 def isotropy_residual(fields, dim: int) -> float:
     """max|E - (e/(n-1)) g| / max(1, max|E|) for any bundle exposing g,
-    berwald and e (restricted fields, Berwald fields or a snapshot)."""
+    berwald and e (restricted or Berwald fields)."""
     iso = fields.berwald - (fields.e / (dim - 1)) * fields.g
     return _maxabs(iso) / max(1.0, _maxabs(fields.berwald))
 
@@ -295,6 +288,19 @@ def run_identity_suite(
 
 
 @dataclass
+class WeakIsotropyRecord:
+    """c = e/(n-1) from the fibre, and the worst y-Hessian of S - c F over the
+    samples; a vanishing Hessian means S - c F is linear in y at fixed x."""
+
+    c: float
+    max_hessian_residual: float
+    samples: int
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+@dataclass
 class SchurAudit:
     """Fibrewise audit: if the mean Berwald pullback is isotropic at every
     sampled point, the Berwald scalar must be constant along the fibre.
@@ -302,6 +308,8 @@ class SchurAudit:
     ``VIOLATION`` (isotropic but varying scalar, dim >= 3) signals an
     implementation bug, never geometry.  In dimension 2 the audit reports
     without asserting, so the verdict ``isotropic-nonconstant`` replaces it.
+    ``weak`` is the weak-isotropy record of an ``isotropic-and-constant``
+    fibre, else None; it is reported beside the ``thm-1`` record.
     """
 
     verdict: str
@@ -316,11 +324,27 @@ class SchurAudit:
     max_e_gradient: float
     asserted: bool
     tol: float
+    weak: WeakIsotropyRecord | None = None
 
     def to_dict(self) -> dict:
         record = asdict(self)
+        del record["weak"]
         tol = record.pop("tol")  # bounds both the isotropy and the constancy test
         return {"tag": TAGS["schur"], **record, "tol_isotropy": tol, "tol_constancy": tol}
+
+
+def _y_hessians(tj: TensorJets) -> tuple[np.ndarray, np.ndarray]:
+    """y-Hessians of the volume-free S and of F at the flag point of an
+    expansion of order >= 5 over (x, y), or >= 2 over y for an x-free F.
+
+    The volume contribution to S is linear in y at fixed x, so the y-Hessian
+    of S - c F is the first minus c times the second.
+    """
+    alphas = [[tj.gamma(y_part=(i, j)) for j in range(tj.n)] for i in range(tj.n)]
+    return tuple(
+        np.array([[extract_derivative(jet, alpha) for alpha in row] for row in alphas])
+        for jet in (s_main_jet(tj, 2), tj.f_jet)
+    )
 
 
 def schur_audit(
@@ -331,8 +355,17 @@ def schur_audit(
     tol: float | None = None,
     rng=None,
 ) -> SchurAudit:
-    """Audit one fibre; ``tol`` (default the ``thm-1`` tolerance) bounds both
-    the isotropy residual and the variation of the Berwald scalar."""
+    """Audit one fibre in one pass; ``tol`` (default the ``thm-1``
+    tolerance) bounds both the isotropy residual and the variation of the
+    Berwald scalar.
+
+    One expansion per sampled point feeds both tests: g, E, e and grad e for
+    ``thm-1`` and, while every point so far is isotropic, the y-Hessians of
+    the volume-free S and of F, from which an ``isotropic-and-constant``
+    verdict forms the weak-isotropy record.  Every point checks that g is
+    positive definite; a domain fault is raised as a
+    :class:`FibrePointError` of stage ``schur``.
+    """
     if tol is None:
         tol = DEFAULT_TOLERANCES["thm-1"]
     if rng is None:
@@ -341,10 +374,16 @@ def schur_audit(
     max_iso = 0.0
     e_values = []
     max_grad = 0.0
+    hessians = []
     for f_index, point in enumerate(points):
-        with _stage("schur", f_index, point):
-            bf = berwald_fields(model, point.chart, point.u)
-        max_iso = max(max_iso, isotropy_residual(bf, model.dim))
+        try:
+            fj = fibre_jets(model, point.chart, point.u, {"g": 1, "e": 1})
+            bf = fj.berwald_fields()
+            max_iso = max(max_iso, isotropy_residual(bf, model.dim))
+            if max_iso <= tol:
+                hessians.append(_y_hessians(fj.tj))
+        except _DOMAIN_ERRORS as err:
+            raise FibrePointError(err, f_index, point) from err
         e_values.append(bf.e)
         grad_norm = float(np.sqrt(bf.e_grad @ bf.g_inv @ bf.e_grad))
         max_grad = max(max_grad, grad_norm)
@@ -353,10 +392,14 @@ def schur_audit(
     spread = e_max - e_min
     isotropic = max_iso <= tol
     constant = spread <= tol and max_grad <= tol
+    weak = None
     if not isotropic:
         verdict = "non-isotropic"
     elif constant:
         verdict = "isotropic-and-constant"
+        c = e_values[0] / (model.dim - 1)  # Hess(S - c F) is linear in c, so c comes last
+        worst = max(_maxabs(hess_s - c * hess_f) for hess_s, hess_f in hessians)
+        weak = WeakIsotropyRecord(c=c, max_hessian_residual=worst, samples=len(hessians))
     elif model.dim >= 3:
         verdict = "VIOLATION"
     else:
@@ -374,68 +417,5 @@ def schur_audit(
         max_e_gradient=max_grad,
         asserted=model.dim >= 3,
         tol=tol,
+        weak=weak,
     )
-
-
-# -- weak isotropy of the S-curvature ------------------------------------------------
-
-
-@dataclass
-class WeakIsotropyRecord:
-    """c = e/(n-1) from the fibre, and the worst y-Hessian of S - c F over the
-    samples; a vanishing Hessian means S - c F is linear in y at fixed x."""
-
-    c: float
-    max_hessian_residual: float
-    samples: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def _s_minus_cf_hessian(tj: TensorJets, c: float) -> np.ndarray:
-    """y-Hessian of S(x, .) - c F(x, .) at the flag point of the expansion,
-    which must be of order 5 over (x, y), or 2 over y for an x-free F;
-    raises unless g is positive definite there.
-
-    The volume contribution to S is linear in y at fixed x, so it drops out
-    of the Hessian and only the spray part is differentiated.
-    """
-    n = tj.n
-    g_jets(tj, 0)  # the positive-definiteness check, which an x-free S skips
-    total = s_main_jet(tj, 2) - c * tj.f_jet.truncated(2, x_degree=0)
-    return np.array(
-        [[extract_derivative(total, tj.gamma(y_part=(i, j))) for j in range(n)] for i in range(n)]
-    )
-
-
-def weak_isotropy_check(
-    model: MetricModel,
-    x,
-    fibre_samples: int = 20,
-    seed: int = 0,
-    rng=None,
-    points: Sequence[IndicatrixPoint] | None = None,
-) -> WeakIsotropyRecord:
-    """Check that S - (e/(n-1)) F has a vanishing y-Hessian at fixed x.
-
-    c = e/(n-1) is measured at the first sampled fibre point; a meaningful
-    result therefore presumes the fibrewise constancy of e that
-    :func:`schur_audit` establishes.  One expansion per point serves the
-    Hessian and, at the first point, c.  Every point checks that g is
-    positive definite.
-    """
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    if points is None:
-        points = sample_fibre_points(model, x, fibre_samples, rng)
-    worst = 0.0
-    c = None
-    for f_index, point in enumerate(points):
-        with _stage("weak-isotropy", f_index, point):
-            fj = fibre_jets(model, point.chart, point.u, {"g": 0, "e": 0})
-            if c is None:
-                c = fj.snapshot().e / (model.dim - 1)
-            hess = _s_minus_cf_hessian(fj.tj, c)
-        worst = max(worst, _maxabs(hess))
-    return WeakIsotropyRecord(c=c, max_hessian_residual=worst, samples=len(points))

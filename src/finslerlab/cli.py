@@ -31,7 +31,6 @@ from .checks import (
     run_identity_suite,
     sample_base_points,
     schur_audit,
-    weak_isotropy_check,
 )
 from .core import (
     FlagPoint,
@@ -47,7 +46,7 @@ from .core import (
 from .expr import ExprError
 from .indicatrix import FibreChart, berwald_fields, direction_chart
 from .volume import QuadratureError
-from .zoo import RandersConditionViolated, build, entries, zoo_ids
+from .zoo import RandersConditionViolated, build, entries
 
 SCHEMA_VERSION = "1"
 
@@ -58,6 +57,10 @@ _TOL_FLAGS = {
     "eq-1.11": "tol_eq_1_11",
     "eq-1.12": "tol_eq_1_12",
 }
+
+
+# config fields that must be strings when present
+_TEXT_FIELDS = ("metric", "metric_expr", "volume", "x", "y", "format", "out")
 
 
 class InputError(Exception):
@@ -81,17 +84,21 @@ def _typed(config: dict, field: str, kind, default=None):
     value = config.get(field)
     if value is None:
         return default
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        expected = "an integer" if kind is int else "a number"
-        raise InputError(field, f"expected {expected}, got {value!r}") from None
+    # int() would truncate 2.5, and a JSON true is not the number 1
+    integral = kind is not int or not isinstance(value, float) or value.is_integer()
+    if integral and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    expected = "an integer" if kind is int else "a number"
+    raise InputError(field, f"expected {expected}, got {value!r}")
 
 
 def _parse_params(items) -> dict:
     out = {}
     for item in items or []:
-        if "=" not in item:
+        if not isinstance(item, str) or "=" not in item:
             raise InputError("params", f"expected key=value, got {item!r}")
         key, value = item.split("=", 1)
         out[key.strip()] = value.strip()
@@ -157,15 +164,22 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if config_path:
         try:
             with open(config_path) as handle:
-                merged.update(json.load(handle))
+                loaded = json.load(handle)
         except OSError as err:
             raise InputError("config", f"cannot read {config_path!r}: {err}") from None
         except json.JSONDecodeError as err:
             raise InputError("config", f"invalid JSON in {config_path!r}: {err}") from None
+        if not isinstance(loaded, dict):
+            raise InputError("config", f"expected a JSON object of fields, got {loaded!r}")
+        merged.update(loaded)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
         merged[key] = value
+    for field in _TEXT_FIELDS:
+        value = merged.get(field)
+        if value is not None and not isinstance(value, str):
+            raise InputError(field, f"expected a string, got {value!r}")
     return merged
 
 
@@ -184,6 +198,8 @@ def _resolve_model(config: dict) -> MetricModel:
         params = _parse_params(params)
     elif params is None:
         params = {}
+    elif not isinstance(params, dict):
+        raise InputError("params", f"expected key=value strings or an object, got {params!r}")
     config["params"] = params
     volume = config.get("volume")
     try:
@@ -201,6 +217,18 @@ def _resolve_model(config: dict) -> MetricModel:
         raise InputError("metric", str(err.args[0])) from None
     except (MetricDefinitionError, VolumeFormError, RandersConditionViolated, ExprError, ValueError) as err:
         raise InputError("metric", str(err)) from None
+
+
+def _sampling(config: dict, default_samples: int) -> tuple[int, int, int]:
+    """The seed, the fibre samples per base point and the base points
+    (default 5); a count below 1 is an input error naming it."""
+    seed = _typed(config, "seed", int, 0)
+    samples = _typed(config, "samples", int, default_samples)
+    base_points = _typed(config, "base_points", int, 5)
+    for field, count in (("samples", samples), ("base_points", base_points)):
+        if count < 1:
+            raise InputError(field, f"must be at least 1, got {count}")
+    return seed, samples, base_points
 
 
 def _tolerances_from(config: dict) -> dict:
@@ -314,11 +342,7 @@ def _cmd_curvature(args) -> int:
 def _cmd_check(args) -> int:
     config = _merge_config(args)
     model = _resolve_model(config)
-    seed = _typed(config, "seed", int, 0)
-    samples = _typed(config, "samples", int, 50)
-    base_points = _typed(config, "base_points", int, 5)
-    if samples < 1 or base_points < 1:
-        raise InputError("samples", "sample counts must be positive")
+    seed, samples, base_points = _sampling(config, 50)
     tolerances = _tolerances_from(config)
     reports = run_identity_suite(model, base_points, samples, seed, tolerances)
     reports.sort(key=lambda r: r.tag)
@@ -363,11 +387,7 @@ def _cmd_audit(args) -> int:
     config = _merge_config(args)
     _json_only(config)
     model = _resolve_model(config)
-    seed = _typed(config, "seed", int, 0)
-    samples = _typed(config, "samples", int, 40)
-    base_points = _typed(config, "base_points", int, 5)
-    if samples < 1 or base_points < 1:
-        raise InputError("samples", "sample counts must be positive")
+    seed, samples, base_points = _sampling(config, 40)
     tol = _typed(config, "tol_thm_1", float)
     rng = np.random.default_rng(seed)
     bases = sample_base_points(model, base_points, rng)
@@ -375,21 +395,13 @@ def _cmd_audit(args) -> int:
     worst = "isotropic-and-constant"
     for index, x in enumerate(bases):
         try:
-            audit = schur_audit(
-                model,
-                x,
-                fibre_samples=samples,
-                seed=seed,
-                tol=tol,
-                rng=rng,
-            )
-            record = {"base": index, "x": list(x), "schur": audit.to_dict()}
-            if audit.verdict == "isotropic-and-constant":
-                weak = weak_isotropy_check(model, x, fibre_samples=samples, rng=rng)
-                record["weak_isotropy"] = weak.to_dict()
+            audit = schur_audit(model, x, fibre_samples=samples, seed=seed, tol=tol, rng=rng)
         except FibrePointError as err:
             print(f"error: {err.located(index)}", file=sys.stderr)
             return 2
+        record = {"base": index, "x": list(x), "schur": audit.to_dict()}
+        if audit.weak is not None:
+            record["weak_isotropy"] = audit.weak.to_dict()
         audits.append(record)
         if audit.verdict == "VIOLATION":
             worst = "VIOLATION"

@@ -19,9 +19,9 @@ asked for, as one float array of jet coefficients ``(*slots, size)`` over
 contractions, derivatives gathers along the last axis.  The fields of one
 chart order share one monomial basis of y(u) - y(u0), and the two charts
 of a fibre share one gradient of ln sigma.  Every u-derivative is exact to
-roundoff.  :func:`restrict_fields`, :func:`fibre_snapshot`,
-:func:`berwald_fields` and :func:`s_third_covariant` are views of it, built
-from one pullback and one rank-generic covariant derivative.
+roundoff.  :func:`restrict_fields`, :func:`berwald_fields` and
+:func:`s_third_covariant` are views of it, built from one pullback and one
+rank-generic covariant derivative.
 
 Sign and index conventions are frozen by the Euclidean calibration: for
 F = |y| in dimension 3 the induced metric at the chart centre is 4 times
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -67,8 +67,6 @@ __all__ = [
     "chart_embed",
     "fibre_jets",
     "restrict_fields",
-    "FibreSnapshot",
-    "fibre_snapshot",
     "BerwaldFields",
     "berwald_fields",
     "s_third_covariant",
@@ -257,12 +255,15 @@ class FibreJets:
         return basis
 
     def _on_chart(self, extractor: Callable, field: str) -> np.ndarray:
-        """A totally symmetric tensor at the flag point, composed with y(u) and
-        pulled back to the chart at the field's chart order."""
+        """A totally symmetric tensor at the flag point, composed with y(u)
+        once per distinct entry and pulled back to the chart at the field's
+        chart order."""
         order = self.chart_order[field]
         space, t = self.space(order), extractor(self.tj, order)
-        flag = [jet.truncated(order, x_degree=0) for jet in t.flat]
-        composed = jets.jet_compose(flag, self._basis(order)).reshape(t.shape + (-1,))
+        _, distinct, inverse = _symmetric_layout(t.shape)
+        flat = t.ravel()
+        flag = [flat[k].truncated(order, x_degree=0) for k in distinct]
+        composed = jets.jet_compose(flag, self._basis(order))[inverse]
         return _pullback(space, composed, self.dy[..., : space.size])
 
     @cached_property
@@ -298,10 +299,19 @@ class FibreJets:
             s = s + jets.jet_compose([s_main_jet(self.tj, order)], self._basis(order))[0]
         return s
 
-    def snapshot(self) -> "FibreSnapshot":
-        """Values of g and E, and the Berwald scalar e = tr_g E."""
-        g, berwald = self.g[..., 0], self.e[..., 0]
-        return FibreSnapshot(g=g, berwald=berwald, e=float(np.sum(np.linalg.inv(g) * berwald)))
+    def berwald_fields(self) -> "BerwaldFields":
+        """g, E, the Berwald scalar e = tr_g E and its chart gradient, from a
+        pipeline that carries g and E to chart order 1."""
+        first = self.space(1)
+        g_inv = jets.neumann_inverse(first, self.g)
+        e = jets.jet_einsum(first, "ab,ab->", g_inv, self.e)
+        return BerwaldFields(
+            g=self.g[..., 0],
+            g_inv=g_inv[..., 0],
+            berwald=self.e[..., 0],
+            e=float(e[0]),
+            e_grad=_partials(first, e)[..., 0],
+        )
 
 
 def fibre_jets(
@@ -324,13 +334,25 @@ def fibre_jets(
 # -- tensor calculus in chart coordinates; ``space`` is that of the first field ------
 
 
+@lru_cache(maxsize=None)
+def _symmetric_layout(shape: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], list, np.ndarray]:
+    """For a totally symmetric tensor of this shape: the multi-index of
+    every entry with its indices sorted; the flat index of one entry per
+    sorted multi-index; and, for every entry, the position of its sorted
+    multi-index among those."""
+    sorted_index = tuple(np.sort(np.indices(shape), axis=0))
+    keys = np.ravel_multi_index(sorted_index, shape)
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return sorted_index, distinct.tolist(), inverse.reshape(shape)
+
+
 def _pullback(space: jets.JetSpace, t: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """T_ab.. = T_ij.. dy^i/du^a dy^j/du^b .. for a totally symmetric T,
     contracted one slot at a time; made exactly symmetric by reading every
     entry at its sorted multi-index."""
     for _ in range(t.ndim - 1):
         t = jets.jet_einsum(space, "i...,ai->...a", t, dy)
-    return t[tuple(np.sort(np.indices(t.shape[:-1]), axis=0))]
+    return t[_symmetric_layout(t.shape[:-1])[0]]
 
 
 def _partials(space: jets.JetSpace, t: np.ndarray) -> np.ndarray:
@@ -439,21 +461,6 @@ def restrict_fields(model: MetricModel, chart: FibreChart, u) -> RestrictedField
 
 
 @dataclass
-class FibreSnapshot:
-    """Values-only fibre data (no derivatives): induced metric, mean Berwald
-    pullback and Berwald scalar."""
-
-    g: np.ndarray
-    berwald: np.ndarray
-    e: float
-
-
-def fibre_snapshot(model: MetricModel, chart: FibreChart, u) -> FibreSnapshot:
-    """Cheap value-level evaluation used by the isotropy scan."""
-    return fibre_jets(model, chart, u, {"g": 0, "e": 0}).snapshot()
-
-
-@dataclass
 class BerwaldFields:
     """What the isotropy audit reads at one fibre point: the induced metric
     and its inverse, the mean Berwald pullback, the Berwald scalar
@@ -470,17 +477,7 @@ def berwald_fields(model: MetricModel, chart: FibreChart, u) -> BerwaldFields:
     """g and E to first chart order and nothing else: no S-curvature, so no
     volume gradient, and no Cartan pullback or curvature.  Every value
     equals its counterpart in :func:`restrict_fields` bit for bit."""
-    fj = fibre_jets(model, chart, u, {"g": 1, "e": 1})
-    first = fj.space(1)
-    g_inv = jets.neumann_inverse(first, fj.g)
-    e = jets.jet_einsum(first, "ab,ab->", g_inv, fj.e)
-    return BerwaldFields(
-        g=fj.g[..., 0],
-        g_inv=g_inv[..., 0],
-        berwald=fj.e[..., 0],
-        e=float(e[0]),
-        e_grad=_partials(first, e)[..., 0],
-    )
+    return fibre_jets(model, chart, u, {"g": 1, "e": 1}).berwald_fields()
 
 
 def s_third_covariant(model: MetricModel, chart: FibreChart, u):

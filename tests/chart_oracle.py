@@ -30,7 +30,6 @@ from finslerlab.expr import evaluate
 from finslerlab.indicatrix import (
     BerwaldFields,
     FibreChart,
-    FibreSnapshot,
     RestrictedFields,
     _validate_chart_coord,
     parameter_direction,
@@ -206,15 +205,6 @@ class FibreJets:
                 s = s - grad_i * self.y_u[i].truncated(order)
         return s
 
-    def snapshot(self) -> "FibreSnapshot":
-        """Values of g and E, and the Berwald scalar e = tr_g E."""
-        g_inv = np.array(jet_matrix_inverse(self.g.tolist()))
-        return FibreSnapshot(
-            g=jet_values(self.g),
-            berwald=jet_values(self.e),
-            e=np.sum(g_inv * self.e).value,
-        )
-
 
 def fibre_jets(
     model: MetricModel, chart: FibreChart, u, chart_order: Mapping[str, int]
@@ -334,11 +324,6 @@ def restrict_fields(model: MetricModel, chart: FibreChart, u) -> RestrictedField
         e=e.value,
         e_grad=jet_values(_covariant(e, gamma)),
     )
-
-
-def fibre_snapshot(model: MetricModel, chart: FibreChart, u) -> FibreSnapshot:
-    """Cheap value-level evaluation used by the isotropy scan."""
-    return fibre_jets(model, chart, u, {"g": 0, "e": 0}).snapshot()
 
 
 def berwald_fields(model: MetricModel, chart: FibreChart, u) -> BerwaldFields:

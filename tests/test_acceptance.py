@@ -10,12 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from finslerlab.checks import (
-    isotropy_residual,
-    run_identity_suite,
-    schur_audit,
-    weak_isotropy_check,
-)
+from finslerlab.checks import run_identity_suite, schur_audit
 from finslerlab.cli import main as cli_main
 from finslerlab.core import (
     FlagPoint,
@@ -28,13 +23,7 @@ from finslerlab.core import (
     spray_coefficients,
 )
 from finslerlab.expr import evaluate
-from finslerlab.indicatrix import (
-    FibreChart,
-    chart_embed,
-    fibre_snapshot,
-    restrict_fields,
-    sample_fibre_points,
-)
+from finslerlab.indicatrix import FibreChart, chart_embed, restrict_fields, sample_fibre_points
 from finslerlab.jets import extract_derivative, jet_space
 from finslerlab.volume import bh_volume_coefficient
 from finslerlab.zoo import build
@@ -59,16 +48,13 @@ def test_criterion_1_funk_quantitative_suite(funk3):
         f_value = metric_value(funk3, point)
         worst_s = max(worst_s, abs(s_curvature(funk3, point) - 2.0 * f_value) / f_value)
         worst_sigma = max(worst_sigma, abs(bh_volume_coefficient(funk3, x) - 1.0))
-        fibre_points = sample_fibre_points(funk3, x, 40, rng)
-        e_values = []
-        for pt in fibre_points:
-            snap = fibre_snapshot(funk3, pt.chart, pt.u)
-            e_values.append(snap.e)
-            worst_iso = max(worst_iso, isotropy_residual(snap, 3))
-        worst_e = max(worst_e, max(abs(e - 4.0) for e in e_values))
-        worst_spread = max(worst_spread, max(e_values) - min(e_values))
-        weak = weak_isotropy_check(funk3, x, points=fibre_points)
-        worst_weak = max(worst_weak, weak.max_hessian_residual)
+        audit = schur_audit(funk3, x, fibre_samples=40, rng=rng)
+        worst_e = max(worst_e, abs(audit.e_min - 4.0), abs(audit.e_max - 4.0))
+        worst_spread = max(worst_spread, audit.e_spread)
+        worst_iso = max(worst_iso, audit.max_isotropy_residual)
+        # no weak-isotropy record unless the verdict is isotropic-and-constant
+        weak = audit.weak.max_hessian_residual if audit.weak else math.inf
+        worst_weak = max(worst_weak, weak)
     ok = (
         worst_s <= 1e-5
         and worst_sigma <= 1e-6

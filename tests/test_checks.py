@@ -12,14 +12,13 @@ from finslerlab.checks import (
     pde_residual,
     run_identity_suite,
     schur_audit,
-    weak_isotropy_check,
 )
 from finslerlab.core import MetricModel, NonPositiveDefiniteError, fundamental_tensor
 from finslerlab.indicatrix import (
     FibreChart,
     IndicatrixPoint,
+    berwald_fields,
     chart_embed,
-    fibre_snapshot,
     restrict_fields,
     sample_fibre_points,
 )
@@ -73,12 +72,12 @@ def test_gauss_euclidean_reduces_to_round_sphere(euclid3):
 
 def test_isotropy_residual_funk(funk3):
     point = fibre_point(funk3, [0.3, 0.1, 0.0], np.array([0.5, -0.4]))
-    assert isotropy_residual(fibre_snapshot(funk3, point.chart, point.u), 3) <= 1e-6
+    assert isotropy_residual(berwald_fields(funk3, point.chart, point.u), 3) <= 1e-6
 
 
 def test_isotropy_residual_riemannian(riem3):
     point = fibre_point(riem3, [0.2, -0.3, 0.1], np.array([0.4, 0.2]))
-    assert isotropy_residual(fibre_snapshot(riem3, point.chart, point.u), 3) <= 1e-12
+    assert isotropy_residual(berwald_fields(riem3, point.chart, point.u), 3) <= 1e-12
 
 
 def test_isotropy_residual_randers_flags_non_isotropy(randers3, rng):
@@ -88,8 +87,8 @@ def test_isotropy_residual_randers_flags_non_isotropy(randers3, rng):
     for _ in range(3):
         x = randers3.sample_x(rng)
         for point in sample_fibre_points(randers3, x, 10, rng):
-            snap = fibre_snapshot(randers3, point.chart, point.u)
-            worst = max(worst, isotropy_residual(snap, 3))
+            bf = berwald_fields(randers3, point.chart, point.u)
+            worst = max(worst, isotropy_residual(bf, 3))
     assert worst > 1e-2
 
 
@@ -128,6 +127,7 @@ def test_schur_audit_euclidean(euclid3):
 def test_schur_audit_randers_non_isotropic(randers3):
     audit = schur_audit(randers3, np.array([0.3, 0.2, -0.1]), fibre_samples=20, seed=2)
     assert audit.verdict == "non-isotropic"
+    assert audit.weak is None
 
 
 def test_schur_audit_dim2_never_asserts(rng):
@@ -151,8 +151,25 @@ def test_schur_audit_reads_no_volume_gradient_and_expands_once_per_point(
     monkeypatch.setattr(indicatrix, "dln_sigma", lambda model, x: calls.append(1))
     audit = schur_audit(model, np.array([0.2, -0.1, 0.3, 0.1]), fibre_samples=3, seed=2)
     assert audit.verdict == "isotropic-and-constant"
+    assert audit.weak.samples == 3  # the weak-isotropy test shares the expansions
     assert calls == []
     assert core_counts["expansions"] == 3
+
+
+def test_non_isotropic_audit_takes_no_hessians_after_the_first_anisotropic_point(monkeypatch):
+    from finslerlab import checks
+
+    # with this bound the fifth of the six points is the only anisotropic one
+    model, x, tol = build("randers", 3), np.array([0.3, 0.2, -0.1]), 5e-3
+    points = sample_fibre_points(model, x, 6, np.random.default_rng(3))
+    residuals = [isotropy_residual(berwald_fields(model, p.chart, p.u), 3) for p in points]
+    assert [r <= tol for r in residuals] == [True, True, True, True, False, True]
+    calls = []
+    hessians = checks._y_hessians
+    monkeypatch.setattr(checks, "_y_hessians", lambda tj: calls.append(1) or hessians(tj))
+    audit = schur_audit(model, x, fibre_samples=6, tol=tol, rng=np.random.default_rng(3))
+    assert audit.verdict == "non-isotropic" and audit.weak is None
+    assert len(calls) == 4
 
 
 def test_domain_fault_names_the_fibre_point_and_stage():
@@ -162,8 +179,6 @@ def test_domain_fault_names_the_fibre_point_and_stage():
         schur_audit(model, x, fibre_samples=5, seed=4)
     assert ", stage schur: " in str(info.value)
     assert info.value.located(2).startswith("NonPositiveDefiniteError at base 2, fibre 0, chart ")
-    with pytest.raises(FibrePointError, match=", stage weak-isotropy: "):
-        weak_isotropy_check(model, x, fibre_samples=5, seed=4)
 
 
 def test_weak_isotropy_checks_convexity_at_every_point():
@@ -177,27 +192,34 @@ def test_weak_isotropy_checks_convexity_at_every_point():
         except NonPositiveDefiniteError:
             bad.append(index)
     assert len(bad) == 9 and bad[0] > 0  # the first point is convex
+    # the one-pass audit, which also takes the weak-isotropy Hessians, visits
+    # the same points and stops at the first non-convex one
     first_bad = rf"^NonPositiveDefiniteError at fibre {bad[0]}, chart "
     with pytest.raises(FibrePointError, match=first_bad) as info:
-        weak_isotropy_check(model, x, points=points)
-    assert ", stage weak-isotropy: fundamental tensor is not positive" in str(info.value)
+        schur_audit(model, x, fibre_samples=40, rng=np.random.default_rng(1))
+    assert ", stage schur: fundamental tensor is not positive" in str(info.value)
 
 
 def test_weak_isotropy_funk(funk3):
-    record = weak_isotropy_check(funk3, np.array([0.3, 0.1, 0.0]), fibre_samples=10, seed=4)
+    x = np.array([0.3, 0.1, 0.0])
+    record = schur_audit(funk3, x, fibre_samples=10, seed=4).weak
     assert record.c == pytest.approx(2.0, abs=1e-6)
     assert record.max_hessian_residual <= 1e-5
+    assert record.samples == 10
+    # c is e at the first audited point over n - 1
+    first = sample_fibre_points(funk3, x, 1, np.random.default_rng(4))[0]
+    assert record.c == berwald_fields(funk3, first.chart, first.u).e / 2
 
 
 def test_weak_isotropy_minkowski(quartic3):
-    record = weak_isotropy_check(quartic3, np.zeros(3), fibre_samples=6, seed=4)
+    record = schur_audit(quartic3, np.zeros(3), fibre_samples=6, seed=4).weak
     assert record.c == pytest.approx(0.0, abs=1e-12)
     assert record.max_hessian_residual <= 1e-12
 
 
 def test_weak_isotropy_riemannian_custom_volume():
     model = build("riemannian", 3, {"a_diag": [1.0, 4.0, 1.0]}, volume="expr:exp(x1 + x2)")
-    record = weak_isotropy_check(model, np.array([0.2, -0.1, 0.3]), fibre_samples=6, seed=4)
+    record = schur_audit(model, np.array([0.2, -0.1, 0.3]), fibre_samples=6, seed=4).weak
     # S is already linear in y, so the Hessian residual vanishes
     assert record.c == pytest.approx(0.0, abs=1e-10)
     assert record.max_hessian_residual <= 1e-6

@@ -86,13 +86,19 @@ def test_check_small_suite_passes(tmp_path):
         assert len(check["points"]) == 8
 
 
-def test_check_reports_are_byte_identical(tmp_path):
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "--metric", "randers", "--dim", "3", "--samples", "5"],
+        # two base points: the second samples its fibre after the first's
+        ["audit", "--metric", "funk_ball", "--dim", "3", "--samples", "4"],
+    ],
+    ids=["check", "audit"],
+)
+def test_check_reports_are_byte_identical(tmp_path, args):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
-    args = [
-        "check", "--metric", "randers", "--dim", "3",
-        "--samples", "5", "--base-points", "2", "--seed", "42",
-    ]
+    args = [*args, "--base-points", "2", "--seed", "42"]
     assert run_cli(*args, "--out", str(out1)) == 0
     assert run_cli(*args, "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -186,13 +192,38 @@ def test_missing_dim_is_input_error(capsys):
         ("audit", "samples", "many"),
         ("audit", "base_points", [2]),
         ("audit", "tol_thm_1", "tiny"),
+        ("check", "params", 7),
+        ("check", "params", ["eps=1", 2]),
+        ("check", "metric_expr", 5),
+        ("check", "volume", 3),
+        ("check", "out", 7),
+        ("check", "samples", 2.5),
+        ("audit", "samples", 2.5),
+        ("audit", "base_points", True),
+        ("check", "samples", 0),
+        ("audit", "base_points", 0),
     ],
 )
 def test_badly_typed_config_value_exits_2(tmp_path, capsys, command, field, value):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"metric": "randers", "dim": 3, field: value}))
     assert run_cli(command, "--config", str(config)) == 2
-    assert f"{field}:" in capsys.readouterr().err
+    assert f"error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document", [[1, 2], "randers", 3])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, document):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    assert run_cli("check", "--config", str(config), "--metric", "randers", "--dim", "3") == 2
+    assert capsys.readouterr().err.startswith("error: config: expected a JSON object")
+
+
+def test_curvature_point_that_is_not_a_string_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"metric": "euclidean", "dim": 3, "x": [0, 0, 0], "y": "0,0,1"}))
+    assert run_cli("curvature", "--config", str(config)) == 2
+    assert capsys.readouterr().err.startswith("error: x: expected a string")
 
 
 def test_check_takes_only_the_tolerances_of_its_checks(tmp_path, capsys):
@@ -261,8 +292,8 @@ def test_guard_rejecting_every_direction_exits_2(monkeypatch, capsys):
 
 
 def test_audit_expands_once_per_fibre_point(tmp_path, core_counts):
-    # 3 schur points and 3 weak-isotropy points per base point; c comes from
-    # the first weak-isotropy expansion
+    # 3 points per base point, whose expansions feed both thm-1 and the
+    # weak-isotropy test
     out = tmp_path / "audit.json"
     code = run_cli(
         "audit", "--metric", "funk_ball", "--dim", "4", "--volume", "bh",
@@ -271,7 +302,7 @@ def test_audit_expands_once_per_fibre_point(tmp_path, core_counts):
     assert code == 0
     records = json.loads(out.read_text())["audits"]
     assert all("weak_isotropy" in record for record in records)
-    assert core_counts["expansions"] == 6 * 2
+    assert core_counts["expansions"] == 3 * 2
 
 
 def test_quadrature_failure_is_named_in_the_report_and_exits_2(tmp_path, capsys):

@@ -12,7 +12,6 @@ from finslerlab.indicatrix import (
     chart_transition,
     direction_chart,
     fibre_jets,
-    fibre_snapshot,
     parameter_direction,
     restrict_fields,
     sample_fibre_points,
@@ -142,16 +141,6 @@ def test_restricted_fields_riemannian_zeros(riem3, rng):
     assert rf.e == pytest.approx(0.0, abs=1e-10)
 
 
-def test_snapshot_matches_bundle(randers3, rng):
-    chart = north_chart(randers3, [0.3, 0.2, -0.1])
-    u = rng.uniform(-1, 1, 2)
-    rf = restrict_fields(randers3, chart, u)
-    snap = fibre_snapshot(randers3, chart, u)
-    np.testing.assert_allclose(snap.g, rf.g, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(snap.berwald, rf.berwald, rtol=1e-10, atol=1e-12)
-    assert snap.e == pytest.approx(rf.e, rel=1e-10, abs=1e-12)
-
-
 def test_covariant_derivative_constant_scalar(randers3):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
     fj = fibre_jets(randers3, chart, np.array([0.4, 0.1]), {"g": 1})
@@ -227,8 +216,7 @@ def test_fibre_covariant_derivative_matches_fd(randers3):
     rf = restrict_fields(randers3, chart, u)
 
     def berwald_component(uvec, a, b):
-        snap = fibre_snapshot(randers3, chart, uvec)
-        return snap.berwald[a, b]
+        return berwald_fields(randers3, chart, uvec).berwald[a, b]
 
     m = 2
     partial = np.empty((m, m, m))
@@ -315,7 +303,25 @@ def test_berwald_fields_equal_restrict_fields_bit_for_bit(family, dim, volume):
             np.testing.assert_array_equal(getattr(bf, name), getattr(rf, name), err_msg=name)
 
 
-_ALL_VIEWS = ("restrict_fields", "s_third_covariant", "berwald_fields", "fibre_snapshot")
+def test_restrict_fields_composes_each_distinct_flag_entry_once(randers3, monkeypatch):
+    """A totally symmetric flag-point tensor is composed with y(u) once per
+    sorted multi-index: at n = 3 that is 6 entries each for g and E, 10 for
+    the Cartan tensor and 1 for the volume-free S."""
+    from finslerlab import jets
+
+    composed = []
+    compose = jets.jet_compose
+
+    def counted(flag, basis):
+        composed.append(len(flag))
+        return compose(flag, basis)
+
+    monkeypatch.setattr(jets, "jet_compose", counted)
+    restrict_fields(randers3, north_chart(randers3, [0.3, 0.2, -0.1]), np.array([0.4, 0.1]))
+    assert sum(composed) == 6 + 6 + 10 + 1
+
+
+_ALL_VIEWS = ("restrict_fields", "s_third_covariant", "berwald_fields")
 _RIEMANNIAN = {"a11": "exp(x1)", "a22": "1 + x2^2", "a33": "2 + x1*x3", "a12": "0.3*x3"}
 
 
@@ -324,7 +330,7 @@ _RIEMANNIAN = {"a11": "exp(x1)", "a22": "1 + x2^2", "a33": "2 + x1*x3", "a12": "
     [
         ("randers", 3, None, None, _ALL_VIEWS),
         ("funk_ball", 3, None, None, _ALL_VIEWS),
-        ("funk_ball", 4, None, "bh", ("berwald_fields", "fibre_snapshot")),
+        ("funk_ball", 4, None, "bh", ("berwald_fields",)),
         ("minkowski_quartic", 3, None, None, _ALL_VIEWS),
         ("riemannian", 3, _RIEMANNIAN, "auto", _ALL_VIEWS),
         ("euclidean", 2, None, None, _ALL_VIEWS),
@@ -356,7 +362,7 @@ def test_chart_fields_match_the_object_array_oracle(family, dim, params, volume,
 
 def test_volume_gradient_once_per_base_point_and_only_for_s(monkeypatch):
     from finslerlab import indicatrix
-    from finslerlab.checks import weak_isotropy_check
+    from finslerlab.checks import schur_audit
     from finslerlab.zoo import build
 
     model = build("funk_ball", 3, volume="bh")
@@ -368,8 +374,10 @@ def test_volume_gradient_once_per_base_point_and_only_for_s(monkeypatch):
     x = np.array([0.2, -0.1, 0.3])
     points = sample_fibre_points(model, x, 4, np.random.default_rng(2))
     for point in points:
-        fibre_snapshot(model, point.chart, point.u)
-    weak_isotropy_check(model, x, points=points)
+        berwald_fields(model, point.chart, point.u)
+    # the same points, and the weak-isotropy test, in the audit
+    audit = schur_audit(model, x, fibre_samples=4, rng=np.random.default_rng(2))
+    assert audit.weak is not None
     assert calls == []
     assert {point.chart.chart_id for point in points} == {"north", "south"}
     for point in points:
