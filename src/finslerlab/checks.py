@@ -49,7 +49,7 @@ from .indicatrix import (
     s_third_covariant,
     sample_fibre_points,
 )
-from .jets import extract_derivative
+from .jets import jet_partials
 from .volume import QuadratureError
 
 __all__ = [
@@ -340,11 +340,9 @@ def _y_hessians(tj: TensorJets) -> tuple[np.ndarray, np.ndarray]:
     The volume contribution to S is linear in y at fixed x, so the y-Hessian
     of S - c F is the first minus c times the second.
     """
-    alphas = [[tj.gamma(y_part=(i, j)) for j in range(tj.n)] for i in range(tj.n)]
-    return tuple(
-        np.array([[extract_derivative(jet, alpha) for alpha in row] for row in alphas])
-        for jet in (s_main_jet(tj, 2), tj.f_jet)
-    )
+    gammas, n = tj.gammas(0, 2), tj.n
+    s_and_f = ((tj.x_free(2), s_main_jet(tj, 2)), (tj.f_jet.space, tj.f_jet.coeffs))
+    return tuple(jet_partials(*jet, gammas)[..., 0].reshape(n, n) for jet in s_and_f)
 
 
 def schur_audit(

@@ -46,7 +46,7 @@ from .core import (
 from .expr import ExprError
 from .indicatrix import FibreChart, berwald_fields, direction_chart
 from .volume import QuadratureError
-from .zoo import RandersConditionViolated, build, entries
+from .zoo import ParamError, RandersConditionViolated, build, entries, number_param
 
 SCHEMA_VERSION = "1"
 
@@ -205,16 +205,17 @@ def _resolve_model(config: dict) -> MetricModel:
     try:
         if metric_id:
             return build(metric_id, dim, params, volume)
-        numeric_params = {k: float(v) for k, v in params.items()}
         return MetricModel(
             dim,
             expr_text,
-            params=numeric_params,
+            params={k: number_param(v, k) for k, v in params.items()},
             volume=volume or "lebesgue",
             metric_id="expr",
         )
     except KeyError as err:
         raise InputError("metric", str(err.args[0])) from None
+    except ParamError as err:
+        raise InputError("params", str(err)) from None
     except (MetricDefinitionError, VolumeFormError, RandersConditionViolated, ExprError, ValueError) as err:
         raise InputError("metric", str(err)) from None
 

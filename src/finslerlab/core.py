@@ -21,13 +21,19 @@ truncated Taylor jets around the point, and each tensor has exactly one
 extractor that reads it off an expansion at a requested jet order --
 :func:`g_jets`, :func:`cartan_jets`, :func:`spray_jets` (with N and E as its
 y-derivatives, :func:`nonlinear_jets` and :func:`berwald_jets`) and
-:func:`s_main_jet`, the volume-free part of S.  g and G are assembled once
-per expansion, at the highest order it carries, and truncated for every
-reader; a lower-order jet is the truncation of a higher-order one, so one
-deep expansion serves every order below it.  :func:`coordinate_tensors`
-builds a single expansion; each single-tensor function builds one of the
-lowest order it needs.  The fibre pipeline in :mod:`finslerlab.indicatrix`
-reads the same extractors.
+:func:`s_main_jet`, the volume-free part of S.  Every tensor is one float
+array ``(*slots, size)`` of jet coefficients: derivatives of F^2 are
+gathers (:func:`~finslerlab.jets.jet_partials`), products are
+:func:`~finslerlab.jets.jet_einsum` contractions, and the one matrix
+inverse, g^{-1} for the spray, is :func:`~finslerlab.jets.neumann_inverse`.
+S needs no determinant: by Jacobi's formula d ln sqrt(det g) =
+(1/2) tr(g^{-1} dg) with the same g^{-1}.  g, g^{-1} and G are
+assembled once per expansion, at the highest order it carries, and every
+reader takes a prefix; a lower-order jet is the truncation of a
+higher-order one, so one deep expansion serves every order below it.
+:func:`coordinate_tensors` builds a single expansion; each single-tensor
+function builds one of the lowest order it needs.  The fibre pipeline in
+:mod:`finslerlab.indicatrix` reads the same extractors.
 
 x enters to first order.  No tensor here needs more than one x-derivative
 of F (G takes [F^2]_x and [F^2]_{xy}; N, E and S differentiate G and
@@ -37,7 +43,7 @@ instead of 3003 at (2n, p) = (8, 6).  Every coefficient it keeps equals
 the full expansion's bit for bit.  A derivative along x leaves no x-linear
 coefficient, so the spray, N, E and the volume-free S live in the x-free
 space of the expansion, and the factors multiplied with them (g^{-1}, y,
-d tau_g / dy) are truncated to it explicitly.
+d tau_g / dy) are restricted to it explicitly.
 
 All derivatives are exact up to roundoff.  Models are immutable after
 construction and every operation is a pure function, so evaluation is safe
@@ -48,8 +54,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations_with_replacement, permutations
+from functools import cached_property, lru_cache
+from itertools import product
 from typing import Mapping
 
 import numpy as np
@@ -63,14 +69,6 @@ from .expr import (
     evaluate,
     iter_nodes,
     parse,
-)
-from .jets import (
-    Jet,
-    extract_derivative,
-    jet_matrix_det,
-    jet_matrix_inverse,
-    jet_truncated,
-    jet_values,
 )
 
 __all__ = [
@@ -330,11 +328,13 @@ class TensorJets:
     :func:`~finslerlab.jets.jet_space`), since no tensor needs more than one
     x-derivative of F; without it the x coordinates enter as constants and
     the jets run over y only, which keeps x-independent metrics usable up to
-    the variable cap.  A field that has taken its x-derivative (the spray,
-    and N, E and the volume-free S read from it) lives in the x-free space
-    of the same variables (:meth:`x_free`); its other factors are truncated
-    to it explicitly.  An expansion of order p carries g and the spray to
-    order p - 2; each is assembled once, at that order, when first read.
+    the variable cap.  Every tensor is one float array ``(*slots, size)`` of
+    coefficients over :meth:`space`.  A field that has taken its
+    x-derivative (the spray, and N, E and the volume-free S read from it)
+    lives in the x-free space of the same variables (:meth:`x_free`); its
+    other factors are restricted to it explicitly.  An expansion of order p
+    carries g, g^{-1} and the spray to order p - 2; each is assembled once,
+    at that order, when first read.
     """
 
     def __init__(self, model: MetricModel, x, y, order: int, with_x: bool):
@@ -353,7 +353,7 @@ class TensorJets:
             )
         self.y_offset = n if with_x else 0
         self.x_vars = self.y_offset  # the variables limited to x-degree 1
-        space = jets.jet_space(self.n_vars, order, self.x_vars)
+        space = self.space(order)
         if with_x:
             xs = [space.variable(i + 1, float(x[i])) for i in range(n)]
         else:
@@ -366,54 +366,67 @@ class TensorJets:
             )
         self.f2_jet = self.f_jet * self.f_jet
 
-    def x_free(self, order: int) -> jets.JetSpace:
-        """The space of the fields that have taken an x-derivative: order
-        ``order``, no x-linear coefficient (the full space over y without
+    def space(self, order: int, x_degree: int = 1) -> jets.JetSpace:
+        """The jet space of this order over the expansion variables, with x
+        entering to ``x_degree`` (the same space for every limit without
         ``with_x``)."""
-        return jets.jet_space(self.n_vars, order, self.x_vars, 0)
+        return jets.jet_space(self.n_vars, order, self.x_vars, x_degree)
 
-    def y_jet(self, i: int, order: int) -> Jet:
-        """The coordinate y^i (0-based) as an x-free jet of the given order."""
-        return self.x_free(order).variable(self.y_offset + i + 1, float(self.y[i]))
+    def x_free(self, order: int) -> jets.JetSpace:
+        """The space of the fields that have taken an x-derivative."""
+        return self.space(order, 0)
 
-    def gamma(self, x_part=(), y_part=()) -> tuple[int, ...]:
-        g = [0] * self.n_vars
-        for i in x_part:
-            if not self.with_x:
-                raise ValueError("x derivatives need jets over the x variables")
-            g[i] += 1
-        for i in y_part:
-            g[self.y_offset + i] += 1
-        return tuple(g)
+    def y_jets(self, order: int) -> np.ndarray:
+        """The coordinates y^i as x-free jets of the given order, one row each."""
+        space, y0 = self.x_free(order), self.y_offset + 1
+        return np.array([space.variable(y0 + i, v).coeffs for i, v in enumerate(self.y)])
 
-    def d_f2(self, x_part=(), y_part=(), order: int | None = None) -> Jet:
-        out = self.f2_jet.derivative(self.gamma(x_part, y_part))
-        return out if order is None else out.truncated(order)
+    def gammas(self, x_slots: int, y_slots: int) -> tuple[tuple[int, ...], ...]:
+        """The multi-index of d_{x^i}.. d_{y^a}.. for every index tuple,
+        x-slots first, in C order."""
+        if x_slots and not self.with_x:
+            raise ValueError("x derivatives need jets over the x variables")
+        return _gammas(self.n_vars, self.y_offset, self.n, x_slots, y_slots)
+
+    def d_f2(self, x_slots: int, y_slots: int) -> np.ndarray:
+        """d_{x^i}.. d_{y^a}.. F^2 for every index tuple, x-slots first:
+        shape ``(n,) * (x_slots + y_slots) + (size,)``, x-free after a
+        derivative along x."""
+        d = jets.jet_partials(self.f2_jet.space, self.f2_jet.coeffs, self.gammas(x_slots, y_slots))
+        return d.reshape((self.n,) * (x_slots + y_slots) + d.shape[-1:])
 
     @cached_property
     def g(self) -> np.ndarray:
         """g_ij to order p - 2; raises unless g is positive definite."""
-        n = self.n
-        g = np.empty((n, n), dtype=object)
-        for i, j in combinations_with_replacement(range(n), 2):
-            g[i, j] = g[j, i] = self.d_f2(y_part=(i, j)) * 0.5
-        _check_pd(jet_values(g), "fundamental tensor")
+        g = 0.5 * self.d_f2(0, 2)
+        _check_pd(g[..., 0], "fundamental tensor")
         return g
+
+    @cached_property
+    def g_inv(self) -> np.ndarray:
+        """g^{ij} to order p - 2, x-free: the one matrix inverse of an expansion."""
+        space = self.x_free(self.order - 2)
+        return jets.neumann_inverse(space, self.g[..., self.space(space.order).restriction(space)])
 
     @cached_property
     def spray(self) -> np.ndarray:
         """G^i = (1/4) g^{il} ([F^2]_{x^k y^l} y^k - [F^2]_{x^l}) to order p - 2,
         x-free."""
-        n, order = self.n, self.order - 2
-        b = np.empty(n, dtype=object)
-        for l in range(n):
-            term = -self.d_f2(x_part=(l,), order=order)
-            for k in range(n):
-                term = term + self.d_f2(x_part=(k,), y_part=(l,)) * self.y_jet(k, order)
-            b[l] = term
-        g = jet_truncated(self.g, order, x_degree=0)
-        g_inv = np.array(jet_matrix_inverse(g.tolist()), dtype=object)
-        return np.dot(g_inv, b) * 0.25
+        space = self.x_free(self.order - 2)
+        y_d = jets.jet_einsum(space, "kl,k->l", self.d_f2(1, 1), self.y_jets(space.order))
+        b = y_d - self.d_f2(1, 0)[:, : space.size]
+        return 0.25 * jets.jet_einsum(space, "il,l->i", self.g_inv, b)
+
+
+@lru_cache(maxsize=None)
+def _gammas(n_vars: int, y_offset: int, n: int, x_slots: int, y_slots: int) -> tuple:
+    out = []
+    for index in product(range(n), repeat=x_slots + y_slots):
+        gamma = [0] * n_vars
+        for slot, i in enumerate(index):
+            gamma[i if slot < x_slots else y_offset + i] += 1
+        out.append(tuple(gamma))
+    return tuple(out)
 
 
 def _check_pd(gmat: np.ndarray, where: str) -> None:
@@ -423,93 +436,83 @@ def _check_pd(gmat: np.ndarray, where: str) -> None:
 
 
 def g_jets(tj: TensorJets, order: int) -> np.ndarray:
-    """g_ij = (1/2) [F^2]_{y^i y^j} as jets of the given order (at most p - 2)."""
-    return jet_truncated(tj.g, order)
+    """g_ij = (1/2) [F^2]_{y^i y^j} over ``tj.space(order)`` (order at most p - 2)."""
+    return tj.g[..., : tj.space(order).size]
 
 
 def cartan_jets(tj: TensorJets, order: int) -> np.ndarray:
-    """A_ijk = (F/4) [F^2]_{y^i y^j y^k} as jets of the given order (at most p - 3)."""
-    n = tj.n
-    quarter_f = 0.25 * tj.f_jet.truncated(order)
-    out = np.empty((n, n, n), dtype=object)
-    for ijk in combinations_with_replacement(range(n), 3):
-        entry = quarter_f * tj.d_f2(y_part=ijk, order=order)
-        for index in permutations(ijk):
-            out[index] = entry
-    return out
+    """A_ijk = (F/4) [F^2]_{y^i y^j y^k} over ``tj.space(order)`` (order at most p - 3)."""
+    space = tj.space(order)
+    quarter_f = 0.25 * tj.f_jet.coeffs[: space.size]
+    return jets.jet_einsum(space, ",ijk->ijk", quarter_f, tj.d_f2(0, 3)[..., : space.size])
 
 
 def spray_jets(tj: TensorJets, order: int) -> np.ndarray:
-    """The spray G^i as x-free jets of the given order (at most p - 2); zero
+    """The spray G^i over ``tj.x_free(order)`` (order at most p - 2); zero
     when F does not depend on x."""
+    size = tj.x_free(order).size
     if not tj.depends_on_x:
-        return np.full(tj.n, tj.x_free(order).constant(0.0), dtype=object)
-    return jet_truncated(tj.spray, order)
+        return np.zeros((tj.n, size))
+    return tj.spray[..., :size]
 
 
 def nonlinear_jets(tj: TensorJets, order: int) -> np.ndarray:
-    """N^i_j = dG^i/dy^j as jets of the given order (at most p - 3)."""
-    spray = spray_jets(tj, order + 1)
-    return np.array(
-        [[spray[i].derivative(tj.gamma(y_part=(j,))) for j in range(tj.n)] for i in range(tj.n)],
-        dtype=object,
-    )
+    """N^i_j = dG^i/dy^j over ``tj.x_free(order)`` (order at most p - 3)."""
+    return jets.jet_partials(tj.x_free(order + 1), spray_jets(tj, order + 1), tj.gammas(0, 1))
 
 
 def berwald_jets(tj: TensorJets, order: int) -> np.ndarray:
-    """E_ij = d^3 G^p / dy^i dy^j dy^p as jets of the given order (at most p - 5)."""
-    n = tj.n
-    spray = spray_jets(tj, order + 3)
-    out = np.empty((n, n), dtype=object)
-    for i, j in combinations_with_replacement(range(n), 2):
-        out[i, j] = out[j, i] = sum(
-            spray[p].derivative(tj.gamma(y_part=(i, j, p))) for p in range(n)
-        )
-    return out
+    """E_ij = d^3 G^p / dy^i dy^j dy^p over ``tj.x_free(order)`` (order at most p - 5)."""
+    n, p = tj.n, np.arange(tj.n)
+    d = jets.jet_partials(tj.x_free(order + 3), spray_jets(tj, order + 3), tj.gammas(0, 3))
+    return d.reshape((n,) * 4 + d.shape[-1:])[p, :, :, p].sum(axis=0)  # [p, i, j, p]
 
 
-def s_main_jet(tj: TensorJets, order: int) -> Jet:
+def s_main_jet(tj: TensorJets, order: int) -> np.ndarray:
     """The volume-free part of the S-curvature, the spray derivative of
-    ln sqrt(det g): y^i d_{x^i} tau_g - 2 G^i d_{y^i} tau_g, as an x-free jet
-    of the given order (at most p - 3).  S is its value minus y . grad ln sigma.
+    tau_g = ln sqrt(det g): y^i d_{x^i} tau_g - 2 G^i d_{y^i} tau_g, over
+    ``tj.x_free(order)`` (order at most p - 3).  S is its value minus
+    y . grad ln sigma.
 
-    It equals y^i d_{x^i} tau_g - y^i N^j_i d_{y^j} tau_g, the derivative
-    along the spray, because N^j_i y^i = 2 G^j (G is 2-homogeneous in y).
+    By Jacobi's formula d tau_g = (1/2) tr(g^{-1} dg), so it needs no
+    determinant.  It equals y^i d_{x^i} tau_g - y^i N^j_i d_{y^j} tau_g, the
+    derivative along the spray, because N^j_i y^i = 2 G^j (G is
+    2-homogeneous in y).
     """
-    acc = tj.x_free(order).constant(0.0)
+    space = tj.x_free(order)
     if not tj.depends_on_x:
-        return acc
-    tau_g = jet_matrix_det(g_jets(tj, order + 1).tolist()).ln() * 0.5
-    spray = spray_jets(tj, order)
-    for i in range(tj.n):
-        acc = acc + tj.y_jet(i, order) * tau_g.derivative(tj.gamma(x_part=(i,)))
-        d_y = tau_g.derivative(tj.gamma(y_part=(i,))).truncated(order, x_degree=0)
-        acc = acc - 2.0 * spray[i] * d_y
-    return acc
+        return np.zeros(space.size)
+    g_inv, g_space = tj.g_inv[..., : space.size], tj.space(tj.order - 2)
+    dg_x = jets.jet_partials(g_space, tj.g, tj.gammas(1, 0))[..., : space.size]
+    dg_y = jets.jet_partials(g_space, tj.g, tj.gammas(0, 1))
+    dg_y = dg_y[..., tj.space(g_space.order - 1).restriction(space)]
+    d_x = 0.5 * jets.jet_einsum(space, "ab,abi->i", g_inv, dg_x)
+    d_y = 0.5 * jets.jet_einsum(space, "ab,abi->i", g_inv, dg_y)
+    along_x = jets.jet_einsum(space, "i,i->", tj.y_jets(order), d_x)
+    return along_x - 2.0 * jets.jet_einsum(space, "i,i->", spray_jets(tj, order), d_y)
 
 
 # -- volume coefficient --------------------------------------------------------
 
 
-def _sigma_jet(model: MetricModel, x, order: int) -> Jet:
-    """sigma(x) as a jet over x, for the custom and riemannian_auto forms."""
+def _sigma_matrix(model: MetricModel, x, order: int) -> tuple[np.ndarray, float, float]:
+    """sigma = (det m)^power for a matrix m of expressions in x: the ground
+    metric a(x) with power 1/2 (riemannian_auto), or the 1 x 1 matrix
+    (sigma(x)) with power 1 (custom).  Returns m as jets of the given order
+    over x, the power and det m at x."""
     n = model.dim
     space = jets.jet_space(n, order)
     xs = [space.variable(i + 1, float(x[i])) for i in range(n)]
-
-    def over_x(ast) -> Jet:
-        value = evaluate(ast, xs, [0.0] * n, model.params)
-        return value if isinstance(value, Jet) else space.constant(float(value))
-
     if model.volume.kind == "custom":
-        sigma = over_x(model.volume.sigma_ast)
-        if not sigma.value > 0.0:
-            raise VolumeFormError(f"sigma(x) = {sigma.value!r} must be positive")
-        return sigma
-    det = jet_matrix_det([[over_x(entry) for entry in row] for row in model.a_asts])
-    if not det.value > 0.0:
-        raise VolumeFormError(f"det a(x) = {det.value!r} must be positive")
-    return det.sqrt()
+        asts, power, what = [[model.volume.sigma_ast]], 1.0, "sigma(x)"
+    else:
+        asts, power, what = model.a_asts, 0.5, "det a(x)"
+    ys, zero = [0.0] * n, space.constant(0.0)  # zero + a float entry is a jet
+    m = np.array([[(zero + evaluate(a, xs, ys, model.params)).coeffs for a in row] for row in asts])
+    det = float(np.linalg.det(m[..., 0]))
+    if not det > 0.0:
+        raise VolumeFormError(f"{what} = {det!r} must be positive")
+    return m, power, det
 
 
 def sigma_value(model: MetricModel, x) -> float:
@@ -519,18 +522,20 @@ def sigma_value(model: MetricModel, x) -> float:
         return 1.0
     if kind == "busemann_hausdorff":
         return volume.bh_volume_coefficient(model, x)
-    return _sigma_jet(model, x, 0).value
+    _, power, det = _sigma_matrix(model, x, 0)
+    return det ** power
 
 
 def dln_sigma(model: MetricModel, x) -> np.ndarray:
-    """Gradient of ln(sigma) at x."""
+    """Gradient of ln(sigma) at x; for sigma = (det m)^power it is
+    power * tr(m^{-1} dm) (Jacobi's formula)."""
     kind = model.volume.kind
     if kind == "lebesgue":
         return np.zeros(model.dim)
     if kind == "busemann_hausdorff":
         return volume.bh_log_gradient(model, x)
-    log_sigma = _sigma_jet(model, x, 1).ln()
-    return np.array([extract_derivative(log_sigma, unit) for unit in np.eye(model.dim, dtype=int)])
+    m, power, _ = _sigma_matrix(model, x, 1)
+    return power * np.einsum("ij,jik->k", np.linalg.inv(m[..., 0]), m[..., 1:])
 
 
 # -- public coordinate operations ----------------------------------------------
@@ -546,20 +551,20 @@ def metric_value(model: MetricModel, point: FlagPoint) -> float:
 def fundamental_tensor(model: MetricModel, point: FlagPoint) -> np.ndarray:
     """g_ij = (1/2) [F^2]_{y^i y^j}; raises if not positive definite."""
     tj = TensorJets(model, point.x, point.y, 2, with_x=False)
-    return jet_values(g_jets(tj, 0))
+    return g_jets(tj, 0)[..., 0]
 
 
 def cartan_tensor(model: MetricModel, point: FlagPoint) -> np.ndarray:
     """A_ijk = (F/4) [F^2]_{y^i y^j y^k}, totally symmetric with A_ijk y^k = 0."""
     tj = TensorJets(model, point.x, point.y, 3, with_x=False)
-    return jet_values(cartan_jets(tj, 0))
+    return cartan_jets(tj, 0)[..., 0]
 
 
 def spray_coefficients(model: MetricModel, point: FlagPoint) -> np.ndarray:
     """Geodesic spray coefficients G^i; zero for x-independent metrics."""
     with_x = model.depends_on_x
     tj = TensorJets(model, point.x, point.y, 2 if with_x else 0, with_x)
-    return jet_values(spray_jets(tj, 0))
+    return spray_jets(tj, 0)[..., 0]
 
 
 def nonlinear_connection(model: MetricModel, point: FlagPoint) -> np.ndarray:
@@ -567,7 +572,7 @@ def nonlinear_connection(model: MetricModel, point: FlagPoint) -> np.ndarray:
     if not model.depends_on_x:
         return np.zeros((model.dim, model.dim))
     tj = TensorJets(model, point.x, point.y, 3, with_x=True)
-    return jet_values(nonlinear_jets(tj, 0))
+    return nonlinear_jets(tj, 0)[..., 0]
 
 
 def mean_berwald(model: MetricModel, point: FlagPoint) -> np.ndarray:
@@ -575,7 +580,7 @@ def mean_berwald(model: MetricModel, point: FlagPoint) -> np.ndarray:
     if not model.depends_on_x:
         return np.zeros((model.dim, model.dim))
     tj = TensorJets(model, point.x, point.y, 5, with_x=True)
-    return jet_values(berwald_jets(tj, 0))
+    return berwald_jets(tj, 0)[..., 0]
 
 
 def _distortion(model: MetricModel, x, g: np.ndarray) -> float:
@@ -588,7 +593,7 @@ def distortion(model: MetricModel, point: FlagPoint) -> float:
 
 
 def _s_value(model: MetricModel, tj: TensorJets, point: FlagPoint) -> float:
-    return s_main_jet(tj, 0).value - float(point.y @ dln_sigma(model, point.x))
+    return float(s_main_jet(tj, 0)[0]) - float(point.y @ dln_sigma(model, point.x))
 
 
 def s_curvature(model: MetricModel, point: FlagPoint) -> float:
@@ -605,7 +610,7 @@ def s_curvature_alt(model: MetricModel, point: FlagPoint) -> float:
     div = 0.0
     if model.depends_on_x:
         tj = TensorJets(model, point.x, point.y, 3, with_x=True)
-        div = float(np.trace(jet_values(nonlinear_jets(tj, 0))))
+        div = float(np.trace(nonlinear_jets(tj, 0)[..., 0]))
     return float(div - point.y @ dln_sigma(model, point.x))
 
 
@@ -615,15 +620,15 @@ def coordinate_tensors(model: MetricModel, point: FlagPoint) -> CoordinateTensor
     G), of order 3 over y otherwise (the Cartan tensor)."""
     with_x = model.depends_on_x
     tj = TensorJets(model, point.x, point.y, 5 if with_x else 3, with_x)
-    g = jet_values(g_jets(tj, 0))
+    g = g_jets(tj, 0)[..., 0]
     return CoordinateTensors(
         f=tj.f_jet.value,
         g=g,
         g_inv=np.linalg.inv(g),
-        cartan=jet_values(cartan_jets(tj, 0)),
-        spray=jet_values(spray_jets(tj, 0)),
-        nonlinear=jet_values(nonlinear_jets(tj, 0)),
-        mean_berwald=jet_values(berwald_jets(tj, 0)),
+        cartan=cartan_jets(tj, 0)[..., 0],
+        spray=spray_jets(tj, 0)[..., 0],
+        nonlinear=nonlinear_jets(tj, 0)[..., 0],
+        mean_berwald=berwald_jets(tj, 0)[..., 0],
         tau=_distortion(model, point.x, g),
         s=_s_value(model, tj, point),
     )

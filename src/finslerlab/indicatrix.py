@@ -14,14 +14,18 @@ embedded flag point (one :class:`~finslerlab.core.TensorJets`, read through
 the core extractors) and composes it with y(u) into the induced metric g,
 the Cartan pullback H, the mean Berwald pullback E and the restricted
 S-curvature, each computed when first read at the chart order the caller
-asked for, as one float array of jet coefficients ``(*slots, size)`` over
-``jet_space(n - 1, order)``: products are :func:`~finslerlab.jets.jet_einsum`
-contractions, derivatives gathers along the last axis.  The fields of one
-chart order share one monomial basis of y(u) - y(u0), and the two charts
-of a fibre share one gradient of ln sigma.  Every u-derivative is exact to
-roundoff.  :func:`restrict_fields`, :func:`berwald_fields` and
-:func:`s_third_covariant` are views of it, built from one pullback and one
-rank-generic covariant derivative.
+asked for.  Flag-point tensors and chart fields share one form, a float
+array of jet coefficients ``(*slots, size)``; a chart field is over
+``jet_space(n - 1, order)``.  The distinct entries of a flag-point tensor
+are restricted to the x-free space by one gather and composed with y(u) by
+:func:`~finslerlab.jets.jet_compose`; products are
+:func:`~finslerlab.jets.jet_einsum` contractions, derivatives
+:func:`~finslerlab.jets.jet_partials` gathers along the last axis.  The
+fields of one chart order share one monomial basis of y(u) - y(u0), and
+the two charts of a fibre share one gradient of ln sigma.  Every
+u-derivative is exact to roundoff.  :func:`restrict_fields`,
+:func:`berwald_fields` and :func:`s_third_covariant` are views of it,
+built from one pullback and one rank-generic covariant derivative.
 
 Sign and index conventions are frozen by the Euclidean calibration: for
 F = |y| in dimension 3 the induced metric at the chart centre is 4 times
@@ -218,7 +222,7 @@ class FibreJets:
         self.chart_order = chart_order
         self.y_u = y_u
         space = jets.jet_space(len(y_u) - 1, max(chart_order.values()) + 1)  # that of y_u
-        self.dy = np.moveaxis(_partials(space, y_u), -2, 0)  # dy^i/du^a at [a, i]
+        self.dy = np.moveaxis(jets.jet_partials(space, y_u), -2, 0)  # dy^i/du^a at [a, i]
         self._bases: dict[int, jets.MonomialBasis] = {}
 
     def space(self, order: int) -> jets.JetSpace:
@@ -254,16 +258,19 @@ class FibreJets:
             basis = self._bases[order] = jets.monomial_basis(space, deltas, self.tj.x_vars, 0)
         return basis
 
-    def _on_chart(self, extractor: Callable, field: str) -> np.ndarray:
-        """A totally symmetric tensor at the flag point, composed with y(u)
-        once per distinct entry and pulled back to the chart at the field's
-        chart order."""
+    def _on_chart(self, extractor: Callable, field: str, x_degree: int = 1) -> np.ndarray:
+        """A totally symmetric tensor at the flag point, over the expansion
+        space with this x-degree limit: its distinct entries, restricted to
+        the x-free space by one gather, are composed with y(u) and pulled
+        back to the chart at the field's chart order."""
         order = self.chart_order[field]
-        space, t = self.space(order), extractor(self.tj, order)
-        _, distinct, inverse = _symmetric_layout(t.shape)
-        flat = t.ravel()
-        flag = [flat[k].truncated(order, x_degree=0) for k in distinct]
-        composed = jets.jet_compose(flag, self._basis(order))[inverse]
+        space, tj = self.space(order), self.tj
+        t = extractor(tj, order)
+        _, distinct, inverse = _symmetric_layout(t.shape[:-1])
+        flag = tj.x_free(order)
+        src = tj.space(order, x_degree).restriction(flag)
+        rows = t.reshape(-1, t.shape[-1])[np.ix_(distinct, src)]
+        composed = jets.jet_compose(flag, rows, self._basis(order))[inverse]
         return _pullback(space, composed, self.dy[..., : space.size])
 
     @cached_property
@@ -287,7 +294,7 @@ class FibreJets:
         if not self.model.depends_on_x:
             m = len(self.dy)
             return np.zeros((m, m, self.space(self.chart_order["e"]).size))
-        return self._on_chart(berwald_jets, "e")
+        return self._on_chart(berwald_jets, "e", x_degree=0)
 
     @cached_property
     def s(self) -> np.ndarray:
@@ -296,7 +303,8 @@ class FibreJets:
         order = self.chart_order["s"]
         s = -(self.chart.sigma_grad @ self.y_u[:, : self.space(order).size])
         if self.model.depends_on_x:
-            s = s + jets.jet_compose([s_main_jet(self.tj, order)], self._basis(order))[0]
+            flag = self.tj.x_free(order)
+            s = s + jets.jet_compose(flag, s_main_jet(self.tj, order), self._basis(order))
         return s
 
     def berwald_fields(self) -> "BerwaldFields":
@@ -310,7 +318,7 @@ class FibreJets:
             g_inv=g_inv[..., 0],
             berwald=self.e[..., 0],
             e=float(e[0]),
-            e_grad=_partials(first, e)[..., 0],
+            e_grad=jets.jet_partials(first, e)[..., 0],
         )
 
 
@@ -355,17 +363,11 @@ def _pullback(space: jets.JetSpace, t: np.ndarray, dy: np.ndarray) -> np.ndarray
     return t[_symmetric_layout(t.shape[:-1])[0]]
 
 
-def _partials(space: jets.JetSpace, t: np.ndarray) -> np.ndarray:
-    """Chart partial derivatives of a field, derivative slot last."""
-    tables = [space.derivative_table(tuple(map(int, unit))) for unit in np.eye(space.n_vars)]
-    return np.stack([t[..., src] * factor for _, src, factor in tables], axis=-2)
-
-
 def _covariant(space: jets.JetSpace, t: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Covariant derivative of a chart tensor, one order lower:
     nabla_d T_a.. = d_d T_a.. - sum over slots Gamma^e_{d a} T_..e..,
     with the derivative index appended last."""
-    out = _partials(space, t)
+    out = jets.jet_partials(space, t)
     low = jets.jet_space(space.n_vars, space.order - 1)
     t, gamma = t[..., : low.size], gamma[..., : low.size]
     slots = "abcdefgh"[: t.ndim - 1]
@@ -379,7 +381,7 @@ def _christoffel_jets(space: jets.JetSpace, g: np.ndarray) -> tuple[np.ndarray, 
     as chart jets one order below those of the metric."""
     low = jets.jet_space(space.n_vars, space.order - 1)
     g_inv = jets.neumann_inverse(low, g[..., : low.size])
-    dg = np.moveaxis(_partials(space, g), -2, 0)  # dg[c, a, b] = d_c g_ab
+    dg = np.moveaxis(jets.jet_partials(space, g), -2, 0)  # dg[c, a, b] = d_c g_ab
     # [d, a, b] = d_a g_db + d_b g_da - d_d g_ab
     bracket = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
     return g_inv, jets.jet_einsum(low, "cd,dab->cab", g_inv, bracket) * 0.5
@@ -391,7 +393,8 @@ def _curvature(g: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray
     floats, from Christoffel jets of order >= 1."""
     first = jets.jet_space(len(gamma), 1)
     gam = gamma[..., 0]
-    dgam = _partials(first, gamma[..., : first.size])[..., 0]  # d_d Gamma^c_ab at [c, a, b, d]
+    # d_d Gamma^c_ab at [c, a, b, d]
+    dgam = jets.jet_partials(first, gamma[..., : first.size])[..., 0]
     r_up = (
         np.einsum("edbc->ebcd", dgam)
         - np.einsum("ecbd->ebcd", dgam)

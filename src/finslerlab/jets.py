@@ -24,24 +24,28 @@ variables uses up x-degree, so d^gamma lands in the space whose limit is
 lower by the x-part of gamma -- a derivative along x of an x-linear jet has
 no x-linear coefficient, which could not be computed from what the jet
 carries.  Jets of different limits do not mix (``ValueError``); callers
-truncate explicitly with :meth:`Jet.truncated`.
+truncate explicitly, with :meth:`Jet.truncated` or by a prefix or a
+:meth:`JetSpace.restriction` of the coefficients.
 
 Index work is done by gather tables, built once per :class:`JetSpace` with
 numpy from one position map (the radix keys of the multi-indices): the
 product table, which :meth:`JetSpace.multiply` and :func:`jet_einsum` reduce
 with ``np.bincount``, and one table per derivative multi-index gamma, which
-makes :meth:`Jet.derivative` one gather scaled by exact integer factors.
+makes :meth:`Jet.derivative` and :func:`jet_partials` one gather scaled by
+exact integer factors.
 The tables list their terms in a fixed order, so every product and
 derivative is bit-identical from run to run and to the per-multi-index
 loops kept as references in the tests.
 
 Jets are built by :meth:`JetSpace.constant` and :meth:`JetSpace.variable`
-on a space from :func:`jet_space`.  At a flag point a tensor of jets is a
-numpy object array of :class:`Jet`, for :func:`jet_values`,
-:func:`jet_truncated`, :func:`jet_matrix_inverse` and :func:`jet_matrix_det`.
-On a fibre chart it is one float array ``(*slots, size)`` over one space,
-for :func:`jet_einsum` and :func:`neumann_inverse`; :func:`jet_compose`
-makes one from flag-point jets and the :func:`monomial_basis` of the offsets.
+on a space from :func:`jet_space`; they are the scalars the expression
+evaluator runs on.  A tensor of jets, at a flag point or on a fibre chart,
+is one float array ``(*slots, size)`` of coefficients over one space:
+:func:`jet_partials` gathers its derivatives, :meth:`JetSpace.restriction`
+its coefficients in a smaller space, :func:`jet_einsum` contracts two such
+arrays, and :func:`neumann_inverse` inverts a matrix of jets.
+:func:`jet_compose` substitutes the :func:`monomial_basis` of a set of
+offsets into the rows of such an array.
 """
 
 from __future__ import annotations
@@ -60,13 +64,10 @@ __all__ = [
     "monomial_basis",
     "jet_space",
     "extract_derivative",
-    "jet_values",
-    "jet_truncated",
+    "jet_partials",
     "jet_compose",
     "jet_einsum",
     "neumann_inverse",
-    "jet_matrix_inverse",
-    "jet_matrix_det",
 ]
 
 MAX_ORDER = 8
@@ -471,21 +472,34 @@ def monomial_basis(space: JetSpace, deltas, x_vars: int = 0, x_degree: int = 1) 
     return MonomialBasis(space, src, rows)
 
 
-def jet_compose(jets: Sequence[Jet], basis: MonomialBasis) -> np.ndarray:
+def jet_compose(space: JetSpace, coeffs: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     """Substitute the deltas of ``basis``, built for the x-degree limit of
-    the jets, for the variables of each jet: one row per jet of the
-    coefficients of its composition in the space of the deltas."""
-    here = jets[0].space
+    ``space``, for the variables of jets over ``space``: coefficient rows
+    ``(..., space.size)`` in, the rows of their compositions in the space
+    of the deltas out."""
     rows = basis.rows_space
-    if rows.n_vars != here.n_vars:
+    if rows.n_vars != space.n_vars:
         raise ValueError("one delta jet is required per variable")
-    if rows is not jet_space(here.n_vars, rows.order, here.x_vars, here.x_degree):
+    if rows is not jet_space(space.n_vars, rows.order, space.x_vars, space.x_degree):
         raise ValueError("the monomial basis is built for another x-degree limit")
-    if any(jet.space is not here for jet in jets):
-        raise ValueError("the composed jets must share one jet space")
-    limit = here.grade_offsets[min(basis.space.order, here.order) + 1]
-    coeffs = np.array([jet.coeffs[:limit] for jet in jets])
-    return (coeffs[:, :, None] * basis.rows[:limit]).sum(axis=1)  # in layout order
+    if coeffs.shape[-1] != space.size:
+        raise ValueError(f"the composed rows must hold the {space.size} coefficients of {space!r}")
+    limit = space.grade_offsets[min(basis.space.order, space.order) + 1]
+    return (coeffs[..., :limit, None] * basis.rows[:limit]).sum(axis=-2)  # in layout order
+
+
+def jet_partials(space: JetSpace, t: np.ndarray, gammas=None) -> np.ndarray:
+    """The derivatives d^gamma of an array of jets over ``space``, one per
+    gamma (by default every first partial), on a new axis before the last:
+    one gather of the :meth:`JetSpace.derivative_table` of each gamma.  The
+    gammas share one result space."""
+    if gammas is None:
+        gammas = [tuple(map(int, unit)) for unit in np.eye(space.n_vars, dtype=int)]
+    tables = [space.derivative_table(gamma) for gamma in gammas]
+    if any(table[0] is not tables[0][0] for table in tables):
+        raise ValueError("the derivatives must share one result space")
+    src, factor = (np.array([table[k] for table in tables]) for k in (1, 2))
+    return t[..., src] * factor
 
 
 def jet_einsum(space: JetSpace, subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -530,83 +544,3 @@ def extract_derivative(jet: Jet, alpha: Sequence[int]) -> float:
     for a in alpha:
         factor *= math.factorial(a)
     return float(jet.coeffs[jet.space.index_of[alpha]] * factor)
-
-
-def jet_values(array) -> np.ndarray:
-    """The order-0 coefficients of an array of jets, as a float array."""
-    return np.vectorize(lambda jet: jet.value, otypes=[float])(array)
-
-
-def jet_truncated(array, order: int, x_degree: int | None = None) -> np.ndarray:
-    """An array of jets with every entry truncated to ``order`` (and to the
-    x-degree limit ``x_degree``, if given)."""
-    return np.vectorize(lambda jet: jet.truncated(order, x_degree), otypes=[object])(array)
-
-
-# -- linear algebra over the jet ring ---------------------------------------
-
-
-def _as_jet_matrix(matrix) -> list[list[Jet]]:
-    rows = [list(row) for row in matrix]
-    space = rows[0][0].space
-    for row in rows:
-        if len(row) != len(rows):
-            raise ValueError("matrix must be square")
-        for entry in row:
-            if not isinstance(entry, Jet) or entry.space is not space:
-                raise ValueError("matrix entries must be jets from one space")
-    return rows
-
-
-def jet_matrix_inverse(matrix) -> list[list[Jet]]:
-    """Invert a small square matrix of jets by Gauss-Jordan elimination.
-
-    Pivots are chosen by the magnitude of the order-0 coefficients; the
-    matrix is invertible in the jet ring iff its order-0 part is invertible.
-    """
-    a = _as_jet_matrix(matrix)
-    n = len(a)
-    space = a[0][0].space
-    inv = [[space.constant(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col].value))
-        if abs(a[pivot_row][col].value) < 1e-14:
-            raise JetDomainError("matrix_inverse", a[pivot_row][col].value)
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        scale = a[col][col].reciprocal()
-        a[col] = [entry * scale for entry in a[col]]
-        inv[col] = [entry * scale for entry in inv[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col]
-            if not np.any(factor.coeffs):
-                continue
-            a[r] = [ar - factor * ac for ar, ac in zip(a[r], a[col])]
-            inv[r] = [ir - factor * ic for ir, ic in zip(inv[r], inv[col])]
-    return inv
-
-
-def jet_matrix_det(matrix) -> Jet:
-    """Determinant of a small square matrix of jets (forward elimination)."""
-    a = _as_jet_matrix(matrix)
-    n = len(a)
-    space = a[0][0].space
-    det = space.constant(1.0)
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col].value))
-        if abs(a[pivot_row][col].value) < 1e-14:
-            raise JetDomainError("matrix_det", a[pivot_row][col].value)
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv_pivot = a[col][col].reciprocal()
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv_pivot
-            if not np.any(factor.coeffs):
-                continue
-            a[r] = [ar - factor * ac for ar, ac in zip(a[r], a[col])]
-    return det

@@ -31,7 +31,10 @@ import numpy as np
 from .core import MetricModel
 from .expr import parse
 
-__all__ = ["ZooEntry", "RandersConditionViolated", "build", "entries", "zoo_ids"]
+__all__ = [
+    "ZooEntry", "ParamError", "RandersConditionViolated", "build", "entries", "number_param",
+    "zoo_ids",
+]
 
 
 class RandersConditionViolated(ValueError):
@@ -43,6 +46,10 @@ class RandersConditionViolated(ValueError):
         )
         self.x = list(x)
         self.norm = norm
+
+
+class ParamError(ValueError):
+    """A metric parameter has the wrong type, length or sign."""
 
 
 @dataclass(frozen=True)
@@ -66,14 +73,21 @@ def _norm_sq_text(prefix: str, dim: int) -> str:
     return _sum_text([f"{prefix}{i}^2" for i in range(1, dim + 1)])
 
 
+def number_param(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParamError(f"{what}: expected a number, got {value!r}") from None
+
+
 def _float_list(value, dim: int, what: str) -> list[float]:
     if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-    else:
-        parts = list(value)
-    out = [float(p) for p in parts]
+        value = [p for p in value.split(",") if p.strip()]
+    if not isinstance(value, (list, tuple)):
+        raise ParamError(f"{what}: expected comma-separated numbers or a list, got {value!r}")
+    out = [number_param(p, what) for p in value]
     if len(out) != dim:
-        raise ValueError(f"{what} needs {dim} entries, got {len(out)}")
+        raise ParamError(f"{what} needs {dim} entries, got {len(out)}")
     return out
 
 
@@ -98,7 +112,7 @@ def _build_riemannian(dim: int, params: dict, volume) -> MetricModel:
             continue
         i, j = int(m.group(1)), int(m.group(2))
         if not (1 <= i <= dim and 1 <= j <= dim):
-            raise ValueError(f"ground-metric entry {key} outside dimension {dim}")
+            raise ParamError(f"ground-metric entry {key} outside dimension {dim}")
         entry_texts[(i, j)] = str(value)
     if entry_texts:
         texts = [[None] * dim for _ in range(dim)]
@@ -112,7 +126,7 @@ def _build_riemannian(dim: int, params: dict, volume) -> MetricModel:
         diag = params.get("a_diag", [1.0] * dim)
         diag = _float_list(diag, dim, "a_diag")
         if any(d <= 0 for d in diag):
-            raise ValueError("a_diag entries must be positive")
+            raise ParamError("a_diag entries must be positive")
         texts = [
             [repr(diag[i]) if i == j else "0" for j in range(dim)] for i in range(dim)
         ]
@@ -161,7 +175,7 @@ def _randers_b(dim: int, eps: float, b0: list[float]):
 
 
 def _build_randers(dim: int, params: dict, volume) -> MetricModel:
-    eps = float(params.get("eps", 0.2))
+    eps = number_param(params.get("eps", 0.2), "eps")
     b0 = _float_list(params.get("b0", [0.0] * dim), dim, "b0")
     b_of_x = _randers_b(dim, eps, b0)
     rng = np.random.default_rng(20240817)

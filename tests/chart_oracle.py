@@ -3,11 +3,12 @@
 
 Every chart field here is a numpy object array of :class:`~finslerlab.jets.Jet`,
 multiplied and contracted entry by entry and inverted by Gauss-Jordan
-elimination (:func:`~finslerlab.jets.jet_matrix_inverse`); the composition
-with the chart embedding forms its monomials one product at a time and
-composes one jet at a time.  It shares the flag-point expansion, its
-extractors and the :class:`~finslerlab.jets.Jet` arithmetic with the
-program, and none of the array code of the chart layer.
+elimination (:func:`jet_matrix_inverse`); the composition with the chart
+embedding forms its monomials one product at a time and composes one jet
+at a time.  It shares the flag-point expansion, its extractors and the
+:class:`~finslerlab.jets.Jet` arithmetic with the program, and none of the
+array code of the chart layer: the coefficient arrays the extractors
+return are wrapped back into jets (:func:`_as_jets`) at the boundary.
 """
 
 from functools import cached_property
@@ -34,14 +35,58 @@ from finslerlab.indicatrix import (
     _validate_chart_coord,
     parameter_direction,
 )
-from finslerlab.jets import (
-    Jet,
-    MonomialBasis,
-    jet_matrix_inverse,
-    jet_space,
-    jet_truncated,
-    jet_values,
-)
+from finslerlab.jets import Jet, JetDomainError, MonomialBasis, jet_space
+
+
+def jet_values(array) -> np.ndarray:
+    """The order-0 coefficients of an array of jets, as a float array."""
+    return np.vectorize(lambda jet: jet.value, otypes=[float])(array)
+
+
+def jet_truncated(array, order: int) -> np.ndarray:
+    """An array of jets with every entry truncated to ``order``."""
+    return np.vectorize(lambda jet: jet.truncated(order), otypes=[object])(array)
+
+
+def _as_jets(space, t: np.ndarray) -> np.ndarray:
+    """An array of jet coefficients ``(*slots, size)`` over ``space`` as an
+    object array of jets."""
+    out = np.empty(t.shape[:-1], dtype=object)
+    for index in np.ndindex(out.shape):
+        out[index] = Jet(space, t[index])
+    return out
+
+
+def jet_matrix_inverse(matrix) -> list[list[Jet]]:
+    """Invert a small square matrix of jets from one space by Gauss-Jordan
+    elimination.
+
+    Pivots are chosen by the magnitude of the order-0 coefficients; the
+    matrix is invertible in the jet ring iff its order-0 part is invertible.
+    """
+    a = [list(row) for row in matrix]
+    n = len(a)
+    space = a[0][0].space
+    inv = [[space.constant(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col].value))
+        if abs(a[pivot_row][col].value) < 1e-14:
+            raise JetDomainError("matrix_inverse", a[pivot_row][col].value)
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+        scale = a[col][col].reciprocal()
+        a[col] = [entry * scale for entry in a[col]]
+        inv[col] = [entry * scale for entry in inv[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = a[r][col]
+            if not np.any(factor.coeffs):
+                continue
+            a[r] = [ar - factor * ac for ar, ac in zip(a[r], a[col])]
+            inv[r] = [ir - factor * ic for ir, ic in zip(inv[r], inv[col])]
+    return inv
 
 
 def _compose(self: Jet, basis: MonomialBasis) -> Jet:
@@ -159,14 +204,14 @@ class FibreJets:
             basis = self._bases[order] = _monomial_basis(deltas, self.tj.x_vars, 0)
         return basis
 
-    def _on_chart(self, extractor: Callable, field: str) -> np.ndarray:
-        """A totally symmetric tensor at the flag point, composed with y(u) and
-        pulled back to the chart at the field's chart order."""
+    def _on_chart(self, extractor: Callable, field: str, x_degree: int = 1) -> np.ndarray:
+        """A totally symmetric tensor at the flag point, over the expansion
+        space with this x-degree limit, composed with y(u) and pulled back to
+        the chart at the field's chart order."""
         order = self.chart_order[field]
         basis = self._basis(order)
-        composed = _symmetric(
-            lambda jet: _compose(jet.truncated(order, x_degree=0), basis), extractor(self.tj, order)
-        )
+        flag = _as_jets(self.tj.space(order, x_degree), extractor(self.tj, order))
+        composed = _symmetric(lambda jet: _compose(jet.truncated(order, x_degree=0), basis), flag)
         return _pullback(composed, jet_truncated(self.dy, order))
 
     @cached_property
@@ -190,7 +235,7 @@ class FibreJets:
         if not self.model.depends_on_x:
             m = len(self.dy)
             return np.full((m, m), jets.jet_space(m, self.chart_order["e"]).constant(0.0))
-        return self._on_chart(berwald_jets, "e")
+        return self._on_chart(berwald_jets, "e", x_degree=0)
 
     @cached_property
     def s(self) -> Jet:
@@ -199,7 +244,8 @@ class FibreJets:
         order = self.chart_order["s"]
         s = jets.jet_space(len(self.dy), order).constant(0.0)
         if self.model.depends_on_x:
-            s = _compose(s_main_jet(self.tj, order), self._basis(order))
+            s_main = Jet(self.tj.x_free(order), s_main_jet(self.tj, order))
+            s = _compose(s_main, self._basis(order))
         for i, grad_i in enumerate(self.chart.sigma_grad):
             if grad_i != 0.0:
                 s = s - grad_i * self.y_u[i].truncated(order)

@@ -1,4 +1,5 @@
 import json
+from typing import NamedTuple
 
 import pytest
 
@@ -175,6 +176,13 @@ def test_missing_dim_is_input_error(capsys):
     assert "dim" in capsys.readouterr().err
 
 
+class _Under(NamedTuple):
+    """A config value given for another metric than the default randers."""
+
+    metric: dict
+    value: object
+
+
 @pytest.mark.parametrize(
     "command, field, value",
     [
@@ -202,11 +210,19 @@ def test_missing_dim_is_input_error(capsys):
         ("audit", "base_points", True),
         ("check", "samples", 0),
         ("audit", "base_points", 0),
+        ("check", "params", {"eps": [1]}),
+        ("check", "params", {"eps": {}}),
+        ("check", "params", {"b0": 5}),
+        ("check", "params", _Under({"metric_expr": "sqrt(y1^2 + y2^2 + y3^2) + k*y1"}, {"k": [1]})),
+        ("check", "params", _Under({"metric": "riemannian"}, {"a_diag": "x"})),
     ],
 )
 def test_badly_typed_config_value_exits_2(tmp_path, capsys, command, field, value):
+    base = {"metric": "randers"}
+    if isinstance(value, _Under):
+        base, value = value
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"metric": "randers", "dim": 3, field: value}))
+    config.write_text(json.dumps({**base, "dim": 3, field: value}))
     assert run_cli(command, "--config", str(config)) == 2
     assert f"error: {field}:" in capsys.readouterr().err
 

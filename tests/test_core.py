@@ -259,6 +259,20 @@ def test_custom_sigma_gradient(rng):
     np.testing.assert_allclose(dln_sigma(model, x), [1.0, 2.0, 0.0], atol=1e-12)
 
 
+def test_riemannian_auto_sigma_and_gradient_in_closed_form(rng):
+    """sigma = sqrt(det a) and d ln sigma = (1/2) tr(a^-1 da) against the
+    closed forms for det a = e^x1 (1 + x2^2) - 0.09 x3^2."""
+    params = {"a11": "exp(x1)", "a22": "1 + x2^2", "a33": "1", "a12": "0.3*x3"}
+    model = build("riemannian", 3, params)
+    for _ in range(3):
+        x = rng.uniform(-0.8, 0.8, 3)
+        e = math.exp(x[0])
+        det = e * (1 + x[1] ** 2) - 0.09 * x[2] ** 2
+        assert abs(sigma_value(model, x) - math.sqrt(det)) <= 1e-12
+        expected = np.array([0.5 * e * (1 + x[1] ** 2), e * x[1], -0.09 * x[2]]) / det
+        np.testing.assert_allclose(dln_sigma(model, x), expected, rtol=0, atol=1e-12)
+
+
 def test_non_homogeneous_rejected():
     with pytest.raises(MetricDefinitionError, match="homogeneous"):
         MetricModel(2, "y1 + y2^2")
@@ -338,14 +352,18 @@ def _full_space_reference(model, x, y, order):
     return ref
 
 
-def _assert_restriction(got, want, x_degree):
-    """Every jet of ``got`` carries the coefficients of ``want`` at its own
-    multi-indices, bit for bit, and has the expected x-degree limit (0 at
-    order 0, where the limit keeps only the constant)."""
-    for g, w in zip(np.asarray(got, dtype=object).flat, np.asarray(want, dtype=object).flat):
-        assert w.space.x_vars == 0 and g.space.x_degree == (x_degree if g.order else 0)
-        kept = [w.space.index_of[alpha] for alpha in g.space.multi_indices]
-        assert g.coeffs.tobytes() == w.coeffs[kept].tobytes()
+def _assert_restriction(got, want, signature):
+    """Every jet of ``got``, an array of coefficients over the space of
+    ``signature`` = (n, order, x-degree limit of the n x variables), carries
+    the coefficients of ``want``, over the full (2n, order) space, at its
+    own multi-indices, bit for bit."""
+    from finslerlab.jets import jet_space
+
+    n, order, x_degree = signature
+    space, full = jet_space(2 * n, order, n, x_degree), jet_space(2 * n, order)
+    assert got.shape[-1] == space.size and want.shape[-1] == full.size
+    kept = [full.index_of[alpha] for alpha in space.multi_indices]
+    assert got.tobytes() == want[..., kept].tobytes()
 
 
 @pytest.mark.parametrize("family,dim", [("randers", 3), ("funk_ball", 4)])
@@ -367,13 +385,13 @@ def test_x_linear_expansion_matches_the_full_space_bit_for_bit(family, dim):
         x, y = model.sample_x(rng) * 0.8, model.sample_y(rng)
         tj = TensorJets(model, x, y, order, with_x=True)
         ref = _full_space_reference(model, x, y, order)
-        _assert_restriction(tj.f_jet, ref.f_jet, 1)
+        _assert_restriction(tj.f_jet.coeffs, ref.f_jet.coeffs, (dim, order, 1))
         assert tj.f_jet.space.size < ref.f_jet.space.size
         for p in (0, order - 3):
-            _assert_restriction(g_jets(tj, p + 1), g_jets(ref, p + 1), 1)
-            _assert_restriction(cartan_jets(tj, p), cartan_jets(ref, p), 1)
-            _assert_restriction(spray_jets(tj, p + 1), spray_jets(ref, p + 1), 0)
-            _assert_restriction(nonlinear_jets(tj, p), nonlinear_jets(ref, p), 0)
-            _assert_restriction(s_main_jet(tj, p), s_main_jet(ref, p), 0)
+            _assert_restriction(g_jets(tj, p + 1), g_jets(ref, p + 1), (dim, p + 1, 1))
+            _assert_restriction(cartan_jets(tj, p), cartan_jets(ref, p), (dim, p, 1))
+            _assert_restriction(spray_jets(tj, p + 1), spray_jets(ref, p + 1), (dim, p + 1, 0))
+            _assert_restriction(nonlinear_jets(tj, p), nonlinear_jets(ref, p), (dim, p, 0))
+            _assert_restriction(s_main_jet(tj, p), s_main_jet(ref, p), (dim, p, 0))
         for p in (0, order - 5):
-            _assert_restriction(berwald_jets(tj, p), berwald_jets(ref, p), 0)
+            _assert_restriction(berwald_jets(tj, p), berwald_jets(ref, p), (dim, p, 0))
