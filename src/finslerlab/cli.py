@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -222,8 +223,10 @@ def _resolve_model(config: dict) -> MetricModel:
 
 def _sampling(config: dict, default_samples: int) -> tuple[int, int, int]:
     """The seed, the fibre samples per base point and the base points
-    (default 5); a count below 1 is an input error naming it."""
+    (default 5); a seed below 0 or a count below 1 is an input error naming it."""
     seed = _typed(config, "seed", int, 0)
+    if seed < 0:
+        raise InputError("seed", f"must be at least 0, got {seed}")
     samples = _typed(config, "samples", int, default_samples)
     base_points = _typed(config, "base_points", int, 5)
     for field, count in (("samples", samples), ("base_points", base_points)):
@@ -232,12 +235,21 @@ def _sampling(config: dict, default_samples: int) -> tuple[int, int, int]:
     return seed, samples, base_points
 
 
+def _tolerance(config: dict, field: str) -> float | None:
+    """A tolerance field, or None when absent; anything but a finite number
+    above 0 is an input error naming it."""
+    value = _typed(config, field, float)
+    if value is not None and not (math.isfinite(value) and value > 0.0):
+        raise InputError(field, f"must be a finite number above 0, got {value!r}")
+    return value
+
+
 def _tolerances_from(config: dict) -> dict:
     if config.get("tol_thm_1") is not None:
         raise InputError("tol_thm_1", "check does not run thm-1, which only audit takes")
     out = {}
     for tag, dest in _TOL_FLAGS.items():
-        value = _typed(config, dest, float)
+        value = _tolerance(config, dest)
         if value is not None:
             out[tag] = value
     return out
@@ -389,7 +401,7 @@ def _cmd_audit(args) -> int:
     _json_only(config)
     model = _resolve_model(config)
     seed, samples, base_points = _sampling(config, 40)
-    tol = _typed(config, "tol_thm_1", float)
+    tol = _tolerance(config, "tol_thm_1")
     rng = np.random.default_rng(seed)
     bases = sample_base_points(model, base_points, rng)
     audits = []

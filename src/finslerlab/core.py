@@ -31,9 +31,9 @@ S needs no determinant: by Jacobi's formula d ln sqrt(det g) =
 assembled once per expansion, at the highest order it carries, and every
 reader takes a prefix; a lower-order jet is the truncation of a
 higher-order one, so one deep expansion serves every order below it.
-:func:`coordinate_tensors` builds a single expansion; each single-tensor
-function builds one of the lowest order it needs.  The fibre pipeline in
-:mod:`finslerlab.indicatrix` reads the same extractors.
+:func:`coordinate_tensors` reads every tensor at a flag point off a single
+expansion, and the fibre pipeline in :mod:`finslerlab.indicatrix` reads the
+same extractors; there is no second entry point per tensor.
 
 x enters to first order.  No tensor here needs more than one x-derivative
 of F (G takes [F^2]_x and [F^2]_{xy}; N, E and S differentiate G and
@@ -84,13 +84,6 @@ __all__ = [
     "UnsupportedDimensionError",
     "VolumeFormError",
     "SamplingError",
-    "fundamental_tensor",
-    "cartan_tensor",
-    "spray_coefficients",
-    "nonlinear_connection",
-    "mean_berwald",
-    "distortion",
-    "s_curvature",
     "s_curvature_alt",
     "coordinate_tensors",
     "g_jets",
@@ -241,7 +234,7 @@ class MetricModel:
         report = check_positive_homogeneity(
             self.f_ast, self.dim, trials, seed, self.params, x_radius=self.x_radius
         )
-        if report.max_rel_deviation > 1e-8:
+        if not report.passed:
             raise MetricDefinitionError(
                 "F is not positively 1-homogeneous in y: max relative deviation "
                 f"{report.max_rel_deviation:.3e} at {report.worst}"
@@ -307,7 +300,6 @@ class CoordinateTensors:
 
     f: float
     g: np.ndarray
-    g_inv: np.ndarray
     cartan: np.ndarray
     spray: np.ndarray
     nonlinear: np.ndarray
@@ -541,70 +533,6 @@ def dln_sigma(model: MetricModel, x) -> np.ndarray:
 # -- public coordinate operations ----------------------------------------------
 
 
-def metric_value(model: MetricModel, point: FlagPoint) -> float:
-    value = model.f(point.x, point.y)
-    if not value > 0.0:
-        raise NonPositiveMetricError(f"F = {value!r} at x={point.x}, y={point.y}")
-    return float(value)
-
-
-def fundamental_tensor(model: MetricModel, point: FlagPoint) -> np.ndarray:
-    """g_ij = (1/2) [F^2]_{y^i y^j}; raises if not positive definite."""
-    tj = TensorJets(model, point.x, point.y, 2, with_x=False)
-    return g_jets(tj, 0)[..., 0]
-
-
-def cartan_tensor(model: MetricModel, point: FlagPoint) -> np.ndarray:
-    """A_ijk = (F/4) [F^2]_{y^i y^j y^k}, totally symmetric with A_ijk y^k = 0."""
-    tj = TensorJets(model, point.x, point.y, 3, with_x=False)
-    return cartan_jets(tj, 0)[..., 0]
-
-
-def spray_coefficients(model: MetricModel, point: FlagPoint) -> np.ndarray:
-    """Geodesic spray coefficients G^i; zero for x-independent metrics."""
-    with_x = model.depends_on_x
-    tj = TensorJets(model, point.x, point.y, 2 if with_x else 0, with_x)
-    return spray_jets(tj, 0)[..., 0]
-
-
-def nonlinear_connection(model: MetricModel, point: FlagPoint) -> np.ndarray:
-    """N^i_j = dG^i/dy^j."""
-    if not model.depends_on_x:
-        return np.zeros((model.dim, model.dim))
-    tj = TensorJets(model, point.x, point.y, 3, with_x=True)
-    return nonlinear_jets(tj, 0)[..., 0]
-
-
-def mean_berwald(model: MetricModel, point: FlagPoint) -> np.ndarray:
-    """E_ij = d^3 G^m / dy^i dy^j dy^m (symmetric, E_ij y^j = 0)."""
-    if not model.depends_on_x:
-        return np.zeros((model.dim, model.dim))
-    tj = TensorJets(model, point.x, point.y, 5, with_x=True)
-    return berwald_jets(tj, 0)[..., 0]
-
-
-def _distortion(model: MetricModel, x, g: np.ndarray) -> float:
-    return 0.5 * math.log(np.linalg.det(g)) - math.log(sigma_value(model, x))
-
-
-def distortion(model: MetricModel, point: FlagPoint) -> float:
-    """tau = ln( sqrt(det g) / sigma(x) )."""
-    return _distortion(model, point.x, fundamental_tensor(model, point))
-
-
-def _s_value(model: MetricModel, tj: TensorJets, point: FlagPoint) -> float:
-    return float(s_main_jet(tj, 0)[0]) - float(point.y @ dln_sigma(model, point.x))
-
-
-def s_curvature(model: MetricModel, point: FlagPoint) -> float:
-    """S = derivative of the distortion along the spray:
-    S = y^i dtau/dx^i - 2 G^i dtau/dy^i; raises where g is not positive definite."""
-    with_x = model.depends_on_x
-    tj = TensorJets(model, point.x, point.y, 3 if with_x else 2, with_x)
-    g_jets(tj, 0)  # the positive-definiteness check
-    return _s_value(model, tj, point)
-
-
 def s_curvature_alt(model: MetricModel, point: FlagPoint) -> float:
     """Divergence form S = dG^m/dy^m - y^m d(ln sigma)/dx^m (cross-check route)."""
     div = 0.0
@@ -624,11 +552,10 @@ def coordinate_tensors(model: MetricModel, point: FlagPoint) -> CoordinateTensor
     return CoordinateTensors(
         f=tj.f_jet.value,
         g=g,
-        g_inv=np.linalg.inv(g),
         cartan=cartan_jets(tj, 0)[..., 0],
         spray=spray_jets(tj, 0)[..., 0],
         nonlinear=nonlinear_jets(tj, 0)[..., 0],
         mean_berwald=berwald_jets(tj, 0)[..., 0],
-        tau=_distortion(model, point.x, g),
-        s=_s_value(model, tj, point),
+        tau=0.5 * math.log(np.linalg.det(g)) - math.log(sigma_value(model, point.x)),
+        s=float(s_main_jet(tj, 0)[0]) - float(point.y @ dln_sigma(model, point.x)),
     )

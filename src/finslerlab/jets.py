@@ -9,7 +9,7 @@ discretisation error.
 
 Coefficients are Taylor-normalised (factorials divided out), which keeps the
 truncated Cauchy product free of factorial bookkeeping; factorials reappear
-only in :meth:`Jet.derivative` and :func:`extract_derivative`.  Unary
+only in the derivative tables (:meth:`JetSpace.derivative_table`).  Unary
 functions go through Horner evaluation of the univariate Taylor polynomial of
 the outer function at the order-0 value.
 
@@ -24,15 +24,14 @@ variables uses up x-degree, so d^gamma lands in the space whose limit is
 lower by the x-part of gamma -- a derivative along x of an x-linear jet has
 no x-linear coefficient, which could not be computed from what the jet
 carries.  Jets of different limits do not mix (``ValueError``); callers
-truncate explicitly, with :meth:`Jet.truncated` or by a prefix or a
-:meth:`JetSpace.restriction` of the coefficients.
+truncate explicitly, by a prefix of the coefficients (the layout is
+prefix-closed) or by a :meth:`JetSpace.restriction` of them.
 
 Index work is done by gather tables, built once per :class:`JetSpace` with
 numpy from one position map (the radix keys of the multi-indices): the
 product table, which :meth:`JetSpace.multiply` and :func:`jet_einsum` reduce
 with ``np.bincount``, and one table per derivative multi-index gamma, which
-makes :meth:`Jet.derivative` and :func:`jet_partials` one gather scaled by
-exact integer factors.
+makes :func:`jet_partials` one gather scaled by exact integer factors.
 The tables list their terms in a fixed order, so every product and
 derivative is bit-identical from run to run and to the per-multi-index
 loops kept as references in the tests.
@@ -63,7 +62,6 @@ __all__ = [
     "MonomialBasis",
     "monomial_basis",
     "jet_space",
-    "extract_derivative",
     "jet_partials",
     "jet_compose",
     "jet_einsum",
@@ -420,27 +418,6 @@ class Jet:
             sign = -sign
         return self._compose_outer(series)
 
-    # -- structural operations ---------------------------------------------
-
-    def truncated(self, order: int, x_degree: int | None = None) -> "Jet":
-        """Copy of this jet truncated to a lower order and, if given, to a
-        lower x-degree limit."""
-        here = self.space
-        if order > here.order:
-            raise ValueError(f"cannot extend a jet from order {here.order} to {order}")
-        x_degree = here.x_degree if x_degree is None else x_degree
-        space = jet_space(here.n_vars, order, here.x_vars, x_degree)
-        if space is here:
-            return self
-        if space.x_degree == here.x_degree:  # the layout is prefix-closed
-            return Jet(space, self.coeffs[: space.size].copy())
-        return Jet(space, self.coeffs[here.restriction(space)])
-
-    def derivative(self, gamma: Sequence[int]) -> "Jet":
-        """The jet of the partial derivative d^gamma f, of order reduced by |gamma|."""
-        space, src, factor = self.space.derivative_table(tuple(int(g) for g in gamma))
-        return Jet(space, self.coeffs[src] * factor)
-
 
 class MonomialBasis(NamedTuple):
     """From :func:`monomial_basis`: ``rows[k]`` holds, in ``space``, the
@@ -529,18 +506,3 @@ def neumann_inverse(space: JetSpace, a: np.ndarray) -> np.ndarray:
     for _ in range(space.order):
         out = lead + jet_einsum(space, "ab,bc->ac", step, out)
     return out
-
-
-def extract_derivative(jet: Jet, alpha: Sequence[int]) -> float:
-    """Return d^alpha f at the expansion point, i.e. alpha! * coeffs[alpha]."""
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != jet.n_vars:
-        raise ValueError("alpha must have one entry per variable")
-    if sum(alpha) > jet.order:
-        raise ValueError(f"|alpha| = {sum(alpha)} exceeds jet order {jet.order}")
-    if alpha not in jet.space.index_of:
-        raise ValueError(f"alpha = {alpha} exceeds the x-degree limit of the jet")
-    factor = 1.0
-    for a in alpha:
-        factor *= math.factorial(a)
-    return float(jet.coeffs[jet.space.index_of[alpha]] * factor)

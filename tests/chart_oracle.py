@@ -35,17 +35,12 @@ from finslerlab.indicatrix import (
     _validate_chart_coord,
     parameter_direction,
 )
-from finslerlab.jets import Jet, JetDomainError, MonomialBasis, jet_space
+from finslerlab.jets import Jet, JetDomainError, MonomialBasis, jet_partials, jet_space
 
 
 def jet_values(array) -> np.ndarray:
     """The order-0 coefficients of an array of jets, as a float array."""
     return np.vectorize(lambda jet: jet.value, otypes=[float])(array)
-
-
-def jet_truncated(array, order: int) -> np.ndarray:
-    """An array of jets with every entry truncated to ``order``."""
-    return np.vectorize(lambda jet: jet.truncated(order), otypes=[object])(array)
 
 
 def _as_jets(space, t: np.ndarray) -> np.ndarray:
@@ -55,6 +50,22 @@ def _as_jets(space, t: np.ndarray) -> np.ndarray:
     for index in np.ndindex(out.shape):
         out[index] = Jet(space, t[index])
     return out
+
+
+def _coeffs(array) -> tuple[jets.JetSpace, np.ndarray]:
+    """The one space of an array of jets, and their coefficients as a float
+    array ``(*slots, size)``."""
+    array = np.asarray(array, dtype=object)
+    space = array.flat[0].space
+    return space, np.array([jet.coeffs for jet in array.flat]).reshape(array.shape + (space.size,))
+
+
+def jet_truncated(array, order: int) -> np.ndarray:
+    """An array of jets with every entry truncated to ``order``: a prefix of
+    its coefficients, the layout being prefix-closed."""
+    space, t = _coeffs(array)
+    low = jet_space(space.n_vars, order)
+    return _as_jets(low, t[..., : low.size])
 
 
 def jet_matrix_inverse(matrix) -> list[list[Jet]]:
@@ -172,9 +183,8 @@ class FibreJets:
         self.y_u = y_u
         self.y0 = jet_values(y_u)
         # dy[a, i] = dy^i/du^a and the offsets y(u) - y0, both to chart order top
-        units = np.eye(len(y_u) - 1, dtype=int)
-        self.dy = np.array([[y.derivative(unit) for y in y_u] for unit in units])
-        self.deltas = [y.truncated(top) - y.value for y in y_u]
+        self.dy = _partials(y_u).T
+        self.deltas = list(jet_truncated(y_u, top) - self.y0)
         self._bases: dict[int, jets.MonomialBasis] = {}
 
     @cached_property
@@ -198,7 +208,7 @@ class FibreJets:
         jets of the expansion."""
         basis = self._bases.get(order)
         if basis is None:
-            deltas = [d.truncated(order) for d in self.deltas]
+            deltas = list(jet_truncated(self.deltas, order))
             if self.tj.with_x:
                 deltas = [deltas[0].space.constant(0.0)] * len(deltas) + deltas
             basis = self._bases[order] = _monomial_basis(deltas, self.tj.x_vars, 0)
@@ -210,8 +220,10 @@ class FibreJets:
         the chart at the field's chart order."""
         order = self.chart_order[field]
         basis = self._basis(order)
-        flag = _as_jets(self.tj.space(order, x_degree), extractor(self.tj, order))
-        composed = _symmetric(lambda jet: _compose(jet.truncated(order, x_degree=0), basis), flag)
+        x_free = self.tj.x_free(order)
+        kept = self.tj.space(order, x_degree).restriction(x_free)
+        flag = _as_jets(x_free, extractor(self.tj, order)[..., kept])
+        composed = _symmetric(lambda jet: _compose(jet, basis), flag)
         return _pullback(composed, jet_truncated(self.dy, order))
 
     @cached_property
@@ -242,13 +254,14 @@ class FibreJets:
         """Restricted S-curvature: the volume-free part composed with y(u),
         minus y(u) . grad ln sigma."""
         order = self.chart_order["s"]
-        s = jets.jet_space(len(self.dy), order).constant(0.0)
+        space = jets.jet_space(len(self.dy), order)
+        s = space.constant(0.0)
         if self.model.depends_on_x:
             s_main = Jet(self.tj.x_free(order), s_main_jet(self.tj, order))
             s = _compose(s_main, self._basis(order))
         for i, grad_i in enumerate(self.chart.sigma_grad):
             if grad_i != 0.0:
-                s = s - grad_i * self.y_u[i].truncated(order)
+                s = s - grad_i * Jet(space, self.y_u[i].coeffs[: space.size])
         return s
 
 
@@ -292,13 +305,8 @@ def _pullback(t: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 def _partials(t) -> np.ndarray:
     """Chart partial derivatives of an array of jets, derivative index last."""
-    t = np.asarray(t)
-    units = np.eye(t.flat[0].n_vars, dtype=int)
-    out = np.empty(t.shape + (len(units),), dtype=object)
-    for index in np.ndindex(t.shape):
-        for d, unit in enumerate(units):
-            out[index + (d,)] = t[index].derivative(unit)
-    return out
+    space, coeffs = _coeffs(t)
+    return _as_jets(jet_space(space.n_vars, space.order - 1), jet_partials(space, coeffs))
 
 
 def _covariant(t, gamma: np.ndarray) -> np.ndarray:

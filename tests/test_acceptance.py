@@ -14,17 +14,16 @@ from finslerlab.checks import run_identity_suite, schur_audit
 from finslerlab.cli import main as cli_main
 from finslerlab.core import (
     FlagPoint,
-    cartan_tensor,
-    fundamental_tensor,
-    mean_berwald,
-    metric_value,
-    s_curvature,
+    TensorJets,
+    coordinate_tensors,
+    dln_sigma,
     s_curvature_alt,
-    spray_coefficients,
+    s_main_jet,
+    spray_jets,
 )
 from finslerlab.expr import evaluate
-from finslerlab.indicatrix import FibreChart, chart_embed, restrict_fields, sample_fibre_points
-from finslerlab.jets import extract_derivative, jet_space
+from finslerlab.indicatrix import FibreChart, restrict_fields, sample_fibre_points
+from finslerlab.jets import jet_partials, jet_space
 from finslerlab.volume import bh_volume_coefficient
 from finslerlab.zoo import build
 
@@ -44,9 +43,8 @@ def test_criterion_1_funk_quantitative_suite(funk3):
     for _ in range(100):
         x = funk3.sample_x(rng)
         y = funk3.sample_y(rng)
-        point = FlagPoint(x, y)
-        f_value = metric_value(funk3, point)
-        worst_s = max(worst_s, abs(s_curvature(funk3, point) - 2.0 * f_value) / f_value)
+        tensors = coordinate_tensors(funk3, FlagPoint(x, y))
+        worst_s = max(worst_s, abs(tensors.s - 2.0 * tensors.f) / tensors.f)
         worst_sigma = max(worst_sigma, abs(bh_volume_coefficient(funk3, x) - 1.0))
         audit = schur_audit(funk3, x, fibre_samples=40, rng=rng)
         worst_e = max(worst_e, abs(audit.e_min - 4.0), abs(audit.e_max - 4.0))
@@ -85,20 +83,20 @@ def test_criterion_3_degeneration_suite(riem2, riem3, quartic3):
     worst = {"cartan": 0.0, "berwald": 0.0, "s": 0.0, "sigma": 0.0}
     for model in (riem2, riem3):
         for _ in range(10):
-            p = random_flag(model, rng)
-            worst["cartan"] = max(worst["cartan"], np.max(np.abs(cartan_tensor(model, p))))
-            worst["berwald"] = max(worst["berwald"], np.max(np.abs(mean_berwald(model, p))))
-            worst["s"] = max(worst["s"], abs(s_curvature(model, p)))
+            tensors = coordinate_tensors(model, random_flag(model, rng))
+            worst["cartan"] = max(worst["cartan"], np.max(np.abs(tensors.cartan)))
+            worst["berwald"] = max(worst["berwald"], np.max(np.abs(tensors.mean_berwald)))
+            worst["s"] = max(worst["s"], abs(tensors.s))
         x = model.sample_x(rng)
         worst["sigma"] = max(worst["sigma"], abs(bh_volume_coefficient(model, x) - 2.0))
     worst_mink = 0.0
     for _ in range(10):
-        p = random_flag(quartic3, rng)
+        tensors = coordinate_tensors(quartic3, random_flag(quartic3, rng))
         worst_mink = max(
             worst_mink,
-            np.max(np.abs(spray_coefficients(quartic3, p))),
-            np.max(np.abs(mean_berwald(quartic3, p))),
-            abs(s_curvature(quartic3, p)),
+            np.max(np.abs(tensors.spray)),
+            np.max(np.abs(tensors.mean_berwald)),
+            abs(tensors.s),
         )
     worst_gauss = 0.0
     min_cartan = math.inf
@@ -212,7 +210,7 @@ def test_criterion_6_cross_validation(zoo_models):
                 lo = 0 if model.depends_on_x else n
                 for _ in range(order):
                     alpha[rng.integers(lo, 2 * n)] += 1
-                exact = extract_derivative(f2_jet, tuple(alpha))
+                exact = jet_partials(space, f2_jet.coeffs, [tuple(alpha)])[0, 0]
                 step = 1e-3 if order <= 2 else 6e-3
                 estimate = finite_difference_oracle(f2_plain, joint, tuple(alpha), step)
                 worst_f2 = max(worst_f2, abs(estimate - exact) / max(1.0, abs(exact)))
@@ -227,34 +225,33 @@ def test_criterion_6_cross_validation(zoo_models):
             step_s = 2e-3 if order <= 2 else 1.2e-2
             if model.depends_on_x:
                 component = int(rng.integers(0, n))
-                from finslerlab.core import TensorJets, s_main_jet, spray_jets
-                from finslerlab.jets import Jet
-
                 gamma = (0,) * n + tuple(int(a) for a in alpha)  # along y
                 tj = TensorJets(model, x, y, 2 + order, with_x=True)
-                spray = Jet(tj.x_free(order), spray_jets(tj, order)[component])
-                exact_g = extract_derivative(spray, gamma)
+                spray = spray_jets(tj, order)[component]
+                exact_g = jet_partials(tj.x_free(order), spray, [gamma])[0, 0]
 
+                # the stencils evaluate G and S thousands of times, so each
+                # reads the expansion of the lowest order that carries it
                 def g_plain(yvec, component=component):
-                    return float(
-                        spray_coefficients(model, FlagPoint(x, yvec))[component]
-                    )
+                    tj = TensorJets(model, x, yvec, 2, with_x=True)
+                    return float(spray_jets(tj, 0)[component, 0])
 
                 estimate_g = finite_difference_oracle(g_plain, y, tuple(alpha), step)
                 worst_g = max(worst_g, abs(estimate_g - exact_g) / max(1.0, abs(exact_g)))
 
                 tj_s = TensorJets(model, x, y, 3 + order, with_x=True)
-                s_jet = Jet(tj_s.x_free(order), s_main_jet(tj_s, order))
-                exact_s = extract_derivative(s_jet, gamma)
+                s_jet = s_main_jet(tj_s, order)
+                exact_s = jet_partials(tj_s.x_free(order), s_jet, [gamma])[0, 0]
 
                 def s_plain(yvec):
-                    return float(s_curvature(model, FlagPoint(x, yvec)))
+                    tj = TensorJets(model, x, yvec, 3, with_x=True)
+                    return float(s_main_jet(tj, 0)[0]) - float(yvec @ dln_sigma(model, x))
 
                 estimate_s = finite_difference_oracle(s_plain, y, tuple(alpha), step_s)
                 worst_s = max(worst_s, abs(estimate_s - exact_s) / max(1.0, abs(exact_s)))
 
             # the two S-curvature routes
-            s1 = s_curvature(model, point)
+            s1 = coordinate_tensors(model, point).s
             s2 = s_curvature_alt(model, point)
             worst_routes = max(worst_routes, abs(s1 - s2) / max(1.0, abs(s1)))
 
@@ -264,7 +261,7 @@ def test_criterion_6_cross_validation(zoo_models):
     rng_bh = np.random.default_rng(60)
     for _ in range(5):
         p = random_flag(funk_bh, rng_bh)
-        s1 = s_curvature(funk_bh, p)
+        s1 = coordinate_tensors(funk_bh, p).s
         s2 = s_curvature_alt(funk_bh, p)
         worst_bh = max(worst_bh, abs(s1 - s2) / max(1.0, abs(s1)))
 

@@ -13,7 +13,7 @@ from finslerlab.checks import (
     run_identity_suite,
     schur_audit,
 )
-from finslerlab.core import MetricModel, NonPositiveDefiniteError, fundamental_tensor
+from finslerlab.core import MetricModel, NonPositiveDefiniteError, coordinate_tensors
 from finslerlab.indicatrix import (
     FibreChart,
     IndicatrixPoint,
@@ -188,7 +188,7 @@ def test_weak_isotropy_checks_convexity_at_every_point():
     bad = []
     for index, point in enumerate(points):
         try:
-            fundamental_tensor(model, chart_embed(point.chart, point.u))
+            coordinate_tensors(model, chart_embed(point.chart, point.u))
         except NonPositiveDefiniteError:
             bad.append(index)
     assert len(bad) == 9 and bad[0] > 0  # the first point is convex

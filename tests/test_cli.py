@@ -215,6 +215,12 @@ class _Under(NamedTuple):
         ("check", "params", {"b0": 5}),
         ("check", "params", _Under({"metric_expr": "sqrt(y1^2 + y2^2 + y3^2) + k*y1"}, {"k": [1]})),
         ("check", "params", _Under({"metric": "riemannian"}, {"a_diag": "x"})),
+        ("check", "seed", -1),
+        ("audit", "seed", -1),
+        ("check", "tol_eq_2_1", -1.0),
+        ("check", "tol_eq_1_12", 0),
+        ("audit", "tol_thm_1", -1e-3),
+        ("audit", "tol_thm_1", 0.0),
     ],
 )
 def test_badly_typed_config_value_exits_2(tmp_path, capsys, command, field, value):
@@ -225,6 +231,16 @@ def test_badly_typed_config_value_exits_2(tmp_path, capsys, command, field, valu
     config.write_text(json.dumps({**base, "dim": 3, field: value}))
     assert run_cli(command, "--config", str(config)) == 2
     assert f"error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command,flag,field",
+    [("check", "--tol-eq-2.1", "tol_eq_2_1"), ("audit", "--tol-thm-1", "tol_thm_1")],
+)
+def test_tolerance_flag_that_is_not_finite_exits_2(capsys, command, flag, field, value):
+    assert run_cli(command, "--metric", "funk_ball", "--dim", "3", flag, value) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: must be a finite number above 0")
 
 
 @pytest.mark.parametrize("document", [[1, 2], "randers", 3])
