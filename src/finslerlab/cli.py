@@ -74,9 +74,12 @@ class InputError(Exception):
 
 def _parse_floats(text: str, field: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise InputError(field, f"expected comma-separated numbers, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise InputError(field, f"expected finite numbers, got {text!r}")
+    return values
 
 
 def _typed(config: dict, field: str, kind, default=None):

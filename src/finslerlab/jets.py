@@ -36,6 +36,19 @@ The tables list their terms in a fixed order, so every product and
 derivative is bit-identical from run to run and to the per-multi-index
 loops kept as references in the tests.
 
+A :class:`Jet` carries a ``grade``, an upper bound on the degree of its
+nonzero coefficients: 0 for a constant, 1 for a variable, the larger grade
+for a sum, ``min(order, ga + gb)`` for a product, and the order when built
+from raw coefficients.  A product of grades ``(ga, gb)`` reduces the terms
+of the product table whose left factor has degree at most ``ga`` and whose
+right factor at most ``gb`` -- a sub-table cached per grade pair, in the
+full table's order.  Every skipped term has an exactly zero factor, so for
+finite coefficients it is a signed zero; ``np.bincount`` sums from +0.0,
+a sum that starts at +0.0 never becomes -0.0, and adding a zero to it
+changes no bit.  The graded product is therefore bit-identical to the full
+one.  (An infinite coefficient would make a skipped term ``inf * 0 = nan``
+in the full table; the CLI rejects a non-finite point.)
+
 Jets are built by :meth:`JetSpace.constant` and :meth:`JetSpace.variable`
 on a space from :func:`jet_space`; they are the scalars the expression
 evaluator runs on.  A tensor of jets, at a flag point or on a fibre chart,
@@ -157,6 +170,7 @@ class JetSpace:
         self._key_order = np.argsort(self._keys)
         self._sorted_keys = self._keys[self._key_order]
         self._mul_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._graded_tables: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
         self._derivative_tables: dict[tuple[int, ...], tuple[JetSpace, np.ndarray, np.ndarray]] = {}
         self._restrictions: dict[JetSpace, np.ndarray] = {}
 
@@ -189,8 +203,31 @@ class JetSpace:
             self._mul_table = (ii, jj, kk)
         return self._mul_table
 
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ii, jj, kk = self._mul()
+    def _graded_mul(self, ga: int, gb: int) -> tuple[np.ndarray, ...]:
+        """The terms of :meth:`_mul` with a factor of degree at most ``ga``
+        on the left and at most ``gb`` on the right, in the same order: a
+        prefix of the table (the terms are ordered by i, which is ordered by
+        degree), filtered by the degree of j unless ``gb`` is the order."""
+        table = self._mul()
+        if ga < self.order:
+            end = np.searchsorted(table[0], self.grade_offsets[ga + 1])
+            table = tuple(column[:end] for column in table)
+        if gb < self.order:
+            keep = table[1] < self.grade_offsets[gb + 1]
+            table = tuple(column[keep] for column in table)
+        return table
+
+    def multiply(
+        self, a: np.ndarray, b: np.ndarray, ga: int = MAX_ORDER, gb: int = MAX_ORDER
+    ) -> np.ndarray:
+        """The truncated product of two coefficient arrays that are zero above
+        degree ``ga`` and ``gb`` (by default no zero is known): the terms of
+        the product table with a zero factor are skipped."""
+        table = self._graded_tables.get((ga, gb))
+        if table is None:
+            grades = min(ga, self.order), min(gb, self.order)
+            table = self._graded_tables[ga, gb] = self._graded_mul(*grades)
+        ii, jj, kk = table
         return np.bincount(kk, weights=a[ii] * b[jj], minlength=self.size)
 
     def derivative_table(self, gamma: tuple[int, ...]) -> tuple["JetSpace", np.ndarray, np.ndarray]:
@@ -235,7 +272,7 @@ class JetSpace:
     def constant(self, value: float) -> "Jet":
         coeffs = np.zeros(self.size)
         coeffs[0] = float(value)
-        return Jet(self, coeffs)
+        return Jet(self, coeffs, 0)
 
     def variable(self, i: int, value: float) -> "Jet":
         """Jet of the i-th coordinate function (i is 1-based)."""
@@ -245,6 +282,7 @@ class JetSpace:
         if self.order >= 1:
             unit = tuple(1 if k == i - 1 else 0 for k in range(self.n_vars))
             jet.coeffs[self.index_of[unit]] = 1.0
+            jet.grade = 1
         return jet
 
 
@@ -253,14 +291,17 @@ class Jet:
 
     Jets are value types: operations return new instances and never mutate
     their operands, so shared use across threads is safe.  Arithmetic only
-    combines jets from the same space (identical n_vars and order).
+    combines jets from the same space (identical n_vars and order).  The
+    ``grade`` bounds the degree of the nonzero coefficients (the order when
+    not given), so products skip the terms it shows to be zero.
     """
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("space", "coeffs", "grade")
 
-    def __init__(self, space: JetSpace, coeffs: np.ndarray):
+    def __init__(self, space: JetSpace, coeffs: np.ndarray, grade: int | None = None):
         self.space = space
         self.coeffs = coeffs
+        self.grade = space.order if grade is None else grade
 
     # -- basic queries ----------------------------------------------------
 
@@ -282,25 +323,23 @@ class Jet:
 
     # -- ring operations --------------------------------------------------
 
-    def _coerce(self, other):
+    def _coerce(self, other) -> "Jet | None":
         if isinstance(other, Jet):
             if other.space is not self.space:
                 raise ValueError(
                     "jet arithmetic requires matching variable count and order, and the "
                     f"same x-degree limit: {self.space!r} vs {other.space!r}"
                 )
-            return other.coeffs
+            return other
         if isinstance(other, (int, float, np.floating, np.integer)):
-            c = np.zeros(self.space.size)
-            c[0] = float(other)
-            return c
+            return self.space.constant(other)
         return None
 
     def __add__(self, other):
         c = self._coerce(other)
         if c is None:
             return NotImplemented
-        return Jet(self.space, self.coeffs + c)
+        return Jet(self.space, self.coeffs + c.coeffs, max(self.grade, c.grade))
 
     __radd__ = __add__
 
@@ -308,22 +347,24 @@ class Jet:
         c = self._coerce(other)
         if c is None:
             return NotImplemented
-        return Jet(self.space, self.coeffs - c)
+        return Jet(self.space, self.coeffs - c.coeffs, max(self.grade, c.grade))
 
     def __rsub__(self, other):
         c = self._coerce(other)
         if c is None:
             return NotImplemented
-        return Jet(self.space, c - self.coeffs)
+        return Jet(self.space, c.coeffs - self.coeffs, max(self.grade, c.grade))
 
     def __neg__(self):
-        return Jet(self.space, -self.coeffs)
+        return Jet(self.space, -self.coeffs, self.grade)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.space, self.space.multiply(self.coeffs, self._coerce(other)))
+            c = self._coerce(other)
+            coeffs = self.space.multiply(self.coeffs, c.coeffs, self.grade, c.grade)
+            return Jet(self.space, coeffs, min(self.space.order, self.grade + c.grade))
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet(self.space, self.coeffs * float(other))
+            return Jet(self.space, self.coeffs * float(other), self.grade)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -334,14 +375,14 @@ class Jet:
         if isinstance(other, (int, float, np.floating, np.integer)):
             if float(other) == 0.0:
                 raise JetDomainError("div", 0.0)
-            return Jet(self.space, self.coeffs / float(other))
+            return Jet(self.space, self.coeffs / float(other), self.grade)
         return NotImplemented
 
     def __rtruediv__(self, other):
         c = self._coerce(other)
         if c is None:
             return NotImplemented
-        return Jet(self.space, c) * self.reciprocal()
+        return c * self.reciprocal()
 
     def __pow__(self, exponent):
         if isinstance(exponent, Jet):
@@ -358,29 +399,40 @@ class Jet:
         return self._compose_outer(series)
 
     def _int_pow(self, n: int) -> "Jet":
+        """Binary powering from the lowest set bit of n: y**2 is one product,
+        and no square is taken past the highest bit."""
         if n < 0:
             return self.reciprocal()._int_pow(-n)
-        result = self.space.constant(1.0)
+        if n == 0:
+            return self.space.constant(1.0)
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 
     # -- univariate composition and elementary functions -------------------
 
     def _compose_outer(self, series: Sequence[float]) -> "Jet":
-        """Horner evaluation of sum_k series[k] * h^k with h the nilpotent part."""
+        """Horner evaluation of sum_k series[k] * h^k with h the nilpotent part;
+        the grade of the partial sum grows by that of h at each step."""
         h = self.coeffs.copy()
         h[0] = 0.0
         out = np.zeros(self.space.size)
         out[0] = series[-1]
+        grade = 0
         for k in range(len(series) - 2, -1, -1):
-            out = self.space.multiply(out, h)
+            out = self.space.multiply(out, h, grade, self.grade)
+            grade = min(self.space.order, grade + self.grade)
             out[0] += series[k]
-        return Jet(self.space, out)
+        return Jet(self.space, out, grade)
 
     def reciprocal(self) -> "Jet":
         f0 = self.value

@@ -53,6 +53,16 @@ def test_curvature_zero_y_is_input_error(capsys):
     assert "y must be nonzero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "metric,field,x,y",
+    [("euclidean", "x", "nan,0,0", "1,0,0"), ("randers", "y", "0,0,0", "inf,0,0")],
+)
+def test_curvature_point_that_is_not_finite_exits_2(capsys, metric, field, x, y):
+    code = run_cli("curvature", "--metric", metric, "--dim", "3", "--x", x, "--y", y)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: expected finite numbers")
+
+
 def test_non_homogeneous_expression_exits_2(capsys):
     code = run_cli("check", "--metric-expr", "y1 + y2^2", "--dim", "2")
     assert code == 2

@@ -300,6 +300,147 @@ def test_product_table_equals_the_loop_in_order(n_vars, order):
         np.testing.assert_array_equal(got, want)
 
 
+# -- graded products --------------------------------------------------------------
+
+_GRADED_SPACES = [(1, 8), (2, 4), (3, 3), (6, 6), (8, 6), (6, 6, 3, 1), (8, 6, 4, 1), (8, 6, 4, 2)]
+
+
+def _graded_coeffs(space, grade, rng):
+    """Finite coefficients of every sign and many magnitudes, some of them
+    exact (signed) zeros, and zero above the grade."""
+    coeffs = rng.standard_normal(space.size) * 10.0 ** rng.integers(-6, 7, space.size)
+    coeffs[rng.random(space.size) < 0.2] = 0.0
+    coeffs[rng.random(space.size) < 0.1] = -0.0
+    coeffs[space.grade_offsets[grade + 1]:] = 0.0
+    return coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_GRADED_SPACES),
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_graded_product_is_bit_identical_to_the_full_table(signature, ga, gb, seed):
+    space = jet_space(*signature)
+    ga, gb = min(ga, space.order), min(gb, space.order)
+    rng = np.random.default_rng(seed)
+    a, b = _graded_coeffs(space, ga, rng), _graded_coeffs(space, gb, rng)
+    graded = space.multiply(a, b, ga, gb)
+    assert graded.tobytes() == space.multiply(a, b).tobytes()
+    assert not np.any(graded[space.grade_offsets[min(space.order, ga + gb) + 1]:])
+
+
+@pytest.mark.parametrize("signature", _GRADED_SPACES)
+def test_graded_tables_are_the_full_table_terms_in_order(signature):
+    space = jet_space(*signature)
+    full = space._mul()
+    degree = np.repeat(np.arange(space.order + 1), np.diff(space.grade_offsets))
+    for ga in range(space.order + 1):
+        for gb in range(space.order + 1):
+            keep = (degree[full[0]] <= ga) & (degree[full[1]] <= gb)
+            for got, want in zip(space._graded_mul(ga, gb), full):
+                np.testing.assert_array_equal(got, want[keep])
+    assert all(got is want for got, want in zip(space._graded_mul(space.order, space.order), full))
+
+
+def _tree(leaves):
+    unary = st.tuples(st.sampled_from(["-({})", "sqrt({})", "exp({})", "ln({})"]), leaves)
+    power = st.tuples(leaves, st.integers(-3, 5))
+    binary = st.tuples(leaves, st.sampled_from("+-*/"), leaves)
+    return (
+        unary.map(lambda t: t[0].format(t[1]))
+        | power.map(lambda t: f"({t[0]})^({t[1]})")
+        | binary.map(lambda t: f"({t[0]} {t[1]} {t[2]})")
+    )
+
+
+_TREES = st.recursive(
+    st.sampled_from(["x1", "x2", "y1", "y2"]) | st.floats(-3, 3).map("({!r})".format),
+    _tree,
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TREES, st.sampled_from([(4, 4), (4, 5, 2, 1), (4, 3, 2, 2)]))
+def test_grade_bounds_the_nonzero_coefficients(text, signature):
+    """Random expression trees over x1, x2, y1, y2 and constants, evaluated on
+    jets: the grade bounds the nonzero coefficients, and every product gives
+    the same bytes as with the grade of every variable at the order."""
+    from finslerlab.expr import EvalDomainError, ParseError, evaluate, parse
+
+    space = jet_space(*signature)
+    graded = [space.variable(i + 1, v) for i, v in enumerate((0.7, -0.4, 1.3, 0.2))]
+    full = [Jet(space, x.coeffs) for x in graded]  # grade defaults to the order
+    try:
+        tree = parse(text, 2)
+        with np.errstate(all="ignore"):
+            jet, ref = (evaluate(tree, xy[:2], xy[2:]) for xy in (graded, full))
+    except (ParseError, EvalDomainError):  # a literal zero divisor, a domain error
+        return
+    if not isinstance(jet, Jet):
+        return
+    assert 0 <= jet.grade <= space.order
+    assert not np.any(jet.coeffs[space.grade_offsets[jet.grade + 1]:])
+    if np.all(np.isfinite(ref.coeffs)):
+        # skipped terms have a zero factor, so finite results agree bit for bit
+        assert jet.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+def test_zeroth_power_is_the_constant_one():
+    y = jet_space(2, 3).variable(2, 0.5).exp()
+    one = y ** 0
+    assert one.grade == 0
+    assert one.coeffs.tobytes() == jet_space(2, 3).constant(1.0).coeffs.tobytes()
+
+
+@pytest.fixture
+def product_count(monkeypatch):
+    """Counts the calls of JetSpace.multiply."""
+    from finslerlab.jets import JetSpace
+
+    calls = [0]
+    multiply = JetSpace.multiply
+
+    def counted(self, *args):
+        calls[0] += 1
+        return multiply(self, *args)
+
+    monkeypatch.setattr(JetSpace, "multiply", counted)
+    return calls
+
+
+@pytest.mark.parametrize("exponent,products", [(2, 1), (3, 2), (4, 2), (5, 3), (8, 3)])
+def test_integer_power_products(product_count, exponent, products):
+    y = jet_space(2, 6).variable(2, 1.5)
+    power = y ** exponent
+    assert product_count[0] == products
+    assert power.grade == min(6, exponent)
+    slope = jet_partials(y.space, power.coeffs, [(0, 1)])[0, 0]
+    assert slope == pytest.approx(exponent * 1.5 ** (exponent - 1), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "metric,dim,products",
+    [("funk_ball", 4, 35), ("funk_ball", 3, 30), ("randers", 3, 11), ("minkowski_quartic", 3, 12)],
+)
+def test_products_per_f_expansion(product_count, metric, dim, products):
+    """One order-6 expansion of F over (x, y) with x to first order, as at a
+    flag point; the count includes the Horner steps of sqrt and pow."""
+    from finslerlab.expr import evaluate
+    from finslerlab.zoo import build
+
+    model = build(metric, dim)
+    space = jet_space(2 * dim, 6, dim, 1)
+    xs = [space.variable(i + 1, 0.1 * (i + 1)) for i in range(dim)]
+    ys = [space.variable(dim + i + 1, 1.0 - 0.2 * i) for i in range(dim)]
+    product_count[0] = 0
+    evaluate(model.f_ast, xs, ys, model.params)
+    assert product_count[0] == products
+
+
 def _reference_compose(jet, deltas):
     """Composition by one memoised product chain per monomial."""
     uspace = deltas[0].space
