@@ -18,11 +18,14 @@ Stable tags identify the checks in reports and tolerance flags:
     thm-1    isotropy audit: pointwise isotropy forces a fibrewise-constant
              Berwald scalar (asserted for dim >= 3)
 
-The audit of a fibre is one pass over its sampled points: one expansion per
-point gives g, E, e and grad e for ``thm-1`` and, while every point so far
-is isotropic, the y-Hessians of S and F for the weak-isotropy test, whose
-residual max |Hess S - c Hess F| with c = e/(n-1) is formed once the fibre
-is found isotropic with constant e.
+Every check reads the fibre through one :class:`~finslerlab.indicatrix.FibreJets`
+per point: the four identities of the suite through its float record
+:func:`~finslerlab.indicatrix.restrict_fields`, ``eq-2.5`` and ``thm-1``
+through its members.  The audit of a fibre is one pass over its sampled
+points: one expansion per point gives g, E, e and grad e for ``thm-1`` and,
+while every point so far is isotropic, the y-Hessians of S and F for the
+weak-isotropy test, whose residual max |Hess S - c Hess F| with
+c = e/(n-1) is formed once the fibre is found isotropic with constant e.
 """
 
 from __future__ import annotations
@@ -42,11 +45,11 @@ from .core import (
 )
 from .expr import EvalDomainError
 from .indicatrix import (
+    FibreJets,
     IndicatrixPoint,
     RestrictedFields,
     fibre_jets,
     restrict_fields,
-    s_third_covariant,
     sample_fibre_points,
 )
 from .jets import jet_partials
@@ -161,11 +164,13 @@ def gauss_residual(rf: RestrictedFields) -> tuple[np.ndarray, float]:
     return residual, _scale(rf.riemann, hh, gg)
 
 
-def isotropy_residual(fields, dim: int) -> float:
-    """max|E - (e/(n-1)) g| / max(1, max|E|) for any bundle exposing g,
-    berwald and e (restricted or Berwald fields)."""
-    iso = fields.berwald - (fields.e / (dim - 1)) * fields.g
-    return _maxabs(iso) / max(1.0, _maxabs(fields.berwald))
+def isotropy_residual(fj: FibreJets) -> float:
+    """max|E - (e/(n-1)) g| / max(1, max|E|) at a fibre point whose g and E
+    are carried to chart order >= 1."""
+    e = float(fj.berwald_scalar[0])
+    berwald = fj.e[..., 0]
+    iso = berwald - (e / (fj.model.dim - 1)) * fj.g[..., 0]
+    return _maxabs(iso) / max(1.0, _maxabs(berwald))
 
 
 # -- the commutator check, which needs a third derivative of S -------------------
@@ -174,9 +179,12 @@ def isotropy_residual(fields, dim: int) -> float:
 def check_ricci(model: MetricModel, point: IndicatrixPoint) -> np.ndarray:
     """Commutator of the second and third covariant derivatives of the
     restricted S-curvature against the curvature contraction."""
-    w, s_grad, r_up, _ = s_third_covariant(model, point.chart, point.u)
+    fj = fibre_jets(model, point.chart, point.u, {"g": 2, "s": 3})
+    r_up = fj.curvature[0]
+    s_grad = fj.covariant(fj.s, 3)
+    w = fj.covariant(fj.covariant(s_grad, 2), 1)[..., 0]  # W_abc, derivative slots last
     lhs = w - np.transpose(w, (0, 2, 1))
-    rhs = np.einsum("eabc,e->abc", r_up, s_grad)
+    rhs = np.einsum("eabc,e->abc", r_up, s_grad[..., 0])
     return lhs - rhs
 
 
@@ -376,14 +384,14 @@ def schur_audit(
     for f_index, point in enumerate(points):
         try:
             fj = fibre_jets(model, point.chart, point.u, {"g": 1, "e": 1})
-            bf = fj.berwald_fields()
-            max_iso = max(max_iso, isotropy_residual(bf, model.dim))
+            max_iso = max(max_iso, isotropy_residual(fj))
             if max_iso <= tol:
                 hessians.append(_y_hessians(fj.tj))
         except _DOMAIN_ERRORS as err:
             raise FibrePointError(err, f_index, point) from err
-        e_values.append(bf.e)
-        grad_norm = float(np.sqrt(bf.e_grad @ bf.g_inv @ bf.e_grad))
+        e_values.append(float(fj.berwald_scalar[0]))
+        e_grad = fj.covariant(fj.berwald_scalar, 1)[..., 0]
+        grad_norm = float(np.sqrt(e_grad @ fj.g_inv[..., 0] @ e_grad))
         max_grad = max(max_grad, grad_norm)
     e_min = min(e_values)
     e_max = max(e_values)

@@ -45,7 +45,7 @@ from .core import (
     coordinate_tensors,
 )
 from .expr import ExprError
-from .indicatrix import FibreChart, berwald_fields, direction_chart
+from .indicatrix import FibreChart, direction_chart, fibre_jets
 from .volume import QuadratureError
 from .zoo import ParamError, RandersConditionViolated, build, entries, number_param
 
@@ -320,14 +320,15 @@ def _cmd_curvature(args) -> int:
     y = _parse_floats(config["y"], "y")
     if len(x) != model.dim or len(y) != model.dim:
         raise InputError("x/y", f"need {model.dim} components each")
-    if not any(v != 0.0 for v in y):
-        raise InputError("y", "y must be nonzero")
+    try:
+        point = FlagPoint(np.asarray(x), np.asarray(y))
+    except ValueError as err:  # a direction whose norm is 0.0, even if some entry is not
+        raise InputError("y", str(err)) from None
     if np.linalg.norm(x) >= model.x_max_norm:
         raise InputError("x", f"|x| must be < {model.x_max_norm} for this metric")
-    point = FlagPoint(np.asarray(x), np.asarray(y))
     tensors = coordinate_tensors(model, point)
     chart_id, u = direction_chart(point.y)
-    fibre = berwald_fields(model, FibreChart(model, point.x, chart_id), u)
+    fibre = fibre_jets(model, FibreChart(model, point.x, chart_id), u, {"g": 1, "e": 1})
     document = {
         "schema_version": SCHEMA_VERSION,
         "command": "curvature",
@@ -346,9 +347,9 @@ def _cmd_curvature(args) -> int:
         "fibre": {
             "chart": chart_id,
             "u": list(u),
-            "induced_metric": fibre.g.tolist(),
-            "berwald_pullback": fibre.berwald.tolist(),
-            "e": fibre.e,
+            "induced_metric": fibre.g[..., 0].tolist(),
+            "berwald_pullback": fibre.e[..., 0].tolist(),
+            "e": float(fibre.berwald_scalar[0]),
         },
     }
     _emit_json(document, config.get("out"))

@@ -9,23 +9,25 @@ so F(x, y(u)) = 1 identically.  The induced metric is the pullback of the
 fundamental tensor, the fibre connection is its Levi-Civita connection, and
 curvature and covariant derivatives are computed in chart coordinates.
 
-One pipeline per fibre point: :func:`fibre_jets` expands F once at the
+One object per fibre point: :func:`fibre_jets` expands F once at the
 embedded flag point (one :class:`~finslerlab.core.TensorJets`, read through
-the core extractors) and composes it with y(u) into the induced metric g,
-the Cartan pullback H, the mean Berwald pullback E and the restricted
-S-curvature, each computed when first read at the chart order the caller
-asked for.  Flag-point tensors and chart fields share one form, a float
-array of jet coefficients ``(*slots, size)``; a chart field is over
-``jet_space(n - 1, order)``.  The distinct entries of a flag-point tensor
-are restricted to the x-free space by one gather and composed with y(u) by
-:func:`~finslerlab.jets.jet_compose`; products are
+the core extractors) and composes it with y(u) into the chart jets of the
+induced metric g, the Cartan pullback H, the mean Berwald pullback E and
+the restricted S-curvature, each computed when first read at the chart
+order the caller asked for.  The same :class:`FibreJets` owns the chart
+calculus, each piece written once: the inverse metric, the Levi-Civita
+symbols, the curvature, the Berwald scalar e = tr_g E and the covariant
+derivative of any chart tensor.  Flag-point tensors and chart fields share
+one form, a float array of jet coefficients ``(*slots, size)``; a chart
+field is over ``jet_space(n - 1, order)``.  The distinct entries of a
+flag-point tensor are restricted to the x-free space by one gather and
+composed with y(u) by :func:`~finslerlab.jets.jet_compose`; products are
 :func:`~finslerlab.jets.jet_einsum` contractions, derivatives
 :func:`~finslerlab.jets.jet_partials` gathers along the last axis.  The
 fields of one chart order share one monomial basis of y(u) - y(u0), and
 the two charts of a fibre share one gradient of ln sigma.  Every
-u-derivative is exact to roundoff.  :func:`restrict_fields`,
-:func:`berwald_fields` and :func:`s_third_covariant` are views of it,
-built from one pullback and one rank-generic covariant derivative.
+u-derivative is exact to roundoff.  :func:`restrict_fields` reads the
+members into one float record for the identity suite.
 
 Sign and index conventions are frozen by the Euclidean calibration: for
 F = |y| in dimension 3 the induced metric at the chart centre is 4 times
@@ -44,7 +46,6 @@ import numpy as np
 
 from . import jets
 from .core import (
-    FlagPoint,
     MetricModel,
     NonPositiveMetricError,
     SamplingError,
@@ -66,14 +67,8 @@ __all__ = [
     "RestrictedFields",
     "parameter_direction",
     "direction_chart",
-    "chart_transition",
-    "transition_jacobian",
-    "chart_embed",
     "fibre_jets",
     "restrict_fields",
-    "BerwaldFields",
-    "berwald_fields",
-    "s_third_covariant",
     "sample_fibre_points",
 ]
 
@@ -161,32 +156,7 @@ def direction_chart(theta) -> tuple[str, np.ndarray]:
     return "south", theta[:-1] / (1.0 - theta[-1])
 
 
-def chart_transition(chart_id: str, u) -> tuple[str, np.ndarray]:
-    """The same fibre point in the opposite chart: u maps to u / |u|^2."""
-    u = np.asarray(u, dtype=float)
-    s = float(u @ u)
-    if s < POLE_MARGIN ** 2:
-        raise ValueError("the chart centre has no coordinate in the opposite chart")
-    other = "south" if chart_id == "north" else "north"
-    return other, u / s
-
-
-def transition_jacobian(u) -> np.ndarray:
-    """Jacobian d(u / |u|^2) / du of the chart transition."""
-    u = np.asarray(u, dtype=float)
-    s = float(u @ u)
-    m = len(u)
-    return (np.eye(m) * s - 2.0 * np.outer(u, u)) / s ** 2
-
-
 # -- embedding ---------------------------------------------------------------
-
-
-def chart_embed(chart: FibreChart, u) -> FlagPoint:
-    """Embed the chart coordinate as the flag point (x, theta/F(x, theta))."""
-    u = np.asarray(u, dtype=float)
-    _validate_chart_coord(u)
-    return FlagPoint(chart.x, _y_ujets(chart, u, 0)[:, 0])
 
 
 def _y_ujets(chart: FibreChart, u0: np.ndarray, order: int) -> np.ndarray:
@@ -213,8 +183,9 @@ _DEPTH = {"g": 2, "h": 3, "e": 5, "s": 3}
 
 
 class FibreJets:
-    """Chart jets of g, H, E and S at one fibre point, each over the
-    :meth:`space` of its chart order; see :func:`fibre_jets`."""
+    """The fibre at one point: chart jets of g, H, E and S, each over the
+    :meth:`space` of its chart order (see :func:`fibre_jets`), and the chart
+    calculus of the induced metric built from them."""
 
     def __init__(self, model: MetricModel, chart: FibreChart, y_u: np.ndarray, chart_order):
         self.model = model
@@ -307,19 +278,55 @@ class FibreJets:
             s = s + jets.jet_compose(flag, s_main_jet(self.tj, order), self._basis(order))
         return s
 
-    def berwald_fields(self) -> "BerwaldFields":
-        """g, E, the Berwald scalar e = tr_g E and its chart gradient, from a
-        pipeline that carries g and E to chart order 1."""
+    @cached_property
+    def g_inv(self) -> np.ndarray:
+        """Inverse induced metric g^ab to chart order 1."""
         first = self.space(1)
-        g_inv = jets.neumann_inverse(first, self.g)
-        e = jets.jet_einsum(first, "ab,ab->", g_inv, self.e)
-        return BerwaldFields(
-            g=self.g[..., 0],
-            g_inv=g_inv[..., 0],
-            berwald=self.e[..., 0],
-            e=float(e[0]),
-            e_grad=jets.jet_partials(first, e)[..., 0],
+        return jets.neumann_inverse(first, self.g[..., : first.size])
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Levi-Civita symbols Gamma^c_ab (upper index first) to chart order
+        1, from g at chart order 2."""
+        dg = np.moveaxis(jets.jet_partials(self.space(2), self.g), -2, 0)  # dg[c, a, b] = d_c g_ab
+        # [d, a, b] = d_a g_db + d_b g_da - d_d g_ab
+        bracket = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
+        return jets.jet_einsum(self.space(1), "cd,dab->cab", self.g_inv, bracket) * 0.5
+
+    @cached_property
+    def berwald_scalar(self) -> np.ndarray:
+        """The Berwald scalar e = tr_g E = g^ab E_ab to chart order 1."""
+        return jets.jet_einsum(self.space(1), "ab,ab->", self.g_inv, self.e)
+
+    @cached_property
+    def curvature(self) -> tuple[np.ndarray, np.ndarray]:
+        """Curvature R^e_bcd = d_c Gamma^e_db - d_d Gamma^e_cb + Gamma^e_cf
+        Gamma^f_db - Gamma^e_df Gamma^f_cb and its lowered form
+        R_abcd = g_ae R^e_bcd, as floats."""
+        gam = self.gamma[..., 0]
+        # d_d Gamma^c_ab at [c, a, b, d]
+        dgam = jets.jet_partials(self.space(1), self.gamma)[..., 0]
+        r_up = (
+            np.einsum("edbc->ebcd", dgam)
+            - np.einsum("ecbd->ebcd", dgam)
+            + np.einsum("ecf,fdb->ebcd", gam, gam)
+            - np.einsum("edf,fcb->ebcd", gam, gam)
         )
+        return r_up, np.einsum("ae,ebcd->abcd", self.g[..., 0], r_up)
+
+    def covariant(self, t: np.ndarray, order: int) -> np.ndarray:
+        """Covariant derivative of a chart tensor over the space of this chart
+        order, one order lower: nabla_d T_a.. = d_d T_a.. - sum over slots
+        Gamma^e_{d a} T_..e.., with the derivative index appended last.  A
+        scalar reads no Christoffel symbols."""
+        out = jets.jet_partials(self.space(order), t)
+        low = self.space(order - 1)
+        slots = "abcdefgh"[: t.ndim - 1]
+        for a in slots:  # y is the summed index e, z the derivative index d
+            term = f"{slots.replace(a, 'y')},yz{a}->{slots}z"
+            gamma = self.gamma[..., : low.size]
+            out = out - jets.jet_einsum(low, term, t[..., : low.size], gamma)
+        return out
 
 
 def fibre_jets(
@@ -339,7 +346,7 @@ def fibre_jets(
     return FibreJets(model, chart, y_u, dict(chart_order))
 
 
-# -- tensor calculus in chart coordinates; ``space`` is that of the first field ------
+# -- symmetric tensors; ``space`` is that of the chart field ------------------------
 
 
 @lru_cache(maxsize=None)
@@ -363,48 +370,7 @@ def _pullback(space: jets.JetSpace, t: np.ndarray, dy: np.ndarray) -> np.ndarray
     return t[_symmetric_layout(t.shape[:-1])[0]]
 
 
-def _covariant(space: jets.JetSpace, t: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Covariant derivative of a chart tensor, one order lower:
-    nabla_d T_a.. = d_d T_a.. - sum over slots Gamma^e_{d a} T_..e..,
-    with the derivative index appended last."""
-    out = jets.jet_partials(space, t)
-    low = jets.jet_space(space.n_vars, space.order - 1)
-    t, gamma = t[..., : low.size], gamma[..., : low.size]
-    slots = "abcdefgh"[: t.ndim - 1]
-    for a in slots:  # y is the summed index e, z the derivative index d
-        out = out - jets.jet_einsum(low, f"{slots.replace(a, 'y')},yz{a}->{slots}z", t, gamma)
-    return out
-
-
-def _christoffel_jets(space: jets.JetSpace, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse metric and Levi-Civita symbols Gamma^c_ab (upper index first),
-    as chart jets one order below those of the metric."""
-    low = jets.jet_space(space.n_vars, space.order - 1)
-    g_inv = jets.neumann_inverse(low, g[..., : low.size])
-    dg = np.moveaxis(jets.jet_partials(space, g), -2, 0)  # dg[c, a, b] = d_c g_ab
-    # [d, a, b] = d_a g_db + d_b g_da - d_d g_ab
-    bracket = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
-    return g_inv, jets.jet_einsum(low, "cd,dab->cab", g_inv, bracket) * 0.5
-
-
-def _curvature(g: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature R^e_bcd = d_c Gamma^e_db - d_d Gamma^e_cb + Gamma^e_cf Gamma^f_db
-    - Gamma^e_df Gamma^f_cb and its lowered form R_abcd = g_ae R^e_bcd, as
-    floats, from Christoffel jets of order >= 1."""
-    first = jets.jet_space(len(gamma), 1)
-    gam = gamma[..., 0]
-    # d_d Gamma^c_ab at [c, a, b, d]
-    dgam = jets.jet_partials(first, gamma[..., : first.size])[..., 0]
-    r_up = (
-        np.einsum("edbc->ebcd", dgam)
-        - np.einsum("ecbd->ebcd", dgam)
-        + np.einsum("ecf,fdb->ebcd", gam, gam)
-        - np.einsum("edf,fcb->ebcd", gam, gam)
-    )
-    return r_up, np.einsum("ae,ebcd->abcd", g[..., 0], r_up)
-
-
-# -- views of the pipeline ----------------------------------------------------------
+# -- the float record of the identity suite ------------------------------------------
 
 
 @dataclass
@@ -440,62 +406,25 @@ def restrict_fields(model: MetricModel, chart: FibreChart, u) -> RestrictedField
     first order (their covariant derivatives); one expansion feeds them all.
     """
     fj = fibre_jets(model, chart, u, {"g": 2, "s": 2, "h": 1, "e": 1})
-    first = fj.space(1)
-    g_inv, gamma = _christoffel_jets(fj.space(2), fj.g)
-    r_up, r_low = _curvature(fj.g, gamma)
-    ds = _covariant(fj.space(2), fj.s, gamma)
-    e = jets.jet_einsum(first, "ab,ab->", g_inv, fj.e)  # the Berwald scalar tr_g E
+    r_up, r_low = fj.curvature
+    ds = fj.covariant(fj.s, 2)
+    e = fj.berwald_scalar
     return RestrictedFields(
         g=fj.g[..., 0],
-        g_inv=g_inv[..., 0],
-        gamma=gamma[..., 0],
+        g_inv=fj.g_inv[..., 0],
+        gamma=fj.gamma[..., 0],
         riemann=r_low,
         riemann_up=r_up,
         s=float(fj.s[0]),
         s_grad=ds[..., 0],
-        s_hess=_covariant(first, ds, gamma)[..., 0],
+        s_hess=fj.covariant(ds, 1)[..., 0],
         cartan=fj.h[..., 0],
-        cartan_cov=_covariant(first, fj.h, gamma)[..., 0],
+        cartan_cov=fj.covariant(fj.h, 1)[..., 0],
         berwald=fj.e[..., 0],
-        berwald_cov=_covariant(first, fj.e, gamma)[..., 0],
+        berwald_cov=fj.covariant(fj.e, 1)[..., 0],
         e=float(e[0]),
-        e_grad=_covariant(first, e, gamma)[..., 0],
+        e_grad=fj.covariant(e, 1)[..., 0],
     )
-
-
-@dataclass
-class BerwaldFields:
-    """What the isotropy audit reads at one fibre point: the induced metric
-    and its inverse, the mean Berwald pullback, the Berwald scalar
-    e = tr_g E and its chart gradient."""
-
-    g: np.ndarray
-    g_inv: np.ndarray
-    berwald: np.ndarray
-    e: float
-    e_grad: np.ndarray
-
-
-def berwald_fields(model: MetricModel, chart: FibreChart, u) -> BerwaldFields:
-    """g and E to first chart order and nothing else: no S-curvature, so no
-    volume gradient, and no Cartan pullback or curvature.  Every value
-    equals its counterpart in :func:`restrict_fields` bit for bit."""
-    return fibre_jets(model, chart, u, {"g": 1, "e": 1}).berwald_fields()
-
-
-def s_third_covariant(model: MetricModel, chart: FibreChart, u):
-    """Third covariant derivative W_abc of the restricted S-curvature
-    (derivative slots appended last), plus the gradient and raised curvature.
-
-    Used to check the commutator of covariant derivatives against the
-    curvature contraction on scalars.
-    """
-    fj = fibre_jets(model, chart, u, {"g": 2, "s": 3})
-    gamma = _christoffel_jets(fj.space(2), fj.g)[1]
-    ds = _covariant(fj.space(3), fj.s, gamma)
-    w = _covariant(fj.space(1), _covariant(fj.space(2), ds, gamma), gamma)
-    r_up, r_low = _curvature(fj.g, gamma)
-    return w[..., 0], ds[..., 0], r_up, r_low
 
 
 # -- sampling ------------------------------------------------------------------

@@ -30,6 +30,7 @@ CIRCLE_POINTS = 2048
 SUB_CIRCLE_POINTS = 64
 POLAR_POINTS = 24
 QUAD_TOL = 1e-7
+GRADIENT_STEP = 1e-4  # base step of the finite-difference gradient, scaled by 1 + |x|
 
 
 class QuadratureError(ArithmeticError):
@@ -115,10 +116,10 @@ def bh_volume_coefficient(model, x) -> float:
     return fine
 
 
-def bh_log_gradient(model, x, base_step: float = 1e-4) -> np.ndarray:
+def bh_log_gradient(model, x) -> np.ndarray:
     """Gradient of ln(sigma_BH) by central differences with one Richardson level."""
     x = np.asarray(x, dtype=float)
-    h0 = base_step * (1.0 + float(np.linalg.norm(x)))
+    h0 = GRADIENT_STEP * (1.0 + float(np.linalg.norm(x)))
     grad = np.empty(model.dim)
 
     def diff(i: int, h: float) -> float:

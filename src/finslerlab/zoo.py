@@ -41,10 +41,10 @@ class RandersConditionViolated(ValueError):
     """The 1-form of a Randers metric reached norm >= 1 on the sampled domain."""
 
     def __init__(self, x, norm: float):
+        self.x = [float(v) for v in x]
         super().__init__(
-            f"Randers condition ||b(x)|| < 1 violated: norm {norm:.6g} at x = {list(x)}"
+            f"Randers condition ||b(x)|| < 1 violated: norm {norm:.6g} at x = {self.x}"
         )
-        self.x = list(x)
         self.norm = norm
 
 
@@ -75,9 +75,12 @@ def _norm_sq_text(prefix: str, dim: int) -> str:
 
 def number_param(value, what: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ParamError(f"{what}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ParamError(f"{what}: expected a finite number, got {value!r}")
+    return number
 
 
 def _float_list(value, dim: int, what: str) -> list[float]:

@@ -11,6 +11,7 @@ array code of the chart layer: the coefficient arrays the extractors
 return are wrapped back into jets (:func:`_as_jets`) at the boundary.
 """
 
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
@@ -29,7 +30,6 @@ from finslerlab.core import (
 )
 from finslerlab.expr import evaluate
 from finslerlab.indicatrix import (
-    BerwaldFields,
     FibreChart,
     RestrictedFields,
     _validate_chart_coord,
@@ -380,6 +380,32 @@ def restrict_fields(model: MetricModel, chart: FibreChart, u) -> RestrictedField
     )
 
 
+@dataclass
+class BerwaldFields:
+    """What the isotropy audit reads at one fibre point: the induced metric
+    and its inverse, the mean Berwald pullback, the Berwald scalar
+    e = tr_g E and its chart gradient."""
+
+    g: np.ndarray
+    g_inv: np.ndarray
+    berwald: np.ndarray
+    e: float
+    e_grad: np.ndarray
+
+
+@dataclass
+class RicciFields:
+    """What the commutator check reads at one fibre point: the third
+    covariant derivative W_abc of the restricted S-curvature (derivative
+    slots appended last), its gradient and the curvature, raised and
+    lowered."""
+
+    w: np.ndarray
+    s_grad: np.ndarray
+    riemann_up: np.ndarray
+    riemann: np.ndarray
+
+
 def berwald_fields(model: MetricModel, chart: FibreChart, u) -> BerwaldFields:
     """g and E to first chart order and nothing else: no S-curvature, so no
     volume gradient, and no Cartan pullback or curvature.  Every value
@@ -396,16 +422,12 @@ def berwald_fields(model: MetricModel, chart: FibreChart, u) -> BerwaldFields:
     )
 
 
-def s_third_covariant(model: MetricModel, chart: FibreChart, u):
-    """Third covariant derivative W_abc of the restricted S-curvature
-    (derivative slots appended last), plus the gradient and raised curvature.
-
-    Used to check the commutator of covariant derivatives against the
-    curvature contraction on scalars.
-    """
+def s_third_covariant(model: MetricModel, chart: FibreChart, u) -> RicciFields:
+    """W = nabla^3 S, grad S and the curvature from a pipeline that carries
+    g to chart order 2 and S to chart order 3."""
     fj = fibre_jets(model, chart, u, {"g": 2, "s": 3})
     gamma = _christoffel_jets(fj.g)[1]
     ds = _covariant(fj.s, gamma)
     w = _covariant(_covariant(ds, gamma), gamma)
     r_up, r_low = _curvature(fj.g, gamma)
-    return jet_values(w), jet_values(ds), r_up, r_low
+    return RicciFields(w=jet_values(w), s_grad=jet_values(ds), riemann_up=r_up, riemann=r_low)

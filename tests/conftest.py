@@ -51,6 +51,14 @@ def random_flag(model, rng):
     return FlagPoint(model.sample_x(rng), model.sample_y(rng))
 
 
+def chart_embed(chart, u):
+    """The flag point (x, y(u)) of chart coordinate u on the fibre over x."""
+    from finslerlab.core import FlagPoint
+    from finslerlab.indicatrix import fibre_jets
+
+    return FlagPoint(chart.x, fibre_jets(chart.model, chart, u, {"g": 0}).y_u[:, 0])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

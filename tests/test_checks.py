@@ -17,16 +17,22 @@ from finslerlab.core import MetricModel, NonPositiveDefiniteError, coordinate_te
 from finslerlab.indicatrix import (
     FibreChart,
     IndicatrixPoint,
-    berwald_fields,
-    chart_embed,
+    fibre_jets,
     restrict_fields,
     sample_fibre_points,
 )
 from finslerlab.zoo import build
 
+from conftest import chart_embed
+
 
 def fibre_point(model, x, u):
     return IndicatrixPoint(FibreChart(model, np.asarray(x, dtype=float), "north"), u)
+
+
+def audit_jets(model, point):
+    """The fibre pipeline the isotropy audit builds at one point."""
+    return fibre_jets(model, point.chart, point.u, {"g": 1, "e": 1})
 
 
 def test_pde_residual_riemannian(riem3):
@@ -64,6 +70,11 @@ def test_identity_residuals_randers(randers3, rng):
         assert np.max(np.abs(check_ricci(randers3, point))) <= 1e-5
 
 
+def test_check_ricci_expands_once(randers3, core_counts):
+    check_ricci(randers3, fibre_point(randers3, [0.3, 0.2, -0.1], np.array([0.4, -0.3])))
+    assert core_counts == {"expansions": 1, "g": 1, "spray": 1}
+
+
 def test_gauss_euclidean_reduces_to_round_sphere(euclid3):
     point = fibre_point(euclid3, [0.0, 0.0, 0.0], np.array([0.3, 0.8]))
     rf = restrict_fields(euclid3, point.chart, point.u)
@@ -72,12 +83,12 @@ def test_gauss_euclidean_reduces_to_round_sphere(euclid3):
 
 def test_isotropy_residual_funk(funk3):
     point = fibre_point(funk3, [0.3, 0.1, 0.0], np.array([0.5, -0.4]))
-    assert isotropy_residual(berwald_fields(funk3, point.chart, point.u), 3) <= 1e-6
+    assert isotropy_residual(audit_jets(funk3, point)) <= 1e-6
 
 
 def test_isotropy_residual_riemannian(riem3):
     point = fibre_point(riem3, [0.2, -0.3, 0.1], np.array([0.4, 0.2]))
-    assert isotropy_residual(berwald_fields(riem3, point.chart, point.u), 3) <= 1e-12
+    assert isotropy_residual(audit_jets(riem3, point)) <= 1e-12
 
 
 def test_isotropy_residual_randers_flags_non_isotropy(randers3, rng):
@@ -87,8 +98,7 @@ def test_isotropy_residual_randers_flags_non_isotropy(randers3, rng):
     for _ in range(3):
         x = randers3.sample_x(rng)
         for point in sample_fibre_points(randers3, x, 10, rng):
-            bf = berwald_fields(randers3, point.chart, point.u)
-            worst = max(worst, isotropy_residual(bf, 3))
+            worst = max(worst, isotropy_residual(audit_jets(randers3, point)))
     assert worst > 1e-2
 
 
@@ -162,7 +172,7 @@ def test_non_isotropic_audit_takes_no_hessians_after_the_first_anisotropic_point
     # with this bound the fifth of the six points is the only anisotropic one
     model, x, tol = build("randers", 3), np.array([0.3, 0.2, -0.1]), 5e-3
     points = sample_fibre_points(model, x, 6, np.random.default_rng(3))
-    residuals = [isotropy_residual(berwald_fields(model, p.chart, p.u), 3) for p in points]
+    residuals = [isotropy_residual(audit_jets(model, p)) for p in points]
     assert [r <= tol for r in residuals] == [True, True, True, True, False, True]
     calls = []
     hessians = checks._y_hessians
@@ -208,7 +218,7 @@ def test_weak_isotropy_funk(funk3):
     assert record.samples == 10
     # c is e at the first audited point over n - 1
     first = sample_fibre_points(funk3, x, 1, np.random.default_rng(4))[0]
-    assert record.c == berwald_fields(funk3, first.chart, first.u).e / 2
+    assert record.c == float(audit_jets(funk3, first).berwald_scalar[0]) / 2
 
 
 def test_weak_isotropy_minkowski(quartic3):

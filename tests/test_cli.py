@@ -46,11 +46,13 @@ def test_curvature_euclidean_zeros(tmp_path):
 
 
 def test_curvature_zero_y_is_input_error(capsys):
-    code = run_cli(
-        "curvature", "--metric", "euclidean", "--dim", "3", "--x", "0,0,0", "--y", "0,0,0"
-    )
-    assert code == 2
-    assert "y must be nonzero" in capsys.readouterr().err
+    # 1e-200 is not 0.0, but the norm of the direction underflows to 0.0
+    for y in ("0,0,0", "1e-200,0,0"):
+        code = run_cli(
+            "curvature", "--metric", "euclidean", "--dim", "3", "--x", "0,0,0", "--y", y
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: y: y must be nonzero\n"
 
 
 @pytest.mark.parametrize(
@@ -61,6 +63,22 @@ def test_curvature_point_that_is_not_finite_exits_2(capsys, metric, field, x, y)
     code = run_cli("curvature", "--metric", metric, "--dim", "3", "--x", x, "--y", y)
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: expected finite numbers")
+
+
+@pytest.mark.parametrize(
+    "metric, param, name",
+    [
+        (["--metric", "randers", "--dim", "3"], "eps=nan", "eps"),
+        (["--metric", "randers", "--dim", "3"], "eps=inf", "eps"),
+        (["--metric-expr", "sqrt(y1^2+y2^2+y3^2) + k*y1", "--dim", "3"], "k=nan", "k"),
+        (["--metric", "riemannian", "--dim", "3"], "a_diag=1,nan,1", "a_diag"),
+    ],
+    ids=["randers-eps-nan", "randers-eps-inf", "expr-nan", "riemannian-a-diag-nan"],
+)
+def test_metric_parameter_that_is_not_finite_exits_2(capsys, metric, param, name):
+    point = ["--x", "0.1,0,0", "--y", "1,0,0"]
+    assert run_cli("curvature", *metric, "--params", param, *point) == 2
+    assert capsys.readouterr().err.startswith(f"error: params: {name}: expected a finite number")
 
 
 def test_non_homogeneous_expression_exits_2(capsys):

@@ -5,24 +5,47 @@ from finslerlab.core import coordinate_tensors
 from finslerlab.indicatrix import (
     FibreChart,
     IndicatrixPoint,
-    _christoffel_jets,
-    _covariant,
-    berwald_fields,
-    chart_embed,
-    chart_transition,
     direction_chart,
     fibre_jets,
     parameter_direction,
     restrict_fields,
     sample_fibre_points,
-    transition_jacobian,
 )
 
+from conftest import chart_embed
 from fd_oracle import finite_difference_oracle
 
 
 def north_chart(model, x):
     return FibreChart(model, np.asarray(x, dtype=float), "north")
+
+
+def audit_fields(model, chart, u) -> dict:
+    """What the isotropy audit reads, from the pipeline it builds: g, its
+    inverse, E, the Berwald scalar e and its chart gradient."""
+    fj = fibre_jets(model, chart, u, {"g": 1, "e": 1})
+    e = fj.berwald_scalar
+    return {
+        "g": fj.g[..., 0],
+        "g_inv": fj.g_inv[..., 0],
+        "berwald": fj.e[..., 0],
+        "e": float(e[0]),
+        "e_grad": fj.covariant(e, 1)[..., 0],
+    }
+
+
+def ricci_fields(model, chart, u) -> dict:
+    """What ``check_ricci`` reads, from the pipeline it builds: the third
+    covariant derivative W of S, grad S and the curvature."""
+    fj = fibre_jets(model, chart, u, {"g": 2, "s": 3})
+    s_grad = fj.covariant(fj.s, 3)
+    r_up, r_low = fj.curvature
+    return {
+        "w": fj.covariant(fj.covariant(s_grad, 2), 1)[..., 0],
+        "s_grad": s_grad[..., 0],
+        "riemann_up": r_up,
+        "riemann": r_low,
+    }
 
 
 def test_chart_embed_euclidean_center(euclid3):
@@ -144,15 +167,14 @@ def test_restricted_fields_riemannian_zeros(riem3, rng):
 def test_covariant_derivative_constant_scalar(randers3):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
     fj = fibre_jets(randers3, chart, np.array([0.4, 0.1]), {"g": 1})
-    gamma = _christoffel_jets(fj.space(1), fj.g)[1]
     scalar = fj.space(1).constant(3.0).coeffs
-    np.testing.assert_allclose(_covariant(fj.space(1), scalar, gamma), 0.0, atol=1e-10)
+    np.testing.assert_allclose(fj.covariant(scalar, 1), 0.0, atol=1e-10)
 
 
 def test_metric_compatibility(randers3, rng):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
-    fj = fibre_jets(randers3, chart, rng.uniform(-1, 1, 2), {"g": 1})
-    nabla_g = _covariant(fj.space(1), fj.g, _christoffel_jets(fj.space(1), fj.g)[1])
+    fj = fibre_jets(randers3, chart, rng.uniform(-1, 1, 2), {"g": 2})
+    nabla_g = fj.covariant(fj.g, 2)  # with fj.gamma, to chart order 1
     assert np.max(np.abs(nabla_g)) <= 1e-7
 
 
@@ -171,15 +193,16 @@ def test_chart_consistency(randers3):
     x = np.array([0.3, 0.2, -0.1])
     chart_n = FibreChart(randers3, x, "north")
     u_n = np.array([0.8, 0.5])
-    other_id, u_s = chart_transition("north", u_n)
-    chart_s = FibreChart(randers3, x, other_id)
+    s = u_n @ u_n
+    u_s = u_n / s  # the same fibre point in the south chart
+    chart_s = FibreChart(randers3, x, "south")
     rf_n = restrict_fields(randers3, chart_n, u_n)
     rf_s = restrict_fields(randers3, chart_s, u_s)
     # scalars agree across charts
     assert rf_n.s == pytest.approx(rf_s.s, abs=1e-8)
     assert rf_n.e == pytest.approx(rf_s.e, abs=1e-8)
-    # tensors agree after the Jacobian transformation
-    jac = transition_jacobian(u_n)
+    # tensors agree after the Jacobian d(u / |u|^2) / du of the transition
+    jac = (np.eye(2) * s - 2.0 * np.outer(u_n, u_n)) / s ** 2
     np.testing.assert_allclose(jac.T @ rf_s.g @ jac, rf_n.g, atol=1e-6)
     h_trans = np.einsum("pa,qb,rc,pqr->abc", jac, jac, jac, rf_s.cartan)
     np.testing.assert_allclose(h_trans, rf_n.cartan, atol=1e-6)
@@ -216,7 +239,7 @@ def test_fibre_covariant_derivative_matches_fd(randers3):
     rf = restrict_fields(randers3, chart, u)
 
     def berwald_component(uvec, a, b):
-        return berwald_fields(randers3, chart, uvec).berwald[a, b]
+        return fibre_jets(randers3, chart, uvec, {"e": 0}).e[a, b, 0]
 
     m = 2
     partial = np.empty((m, m, m))
@@ -255,7 +278,7 @@ def test_chart_embed_rejects_nonpositive_ray():
     model = MetricModel(2, "y1", validate=False)
     chart = FibreChart(model, np.zeros(2), "north")
     with pytest.raises(NonPositiveMetricError):
-        chart_embed(chart, np.array([-1.0]))
+        fibre_jets(model, chart, np.array([-1.0]), {"g": 1})
 
 
 def test_christoffels_torsion_free(randers3, rng):
@@ -298,9 +321,8 @@ def test_berwald_fields_equal_restrict_fields_bit_for_bit(family, dim, volume):
     x = model.sample_x(rng)
     for point in sample_fibre_points(model, x, 3, rng):
         rf = restrict_fields(model, point.chart, point.u)
-        bf = berwald_fields(model, point.chart, point.u)
-        for name in ("g", "g_inv", "berwald", "e", "e_grad"):
-            np.testing.assert_array_equal(getattr(bf, name), getattr(rf, name), err_msg=name)
+        for name, value in audit_fields(model, point.chart, point.u).items():
+            np.testing.assert_array_equal(value, getattr(rf, name), err_msg=name)
 
 
 def test_restrict_fields_composes_each_distinct_flag_entry_once(randers3, monkeypatch):
@@ -321,7 +343,13 @@ def test_restrict_fields_composes_each_distinct_flag_entry_once(randers3, monkey
     assert sum(composed) == 6 + 6 + 10 + 1
 
 
-_ALL_VIEWS = ("restrict_fields", "s_third_covariant", "berwald_fields")
+# each reference function of the oracle, and the program's fields it checks
+_PIPELINES = {
+    "restrict_fields": lambda model, chart, u: vars(restrict_fields(model, chart, u)),
+    "s_third_covariant": ricci_fields,
+    "berwald_fields": audit_fields,
+}
+_ALL_VIEWS = tuple(_PIPELINES)
 _RIEMANNIAN = {"a11": "exp(x1)", "a22": "1 + x2^2", "a33": "2 + x1*x3", "a12": "0.3*x3"}
 
 
@@ -338,9 +366,9 @@ _RIEMANNIAN = {"a11": "exp(x1)", "a22": "1 + x2^2", "a33": "2 + x1*x3", "a12": "
     ids=["randers3", "funk3", "funk4-bh", "quartic3", "riemannian3-auto", "euclidean2"],
 )
 def test_chart_fields_match_the_object_array_oracle(family, dim, params, volume, views):
-    """Every field of every view against the object-array pipeline, to 1e-13
-    relative to max(1, |value|): the array code sums in another order."""
-    from finslerlab import indicatrix
+    """Every field that the identity suite, ``check_ricci`` and the audit
+    read against the object-array pipeline, to 1e-13 relative to
+    max(1, |value|): the array code sums in another order."""
     from finslerlab.zoo import build
 
     import chart_oracle
@@ -349,15 +377,13 @@ def test_chart_fields_match_the_object_array_oracle(family, dim, params, volume,
     rng = np.random.default_rng(dim)
     for point in sample_fibre_points(model, model.sample_x(rng), 3, rng):
         for view in views:
-            got = getattr(indicatrix, view)(model, point.chart, point.u)
-            want = getattr(chart_oracle, view)(model, point.chart, point.u)
-            if isinstance(got, tuple):
-                fields = [(f"{view}[{i}]", a, b) for i, (a, b) in enumerate(zip(got, want))]
-            else:
-                fields = [(f"{view}.{f}", getattr(got, f), getattr(want, f)) for f in vars(got)]
-            for name, a, b in fields:
-                b = np.asarray(b, dtype=float)
-                assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b))), name
+            got = _PIPELINES[view](model, point.chart, point.u)
+            want = vars(getattr(chart_oracle, view)(model, point.chart, point.u))
+            assert got.keys() == want.keys(), view
+            for name, a in got.items():
+                b = np.asarray(want[name], dtype=float)
+                ok = np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))
+                assert ok, f"{view}.{name}"
 
 
 def test_volume_gradient_once_per_base_point_and_only_for_s(monkeypatch):
@@ -374,7 +400,7 @@ def test_volume_gradient_once_per_base_point_and_only_for_s(monkeypatch):
     x = np.array([0.2, -0.1, 0.3])
     points = sample_fibre_points(model, x, 4, np.random.default_rng(2))
     for point in points:
-        berwald_fields(model, point.chart, point.u)
+        audit_fields(model, point.chart, point.u)
     # the same points, and the weak-isotropy test, in the audit
     audit = schur_audit(model, x, fibre_samples=4, rng=np.random.default_rng(2))
     assert audit.weak is not None

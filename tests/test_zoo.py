@@ -69,6 +69,7 @@ def test_randers_condition_violated():
     with pytest.raises(RandersConditionViolated) as info:
         build("randers", 3, {"b0": [1.2, 0.0, 0.0], "eps": 0.0})
     assert info.value.norm >= 1.2
+    assert "np.float64" not in str(info.value)
 
 
 def test_randers_condition_violated_by_eps():
