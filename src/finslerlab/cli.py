@@ -34,6 +34,7 @@ from .checks import (
     schur_audit,
 )
 from .core import (
+    CoordinateTensors,
     FlagPoint,
     MetricDefinitionError,
     MetricModel,
@@ -310,6 +311,23 @@ def _cmd_zoo(args) -> int:
     return 0
 
 
+def _tensors_in_range(model: MetricModel, point: FlagPoint) -> CoordinateTensors:
+    """The coordinate tensors, with ``FloatingPointError`` where a jet overflows."""
+    with np.errstate(over="raise", invalid="raise"):
+        return coordinate_tensors(model, point)
+
+
+def _overflow_error(model: MetricModel, point: FlagPoint) -> InputError:
+    """Name the direction when its jets overflow and those of the same ray at
+    moderate length do not: the degree-k jets of F scale as |y|^(1 - k)."""
+    try:
+        _tensors_in_range(model, FlagPoint(point.x, point.y / np.max(np.abs(point.y))))
+    except FloatingPointError:
+        return InputError("x/y", f"the jets of F overflow at x = {point.x.tolist()}, also with max |y_i| = 1")
+    message = f"the jets of F overflow at y = {point.y.tolist()}; give a direction of moderate length"
+    return InputError("y", message)
+
+
 def _cmd_curvature(args) -> int:
     config = _merge_config(args)
     _json_only(config)
@@ -326,7 +344,10 @@ def _cmd_curvature(args) -> int:
         raise InputError("y", str(err)) from None
     if np.linalg.norm(x) >= model.x_max_norm:
         raise InputError("x", f"|x| must be < {model.x_max_norm} for this metric")
-    tensors = coordinate_tensors(model, point)
+    try:
+        tensors = _tensors_in_range(model, point)
+    except FloatingPointError:
+        raise _overflow_error(model, point) from None
     chart_id, u = direction_chart(point.y)
     fibre = fibre_jets(model, FibreChart(model, point.x, chart_id), u, {"g": 1, "e": 1})
     document = {

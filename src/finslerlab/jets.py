@@ -36,6 +36,15 @@ The tables list their terms in a fixed order, so every product and
 derivative is bit-identical from run to run and to the per-multi-index
 loops kept as references in the tests.
 
+The array kernels look up a plan built once per call signature and kept on
+the space: :func:`jet_partials` the stacked derivative tables of its tuple
+of gammas, :func:`jet_einsum` the einsum spec, output shape and offset
+``np.bincount`` bins of its subscripts and operand shapes, and
+:func:`neumann_inverse` one sub-table of the product table per degree.  A
+plan moves index work out of the call and leaves the arithmetic and its
+order as they were, so each result is bit-identical to the one the call
+would give building its index work anew (the tests keep those bodies).
+
 A :class:`Jet` carries a ``grade``, an upper bound on the degree of its
 nonzero coefficients: 0 for a constant, 1 for a variable, the larger grade
 for a sum, ``min(order, ga + gb)`` for a product, and the order when built
@@ -173,6 +182,11 @@ class JetSpace:
         self._graded_tables: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
         self._derivative_tables: dict[tuple[int, ...], tuple[JetSpace, np.ndarray, np.ndarray]] = {}
         self._restrictions: dict[JetSpace, np.ndarray] = {}
+        # kernel plans, one per call signature: see jet_partials, jet_einsum
+        # and neumann_inverse
+        self._partial_plans: dict[tuple | None, tuple[np.ndarray, np.ndarray]] = {}
+        self._einsum_plans: dict[tuple, _Contraction] = {}
+        self._neumann_plans: dict[int, list[_Contraction]] = {}
 
     def __repr__(self):
         if not self.x_vars:
@@ -268,6 +282,46 @@ class JetSpace:
                 raise ValueError("can only restrict to a lower order or x-degree")
             src = self._restrictions[space] = self._positions(space._alphas @ self._radix)
         return src
+
+    def _partials_plan(self, gammas) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked derivative tables of :func:`jet_partials`, keyed by
+        the gammas as a tuple (``None``: every first partial)."""
+        key = None if gammas is None else tuple(gammas)
+        plan = self._partial_plans.get(key)
+        if plan is None:
+            if gammas is None:
+                gammas = [tuple(map(int, unit)) for unit in np.eye(self.n_vars, dtype=int)]
+            tables = [self.derivative_table(gamma) for gamma in gammas]
+            if any(table[0] is not tables[0][0] for table in tables):
+                raise ValueError("the derivatives must share one result space")
+            plan = tuple(np.array([table[k] for table in tables]) for k in (1, 2))
+            self._partial_plans[key] = plan
+        return plan
+
+    def _einsum_plan(self, subscripts: str, a_shape: tuple, b_shape: tuple) -> "_Contraction":
+        """The contraction of :func:`jet_einsum` for operands of these shapes."""
+        key = (subscripts, a_shape, b_shape)
+        plan = self._einsum_plans.get(key)
+        if plan is None:
+            left, right, out = subscripts.replace("->", ",").split(",")
+            shape = _einsum_shape((left, right), out, (a_shape[:-1], b_shape[:-1]))
+            plan = _contraction(f"{left}Z,{right}Z->{out}Z", *self._mul(), shape, self.size)
+            self._einsum_plans[key] = plan
+        return plan
+
+    def _neumann_plan(self, m: int) -> list["_Contraction"]:
+        """Per degree d >= 1, the contraction of :func:`neumann_inverse` for
+        (m, m) matrices: the product-table terms that land at degree d and
+        whose left factor has degree >= 1, in table order."""
+        plan = self._neumann_plans.get(m)
+        if plan is None:
+            ii, jj, kk = self._mul()
+            plan = []
+            for lo, hi in zip(self.grade_offsets[1:-1], self.grade_offsets[2:]):
+                keep = (kk >= lo) & (kk < hi) & (ii >= self.grade_offsets[1])
+                plan.append(_contraction("abZ,bcZ->acZ", ii[keep], jj[keep], kk[keep] - lo, (m, m), hi - lo))
+            self._neumann_plans[m] = plan
+        return plan
 
     def constant(self, value: float) -> "Jet":
         coeffs = np.zeros(self.size)
@@ -520,15 +574,50 @@ def jet_compose(space: JetSpace, coeffs: np.ndarray, basis: MonomialBasis) -> np
 def jet_partials(space: JetSpace, t: np.ndarray, gammas=None) -> np.ndarray:
     """The derivatives d^gamma of an array of jets over ``space``, one per
     gamma (by default every first partial), on a new axis before the last:
-    one gather of the :meth:`JetSpace.derivative_table` of each gamma.  The
-    gammas share one result space."""
-    if gammas is None:
-        gammas = [tuple(map(int, unit)) for unit in np.eye(space.n_vars, dtype=int)]
-    tables = [space.derivative_table(gamma) for gamma in gammas]
-    if any(table[0] is not tables[0][0] for table in tables):
-        raise ValueError("the derivatives must share one result space")
-    src, factor = (np.array([table[k] for table in tables]) for k in (1, 2))
+    one gather of the :meth:`JetSpace.derivative_table` of each gamma,
+    stacked once per tuple of gammas.  The gammas share one result space."""
+    src, factor = space._partials_plan(gammas)
     return t[..., src] * factor
+
+
+class _Contraction(NamedTuple):
+    """Product-table terms (ii, jj) contracted by ``spec`` over the slot axes
+    and summed into an array of ``shape`` by one offset ``np.bincount``."""
+
+    spec: str
+    ii: np.ndarray
+    jj: np.ndarray
+    slots: np.ndarray
+    shape: tuple[int, ...]
+
+
+def _contraction(spec: str, ii, jj, kk, slot_shape: tuple[int, ...], width: int) -> _Contraction:
+    """Term ``t`` of slot row ``r`` lands in bin ``r * width + kk[t]``."""
+    slots = (np.arange(math.prod(slot_shape))[:, None] * width + kk).ravel()
+    return _Contraction(spec, ii, jj, slots, slot_shape + (width,))
+
+
+def _contract(plan: _Contraction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The contraction of ``plan`` on two arrays of jet coefficients."""
+    terms = np.einsum(plan.spec, a[..., plan.ii], b[..., plan.jj])
+    summed = np.bincount(plan.slots, weights=terms.ravel(), minlength=math.prod(plan.shape))
+    return summed.reshape(plan.shape)
+
+
+def _einsum_shape(inputs, out: str, shapes) -> tuple[int, ...]:
+    """The shape of ``np.einsum`` with these input and output subscripts on
+    operands of these shapes, ``...`` broadcast as numpy does."""
+    sizes: dict[str, int] = {}
+    ellipsis: tuple[int, ...] = ()
+    for spec, shape in zip(inputs, shapes):
+        head, dots, tail = spec.partition("...")
+        stop = len(shape) - len(tail)
+        if dots:
+            ellipsis = np.broadcast_shapes(ellipsis, shape[len(head) : stop])
+        for label, size in zip(head + tail, shape[: len(head)] + shape[stop:]):
+            sizes[label] = max(sizes.get(label, 1), size)
+    head, dots, tail = out.partition("...")
+    return tuple(sizes[label] for label in head) + ellipsis + tuple(sizes[label] for label in tail)
 
 
 def jet_einsum(space: JetSpace, subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -536,25 +625,32 @@ def jet_einsum(space: JetSpace, subscripts: str, a: np.ndarray, b: np.ndarray) -
     jets, with the jet product of ``space`` along their last axis.  Each
     product-table term is contracted over the slots, then summed in table
     order by one offset ``np.bincount``: with no summed index every entry is
-    :meth:`JetSpace.multiply` of its operands, bit for bit."""
-    ii, jj, kk = space._mul()
-    left, right, out = subscripts.replace("->", ",").split(",")
-    terms = np.einsum(f"{left}Z,{right}Z->{out}Z", a[..., ii], b[..., jj])
-    rows = math.prod(terms.shape[:-1])
-    slots = (np.arange(rows)[:, None] * space.size + kk).ravel()
-    summed = np.bincount(slots, weights=terms.ravel(), minlength=rows * space.size)
-    return summed.reshape(terms.shape[:-1] + (space.size,))
+    :meth:`JetSpace.multiply` of its operands, bit for bit.  The einsum
+    spec, output shape and bincount bins are built once per subscripts and
+    operand shapes."""
+    return _contract(space._einsum_plan(subscripts, a.shape, b.shape), a, b)
 
 
 def neumann_inverse(space: JetSpace, a: np.ndarray) -> np.ndarray:
     """Inverse of an (m, m) matrix of jets over ``space`` with an invertible
     value matrix a0: a = a0 + N with N nilpotent, so the Neumann series
-    sum_k (-a0^-1 N)^k a0^-1 ends at k = order (summed by Horner's rule)."""
+    sum_k (-a0^-1 N)^k a0^-1 ends at k = order.
+
+    Summed by Horner's rule, x <- a0^-1 + (-a0^-1 N) x, each iterate is
+    final up to one degree higher than the last, and degree d >= 1 of the
+    last reads only degrees below d of the one before (-a0^-1 N has no
+    degree-0 part).  So each degree is contracted once, in place, from the
+    lower ones: the product-table terms that land at degree d with a left
+    factor of degree >= 1, in table order.  A skipped term has an exactly
+    zero factor, and ``np.bincount`` sums from +0.0, so for finite entries
+    each degree is bit-identical to the Horner loop's; at degree 0 that
+    loop adds its empty sum, +0.0, which turns a -0.0 of a0^-1 into +0.0.
+    """
     out = np.zeros_like(a)
     out[..., 0] = np.linalg.inv(a[..., 0])
-    lead = out.copy()
-    step = -np.einsum("ab,bcz->acz", lead[..., 0], a)
-    step[..., 0] = 0.0
-    for _ in range(space.order):
-        out = lead + jet_einsum(space, "ab,bc->ac", step, out)
+    step = -np.einsum("ab,bcz->acz", out[..., 0], a)
+    if space.order:
+        out[..., 0] += 0.0
+    for lo, plan in zip(space.grade_offsets[1:], space._neumann_plan(len(a))):
+        out[..., lo : lo + plan.shape[-1]] = _contract(plan, step, out)
     return out

@@ -1,4 +1,5 @@
 import json
+import warnings
 from typing import NamedTuple
 
 import pytest
@@ -398,3 +399,27 @@ def test_only_check_writes_csv(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as info:
         run_cli(command, "--metric", "funk_ball", "--dim", "3", "--format", "csv")
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "point,err",
+    [
+        # |y| = 1e-100 is a fine direction, but the degree-k jets of F scale as |y|^(1 - k)
+        (
+            ["--metric", "euclidean", "--dim", "3", "--x", "0,0,0", "--y", "1e-100,0,0"],
+            "y: the jets of F overflow at y = [1e-100, 0.0, 0.0]",
+        ),
+        # here F itself is too large, whatever the length of y
+        (
+            ["--metric-expr", "exp(300*x1)*sqrt(y1^2+y2^2)", "--dim", "2", "--x", "0.9,0", "--y", "1,0"],
+            "x/y: the jets of F overflow at x = [0.9, 0.0]",
+        ),
+    ],
+    ids=["tiny-y", "huge-f"],
+)
+def test_curvature_point_whose_jets_overflow_exits_2(capsys, point, err):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("curvature", *point)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {err}")

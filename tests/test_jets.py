@@ -742,3 +742,114 @@ def test_neumann_inverse_times_the_matrix_is_the_identity(key, m, seed):
         product = jet_einsum(space, "ab,bc->ac", x, y)
         bound = 1e-13 * jet_einsum(space, "ab,bc->ac", abs(x), abs(y))
         assert np.all(np.abs(product - identity) <= bound)
+
+
+# -- kernel plans: built once per signature, bit-identical to the plan-free bodies --
+
+
+def _reference_einsum(space, subscripts, a, b):
+    """:func:`jet_einsum` with its spec, output shape and bins derived anew."""
+    ii, jj, kk = space._mul()
+    left, right, out = subscripts.replace("->", ",").split(",")
+    terms = np.einsum(f"{left}Z,{right}Z->{out}Z", a[..., ii], b[..., jj])
+    rows = math.prod(terms.shape[:-1])
+    slots = (np.arange(rows)[:, None] * space.size + kk).ravel()
+    summed = np.bincount(slots, weights=terms.ravel(), minlength=rows * space.size)
+    return summed.reshape(terms.shape[:-1] + (space.size,))
+
+
+def _reference_partials(space, t, gammas):
+    """:func:`jet_partials` with its derivative tables stacked anew."""
+    tables = [space.derivative_table(gamma) for gamma in gammas]
+    src, factor = (np.array([table[k] for table in tables]) for k in (1, 2))
+    return t[..., src] * factor
+
+
+def _horner_inverse(space, a):
+    """The Neumann series by Horner's rule, x <- a0^-1 + (-a0^-1 N) x, one
+    contraction of the whole product table per order."""
+    out = np.zeros_like(a)
+    out[..., 0] = np.linalg.inv(a[..., 0])
+    lead = out.copy()
+    step = -np.einsum("ab,bcz->acz", lead[..., 0], a)
+    step[..., 0] = 0.0
+    for _ in range(space.order):
+        out = lead + _reference_einsum(space, "ab,bc->ac", step, out)
+    return out
+
+
+@pytest.mark.parametrize(
+    "subscripts,shapes",
+    [
+        ("ab,bc->ac", [((2, 3), (3, 4)), ((3, 1), (1, 2))]),
+        ("i...,ai->...a", [((3,), (2, 3)), ((3, 2, 2), (4, 3))]),
+        ("...,...->...", [((2, 1), (1, 3)), ((), ())]),
+        (",ijk->ijk", [((), (2, 2, 2)), ((), (1, 3, 2))]),
+    ],
+)
+def test_jet_einsum_plans_are_keyed_by_the_operand_shapes(subscripts, shapes):
+    """One subscripts string on two pairs of leading shapes, called in turn."""
+    space = jet_space(2, 3)
+    rng = np.random.default_rng(3)
+    operands = [tuple(rng.standard_normal(shape + (space.size,)) for shape in pair) for pair in shapes]
+    for a, b in operands + operands:
+        want = _reference_einsum(space, subscripts, a, b)
+        assert jet_einsum(space, subscripts, a, b).tobytes() == want.tobytes()
+
+
+def test_jet_partials_plans_are_keyed_by_the_gammas():
+    """Gammas as a list, a tuple or None (the first partials) give the same
+    bytes, and other gammas of the same count their own."""
+    space = jet_space(3, 3)
+    t = np.random.default_rng(4).standard_normal((2, space.size))
+    firsts = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    seconds = [(2, 0, 0), (0, 1, 1), (1, 0, 1)]
+    for gammas in (None, firsts, tuple(firsts), seconds, tuple(seconds), None, firsts):
+        want = _reference_partials(space, t, firsts if gammas is None else gammas)
+        assert jet_partials(space, t, gammas).tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chart_spaces, st.integers(1, 4), st.booleans(), _seeds)
+def test_neumann_inverse_equals_the_horner_loop_bit_for_bit(key, m, diagonal, seed):
+    """Signed zeros included: the inverse of a diagonal a0 with negative
+    entries has -0.0 off its diagonal, and N has zero coefficients."""
+    space = jet_space(*key)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, m, space.size))
+    a[rng.random(a.shape) < 0.3] = 0.0
+    if diagonal:
+        a[..., 0] = np.diag(rng.choice([-2.0, -0.5, 1.5], m))
+    else:
+        a[..., 0] = 2.0 * np.eye(m) + 0.5 * rng.standard_normal((m, m))
+    assert neumann_inverse(space, a).tobytes() == _horner_inverse(space, a).tobytes()
+
+
+@pytest.fixture
+def term_count(monkeypatch):
+    """Counts the terms np.bincount sums, over all its calls."""
+    calls = [0]
+    bincount = np.bincount
+
+    def counted(x, weights=None, minlength=0):
+        calls[0] += len(x)
+        return bincount(x, weights=weights, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    return calls
+
+
+@pytest.mark.parametrize("key,m,horner,terms", [((6, 4, 3, 0), 3, 840, 175), ((8, 4, 4, 0), 4, 1980, 425)])
+def test_terms_per_neumann_inverse(term_count, key, m, horner, terms):
+    """Product-table terms per matrix entry for the g^-1 of an order-6
+    flag-point expansion at n = 3 and 4: Horner's rule contracts the whole
+    table at each of its order steps, neumann_inverse each term that lands
+    at a degree >= 1 with a left factor of degree >= 1 once."""
+    space = jet_space(*key)
+    a = np.random.default_rng(5).standard_normal((m, m, space.size))
+    a[..., 0] = 2.0 * np.eye(m)
+    _horner_inverse(space, a)
+    assert term_count[0] == horner * m * m
+    term_count[0] = 0
+    neumann_inverse(space, a)
+    assert term_count[0] == terms * m * m
