@@ -18,14 +18,15 @@ Stable tags identify the checks in reports and tolerance flags:
     thm-1    isotropy audit: pointwise isotropy forces a fibrewise-constant
              Berwald scalar (asserted for dim >= 3)
 
-Every check reads the fibre through one :class:`~finslerlab.indicatrix.FibreJets`
-per point: the four identities of the suite through its float record
-:func:`~finslerlab.indicatrix.restrict_fields`, ``eq-2.5`` and ``thm-1``
-through its members.  The audit of a fibre is one pass over its sampled
-points: one expansion per point gives g, E, e and grad e for ``thm-1`` and,
-while every point so far is isotropic, the y-Hessians of S and F for the
-weak-isotropy test, whose residual max |Hess S - c Hess F| with
-c = e/(n-1) is formed once the fibre is found isotropic with constant e.
+Every check reads the fibre through the members of one
+:class:`~finslerlab.indicatrix.FibreJets` per point: the four identities of
+the suite from one object at :data:`SUITE_CHART_ORDER`, ``eq-2.5`` from one
+carrying S to chart order 3, and ``thm-1`` from one with g and E only.  The
+audit of a fibre is one pass over its sampled points: one expansion per
+point gives g, E, e and grad e for ``thm-1`` and, while every point so far
+is isotropic, the y-Hessians of S and F for the weak-isotropy test, whose
+residual max |Hess S - c Hess F| with c = e/(n-1) is formed once the fibre
+is found isotropic with constant e.
 """
 
 from __future__ import annotations
@@ -44,14 +45,7 @@ from .core import (
     s_main_jet,
 )
 from .expr import EvalDomainError
-from .indicatrix import (
-    FibreJets,
-    IndicatrixPoint,
-    RestrictedFields,
-    fibre_jets,
-    restrict_fields,
-    sample_fibre_points,
-)
+from .indicatrix import FibreJets, IndicatrixPoint, fibre_jets, sample_fibre_points
 from .jets import jet_partials
 from .volume import QuadratureError
 
@@ -62,6 +56,7 @@ __all__ = [
     "FibrePointError",
     "SchurAudit",
     "WeakIsotropyRecord",
+    "SUITE_CHART_ORDER",
     "pde_residual",
     "codazzi_residual",
     "cartan_symmetry_residual",
@@ -128,40 +123,52 @@ def _maxabs(t) -> float:
     return float(np.max(np.abs(t)))
 
 
-# -- residual tensors from a restricted-field bundle ----------------------------
+# -- residual tensors at one fibre point ----------------------------------------
+
+# the chart orders of a FibreJets the four residuals below read: g and S to
+# order 2 (the curvature, Hess S), H and E to order 1 (their covariant
+# derivatives)
+SUITE_CHART_ORDER = {"g": 2, "s": 2, "h": 1, "e": 1}
 
 
-def pde_residual(rf: RestrictedFields) -> tuple[np.ndarray, float]:
+def pde_residual(fj: FibreJets) -> tuple[np.ndarray, float]:
     """Hess(S) + H(., ., grad S) + S g - E, expected to vanish."""
-    h_term = np.einsum("abe,ec,c->ab", rf.cartan, rf.g_inv, rf.s_grad)
-    s_term = rf.s * rf.g
-    residual = rf.s_hess + h_term + s_term - rf.berwald
-    return residual, _scale(rf.s_hess, h_term, s_term, rf.berwald)
+    ds = fj.covariant(fj.s, 2)
+    s_hess = fj.covariant(ds, 1)[..., 0]
+    berwald = fj.e[..., 0]
+    h_term = np.einsum("abe,ec,c->ab", fj.h[..., 0], fj.g_inv[..., 0], ds[..., 0])
+    s_term = float(fj.s[0]) * fj.g[..., 0]
+    residual = s_hess + h_term + s_term - berwald
+    return residual, _scale(s_hess, h_term, s_term, berwald)
 
 
-def codazzi_residual(rf: RestrictedFields) -> tuple[np.ndarray, float]:
+def codazzi_residual(fj: FibreJets) -> tuple[np.ndarray, float]:
     """E_{ab;c} - E_{ac;b} - (H_ab^d E_dc - H_ac^d E_db), expected to vanish."""
-    he = np.einsum("abe,ed,dc->abc", rf.cartan, rf.g_inv, rf.berwald)
-    first = rf.berwald_cov - np.transpose(rf.berwald_cov, (0, 2, 1))
+    berwald_cov = fj.covariant(fj.e, 1)[..., 0]
+    he = np.einsum("abe,ed,dc->abc", fj.h[..., 0], fj.g_inv[..., 0], fj.e[..., 0])
+    first = berwald_cov - np.transpose(berwald_cov, (0, 2, 1))
     second = he - np.transpose(he, (0, 2, 1))
-    return first - second, _scale(rf.berwald_cov, he)
+    return first - second, _scale(berwald_cov, he)
 
 
-def cartan_symmetry_residual(rf: RestrictedFields) -> tuple[np.ndarray, float]:
+def cartan_symmetry_residual(fj: FibreJets) -> tuple[np.ndarray, float]:
     """H_{abc;d} - H_{abd;c}: the covariant derivative of the Cartan pullback
     is symmetric under exchanging the derivative slot with a tensor slot."""
-    residual = rf.cartan_cov - np.transpose(rf.cartan_cov, (0, 1, 3, 2))
-    return residual, _scale(rf.cartan_cov)
+    cartan_cov = fj.covariant(fj.h, 1)[..., 0]
+    residual = cartan_cov - np.transpose(cartan_cov, (0, 1, 3, 2))
+    return residual, _scale(cartan_cov)
 
 
-def gauss_residual(rf: RestrictedFields) -> tuple[np.ndarray, float]:
+def gauss_residual(fj: FibreJets) -> tuple[np.ndarray, float]:
     """Curvature against the quadratic Cartan terms and the constant-curvature
     part, in the calibrated index convention."""
-    q = np.einsum("bce,ef,fad->bcad", rf.cartan, rf.g_inv, rf.cartan)
+    g, cartan = fj.g[..., 0], fj.h[..., 0]
+    q = np.einsum("bce,ef,fad->bcad", cartan, fj.g_inv[..., 0], cartan)
     hh = np.einsum("bcad->abcd", q) - np.einsum("bdac->abcd", q)
-    gg = np.einsum("bc,ad->abcd", rf.g, rf.g) - np.einsum("bd,ac->abcd", rf.g, rf.g)
-    residual = rf.riemann - (hh - gg)
-    return residual, _scale(rf.riemann, hh, gg)
+    gg = np.einsum("bc,ad->abcd", g, g) - np.einsum("bd,ac->abcd", g, g)
+    riemann = fj.curvature[1]
+    residual = riemann - (hh - gg)
+    return residual, _scale(riemann, hh, gg)
 
 
 def isotropy_residual(fj: FibreJets) -> float:
@@ -245,9 +252,12 @@ def run_identity_suite(
 ) -> list[CheckReport]:
     """Evaluate the four identity checks over a seeded sample.
 
-    One restricted-field bundle per point feeds all four residuals, and the
-    points are visited in a fixed order, so reports are deterministic for a
-    given (metric, seed, sample counts).
+    One :class:`~finslerlab.indicatrix.FibreJets` per point, at
+    :data:`SUITE_CHART_ORDER`, feeds all four residuals, and a point's rows
+    are recorded once all four are evaluated, so a domain fault leaves no
+    row of its point in any report.  The points are visited in a fixed
+    order, so reports are deterministic for a given (metric, seed, sample
+    counts).
     """
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
@@ -270,7 +280,12 @@ def run_identity_suite(
         points = sample_fibre_points(model, x, fibre_samples, rng)
         for f_index, point in enumerate(points):
             try:
-                rf = restrict_fields(model, point.chart, point.u)
+                fj = fibre_jets(model, point.chart, point.u, SUITE_CHART_ORDER)
+                # g (through the curvature), S, E, then H: a point where more
+                # than one of them fails names the first
+                for member in ("curvature", "s", "e", "h"):
+                    getattr(fj, member)
+                residuals = [residual_fn(fj) for _, _, residual_fn in _SUITE]
             except _DOMAIN_ERRORS as err:
                 # not an identity exceedance; record where and fail the whole block
                 where = f"base {b_index}, {_where(f_index, point)}"
@@ -278,8 +293,7 @@ def run_identity_suite(
                     reports[key].error = f"{type(err).__name__} at {where}: {err}"
                     reports[key].passed = False
                 return list(reports.values())
-            for key, _, residual_fn in _SUITE:
-                tensor, scale = residual_fn(rf)
+            for (key, _, _), (tensor, scale) in zip(_SUITE, residuals):
                 value = _maxabs(tensor) / scale
                 report = reports[key]
                 report.points.append(

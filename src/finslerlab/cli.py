@@ -47,6 +47,7 @@ from .core import (
 )
 from .expr import ExprError
 from .indicatrix import FibreChart, direction_chart, fibre_jets
+from .jets import MAX_VARS
 from .volume import QuadratureError
 from .zoo import ParamError, RandersConditionViolated, build, entries, number_param
 
@@ -198,6 +199,8 @@ def _resolve_model(config: dict) -> MetricModel:
         raise InputError("dim", "the dimension is required")
     if dim < 2:
         raise InputError("dim", f"dimension must be at least 2, got {dim}")
+    if dim > MAX_VARS:  # checked before the metric is built: its F has dim terms
+        raise InputError("dim", f"dimension must be at most {MAX_VARS}, the jet variable cap, got {dim}")
     params = config.get("params")
     if isinstance(params, (list, tuple)):
         params = _parse_params(params)
@@ -342,7 +345,7 @@ def _cmd_curvature(args) -> int:
         point = FlagPoint(np.asarray(x), np.asarray(y))
     except ValueError as err:  # a direction whose norm is 0.0, even if some entry is not
         raise InputError("y", str(err)) from None
-    if np.linalg.norm(x) >= model.x_max_norm:
+    if math.hypot(*x) >= model.x_max_norm:  # a norm that does not overflow
         raise InputError("x", f"|x| must be < {model.x_max_norm} for this metric")
     try:
         tensors = _tensors_in_range(model, point)

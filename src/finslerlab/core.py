@@ -290,7 +290,9 @@ class FlagPoint:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         if self.x.shape != self.y.shape or self.x.ndim != 1:
             raise ValueError("x and y must be vectors of equal length")
-        if np.linalg.norm(self.y) == 0.0:
+        # the squared norm, in Python floats: 0.0 when it underflows, and an
+        # overflow gives inf without a numpy warning
+        if sum(v * v for v in self.y.tolist()) == 0.0:
             raise ValueError("y must be nonzero")
 
 

@@ -379,13 +379,11 @@ def _pow_apply(v, exponent: float, node: Node):
 
 
 def _div_apply(num, den, node: Node):
-    if isinstance(den, Jet):
+    if isinstance(num, Jet) or isinstance(den, Jet):
         try:
             return num / den
         except JetDomainError as err:
             raise EvalDomainError(node, "div", err.value) from None
-    if isinstance(num, Jet):
-        return num / den
     arr = np.asarray(den, dtype=float)
     if np.any(arr == 0.0):
         raise EvalDomainError(node, "div", 0.0)

@@ -26,8 +26,8 @@ composed with y(u) by :func:`~finslerlab.jets.jet_compose`; products are
 :func:`~finslerlab.jets.jet_partials` gathers along the last axis.  The
 fields of one chart order share one monomial basis of y(u) - y(u0), and
 the two charts of a fibre share one gradient of ln sigma.  Every
-u-derivative is exact to roundoff.  :func:`restrict_fields` reads the
-members into one float record for the identity suite.
+u-derivative is exact to roundoff.  Every check of
+:mod:`finslerlab.checks` reads the fibre through this one object.
 
 Sign and index conventions are frozen by the Euclidean calibration: for
 F = |y| in dimension 3 the induced metric at the chart centre is 4 times
@@ -38,6 +38,7 @@ normalises the sectional curvature of the round fibre to +1.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping
@@ -64,11 +65,9 @@ __all__ = [
     "FibreChart",
     "IndicatrixPoint",
     "FibreJets",
-    "RestrictedFields",
     "parameter_direction",
     "direction_chart",
     "fibre_jets",
-    "restrict_fields",
     "sample_fibre_points",
 ]
 
@@ -92,9 +91,10 @@ class FibreChart:
             raise ValueError(f"chart_id must be 'north' or 'south', got {self.chart_id!r}")
         if self.x.shape != (self.model.dim,):
             raise ValueError("base point dimension does not match the model")
-        if np.linalg.norm(self.x) >= self.model.x_max_norm:
+        norm = math.hypot(*self.x)  # does not overflow
+        if norm >= self.model.x_max_norm:
             raise ValueError(
-                f"|x| = {np.linalg.norm(self.x):.4f} outside the metric's domain "
+                f"|x| = {norm:.4f} outside the metric's domain "
                 f"(requires |x| < {self.model.x_max_norm})"
             )
 
@@ -368,63 +368,6 @@ def _pullback(space: jets.JetSpace, t: np.ndarray, dy: np.ndarray) -> np.ndarray
     for _ in range(t.ndim - 1):
         t = jets.jet_einsum(space, "i...,ai->...a", t, dy)
     return t[_symmetric_layout(t.shape[:-1])[0]]
-
-
-# -- the float record of the identity suite ------------------------------------------
-
-
-@dataclass
-class RestrictedFields:
-    """Every fibre-restricted field at one indicatrix point.
-
-    Covariant derivatives append the derivative index last; ``riemann`` is
-    the lowered tensor in the calibrated convention and ``riemann_up`` has
-    the first index raised.
-    """
-
-    g: np.ndarray
-    g_inv: np.ndarray
-    gamma: np.ndarray
-    riemann: np.ndarray
-    riemann_up: np.ndarray
-    s: float
-    s_grad: np.ndarray
-    s_hess: np.ndarray
-    cartan: np.ndarray
-    cartan_cov: np.ndarray
-    berwald: np.ndarray
-    berwald_cov: np.ndarray
-    e: float
-    e_grad: np.ndarray
-
-
-def restrict_fields(model: MetricModel, chart: FibreChart, u) -> RestrictedFields:
-    """Compute the full bundle of fibre-restricted fields at one point.
-
-    The metric and the restricted S-curvature are carried to second chart
-    order (curvature, Hessian), the Cartan and mean Berwald pullbacks to
-    first order (their covariant derivatives); one expansion feeds them all.
-    """
-    fj = fibre_jets(model, chart, u, {"g": 2, "s": 2, "h": 1, "e": 1})
-    r_up, r_low = fj.curvature
-    ds = fj.covariant(fj.s, 2)
-    e = fj.berwald_scalar
-    return RestrictedFields(
-        g=fj.g[..., 0],
-        g_inv=fj.g_inv[..., 0],
-        gamma=fj.gamma[..., 0],
-        riemann=r_low,
-        riemann_up=r_up,
-        s=float(fj.s[0]),
-        s_grad=ds[..., 0],
-        s_hess=fj.covariant(ds, 1)[..., 0],
-        cartan=fj.h[..., 0],
-        cartan_cov=fj.covariant(fj.h, 1)[..., 0],
-        berwald=fj.e[..., 0],
-        berwald_cov=fj.covariant(fj.e, 1)[..., 0],
-        e=float(e[0]),
-        e_grad=fj.covariant(e, 1)[..., 0],
-    )
 
 
 # -- sampling ------------------------------------------------------------------

@@ -95,7 +95,8 @@ MAX_VARS = 8
 
 
 class JetDomainError(ArithmeticError):
-    """A jet operation left its domain (sqrt/ln/div/pow at order 0)."""
+    """A jet operation left its domain (sqrt/ln/div/pow at order 0), or its
+    Taylor coefficients overflowed there (exp/ln/pow)."""
 
     def __init__(self, fn: str, value: float):
         super().__init__(f"{fn}() undefined at order-0 value {value!r}")
@@ -447,7 +448,10 @@ class Jet:
         f0 = self.value
         if f0 <= 0.0:
             raise JetDomainError(f"pow[{e}]", f0)
-        series = [f0 ** e]
+        try:
+            series = [f0 ** e]
+        except OverflowError:
+            raise JetDomainError(f"pow[{e}]", f0) from None
         for k in range(1, self.order + 1):
             series.append(series[-1] * (e - (k - 1)) / (k * f0))
         return self._compose_outer(series)
@@ -507,8 +511,10 @@ class Jet:
         return self._compose_outer(series)
 
     def exp(self) -> "Jet":
-        e0 = math.exp(self.value)
-        series = [e0]
+        try:
+            series = [math.exp(self.value)]
+        except OverflowError:
+            raise JetDomainError("exp", self.value) from None
         for k in range(1, self.order + 1):
             series.append(series[-1] / k)
         return self._compose_outer(series)
@@ -519,9 +525,12 @@ class Jet:
             raise JetDomainError("ln", f0)
         series = [math.log(f0)]
         sign = 1.0
-        for k in range(1, self.order + 1):
-            series.append(sign / (k * f0 ** k))
-            sign = -sign
+        try:  # f0 ** k underflows to 0 or overflows for f0 far from 1
+            for k in range(1, self.order + 1):
+                series.append(sign / (k * f0 ** k))
+                sign = -sign
+        except (ZeroDivisionError, OverflowError):
+            raise JetDomainError("ln", f0) from None
         return self._compose_outer(series)
 
 

@@ -29,12 +29,7 @@ from finslerlab.core import (
     s_main_jet,
 )
 from finslerlab.expr import evaluate
-from finslerlab.indicatrix import (
-    FibreChart,
-    RestrictedFields,
-    _validate_chart_coord,
-    parameter_direction,
-)
+from finslerlab.indicatrix import FibreChart, _validate_chart_coord, parameter_direction
 from finslerlab.jets import Jet, JetDomainError, MonomialBasis, jet_partials, jet_space
 
 
@@ -350,7 +345,32 @@ def _curvature(g: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return r_up, np.einsum("ae,ebcd->abcd", jet_values(g), r_up)
 
 
-def restrict_fields(model: MetricModel, chart: FibreChart, u) -> RestrictedFields:
+@dataclass
+class SuiteFields:
+    """What the four residuals of the identity suite read at one fibre point.
+
+    Covariant derivatives append the derivative index last; ``riemann`` is
+    the lowered tensor in the calibrated convention and ``riemann_up`` has
+    the first index raised.
+    """
+
+    g: np.ndarray
+    g_inv: np.ndarray
+    gamma: np.ndarray
+    riemann: np.ndarray
+    riemann_up: np.ndarray
+    s: float
+    s_grad: np.ndarray
+    s_hess: np.ndarray
+    cartan: np.ndarray
+    cartan_cov: np.ndarray
+    berwald: np.ndarray
+    berwald_cov: np.ndarray
+    e: float
+    e_grad: np.ndarray
+
+
+def restrict_fields(model: MetricModel, chart: FibreChart, u) -> SuiteFields:
     """Compute the full bundle of fibre-restricted fields at one point.
 
     The metric and the restricted S-curvature are carried to second chart
@@ -362,7 +382,7 @@ def restrict_fields(model: MetricModel, chart: FibreChart, u) -> RestrictedField
     r_up, r_low = _curvature(fj.g, gamma)
     ds = _covariant(fj.s, gamma)
     e = np.sum(g_inv * fj.e)  # the Berwald scalar, trace of the pullback
-    return RestrictedFields(
+    return SuiteFields(
         g=jet_values(fj.g),
         g_inv=jet_values(g_inv),
         gamma=jet_values(gamma),

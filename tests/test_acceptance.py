@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from finslerlab.checks import run_identity_suite, schur_audit
+from finslerlab.checks import SUITE_CHART_ORDER, run_identity_suite, schur_audit
 from finslerlab.cli import main as cli_main
 from finslerlab.core import (
     FlagPoint,
@@ -22,7 +22,7 @@ from finslerlab.core import (
     spray_jets,
 )
 from finslerlab.expr import evaluate
-from finslerlab.indicatrix import FibreChart, restrict_fields, sample_fibre_points
+from finslerlab.indicatrix import FibreChart, fibre_jets, sample_fibre_points
 from finslerlab.jets import jet_partials, jet_space
 from finslerlab.volume import bh_volume_coefficient
 from finslerlab.zoo import build
@@ -103,10 +103,10 @@ def test_criterion_3_degeneration_suite(riem2, riem3, quartic3):
     from finslerlab.checks import gauss_residual
 
     for pt in sample_fibre_points(quartic3, np.zeros(3), 10, rng):
-        rf = restrict_fields(quartic3, pt.chart, pt.u)
-        tensor, scale = gauss_residual(rf)
+        fj = fibre_jets(quartic3, pt.chart, pt.u, SUITE_CHART_ORDER)
+        tensor, scale = gauss_residual(fj)
         worst_gauss = max(worst_gauss, np.max(np.abs(tensor)) / scale)
-        min_cartan = min(min_cartan, np.max(np.abs(rf.cartan)))
+        min_cartan = min(min_cartan, np.max(np.abs(fj.h[..., 0])))
     ok = (
         worst["cartan"] <= 1e-10
         and worst["berwald"] <= 1e-10
@@ -131,8 +131,8 @@ def test_criterion_4_euclidean_calibration(euclid3):
     worst_sectional = worst_gauss = 0.0
     for _ in range(50):
         u = rng.uniform(-1.5, 1.5, 2)
-        rf = restrict_fields(euclid3, chart, u)
-        g, r = rf.g, rf.riemann
+        fj = fibre_jets(euclid3, chart, u, SUITE_CHART_ORDER)
+        g, r = fj.g[..., 0], fj.curvature[1]
         sectional = r[0, 1, 0, 1] / (g[0, 0] * g[1, 1] - g[0, 1] ** 2)
         worst_sectional = max(worst_sectional, abs(sectional - 1.0))
         constant_curvature = np.einsum("ac,bd->abcd", g, g) - np.einsum(

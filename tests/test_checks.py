@@ -3,6 +3,7 @@ import pytest
 
 from finslerlab.checks import (
     DEFAULT_TOLERANCES,
+    SUITE_CHART_ORDER,
     FibrePointError,
     cartan_symmetry_residual,
     check_ricci,
@@ -18,7 +19,6 @@ from finslerlab.indicatrix import (
     FibreChart,
     IndicatrixPoint,
     fibre_jets,
-    restrict_fields,
     sample_fibre_points,
 )
 from finslerlab.zoo import build
@@ -30,6 +30,11 @@ def fibre_point(model, x, u):
     return IndicatrixPoint(FibreChart(model, np.asarray(x, dtype=float), "north"), u)
 
 
+def suite_jets(model, point):
+    """The fibre pipeline the identity suite builds at one point."""
+    return fibre_jets(model, point.chart, point.u, SUITE_CHART_ORDER)
+
+
 def audit_jets(model, point):
     """The fibre pipeline the isotropy audit builds at one point."""
     return fibre_jets(model, point.chart, point.u, {"g": 1, "e": 1})
@@ -37,14 +42,14 @@ def audit_jets(model, point):
 
 def test_pde_residual_riemannian(riem3):
     point = fibre_point(riem3, [0.2, -0.3, 0.1], np.array([0.4, 0.2]))
-    rf = restrict_fields(riem3, point.chart, point.u)
-    assert np.max(np.abs(pde_residual(rf)[0])) <= 1e-9
+    fj = suite_jets(riem3, point)
+    assert np.max(np.abs(pde_residual(fj)[0])) <= 1e-9
 
 
 def test_pde_residual_funk_is_the_normalisation_calibration(funk3):
     point = fibre_point(funk3, [0.5, 0.0, 0.0], np.array([0.3, -0.2]))
-    rf = restrict_fields(funk3, point.chart, point.u)
-    assert np.max(np.abs(pde_residual(rf)[0])) <= 1e-5
+    fj = suite_jets(funk3, point)
+    assert np.max(np.abs(pde_residual(fj)[0])) <= 1e-5
 
 
 def test_pde_residual_quartic_with_volume():
@@ -55,18 +60,18 @@ def test_pde_residual_quartic_with_volume():
         metric_id="quartic-volume",
     )
     point = fibre_point(model, [0.1, -0.2, 0.3], np.array([0.35, 0.55]))
-    rf = restrict_fields(model, point.chart, point.u)
-    assert np.max(np.abs(pde_residual(rf)[0])) <= 1e-9
+    fj = suite_jets(model, point)
+    assert np.max(np.abs(pde_residual(fj)[0])) <= 1e-9
 
 
 def test_identity_residuals_randers(randers3, rng):
     x = randers3.sample_x(rng)
     for point in sample_fibre_points(randers3, x, 5, rng):
-        rf = restrict_fields(randers3, point.chart, point.u)
-        assert np.max(np.abs(pde_residual(rf)[0])) <= 1e-5
-        assert np.max(np.abs(codazzi_residual(rf)[0])) <= 1e-4
-        assert np.max(np.abs(cartan_symmetry_residual(rf)[0])) <= 1e-5
-        assert np.max(np.abs(gauss_residual(rf)[0])) <= 1e-5
+        fj = suite_jets(randers3, point)
+        assert np.max(np.abs(pde_residual(fj)[0])) <= 1e-5
+        assert np.max(np.abs(codazzi_residual(fj)[0])) <= 1e-4
+        assert np.max(np.abs(cartan_symmetry_residual(fj)[0])) <= 1e-5
+        assert np.max(np.abs(gauss_residual(fj)[0])) <= 1e-5
         assert np.max(np.abs(check_ricci(randers3, point))) <= 1e-5
 
 
@@ -77,8 +82,8 @@ def test_check_ricci_expands_once(randers3, core_counts):
 
 def test_gauss_euclidean_reduces_to_round_sphere(euclid3):
     point = fibre_point(euclid3, [0.0, 0.0, 0.0], np.array([0.3, 0.8]))
-    rf = restrict_fields(euclid3, point.chart, point.u)
-    assert np.max(np.abs(gauss_residual(rf)[0])) <= 1e-7
+    fj = suite_jets(euclid3, point)
+    assert np.max(np.abs(gauss_residual(fj)[0])) <= 1e-7
 
 
 def test_isotropy_residual_funk(funk3):
@@ -180,6 +185,28 @@ def test_non_isotropic_audit_takes_no_hessians_after_the_first_anisotropic_point
     audit = schur_audit(model, x, fibre_samples=6, tol=tol, rng=np.random.default_rng(3))
     assert audit.verdict == "non-isotropic" and audit.weak is None
     assert len(calls) == 4
+
+
+def test_a_fault_in_a_later_residual_leaves_no_row_of_its_point(randers3, monkeypatch):
+    from finslerlab import checks
+
+    calls = []
+
+    def gauss_failing_at_the_second_point(fj):
+        calls.append(fj)
+        if len(calls) == 2:
+            raise NonPositiveDefiniteError(-1.0)
+        return gauss_residual(fj)
+
+    suite = [
+        (key, name, gauss_failing_at_the_second_point if key == "gauss" else residual_fn)
+        for key, name, residual_fn in checks._SUITE
+    ]
+    assert [key for key, _, _ in suite].index("gauss") > 0  # a residual ran before it
+    monkeypatch.setattr(checks, "_SUITE", suite)
+    for report in run_identity_suite(randers3, 1, 3, seed=0):
+        assert report.error.startswith("NonPositiveDefiniteError at base 0, fibre 1, ")
+        assert [row["fibre"] for row in report.points] == [0]
 
 
 def test_domain_fault_names_the_fibre_point_and_stage():

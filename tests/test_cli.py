@@ -319,6 +319,24 @@ def test_non_convex_point_is_named_and_exits_2(tmp_path, capsys):
         assert check["error"] in err
 
 
+def test_failing_suite_point_leaves_no_partial_rows(tmp_path, capsys):
+    # seed 6 reaches a non-convex point at base 1, fibre 1, after 5 + 1 good points
+    out = tmp_path / "report.json"
+    code = run_cli(
+        "check", "--metric-expr", "sqrt(y1^2+y2^2+y3^2) + 0.9*y1^3/(y1^2+y2^2+y3^2)",
+        "--dim", "3", "--samples", "5", "--base-points", "2", "--seed", "6", "--out", str(out),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "NonPositiveDefiniteError at base 1, fibre 1, chart " in err
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 4
+    for check in checks:
+        assert check["error"] in err
+        rows = [(row["base"], row["fibre"]) for row in check["points"]]
+        assert rows == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0)]
+
+
 def test_non_convex_point_in_the_audit_is_named_and_exits_2(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run_cli(
@@ -414,8 +432,13 @@ def test_only_check_writes_csv(tmp_path, capsys, command):
             ["--metric-expr", "exp(300*x1)*sqrt(y1^2+y2^2)", "--dim", "2", "--x", "0.9,0", "--y", "1,0"],
             "x/y: the jets of F overflow at x = [0.9, 0.0]",
         ),
+        # |y|^2 = 1e400 overflows before any jet is built
+        (
+            ["--metric", "euclidean", "--dim", "3", "--x", "0,0,0", "--y", "1e200,0,0"],
+            "y: the jets of F overflow at y = [1e+200, 0.0, 0.0]",
+        ),
     ],
-    ids=["tiny-y", "huge-f"],
+    ids=["tiny-y", "huge-f", "huge-y"],
 )
 def test_curvature_point_whose_jets_overflow_exits_2(capsys, point, err):
     with warnings.catch_warnings():
@@ -423,3 +446,73 @@ def test_curvature_point_whose_jets_overflow_exits_2(capsys, point, err):
         code = run_cli("curvature", *point)
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {err}")
+
+
+@pytest.mark.parametrize("dim", ["9", "10", "2000"])
+def test_dimension_above_the_jet_variable_cap_exits_2_before_the_metric_is_built(
+    monkeypatch, capsys, dim
+):
+    from finslerlab import cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the metric was built")
+
+    monkeypatch.setattr(cli, "build", unreachable)
+    monkeypatch.setattr(cli, "MetricModel", unreachable)
+    commands = (
+        ["check", "--metric", "euclidean", "--samples", "1", "--base-points", "1"],
+        ["curvature", "--metric", "euclidean", "--x", "0", "--y", "1"],
+        ["audit", "--metric-expr", "sqrt(y1^2+y2^2)", "--samples", "1", "--base-points", "1"],
+    )
+    for argv in commands:
+        assert run_cli(*argv, "--dim", dim) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: dim: dimension must be at most 8, the jet variable cap, got {dim}\n"
+
+
+@pytest.mark.parametrize(
+    "point,err",
+    [
+        (
+            ["--metric-expr", "sqrt(y1^2+y2^2)*exp(x1)", "--x", "800,0"],
+            "exp() undefined at value 800.0 in subexpression 'exp(x1)'",
+        ),
+        (
+            ["--metric-expr", "sqrt(y1^2+y2^2)", "--x", "1,0", "--volume", "expr:exp(1000*x1)"],
+            "exp() undefined at value 1000.0 in subexpression 'exp(1000.0 * x1)'",
+        ),
+        (
+            ["--metric", "riemannian", "--params", "a11=exp(1000*x1)", "--x", "1,0"],
+            "exp() undefined at value 1000.0 in subexpression 'exp(1000.0 * x1)'",
+        ),
+        (
+            ["--metric-expr", "sqrt(y1^2+y2^2)*(1+x1^2)^1.5", "--x", "1e103,0"],
+            "pow[1.5]() undefined at value 1e+206 in subexpression '(1.0 + x1^2.0)^1.5'",
+        ),
+    ],
+    ids=["exp-metric", "exp-volume", "exp-param", "pow"],
+)
+def test_curvature_where_a_jet_function_overflows_exits_2(capsys, point, err):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if "riemannian" in point:  # model validation evaluates a11 over arrays first
+            warnings.filterwarnings("ignore", "overflow encountered in exp", RuntimeWarning)
+        code = run_cli("curvature", "--dim", "2", "--y", "1,0", *point)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "metric,code,err",
+    [("euclidean", 0, ""), ("funk_ball", 2, "error: x: |x| must be < 1.0 for this metric\n")],
+)
+def test_curvature_at_a_huge_x_is_judged_against_the_metric_domain(tmp_path, capsys, metric, code, err):
+    # |x|^2 = 1e400 overflows, |x| does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_cli(
+            "curvature", "--metric", metric, "--dim", "3", "--x", "1e200,0,0", "--y", "1,0,0",
+            "--out", str(tmp_path / "report.json"),
+        )
+    assert got == code
+    assert capsys.readouterr().err == err

@@ -118,6 +118,28 @@ def test_evaluate_domain_error_reports_node():
     assert "ln(y1)" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text, x1, fn, subexpression",
+    [
+        ("sqrt(y1^2 + y2^2)*exp(x1)", 800.0, "exp", "exp(x1)"),
+        ("sqrt(y1^2 + y2^2)*(1 + x1^2)^1.5", 1e103, "pow[1.5]", "(1.0 + x1^2.0)^1.5"),
+        # 1 / x1^2 overflows in the second Taylor coefficient of ln
+        ("sqrt(y1^2 + y2^2)*ln(x1*1e-200)", 0.7, "ln", "ln(x1 * 1e-200)"),
+        ("sqrt(y1^2 + y2^2)*x1/-(0.0)", 0.7, "div", "sqrt(y1^2.0 + y2^2.0) * x1 / -0.0"),
+    ],
+    ids=["exp", "pow", "ln", "div-by-negative-zero"],
+)
+def test_jet_function_outside_its_range_is_a_domain_error(text, x1, fn, subexpression):
+    ast = parse(text, 2)
+    space = jet_space(4, 2)
+    x = [space.variable(1, x1), space.variable(2, 0.0)]
+    y = [space.variable(3, 1.0), space.variable(4, 0.0)]
+    with pytest.raises(EvalDomainError) as info:
+        evaluate(ast, x, y)
+    assert info.value.fn == fn
+    assert repr(subexpression) in str(info.value)
+
+
 def test_evaluate_unbound_parameter():
     ast = parse("alpha * y1", 2, {"alpha"})
     with pytest.raises(ValueError, match="unbound parameter"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from finslerlab.checks import SUITE_CHART_ORDER
 from finslerlab.core import coordinate_tensors
 from finslerlab.indicatrix import (
     FibreChart,
@@ -8,7 +9,6 @@ from finslerlab.indicatrix import (
     direction_chart,
     fibre_jets,
     parameter_direction,
-    restrict_fields,
     sample_fibre_points,
 )
 
@@ -18,6 +18,38 @@ from fd_oracle import finite_difference_oracle
 
 def north_chart(model, x):
     return FibreChart(model, np.asarray(x, dtype=float), "north")
+
+
+def suite_jets(model, chart, u):
+    """The fibre pipeline the identity suite builds at one point."""
+    return fibre_jets(model, chart, u, SUITE_CHART_ORDER)
+
+
+def suite_fields(model, chart, u) -> dict:
+    """What the four residuals of the identity suite read, from the pipeline
+    it builds, as floats: g, its inverse, the Christoffel symbols, the
+    curvature, S with its gradient and Hessian, H, E, the Berwald scalar e
+    and the covariant derivatives of H, E and e."""
+    fj = suite_jets(model, chart, u)
+    r_up, r_low = fj.curvature
+    ds = fj.covariant(fj.s, 2)
+    e = fj.berwald_scalar
+    return {
+        "g": fj.g[..., 0],
+        "g_inv": fj.g_inv[..., 0],
+        "gamma": fj.gamma[..., 0],
+        "riemann": r_low,
+        "riemann_up": r_up,
+        "s": float(fj.s[0]),
+        "s_grad": ds[..., 0],
+        "s_hess": fj.covariant(ds, 1)[..., 0],
+        "cartan": fj.h[..., 0],
+        "cartan_cov": fj.covariant(fj.h, 1)[..., 0],
+        "berwald": fj.e[..., 0],
+        "berwald_cov": fj.covariant(fj.e, 1)[..., 0],
+        "e": float(e[0]),
+        "e_grad": fj.covariant(e, 1)[..., 0],
+    }
 
 
 def audit_fields(model, chart, u) -> dict:
@@ -89,17 +121,17 @@ def test_embedding_unit_level_and_rank(zoo_models, rng):
 def test_induced_metric_euclidean_round_factor(euclid3):
     chart = north_chart(euclid3, [0.0, 0.0, 0.0])
     np.testing.assert_allclose(
-        restrict_fields(euclid3, chart, np.zeros(2)).g, 4.0 * np.eye(2), atol=1e-12
+        suite_jets(euclid3, chart, np.zeros(2)).g[..., 0], 4.0 * np.eye(2), atol=1e-12
     )
     np.testing.assert_allclose(
-        restrict_fields(euclid3, chart, np.array([1.0, 0.0])).g, np.eye(2), atol=1e-12
+        suite_jets(euclid3, chart, np.array([1.0, 0.0])).g[..., 0], np.eye(2), atol=1e-12
     )
 
 
 def test_induced_metric_matches_fd_pullback(randers3, rng):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
     u = np.array([0.4, -0.6])
-    g_dot = restrict_fields(randers3, chart, u).g
+    g_dot = suite_jets(randers3, chart, u).g[..., 0]
     flag = chart_embed(chart, u)
     g = coordinate_tensors(randers3, flag).g
     jacobian = np.empty((3, 2))
@@ -114,12 +146,12 @@ def test_induced_metric_matches_fd_pullback(randers3, rng):
 
 def test_christoffels_euclidean_center(euclid3):
     chart = north_chart(euclid3, [0.0, 0.0, 0.0])
-    np.testing.assert_allclose(restrict_fields(euclid3, chart, np.zeros(2)).gamma, 0.0, atol=1e-12)
+    np.testing.assert_allclose(suite_jets(euclid3, chart, np.zeros(2)).gamma[..., 0], 0.0, atol=1e-12)
 
 
 def test_riemann_euclidean_calibration(euclid3):
     chart = north_chart(euclid3, [0.0, 0.0, 0.0])
-    r = restrict_fields(euclid3, chart, np.zeros(2)).riemann
+    r = suite_jets(euclid3, chart, np.zeros(2)).curvature[1]
     assert r[0, 1, 0, 1] == pytest.approx(16.0, rel=1e-10)
 
 
@@ -127,7 +159,7 @@ def test_riemann_algebraic_symmetries(randers3, rng):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
     for _ in range(3):
         u = rng.uniform(-1.0, 1.0, 2)
-        r = restrict_fields(randers3, chart, u).riemann
+        r = suite_jets(randers3, chart, u).curvature[1]
         scale = max(1.0, np.max(np.abs(r)))
         assert np.max(np.abs(r + np.transpose(r, (1, 0, 2, 3)))) <= 1e-6 * scale
         assert np.max(np.abs(r + np.transpose(r, (0, 1, 3, 2)))) <= 1e-6 * scale
@@ -140,8 +172,8 @@ def test_euclidean_sectional_curvature(euclid3, rng):
     chart = north_chart(euclid3, [0.0, 0.0, 0.0])
     for _ in range(50):
         u = rng.uniform(-1.5, 1.5, 2)
-        rf = restrict_fields(euclid3, chart, u)
-        g, r = rf.g, rf.riemann
+        fj = suite_jets(euclid3, chart, u)
+        g, r = fj.g[..., 0], fj.curvature[1]
         sectional = r[0, 1, 0, 1] / (g[0, 0] * g[1, 1] - g[0, 1] ** 2)
         assert sectional == pytest.approx(1.0, abs=1e-7)
 
@@ -149,19 +181,19 @@ def test_euclidean_sectional_curvature(euclid3, rng):
 def test_restricted_fields_funk(funk3):
     for x in ([0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.3, 0.4, 0.6]):
         chart = north_chart(funk3, x)
-        rf = restrict_fields(funk3, chart, np.array([0.3, -0.2]))
-        assert rf.s == pytest.approx(2.0, abs=1e-6)
-        np.testing.assert_allclose(rf.s_grad, 0.0, atol=1e-6)
-        assert rf.e == pytest.approx(4.0, abs=1e-5)
-        np.testing.assert_allclose(rf.berwald, 2.0 * rf.g, atol=1e-5)
+        rf = suite_fields(funk3, chart, np.array([0.3, -0.2]))
+        assert rf["s"] == pytest.approx(2.0, abs=1e-6)
+        np.testing.assert_allclose(rf["s_grad"], 0.0, atol=1e-6)
+        assert rf["e"] == pytest.approx(4.0, abs=1e-5)
+        np.testing.assert_allclose(rf["berwald"], 2.0 * rf["g"], atol=1e-5)
 
 
 def test_restricted_fields_riemannian_zeros(riem3, rng):
     chart = north_chart(riem3, [0.2, -0.3, 0.1])
-    rf = restrict_fields(riem3, chart, rng.uniform(-1, 1, 2))
-    np.testing.assert_allclose(rf.cartan, 0.0, atol=1e-10)
-    np.testing.assert_allclose(rf.berwald, 0.0, atol=1e-10)
-    assert rf.e == pytest.approx(0.0, abs=1e-10)
+    fj = suite_jets(riem3, chart, rng.uniform(-1, 1, 2))
+    np.testing.assert_allclose(fj.h[..., 0], 0.0, atol=1e-10)
+    np.testing.assert_allclose(fj.e[..., 0], 0.0, atol=1e-10)
+    assert fj.berwald_scalar[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_covariant_derivative_constant_scalar(randers3):
@@ -182,10 +214,11 @@ def test_cartan_derivative_total_symmetry(randers3, quartic3, rng):
     for model in (randers3, quartic3):
         x = model.sample_x(rng)
         for point in sample_fibre_points(model, x, 3, rng):
-            rf = restrict_fields(model, point.chart, point.u)
-            scale = max(1.0, np.max(np.abs(rf.cartan_cov)))
+            fj = suite_jets(model, point.chart, point.u)
+            cartan_cov = fj.covariant(fj.h, 1)[..., 0]
+            scale = max(1.0, np.max(np.abs(cartan_cov)))
             for perm in ((0, 1, 3, 2), (0, 3, 2, 1), (3, 1, 2, 0)):
-                deviation = rf.cartan_cov - np.transpose(rf.cartan_cov, perm)
+                deviation = cartan_cov - np.transpose(cartan_cov, perm)
                 assert np.max(np.abs(deviation)) <= 1e-5 * scale
 
 
@@ -196,21 +229,21 @@ def test_chart_consistency(randers3):
     s = u_n @ u_n
     u_s = u_n / s  # the same fibre point in the south chart
     chart_s = FibreChart(randers3, x, "south")
-    rf_n = restrict_fields(randers3, chart_n, u_n)
-    rf_s = restrict_fields(randers3, chart_s, u_s)
+    rf_n = suite_fields(randers3, chart_n, u_n)
+    rf_s = suite_fields(randers3, chart_s, u_s)
     # scalars agree across charts
-    assert rf_n.s == pytest.approx(rf_s.s, abs=1e-8)
-    assert rf_n.e == pytest.approx(rf_s.e, abs=1e-8)
+    assert rf_n["s"] == pytest.approx(rf_s["s"], abs=1e-8)
+    assert rf_n["e"] == pytest.approx(rf_s["e"], abs=1e-8)
     # tensors agree after the Jacobian d(u / |u|^2) / du of the transition
     jac = (np.eye(2) * s - 2.0 * np.outer(u_n, u_n)) / s ** 2
-    np.testing.assert_allclose(jac.T @ rf_s.g @ jac, rf_n.g, atol=1e-6)
-    h_trans = np.einsum("pa,qb,rc,pqr->abc", jac, jac, jac, rf_s.cartan)
-    np.testing.assert_allclose(h_trans, rf_n.cartan, atol=1e-6)
-    e_trans = np.einsum("pa,qb,pq->ab", jac, jac, rf_s.berwald)
-    np.testing.assert_allclose(e_trans, rf_n.berwald, atol=1e-6)
+    np.testing.assert_allclose(jac.T @ rf_s["g"] @ jac, rf_n["g"], atol=1e-6)
+    h_trans = np.einsum("pa,qb,rc,pqr->abc", jac, jac, jac, rf_s["cartan"])
+    np.testing.assert_allclose(h_trans, rf_n["cartan"], atol=1e-6)
+    e_trans = np.einsum("pa,qb,pq->ab", jac, jac, rf_s["berwald"])
+    np.testing.assert_allclose(e_trans, rf_n["berwald"], atol=1e-6)
     # covariant derivatives are tensors as well
-    h_cov_trans = np.einsum("pa,qb,rc,sd,pqrs->abcd", jac, jac, jac, jac, rf_s.cartan_cov)
-    np.testing.assert_allclose(h_cov_trans, rf_n.cartan_cov, atol=1e-6)
+    h_cov_trans = np.einsum("pa,qb,rc,sd,pqrs->abcd", jac, jac, jac, jac, rf_s["cartan_cov"])
+    np.testing.assert_allclose(h_cov_trans, rf_n["cartan_cov"], atol=1e-6)
 
 
 def test_parameter_direction_round_trip(rng):
@@ -227,8 +260,8 @@ def test_parameter_direction_round_trip(rng):
 def test_scalar_hessian_symmetry(randers3, rng):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
     u = rng.uniform(-1, 1, 2)
-    rf = restrict_fields(randers3, chart, u)
-    np.testing.assert_allclose(rf.s_hess, rf.s_hess.T, atol=1e-7)
+    s_hess = suite_fields(randers3, chart, u)["s_hess"]
+    np.testing.assert_allclose(s_hess, s_hess.T, atol=1e-7)
 
 
 def test_fibre_covariant_derivative_matches_fd(randers3):
@@ -236,7 +269,7 @@ def test_fibre_covariant_derivative_matches_fd(randers3):
     Richardson central-difference fallback in the chart coordinate."""
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
     u = np.array([0.35, -0.25])
-    rf = restrict_fields(randers3, chart, u)
+    rf = suite_fields(randers3, chart, u)
 
     def berwald_component(uvec, a, b):
         return fibre_jets(randers3, chart, uvec, {"e": 0}).e[a, b, 0]
@@ -250,17 +283,17 @@ def test_fibre_covariant_derivative_matches_fd(randers3):
                 partial[a, b, c] = finite_difference_oracle(
                     lambda uv, a=a, b=b: berwald_component(uv, a, b), u, alpha, 1e-3
                 )
-    gamma = rf.gamma
+    gamma, berwald = rf["gamma"], rf["berwald"]
     cov_fd = np.empty((m, m, m))
     for a in range(m):
         for b in range(m):
             for c in range(m):
                 value = partial[a, b, c]
                 for e in range(m):
-                    value -= gamma[e, c, a] * rf.berwald[e, b]
-                    value -= gamma[e, c, b] * rf.berwald[a, e]
+                    value -= gamma[e, c, a] * berwald[e, b]
+                    value -= gamma[e, c, b] * berwald[a, e]
                 cov_fd[a, b, c] = value
-    np.testing.assert_allclose(cov_fd, rf.berwald_cov, atol=1e-5)
+    np.testing.assert_allclose(cov_fd, rf["berwald_cov"], atol=1e-5)
 
 
 def test_chart_validity_enforced(euclid3):
@@ -268,7 +301,7 @@ def test_chart_validity_enforced(euclid3):
     with pytest.raises(ValueError, match="validity"):
         IndicatrixPoint(chart, np.array([5.0, 0.0]))
     with pytest.raises(ValueError, match="validity"):
-        restrict_fields(euclid3, chart, np.array([4.5, 0.0]))
+        suite_jets(euclid3, chart, np.array([4.5, 0.0]))
 
 
 def test_chart_embed_rejects_nonpositive_ray():
@@ -283,7 +316,7 @@ def test_chart_embed_rejects_nonpositive_ray():
 
 def test_christoffels_torsion_free(randers3, rng):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
-    gamma = restrict_fields(randers3, chart, rng.uniform(-1, 1, 2)).gamma
+    gamma = suite_jets(randers3, chart, rng.uniform(-1, 1, 2)).gamma[..., 0]
     np.testing.assert_allclose(gamma, np.transpose(gamma, (0, 2, 1)), atol=1e-14)
 
 
@@ -297,10 +330,12 @@ def test_sampling_is_deterministic(randers3):
 
 
 def test_restrict_fields_one_expansion_per_point(randers3, quartic3, core_counts):
+    """One point of the identity suite, with every field its residuals read,
+    expands F once."""
     u = np.array([0.4, -0.3])
-    restrict_fields(randers3, north_chart(randers3, [0.3, 0.2, -0.1]), u)
+    suite_fields(randers3, north_chart(randers3, [0.3, 0.2, -0.1]), u)
     assert core_counts == {"expansions": 1, "g": 1, "spray": 1}
-    restrict_fields(quartic3, north_chart(quartic3, [0.0, 0.0, 0.0]), u)
+    suite_fields(quartic3, north_chart(quartic3, [0.0, 0.0, 0.0]), u)
     assert core_counts == {"expansions": 2, "g": 2, "spray": 1}
 
 
@@ -320,15 +355,16 @@ def test_berwald_fields_equal_restrict_fields_bit_for_bit(family, dim, volume):
     rng = np.random.default_rng(31)
     x = model.sample_x(rng)
     for point in sample_fibre_points(model, x, 3, rng):
-        rf = restrict_fields(model, point.chart, point.u)
+        rf = suite_fields(model, point.chart, point.u)
         for name, value in audit_fields(model, point.chart, point.u).items():
-            np.testing.assert_array_equal(value, getattr(rf, name), err_msg=name)
+            np.testing.assert_array_equal(value, rf[name], err_msg=name)
 
 
 def test_restrict_fields_composes_each_distinct_flag_entry_once(randers3, monkeypatch):
-    """A totally symmetric flag-point tensor is composed with y(u) once per
-    sorted multi-index: at n = 3 that is 6 entries each for g and E, 10 for
-    the Cartan tensor and 1 for the volume-free S."""
+    """At a point of the identity suite, a totally symmetric flag-point tensor
+    is composed with y(u) once per sorted multi-index: at n = 3 that is 6
+    entries each for g and E, 10 for the Cartan tensor and 1 for the
+    volume-free S."""
     from finslerlab import jets
 
     composed = []
@@ -339,13 +375,13 @@ def test_restrict_fields_composes_each_distinct_flag_entry_once(randers3, monkey
         return compose(space, rows, basis)
 
     monkeypatch.setattr(jets, "jet_compose", counted)
-    restrict_fields(randers3, north_chart(randers3, [0.3, 0.2, -0.1]), np.array([0.4, 0.1]))
+    suite_fields(randers3, north_chart(randers3, [0.3, 0.2, -0.1]), np.array([0.4, 0.1]))
     assert sum(composed) == 6 + 6 + 10 + 1
 
 
 # each reference function of the oracle, and the program's fields it checks
 _PIPELINES = {
-    "restrict_fields": lambda model, chart, u: vars(restrict_fields(model, chart, u)),
+    "restrict_fields": suite_fields,
     "s_third_covariant": ricci_fields,
     "berwald_fields": audit_fields,
 }
@@ -407,7 +443,7 @@ def test_volume_gradient_once_per_base_point_and_only_for_s(monkeypatch):
     assert calls == []
     assert {point.chart.chart_id for point in points} == {"north", "south"}
     for point in points:
-        restrict_fields(model, point.chart, point.u)
+        suite_fields(model, point.chart, point.u)
     assert len(calls) == 1
 
 
