@@ -61,15 +61,7 @@ from typing import Mapping
 import numpy as np
 
 from . import jets, volume
-from .expr import (
-    EvalDomainError,
-    Node,
-    Var,
-    check_positive_homogeneity,
-    evaluate,
-    iter_nodes,
-    parse,
-)
+from .expr import EvalDomainError, Node, Var, evaluate, iter_nodes, parse
 
 __all__ = [
     "EIGENVALUE_FLOOR",
@@ -98,9 +90,11 @@ __all__ = [
 
 EIGENVALUE_FLOOR = 1e-10
 
-# the seeded trials on which a model checks that F is positive and 1-homogeneous
+# the seeded trials on which a model checks that F is positive and 1-homogeneous,
+# and the relative deviation from F(x, a*y) = a*F(x, y) a trial may show
 VALIDATION_TRIALS = 64
 VALIDATION_SEED = 987654321
+HOMOGENEITY_TOL = 1e-8
 
 VOLUME_KINDS = ("lebesgue", "busemann_hausdorff", "riemannian_auto", "custom")
 
@@ -172,10 +166,13 @@ def _normalize_volume(spec, dim: int, params) -> VolumeSpec:
 class MetricModel:
     """A Finsler structure: dimension, norm expression, volume form.
 
-    The norm F is an expression over x1..xn, y1..yn and named parameters; it
-    must be positive and positively 1-homogeneous in y on the sampled cone
-    (validated at construction, tolerance 1e-8).  Positive definiteness of
-    the fundamental tensor is checked lazily wherever g is assembled.
+    The norm F is an expression over x1..xn, y1..yn and named parameters.
+    Construction checks it on one seeded set of 64 trials (x, y, a), drawn
+    through :meth:`sample_x` and :meth:`sample_y` with a scale a in
+    [0.1, 10]: at each trial F must be defined, positively 1-homogeneous
+    (F(x, a y) = a F(x, y) to 1e-8 relative) and positive, and the first
+    failing trial is named.  Positive definiteness of the fundamental tensor
+    is checked lazily wherever g is assembled.
 
     ``a_asts`` carries the matrix entries of a Riemannian ground metric and
     is required by the ``riemannian_auto`` volume form, where
@@ -199,7 +196,6 @@ class MetricModel:
         x_radius: float = 1.0,
         x_max_norm: float = math.inf,
         y_guard=None,
-        validate: bool = True,
     ):
         dim = int(dim)
         if dim < 2:
@@ -226,30 +222,34 @@ class MetricModel:
                 for node in iter_nodes(self.volume.sigma_ast)
             ):
                 raise VolumeFormError("the volume coefficient may only depend on x")
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
-        trials, seed = VALIDATION_TRIALS, VALIDATION_SEED
-        report = check_positive_homogeneity(
-            self.f_ast, self.dim, trials, seed, self.params, x_radius=self.x_radius
-        )
-        if not report.passed:
-            raise MetricDefinitionError(
-                "F is not positively 1-homogeneous in y: max relative deviation "
-                f"{report.max_rel_deviation:.3e} at {report.worst}"
-            )
-        rng = np.random.default_rng(seed)
+        """Scan the trials in order; the first that is undefined, not
+        1-homogeneous or not positive raises.  F is evaluated once at y and
+        once at a*y over the stacked trials."""
+        trials = VALIDATION_TRIALS
+        rng = np.random.default_rng(VALIDATION_SEED)
         draws = [(self.sample_x(rng), self.sample_y(rng)) for _ in range(trials)]
+        scales = np.exp(rng.uniform(math.log(0.1), math.log(10.0), trials))
+        xs, ys = np.transpose(draws, (1, 2, 0))
         try:
-            values = np.broadcast_to(self.f(*np.transpose(draws, (1, 2, 0))), trials)
+            stacked = [self.f(xs, ys), self.f(xs, scales * ys)]
+            values = zip(*(np.broadcast_to(v, trials).tolist() for v in stacked))
         except EvalDomainError:
             values = [None] * trials  # evaluate one trial at a time: the first fault raises
-        for (x, y), value in zip(draws, values):
-            value = self.f(x, y) if value is None else float(value)
-            if not value > 0.0:
+        for (x, y), a, pair in zip(draws, scales.tolist(), values):
+            f, f_scaled = (float(self.f(x, y)), float(self.f(x, a * y))) if pair is None else pair
+            # infinite where a*F(x, y) = 0; a NaN never exceeds the tolerance
+            deviation = abs(f_scaled - a * f) / abs(a * f) if a * f != 0.0 else math.inf
+            if deviation > HOMOGENEITY_TOL:
                 raise MetricDefinitionError(
-                    f"F must be positive on y != 0; got {value!r} at x={x}, y={y}"
+                    f"F is not positively 1-homogeneous in y: relative deviation "
+                    f"{deviation:.3e} of F(x, a*y) from a*F(x, y) at x={x}, y={y}, a={a!r}"
+                )
+            if not f > 0.0:
+                raise MetricDefinitionError(
+                    f"F must be positive on y != 0; got {f!r} at x={x}, y={y}"
                 )
 
     # -- sampling helpers (deterministic given the caller's generator) ------

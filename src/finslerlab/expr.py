@@ -20,7 +20,6 @@ expressions can be shared freely across threads.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -45,8 +44,6 @@ __all__ = [
     "serialize",
     "evaluate",
     "iter_nodes",
-    "check_positive_homogeneity",
-    "HomogeneityReport",
 ]
 
 FUNCTIONS = ("sqrt", "exp", "ln")
@@ -73,11 +70,13 @@ class ParseError(ExprError):
 
 
 class EvalDomainError(ExprError):
-    """An elementary function was evaluated outside its domain."""
+    """An elementary function was evaluated outside its domain, or its value
+    overflowed there."""
 
-    def __init__(self, node: "Node", fn: str, value: float):
+    def __init__(self, node: "Node", fn: str, value: float, overflows: bool = False):
+        state = "overflows" if overflows else "undefined"
         super().__init__(
-            f"{fn}() undefined at value {value!r} in subexpression {serialize(node)!r}"
+            f"{fn}() {state} at value {value!r} in subexpression {serialize(node)!r}"
         )
         self.node = node
         self.fn = fn
@@ -347,35 +346,48 @@ def serialize(node: Node, full_parens: bool = False) -> str:
 # -- evaluation --------------------------------------------------------------
 
 
+_FLOAT_FUNCTIONS = {"sqrt": np.sqrt, "exp": np.exp, "ln": np.log}
+
+
+def _float_apply(fn, arr: np.ndarray, name: str, node: Node):
+    """fn(arr) on a float or an array, without a numpy warning: as on jets,
+    a finite argument whose value overflows is a domain fault."""
+    try:
+        with np.errstate(over="raise"):
+            out = fn(arr)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            overflowed = np.isfinite(arr) & ~np.isfinite(fn(arr))
+        raise EvalDomainError(node, name, float(arr[overflowed][0]), overflows=True) from None
+    return out if arr.shape else float(out)
+
+
 def _fn_apply(name: str, v, node: Node):
     if isinstance(v, Jet):
         try:
             return getattr(v, name)()
         except JetDomainError as err:
-            raise EvalDomainError(node, name, err.value) from None
+            raise EvalDomainError(node, name, err.value, err.overflows) from None
     arr = np.asarray(v, dtype=float)
     if name in ("sqrt", "ln") and np.any(arr <= 0.0):
         raise EvalDomainError(node, name, float(arr.min()))
-    out = {"sqrt": np.sqrt, "exp": np.exp, "ln": np.log}[name](arr)
-    return out if arr.shape else float(out)
+    return _float_apply(_FLOAT_FUNCTIONS[name], arr, name, node)
 
 
 def _pow_apply(v, exponent: float, node: Node):
+    name = f"pow[{exponent}]"
     if isinstance(v, Jet):
         try:
             return v ** exponent
         except JetDomainError as err:
-            raise EvalDomainError(node, f"pow[{exponent}]", err.value) from None
+            raise EvalDomainError(node, name, err.value, err.overflows) from None
     arr = np.asarray(v, dtype=float)
     if exponent == int(exponent):
         if exponent < 0 and np.any(arr == 0.0):
-            raise EvalDomainError(node, f"pow[{exponent}]", 0.0)
-        out = arr ** exponent
-    else:
-        if np.any(arr <= 0.0):
-            raise EvalDomainError(node, f"pow[{exponent}]", float(arr.min()))
-        out = arr ** exponent
-    return out if arr.shape else float(out)
+            raise EvalDomainError(node, name, 0.0)
+    elif np.any(arr <= 0.0):
+        raise EvalDomainError(node, name, float(arr.min()))
+    return _float_apply(lambda base: base ** exponent, arr, name, node)
 
 
 def _div_apply(num, den, node: Node):
@@ -433,70 +445,3 @@ def evaluate(node: Node, x: Sequence, y: Sequence, params: Mapping[str, float] |
         raise TypeError(f"not an expression node: {nd!r}")
 
     return ev(node)
-
-
-# -- homogeneity audit ---------------------------------------------------------
-
-
-@dataclass
-class HomogeneityReport:
-    """Largest relative deviation from F(x, a*y) = a*F(x, y) over the samples."""
-
-    max_rel_deviation: float
-    trials: int
-    worst: dict | None
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_deviation <= 1e-8
-
-
-def check_positive_homogeneity(
-    node: Node,
-    dim: int,
-    trials: int,
-    seed: int,
-    params: Mapping[str, float] | None = None,
-    x_radius: float = 1.0,
-) -> HomogeneityReport:
-    """Sample random (x, y, a) with a in [0.1, 10] and report the worst
-    relative violation of positive 1-homogeneity in y.
-
-    The trials are drawn one after another from the seeded generator and F
-    is evaluated once over the stacked samples; a domain fault at any trial
-    raises :class:`EvalDomainError`."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    xs, ys, lams = [], [], []
-    for _ in range(trials):
-        direction = rng.standard_normal(dim)
-        norm = np.linalg.norm(direction)
-        if norm < 1e-12:
-            continue
-        radius = x_radius * rng.uniform(0.0, 1.0) ** (1.0 / dim)
-        xs.append(direction / norm * radius)
-        y = rng.standard_normal(dim)
-        while np.linalg.norm(y) < 1e-3:
-            y = rng.standard_normal(dim)
-        ys.append(y)
-        lams.append(math.exp(rng.uniform(math.log(0.1), math.log(10.0))))
-    worst_dev, worst = 0.0, None
-    if xs:
-        x, y, lam = np.array(xs).T, np.array(ys).T, np.array(lams)
-        lam_f = lam * evaluate(node, list(x), list(y), params)
-        f_scaled = evaluate(node, list(x), list(lam * y), params)
-        denom = np.abs(lam_f)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dev = np.where(denom > 0, np.abs(f_scaled - lam_f) / denom, math.inf)
-        # the first trial with the largest deviation; a NaN deviation never counts
-        k = int(np.argmax(np.where(dev > 0.0, dev, -math.inf)))
-        if dev[k] > 0.0:
-            worst_dev = float(dev[k])
-            worst = {
-                "x": xs[k].tolist(),
-                "y": ys[k].tolist(),
-                "lambda": lams[k],
-                "deviation": worst_dev,
-            }
-    return HomogeneityReport(max_rel_deviation=worst_dev, trials=trials, worst=worst)

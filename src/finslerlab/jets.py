@@ -96,12 +96,14 @@ MAX_VARS = 8
 
 class JetDomainError(ArithmeticError):
     """A jet operation left its domain (sqrt/ln/div/pow at order 0), or its
-    Taylor coefficients overflowed there (exp/ln/pow)."""
+    value or Taylor coefficients overflowed there (exp/ln/pow)."""
 
-    def __init__(self, fn: str, value: float):
-        super().__init__(f"{fn}() undefined at order-0 value {value!r}")
+    def __init__(self, fn: str, value: float, overflows: bool = False):
+        state = "overflows" if overflows else "undefined"
+        super().__init__(f"{fn}() {state} at order-0 value {value!r}")
         self.fn = fn
         self.value = value
+        self.overflows = overflows
 
 
 _FACTORIALS = np.array([math.factorial(k) for k in range(MAX_ORDER + 1)], dtype=np.int64)
@@ -305,7 +307,9 @@ class JetSpace:
         plan = self._einsum_plans.get(key)
         if plan is None:
             left, right, out = subscripts.replace("->", ",").split(",")
-            shape = _einsum_shape((left, right), out, (a_shape[:-1], b_shape[:-1]))
+            # numpy's own broadcast of the slot axes, so plan and contraction agree
+            slots = np.zeros(a_shape[:-1]), np.zeros(b_shape[:-1])
+            shape = np.einsum(f"{left},{right}->{out}", *slots).shape
             plan = _contraction(f"{left}Z,{right}Z->{out}Z", *self._mul(), shape, self.size)
             self._einsum_plans[key] = plan
         return plan
@@ -451,7 +455,7 @@ class Jet:
         try:
             series = [f0 ** e]
         except OverflowError:
-            raise JetDomainError(f"pow[{e}]", f0) from None
+            raise JetDomainError(f"pow[{e}]", f0, overflows=True) from None
         for k in range(1, self.order + 1):
             series.append(series[-1] * (e - (k - 1)) / (k * f0))
         return self._compose_outer(series)
@@ -514,7 +518,7 @@ class Jet:
         try:
             series = [math.exp(self.value)]
         except OverflowError:
-            raise JetDomainError("exp", self.value) from None
+            raise JetDomainError("exp", self.value, overflows=True) from None
         for k in range(1, self.order + 1):
             series.append(series[-1] / k)
         return self._compose_outer(series)
@@ -530,7 +534,7 @@ class Jet:
                 series.append(sign / (k * f0 ** k))
                 sign = -sign
         except (ZeroDivisionError, OverflowError):
-            raise JetDomainError("ln", f0) from None
+            raise JetDomainError("ln", f0, overflows=True) from None
         return self._compose_outer(series)
 
 
@@ -611,22 +615,6 @@ def _contract(plan: _Contraction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     terms = np.einsum(plan.spec, a[..., plan.ii], b[..., plan.jj])
     summed = np.bincount(plan.slots, weights=terms.ravel(), minlength=math.prod(plan.shape))
     return summed.reshape(plan.shape)
-
-
-def _einsum_shape(inputs, out: str, shapes) -> tuple[int, ...]:
-    """The shape of ``np.einsum`` with these input and output subscripts on
-    operands of these shapes, ``...`` broadcast as numpy does."""
-    sizes: dict[str, int] = {}
-    ellipsis: tuple[int, ...] = ()
-    for spec, shape in zip(inputs, shapes):
-        head, dots, tail = spec.partition("...")
-        stop = len(shape) - len(tail)
-        if dots:
-            ellipsis = np.broadcast_shapes(ellipsis, shape[len(head) : stop])
-        for label, size in zip(head + tail, shape[: len(head)] + shape[stop:]):
-            sizes[label] = max(sizes.get(label, 1), size)
-    head, dots, tail = out.partition("...")
-    return tuple(sizes[label] for label in head) + ellipsis + tuple(sizes[label] for label in tail)
 
 
 def jet_einsum(space: JetSpace, subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -184,10 +184,10 @@ def _build_randers(dim: int, params: dict, volume) -> MetricModel:
     rng = np.random.default_rng(20240817)
     for _ in range(128):
         x = rng.uniform(-1.0, 1.0, size=dim)
-        norm = float(np.linalg.norm(b_of_x(x)))
+        norm = math.hypot(*b_of_x(x))  # does not overflow
         if norm >= 1.0:
             raise RandersConditionViolated(x, norm)
-    norm0 = float(np.linalg.norm(b_of_x(np.zeros(dim))))
+    norm0 = math.hypot(*b_of_x(np.zeros(dim)))
     if norm0 >= 1.0:
         raise RandersConditionViolated(np.zeros(dim), norm0)
     terms = [f"sqrt({_norm_sq_text('y', dim)})"]

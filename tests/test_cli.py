@@ -82,6 +82,19 @@ def test_metric_parameter_that_is_not_finite_exits_2(capsys, metric, param, name
     assert capsys.readouterr().err.startswith(f"error: params: {name}: expected a finite number")
 
 
+def test_randers_form_whose_norm_overflows_a_dot_product_exits_2_without_a_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(
+            "check", "--metric", "randers", "--dim", "3", "--params", "eps=1e308",
+            "--samples", "1", "--base-points", "1",
+        )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: metric: Randers condition ||b(x)|| < 1 violated: norm 5.01378e+307 at x = "
+    )
+
+
 def test_non_homogeneous_expression_exits_2(capsys):
     code = run_cli("check", "--metric-expr", "y1 + y2^2", "--dim", "2")
     assert code == 2
@@ -475,19 +488,20 @@ def test_dimension_above_the_jet_variable_cap_exits_2_before_the_metric_is_built
     [
         (
             ["--metric-expr", "sqrt(y1^2+y2^2)*exp(x1)", "--x", "800,0"],
-            "exp() undefined at value 800.0 in subexpression 'exp(x1)'",
+            "exp() overflows at value 800.0 in subexpression 'exp(x1)'",
         ),
         (
             ["--metric-expr", "sqrt(y1^2+y2^2)", "--x", "1,0", "--volume", "expr:exp(1000*x1)"],
-            "exp() undefined at value 1000.0 in subexpression 'exp(1000.0 * x1)'",
+            "exp() overflows at value 1000.0 in subexpression 'exp(1000.0 * x1)'",
         ),
+        # a11 overflows at a validation trial, so the model is rejected
         (
             ["--metric", "riemannian", "--params", "a11=exp(1000*x1)", "--x", "1,0"],
-            "exp() undefined at value 1000.0 in subexpression 'exp(1000.0 * x1)'",
+            "metric: exp() overflows at value 728.5355120505275 in subexpression 'exp(1000.0 * x1)'",
         ),
         (
             ["--metric-expr", "sqrt(y1^2+y2^2)*(1+x1^2)^1.5", "--x", "1e103,0"],
-            "pow[1.5]() undefined at value 1e+206 in subexpression '(1.0 + x1^2.0)^1.5'",
+            "pow[1.5]() overflows at value 1e+206 in subexpression '(1.0 + x1^2.0)^1.5'",
         ),
     ],
     ids=["exp-metric", "exp-volume", "exp-param", "pow"],
@@ -495,8 +509,6 @@ def test_dimension_above_the_jet_variable_cap_exits_2_before_the_metric_is_built
 def test_curvature_where_a_jet_function_overflows_exits_2(capsys, point, err):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if "riemannian" in point:  # model validation evaluates a11 over arrays first
-            warnings.filterwarnings("ignore", "overflow encountered in exp", RuntimeWarning)
         code = run_cli("curvature", "--dim", "2", "--y", "1,0", *point)
     assert code == 2
     assert capsys.readouterr().err == f"error: {err}\n"

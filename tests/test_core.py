@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from finslerlab.core import (
     sigma_value,
 )
 from finslerlab.expr import EvalDomainError
-from finslerlab.zoo import build, funk_norm
+from finslerlab.zoo import build, funk_norm, zoo_ids
 
 from conftest import random_flag
 from fd_oracle import finite_difference_oracle
@@ -282,6 +283,45 @@ def test_validation_reports_the_first_failing_trial():
         MetricModel(2, "-sqrt(y1^2 + y2^2) / sqrt(0.93 - x2)")
     with pytest.raises(EvalDomainError, match="sqrt"):
         MetricModel(2, "sqrt(y1^2 + y2^2) / sqrt(0.93 - x2)")
+
+
+def _construction_outcome(make_model):
+    """The type and message of the error construction raises, or None."""
+    try:
+        make_model()
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
+def test_validation_on_the_stacked_trials_equals_one_trial_at_a_time(monkeypatch):
+    texts = [
+        "y1 + y2^2",
+        "(y1^4 + y2^4)^0.25 + 0.1*y1*exp(x1)",
+        "y1^3 / (y1^2 + y2^2)",
+        "-sqrt(y1^2 + y2^2) / sqrt(0.93 - x2)",
+        # non-positive at the second trial, non-homogeneous from the third on
+        "y1 + x1^40*(y1^2 + y2^2)",
+    ]
+    cases = [partial(build, metric_id, 3) for metric_id in zoo_ids()]
+    cases += [partial(MetricModel, 2, text) for text in texts]
+    stacked = [_construction_outcome(case) for case in cases]
+    f = MetricModel.f
+
+    def one_trial_at_a_time(self, x, y):
+        if np.ndim(x) == 2:  # the stacked trials
+            raise EvalDomainError(self.f_ast, "stacked", 0.0)
+        return f(self, x, y)
+
+    monkeypatch.setattr(MetricModel, "f", one_trial_at_a_time)
+    assert [_construction_outcome(case) for case in cases] == stacked
+    assert stacked[: len(zoo_ids())] == [None] * len(zoo_ids())
+    messages = [outcome and outcome[1] for outcome in stacked[len(zoo_ids()) :]]
+    assert messages[0].startswith("F is not positively 1-homogeneous in y")
+    assert messages[1] is None
+    assert all(message.startswith("F must be positive") for message in messages[2:])
+    # the non-positive second trial, not a later non-homogeneous one
+    assert "got -0.8381646533466902 at x=[-0.06727435  0.31168377]" in messages[4]
 
 
 def test_coordinate_tensors_bundle(funk3):

@@ -1,6 +1,3 @@
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +12,6 @@ from finslerlab.expr import (
     ParseError,
     Pow,
     Var,
-    check_positive_homogeneity,
     evaluate,
     parse,
     serialize,
@@ -144,62 +140,6 @@ def test_evaluate_unbound_parameter():
     ast = parse("alpha * y1", 2, {"alpha"})
     with pytest.raises(ValueError, match="unbound parameter"):
         evaluate(ast, [0.0, 0.0], [1.0, 1.0])
-
-
-def test_homogeneity_euclidean_passes():
-    ast = parse("sqrt(y1^2 + y2^2)", 2)
-    report = check_positive_homogeneity(ast, 2, trials=50, seed=1)
-    assert report.max_rel_deviation <= 1e-12
-
-
-def test_homogeneity_quartic_passes():
-    ast = parse("(y1^4 + y2^4)^0.25", 2)
-    report = check_positive_homogeneity(ast, 2, trials=50, seed=1)
-    assert report.max_rel_deviation <= 1e-12
-
-
-def test_homogeneity_flags_non_homogeneous():
-    ast = parse("y1 + y2^2", 2)
-    report = check_positive_homogeneity(ast, 2, trials=50, seed=1)
-    assert report.max_rel_deviation > 1e-2
-    assert not report.passed
-    assert report.worst is not None
-
-
-def _homogeneity_loop(node, dim, trials, seed, params=None, x_radius=1.0):
-    """Reference: the homogeneity audit with one scalar evaluation per trial."""
-    rng = np.random.default_rng(seed)
-    worst_dev, worst = 0.0, None
-    for _ in range(trials):
-        direction = rng.standard_normal(dim)
-        norm = np.linalg.norm(direction)
-        if norm < 1e-12:
-            continue
-        radius = x_radius * rng.uniform(0.0, 1.0) ** (1.0 / dim)
-        x = direction / norm * radius
-        y = rng.standard_normal(dim)
-        while np.linalg.norm(y) < 1e-3:
-            y = rng.standard_normal(dim)
-        lam = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-        f_base = evaluate(node, list(x), list(y), params)
-        f_scaled = evaluate(node, list(x), list(lam * y), params)
-        denom = abs(lam * f_base)
-        dev = float(abs(f_scaled - lam * f_base) / denom) if denom > 0 else math.inf
-        if dev > worst_dev:
-            worst_dev = dev
-            worst = {"x": x.tolist(), "y": y.tolist(), "lambda": lam, "deviation": dev}
-    return worst_dev, worst
-
-
-def test_homogeneity_matches_the_per_trial_loop_exactly(zoo_models):
-    cases = [(m.f_ast, m.dim, m.params, m.x_radius) for m in zoo_models]
-    for text in ("y1 + y2^2", "(y1^4 + y2^4)^0.25 + 0.1*y1*exp(x1)", "y1^3 / (y1^2 + y2^2)"):
-        cases.append((parse(text, 2), 2, None, 1.0))
-    for node, dim, params, x_radius in cases:
-        for trials, seed in ((1, 3), (64, 987654321)):
-            report = check_positive_homogeneity(node, dim, trials, seed, params, x_radius)
-            expected = _homogeneity_loop(node, dim, trials, seed, params, x_radius)
-            assert (report.max_rel_deviation, report.worst) == expected
 
 
 def test_plain_evaluation_matches_jet_order_zero(zoo_models, rng):

@@ -304,11 +304,12 @@ def test_chart_validity_enforced(euclid3):
         suite_jets(euclid3, chart, np.array([4.5, 0.0]))
 
 
-def test_chart_embed_rejects_nonpositive_ray():
+def test_chart_embed_rejects_nonpositive_ray(monkeypatch):
     from finslerlab.core import MetricModel, NonPositiveMetricError
 
     # 1-homogeneous but sign-changing; bypass validation to probe the guard
-    model = MetricModel(2, "y1", validate=False)
+    monkeypatch.setattr(MetricModel, "_validate", lambda self: None)
+    model = MetricModel(2, "y1")
     chart = FibreChart(model, np.zeros(2), "north")
     with pytest.raises(NonPositiveMetricError):
         fibre_jets(model, chart, np.array([-1.0]), {"g": 1})
@@ -458,7 +459,8 @@ def test_samplers_stop_when_the_guard_rejects_every_direction(monkeypatch):
     norm = "sqrt(y1^2 + y2^2 + y3^2)"
     with pytest.raises(SamplingError, match="y_guard .*never rejected every one"):
         MetricModel(3, norm, y_guard=never)
-    model = MetricModel(3, norm, y_guard=never, validate=False)
+    monkeypatch.setattr(MetricModel, "_validate", lambda self: None)
+    model = MetricModel(3, norm, y_guard=never)
     rng = np.random.default_rng(0)
     with pytest.raises(SamplingError, match="no admissible direction in 25 draws"):
         model.sample_y(rng)
