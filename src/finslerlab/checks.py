@@ -37,17 +37,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import (
-    MetricModel,
-    NonPositiveDefiniteError,
-    NonPositiveMetricError,
-    TensorJets,
-    s_main_jet,
-)
-from .expr import EvalDomainError
+from . import InputFault
+from .core import MetricModel, TensorJets, s_main_jet
 from .indicatrix import FibreJets, IndicatrixPoint, fibre_jets, sample_fibre_points
 from .jets import jet_partials
-from .volume import QuadratureError
 
 __all__ = [
     "TAGS",
@@ -88,21 +81,11 @@ DEFAULT_TOLERANCES = {
 }
 
 
-# the metric is not Finsler at a sampled point, or its volume coefficient
-# cannot be computed there: an input fault, not a defect
-_DOMAIN_ERRORS = (
-    NonPositiveDefiniteError,
-    NonPositiveMetricError,
-    EvalDomainError,
-    QuadratureError,
-)
-
-
 def _where(fibre: int, point: IndicatrixPoint) -> str:
     return f"fibre {fibre}, chart {point.chart.chart_id}, u={[float(v) for v in point.u]}"
 
 
-class FibrePointError(ValueError):
+class FibrePointError(InputFault):
     """A domain fault at one sampled fibre point of the isotropy audit, whose
     one stage is ``schur``; :meth:`located` adds the base point."""
 
@@ -286,8 +269,10 @@ def run_identity_suite(
                 for member in ("curvature", "s", "e", "h"):
                     getattr(fj, member)
                 residuals = [residual_fn(fj) for _, _, residual_fn in _SUITE]
-            except _DOMAIN_ERRORS as err:
-                # not an identity exceedance; record where and fail the whole block
+            except InputFault as err:
+                # the metric is not Finsler at this point, or its volume
+                # coefficient cannot be computed there: not an identity
+                # exceedance; record where and fail the whole block
                 where = f"base {b_index}, {_where(f_index, point)}"
                 for key, _, _ in _SUITE:
                     reports[key].error = f"{type(err).__name__} at {where}: {err}"
@@ -401,7 +386,7 @@ def schur_audit(
             max_iso = max(max_iso, isotropy_residual(fj))
             if max_iso <= tol:
                 hessians.append(_y_hessians(fj.tj))
-        except _DOMAIN_ERRORS as err:
+        except InputFault as err:
             raise FibrePointError(err, f_index, point) from err
         e_values.append(float(fj.berwald_scalar[0]))
         e_grad = fj.covariant(fj.berwald_scalar, 1)[..., 0]

@@ -9,11 +9,11 @@ Subcommands:
     audit       run the isotropy audit plus the weak-isotropy test
 
 Exit codes: 0 on success, 1 when a check fails or the audit reports a
-VIOLATION, 2 on usage or input errors, including a sampled point where the
-metric is not Finsler (the error names the point, and in the audit the
-stage).  Reports are JSON (``check`` can flatten its report to CSV) and
-byte-identical for identical configurations; the sampling generator is
-numpy's seeded PCG64.
+VIOLATION, 2 on usage errors and on every :class:`~finslerlab.InputFault`,
+including a sampled point where the metric is not Finsler (the error names
+the point, and in the audit the stage).  Reports are JSON (``check`` can
+flatten its report to CSV) and byte-identical for identical
+configurations; the sampling generator is numpy's seeded PCG64.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import InputFault, __version__
 from .checks import (
     DEFAULT_TOLERANCES,
     FibrePointError,
@@ -33,23 +33,10 @@ from .checks import (
     sample_base_points,
     schur_audit,
 )
-from .core import (
-    CoordinateTensors,
-    FlagPoint,
-    MetricDefinitionError,
-    MetricModel,
-    NonPositiveDefiniteError,
-    NonPositiveMetricError,
-    SamplingError,
-    UnsupportedDimensionError,
-    VolumeFormError,
-    coordinate_tensors,
-)
-from .expr import ExprError
+from .core import CoordinateTensors, FlagPoint, MetricModel, coordinate_tensors
 from .indicatrix import FibreChart, direction_chart, fibre_jets
 from .jets import MAX_VARS
-from .volume import QuadratureError
-from .zoo import ParamError, RandersConditionViolated, build, entries, number_param
+from .zoo import ParamError, build, entries, number_param
 
 SCHEMA_VERSION = "1"
 
@@ -66,7 +53,7 @@ _TOL_FLAGS = {
 _TEXT_FIELDS = ("metric", "metric_expr", "volume", "x", "y", "format", "out")
 
 
-class InputError(Exception):
+class InputError(InputFault):
     """A configuration problem; printed with the offending field, exit 2."""
 
     def __init__(self, field: str, message: str):
@@ -212,20 +199,24 @@ def _resolve_model(config: dict) -> MetricModel:
     volume = config.get("volume")
     try:
         if metric_id:
-            return build(metric_id, dim, params, volume)
-        return MetricModel(
-            dim,
-            expr_text,
-            params={k: number_param(v, k) for k, v in params.items()},
-            volume=volume or "lebesgue",
-            metric_id="expr",
-        )
+            model = build(metric_id, dim, params, volume)
+        else:
+            model = MetricModel(
+                dim,
+                expr_text,
+                params={k: number_param(v, k) for k, v in params.items()},
+                volume=volume or "lebesgue",
+                metric_id="expr",
+            )
     except KeyError as err:
         raise InputError("metric", str(err.args[0])) from None
     except ParamError as err:
         raise InputError("params", str(err)) from None
-    except (MetricDefinitionError, VolumeFormError, RandersConditionViolated, ExprError, ValueError) as err:
+    except ValueError as err:
         raise InputError("metric", str(err)) from None
+    if model.depends_on_x and dim > MAX_VARS // 2:  # its jets run over x and y
+        raise InputError("dim", f"dimension must be at most {MAX_VARS // 2} for an x-dependent F, got {dim}")
+    return model
 
 
 def _sampling(config: dict, default_samples: int) -> tuple[int, int, int]:
@@ -477,20 +468,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (
-        MetricDefinitionError,
-        VolumeFormError,
-        RandersConditionViolated,
-        ExprError,
-        NonPositiveMetricError,
-        NonPositiveDefiniteError,
-        UnsupportedDimensionError,
-        QuadratureError,
-        SamplingError,
-    ) as err:
+    except InputFault as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -60,7 +60,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import jets, volume
+from . import InputFault, jets, volume
 from .expr import EvalDomainError, Node, Var, evaluate, iter_nodes, parse
 
 __all__ = [
@@ -99,11 +99,11 @@ HOMOGENEITY_TOL = 1e-8
 VOLUME_KINDS = ("lebesgue", "busemann_hausdorff", "riemannian_auto", "custom")
 
 
-class MetricDefinitionError(ValueError):
+class MetricDefinitionError(InputFault):
     """The expression does not define a Finsler metric (homogeneity, positivity)."""
 
 
-class NonPositiveDefiniteError(ArithmeticError):
+class NonPositiveDefiniteError(InputFault):
     """The fundamental tensor failed the positive-definiteness floor."""
 
     def __init__(self, min_eigenvalue: float, where: str = "fundamental tensor"):
@@ -113,19 +113,19 @@ class NonPositiveDefiniteError(ArithmeticError):
         self.min_eigenvalue = min_eigenvalue
 
 
-class NonPositiveMetricError(ArithmeticError):
+class NonPositiveMetricError(InputFault):
     """F evaluated to a non-positive value at a point where it must be positive."""
 
 
-class UnsupportedDimensionError(ValueError):
+class UnsupportedDimensionError(InputFault):
     """The requested computation would exceed the jet engine variable cap."""
 
 
-class VolumeFormError(ValueError):
+class VolumeFormError(InputFault):
     """The volume form is inconsistent with the model or non-positive."""
 
 
-class SamplingError(ValueError):
+class SamplingError(InputFault):
     """A rejection sampler drew no admissible direction within its attempt cap."""
 
     def __init__(self, model: "MetricModel"):
@@ -239,7 +239,11 @@ class MetricModel:
         except EvalDomainError:
             values = [None] * trials  # evaluate one trial at a time: the first fault raises
         for (x, y), a, pair in zip(draws, scales.tolist(), values):
-            f, f_scaled = (float(self.f(x, y)), float(self.f(x, a * y))) if pair is None else pair
+            try:
+                f, f_scaled = (float(self.f(x, y)), float(self.f(x, a * y))) if pair is None else pair
+            except EvalDomainError as err:
+                err.args = (f"{err} at x={x}, y={y}",)  # name the trial, keep the class
+                raise
             # infinite where a*F(x, y) = 0; a NaN never exceeds the tolerance
             deviation = abs(f_scaled - a * f) / abs(a * f) if a * f != 0.0 else math.inf
             if deviation > HOMOGENEITY_TOL:

@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
+from . import InputFault
 from .jets import Jet, JetDomainError
 
 __all__ = [
@@ -53,7 +54,7 @@ _NUM_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-class ExprError(ValueError):
+class ExprError(InputFault):
     pass
 
 
@@ -349,17 +350,21 @@ def serialize(node: Node, full_parens: bool = False) -> str:
 _FLOAT_FUNCTIONS = {"sqrt": np.sqrt, "exp": np.exp, "ln": np.log}
 
 
-def _float_apply(fn, arr: np.ndarray, name: str, node: Node):
-    """fn(arr) on a float or an array, without a numpy warning: as on jets,
-    a finite argument whose value overflows is a domain fault."""
+def _float_apply(fn, name: str, node: Node, *args):
+    """fn(*args) on floats or arrays, without a numpy warning: as on jets,
+    finite arguments whose value overflows are a domain fault, named by the
+    last argument at the first such entry of the broadcast."""
     try:
         with np.errstate(over="raise"):
-            out = fn(arr)
+            out = fn(*args)
     except FloatingPointError:
         with np.errstate(over="ignore"):
-            overflowed = np.isfinite(arr) & ~np.isfinite(fn(arr))
-        raise EvalDomainError(node, name, float(arr[overflowed][0]), overflows=True) from None
-    return out if arr.shape else float(out)
+            overflowed = ~np.isfinite(fn(*args))
+        args = np.broadcast_arrays(*args)
+        for arg in args:
+            overflowed &= np.isfinite(arg)
+        raise EvalDomainError(node, name, float(args[-1][overflowed][0]), overflows=True) from None
+    return out if np.ndim(out) else float(out)
 
 
 def _fn_apply(name: str, v, node: Node):
@@ -371,7 +376,7 @@ def _fn_apply(name: str, v, node: Node):
     arr = np.asarray(v, dtype=float)
     if name in ("sqrt", "ln") and np.any(arr <= 0.0):
         raise EvalDomainError(node, name, float(arr.min()))
-    return _float_apply(_FLOAT_FUNCTIONS[name], arr, name, node)
+    return _float_apply(_FLOAT_FUNCTIONS[name], name, node, arr)
 
 
 def _pow_apply(v, exponent: float, node: Node):
@@ -387,7 +392,7 @@ def _pow_apply(v, exponent: float, node: Node):
             raise EvalDomainError(node, name, 0.0)
     elif np.any(arr <= 0.0):
         raise EvalDomainError(node, name, float(arr.min()))
-    return _float_apply(lambda base: base ** exponent, arr, name, node)
+    return _float_apply(lambda base: base ** exponent, name, node, arr)
 
 
 def _div_apply(num, den, node: Node):
@@ -399,8 +404,7 @@ def _div_apply(num, den, node: Node):
     arr = np.asarray(den, dtype=float)
     if np.any(arr == 0.0):
         raise EvalDomainError(node, "div", 0.0)
-    out = num / den
-    return out
+    return _float_apply(np.divide, "div", node, num, arr)
 
 
 def evaluate(node: Node, x: Sequence, y: Sequence, params: Mapping[str, float] | None = None):

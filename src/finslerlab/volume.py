@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import InputFault
 from .expr import evaluate
 
 __all__ = [
@@ -33,7 +34,7 @@ QUAD_TOL = 1e-7
 GRADIENT_STEP = 1e-4  # base step of the finite-difference gradient, scaled by 1 + |x|
 
 
-class QuadratureError(ArithmeticError):
+class QuadratureError(InputFault):
     """Quadrature refinement did not settle below the tolerance."""
 
     def __init__(self, message: str, estimate: float, error_bound: float):

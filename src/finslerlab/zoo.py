@@ -28,6 +28,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import InputFault
 from .core import MetricModel
 from .expr import parse
 
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 
-class RandersConditionViolated(ValueError):
+class RandersConditionViolated(InputFault):
     """The 1-form of a Randers metric reached norm >= 1 on the sampled domain."""
 
     def __init__(self, x, norm: float):
@@ -48,7 +49,7 @@ class RandersConditionViolated(ValueError):
         self.norm = norm
 
 
-class ParamError(ValueError):
+class ParamError(InputFault):
     """A metric parameter has the wrong type, length or sign."""
 
 

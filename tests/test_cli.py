@@ -397,23 +397,41 @@ def test_audit_expands_once_per_fibre_point(tmp_path, core_counts):
     assert core_counts["expansions"] == 3 * 2
 
 
-def test_quadrature_failure_is_named_in_the_report_and_exits_2(tmp_path, capsys):
-    # b = 0.97 puts the unit set so close to the origin that the BH sphere
-    # quadrature of F^-3 does not settle
+@pytest.mark.parametrize(
+    "argv,base,located,message",
+    [
+        # b = 0.97 puts the unit set so close to the origin that the BH sphere
+        # quadrature of F^-3 does not settle
+        (
+            ["--metric-expr", "sqrt(y1^2+y2^2+y3^2) + 0.97*y1", "--dim", "3", "--volume", "bh",
+             "--base-points", "1", "--samples", "1"],
+            0, "QuadratureError", "sphere quadrature did not converge",
+        ),
+        # sigma(x) = x1 is positive at base point 0 and negative at base point 1
+        (
+            ["--metric", "euclidean", "--dim", "2", "--volume", "expr:x1",
+             "--base-points", "3", "--samples", "2", "--seed", "1"],
+            1, "VolumeFormError", "sigma(x) = -0.534338312799916 must be positive",
+        ),
+    ],
+    ids=["quadrature", "volume-form"],
+)
+def test_a_fault_at_a_sampled_point_is_named_in_the_report_and_exits_2(
+    tmp_path, capsys, argv, base, located, message
+):
     out = tmp_path / "report.json"
-    code = run_cli(
-        "check", "--metric-expr", "sqrt(y1^2+y2^2+y3^2) + 0.97*y1", "--dim", "3",
-        "--volume", "bh", "--base-points", "1", "--samples", "1", "--out", str(out),
-    )
-    assert code == 2
+    assert run_cli("check", *argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert "QuadratureError at base 0, fibre 0, chart " in err
-    assert ", u=[" in err and "sphere quadrature did not converge" in err
+    prefix = f"{located} at base {base}, fibre 0, chart "
+    assert prefix in err
+    assert ", u=[" in err and message in err
     doc = json.loads(out.read_text())
     for check in doc["checks"]:
         assert not check["pass"]
-        assert check["error"].startswith("QuadratureError at base 0, fibre 0, chart ")
+        assert check["error"].startswith(prefix)
         assert check["error"] in err
+        # the rows of the base points before the failing one, and no other
+        assert {row["base"] for row in check["points"]} == set(range(base))
 
 
 @pytest.mark.parametrize("command", ["audit", "curvature"])
@@ -483,6 +501,40 @@ def test_dimension_above_the_jet_variable_cap_exits_2_before_the_metric_is_built
         assert err == f"error: dim: dimension must be at most 8, the jet variable cap, got {dim}\n"
 
 
+@pytest.mark.parametrize("dim", ["5", "8"])
+def test_x_dependent_metric_above_half_the_cap_exits_2_before_any_expansion(capsys, core_counts, dim):
+    commands = (
+        ["check", "--samples", "1", "--base-points", "1"],
+        ["audit", "--samples", "1", "--base-points", "1"],
+        ["curvature", "--x", ",".join(["0"] * int(dim)), "--y", ",".join(["1"] * int(dim))],
+    )
+    for argv in commands:
+        assert run_cli(*argv, "--metric", "randers", "--dim", dim) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: dim: dimension must be at most 4 for an x-dependent F, got {dim}\n"
+    assert core_counts["expansions"] == 0
+
+
+def test_every_error_class_of_the_package_is_an_input_fault():
+    """An input error outside the family would escape the exit-2 boundary of
+    the CLI and the point location of the identity suite and the audit."""
+    import inspect
+
+    from finslerlab import InputFault, checks, cli, core, expr, volume, zoo
+
+    classes = {
+        cls
+        for module in (expr, core, volume, zoo, checks, cli)
+        for cls in vars(module).values()
+        if inspect.isclass(cls)
+        and issubclass(cls, BaseException)
+        and cls.__module__.startswith("finslerlab")
+    }
+    outside = {f"{cls.__module__}.{cls.__qualname__}" for cls in classes if not issubclass(cls, InputFault)}
+    # a jet domain fault never leaves expr, which raises it as an EvalDomainError
+    assert outside == {"finslerlab.jets.JetDomainError"}
+
+
 @pytest.mark.parametrize(
     "point,err",
     [
@@ -494,17 +546,25 @@ def test_dimension_above_the_jet_variable_cap_exits_2_before_the_metric_is_built
             ["--metric-expr", "sqrt(y1^2+y2^2)", "--x", "1,0", "--volume", "expr:exp(1000*x1)"],
             "exp() overflows at value 1000.0 in subexpression 'exp(1000.0 * x1)'",
         ),
-        # a11 overflows at a validation trial, so the model is rejected
+        # a11 overflows at a validation trial, so the model is rejected and
+        # the trial named
         (
             ["--metric", "riemannian", "--params", "a11=exp(1000*x1)", "--x", "1,0"],
-            "metric: exp() overflows at value 728.5355120505275 in subexpression 'exp(1000.0 * x1)'",
+            "metric: exp() overflows at value 728.5355120505275 in subexpression 'exp(1000.0 * x1)'"
+            " at x=[ 0.72853551 -0.07020534], y=[0.18560738 0.96608758]",
         ),
         (
             ["--metric-expr", "sqrt(y1^2+y2^2)*(1+x1^2)^1.5", "--x", "1e103,0"],
             "pow[1.5]() overflows at value 1e+206 in subexpression '(1.0 + x1^2.0)^1.5'",
         ),
+        # a float quotient that overflows, not a non-positive F of -inf
+        (
+            ["--metric-expr", "sqrt(y1^2+y2^2)*(1+x1/1e-310)", "--x", "0.5,0"],
+            "metric: div() overflows at value 1e-310 in subexpression 'x1 / 1e-310'"
+            " at x=[0.17049474 0.41208141], y=[ 1.3019584 -0.4697052]",
+        ),
     ],
-    ids=["exp-metric", "exp-volume", "exp-param", "pow"],
+    ids=["exp-metric", "exp-volume", "exp-param", "pow", "div"],
 )
 def test_curvature_where_a_jet_function_overflows_exits_2(capsys, point, err):
     with warnings.catch_warnings():

@@ -366,6 +366,7 @@ _TREES = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(_TREES, st.sampled_from([(4, 4), (4, 5, 2, 1), (4, 3, 2, 2)]))
 @example("(x1 * ((2.795724624045467e-286))^(-2))", (4, 4))  # a float power that overflows
+@example("(x1 * ((3.0) / (1e-310)))", (4, 4))  # a float quotient that overflows
 def test_grade_bounds_the_nonzero_coefficients(text, signature):
     """Random expression trees over x1, x2, y1, y2 and constants, evaluated on
     jets: the grade bounds the nonzero coefficients, and every product gives
