@@ -12,7 +12,8 @@ grammar, tightest binding first:
 with the functions ``sqrt``, ``exp`` and ``ln``.  Evaluation is generic over
 the scalar type: plain floats, numpy arrays, and jets all work, so a single
 definition drives point evaluation, exact Taylor differentiation, and the
-finite-difference oracles in the tests.
+finite-difference oracles in the tests.  Complex input keeps its dtype, with
+domains tested on the real part, so a complex step x + ih gives h dF/dx.
 
 ASTs are immutable (frozen dataclasses) and evaluation is pure, so parsed
 expressions can be shared freely across threads.
@@ -363,8 +364,12 @@ def _float_apply(fn, name: str, node: Node, *args):
         args = np.broadcast_arrays(*args)
         for arg in args:
             overflowed &= np.isfinite(arg)
-        raise EvalDomainError(node, name, float(args[-1][overflowed][0]), overflows=True) from None
-    return out if np.ndim(out) else float(out)
+        raise EvalDomainError(node, name, float(args[-1][overflowed][0].real), overflows=True) from None
+    return out if np.ndim(out) else out.item()
+
+
+def _as_array(v) -> np.ndarray:  # float64, or complex128 for a complex step
+    return np.asarray(v, dtype=np.result_type(v, np.float64))
 
 
 def _fn_apply(name: str, v, node: Node):
@@ -373,9 +378,9 @@ def _fn_apply(name: str, v, node: Node):
             return getattr(v, name)()
         except JetDomainError as err:
             raise EvalDomainError(node, name, err.value, err.overflows) from None
-    arr = np.asarray(v, dtype=float)
-    if name in ("sqrt", "ln") and np.any(arr <= 0.0):
-        raise EvalDomainError(node, name, float(arr.min()))
+    arr = _as_array(v)
+    if name in ("sqrt", "ln") and np.any(arr.real <= 0.0):
+        raise EvalDomainError(node, name, float(arr.real.min()))
     return _float_apply(_FLOAT_FUNCTIONS[name], name, node, arr)
 
 
@@ -386,12 +391,12 @@ def _pow_apply(v, exponent: float, node: Node):
             return v ** exponent
         except JetDomainError as err:
             raise EvalDomainError(node, name, err.value, err.overflows) from None
-    arr = np.asarray(v, dtype=float)
+    arr = _as_array(v)
     if exponent == int(exponent):
-        if exponent < 0 and np.any(arr == 0.0):
+        if exponent < 0 and np.any(arr.real == 0.0):
             raise EvalDomainError(node, name, 0.0)
-    elif np.any(arr <= 0.0):
-        raise EvalDomainError(node, name, float(arr.min()))
+    elif np.any(arr.real <= 0.0):
+        raise EvalDomainError(node, name, float(arr.real.min()))
     return _float_apply(lambda base: base ** exponent, name, node, arr)
 
 
@@ -401,8 +406,8 @@ def _div_apply(num, den, node: Node):
             return num / den
         except JetDomainError as err:
             raise EvalDomainError(node, "div", err.value) from None
-    arr = np.asarray(den, dtype=float)
-    if np.any(arr == 0.0):
+    arr = _as_array(den)
+    if np.any(arr.real == 0.0):
         raise EvalDomainError(node, "div", 0.0)
     return _float_apply(np.divide, "div", node, num, arr)
 
@@ -410,8 +415,8 @@ def _div_apply(num, den, node: Node):
 def evaluate(node: Node, x: Sequence, y: Sequence, params: Mapping[str, float] | None = None):
     """Evaluate the tree at (x, y).
 
-    Coordinate entries may be floats, numpy arrays, or jets, as long as all
-    entries share one kind; the result has the same kind.
+    Coordinate entries may be floats, complex numbers, numpy arrays or jets,
+    as long as all entries share one kind; the result has the same kind.
     """
     params = params or {}
 

@@ -397,6 +397,16 @@ def test_audit_expands_once_per_fibre_point(tmp_path, core_counts):
     assert core_counts["expansions"] == 3 * 2
 
 
+def test_bh_quadrature_gate_is_relative_above_one(tmp_path):
+    # sigma_BH = sqrt(det a) = 2e12 converges to 2.4e-12 relative, which an
+    # absolute gate of QUAD_TOL would reject
+    metric = ["--metric", "riemannian", "--dim", "3", "--params", "a_diag=1e8,4e8,1e8", "--volume", "bh"]
+    assert run_cli("check", *metric, "--samples", "2", "--base-points", "1", "--out", str(tmp_path / "c.json")) == 0
+    out = tmp_path / "curv.json"
+    assert run_cli("curvature", *metric, "--x", "0,0,0", "--y", "1,0,0", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["quantities"]["S"] == 0.0
+
+
 @pytest.mark.parametrize(
     "argv,base,located,message",
     [

@@ -266,6 +266,32 @@ def test_riemannian_auto_sigma_and_gradient_in_closed_form(rng):
         np.testing.assert_allclose(dln_sigma(model, x), expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "metric,dim,params",
+    [
+        ("riemannian", 3, {"a11": "exp(x1)"}),
+        ("randers", 2, None),
+        ("randers", 3, None),
+        ("randers", 4, None),
+        ("funk_ball", 3, None),
+        ("funk_ball", 4, None),
+    ],
+)
+def test_bh_log_gradient_matches_closed_forms(metric, dim, params, rng):
+    """d ln sigma_BH against the closed forms: sigma_BH = sqrt(det a) = e^(x1/2)
+    for the Riemannian metric, (1 - |b|^2)^((n+1)/2) with |b|^2 = 0.04 (x1^2 +
+    x2^2) for zoo randers, and 1 for funk_ball."""
+    model = build(metric, dim, params, volume="bh")
+    for _ in range(2):
+        x = model.sample_x(rng)
+        expected = np.zeros(dim)
+        if metric == "riemannian":
+            expected[0] = 0.5
+        elif metric == "randers":
+            expected[:2] = -(dim + 1) * 0.04 * x[:2] / (1.0 - 0.04 * (x[0] ** 2 + x[1] ** 2))
+        np.testing.assert_allclose(dln_sigma(model, x), expected, rtol=0, atol=1e-13)
+
+
 def test_non_homogeneous_rejected():
     with pytest.raises(MetricDefinitionError, match="homogeneous"):
         MetricModel(2, "y1 + y2^2")

@@ -1,3 +1,6 @@
+import warnings
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,3 +157,41 @@ def test_plain_evaluation_matches_jet_order_zero(zoo_models, rng):
             yj = [space.variable(n + i + 1, y[i]) for i in range(n)]
             jet = evaluate(model.f_ast, xj, yj, model.params)
             assert abs(jet.value - plain) <= 1e-13 * max(1.0, abs(plain))
+
+
+_STEP = 1e-20
+# sqrt, exp, ln, a non-integer power and a quotient, each with x in it
+_MIXED = "sqrt(y1^2 + y2^2 + y3^2)*exp(0.3*x1*x2) + ln(2 + x3)*(1 + x1^2)^1.5*y1^2/((2 + x2)*sqrt(y1^2 + y2^2))"
+
+
+def test_complex_step_matches_float_and_jet_derivative(zoo_models, rng):
+    """A complex x entry x_i + ih keeps its dtype through the float path: the
+    real part is the float value, and Im / h is the x_i-derivative that an
+    order-1 jet in x reads."""
+    cases = [(m.f_ast, m.params, m.sample_x(rng), m.sample_y(rng)) for m in zoo_models]
+    cases.append((parse(_MIXED, 3), {}, rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3)))
+    space = jet_space(3, 1)
+    for ast, params, x, y in cases:
+        plain = evaluate(ast, x, y, params)
+        # zero + a float F (one that does not read x) is a jet too
+        jet = space.constant(0.0) + evaluate(ast, [space.variable(i + 1, x[i]) for i in range(3)], y, params)
+        for i in range(3):
+            shifted = list(x.astype(complex))
+            shifted[i] += 1j * _STEP
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = evaluate(ast, shifted, y, params)
+            derivative = jet.coeffs[space.index_of[tuple(int(k == i) for k in range(3))]]
+            assert abs(value.real - plain) <= 1e-15 * abs(plain)
+            assert abs(value.imag / _STEP - derivative) <= 1e-13
+
+
+def test_complex_argument_outside_the_domain_is_the_float_fault():
+    ast = parse("sqrt(x1 - 1)*y1", 1)
+    with pytest.raises(EvalDomainError) as on_float:
+        evaluate(ast, [0.5], [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalDomainError) as on_complex:
+            evaluate(ast, [0.5 + 1j * _STEP], [1.0])
+    assert str(on_complex.value) == str(on_float.value)

@@ -330,7 +330,7 @@ def test_sampling_is_deterministic(randers3):
         np.testing.assert_array_equal(p1.u, p2.u)
 
 
-def test_restrict_fields_one_expansion_per_point(randers3, quartic3, core_counts):
+def test_suite_fibre_point_expands_f_once(randers3, quartic3, core_counts):
     """One point of the identity suite, with every field its residuals read,
     expands F once."""
     u = np.array([0.4, -0.3])
@@ -349,7 +349,7 @@ def test_restrict_fields_one_expansion_per_point(randers3, quartic3, core_counts
         ("riemannian", 3, "auto"),
     ],
 )
-def test_berwald_fields_equal_restrict_fields_bit_for_bit(family, dim, volume):
+def test_audit_fields_equal_suite_fields_bit_for_bit(family, dim, volume):
     from finslerlab.zoo import build
 
     model = build(family, dim, volume=volume)
@@ -361,7 +361,7 @@ def test_berwald_fields_equal_restrict_fields_bit_for_bit(family, dim, volume):
             np.testing.assert_array_equal(value, rf[name], err_msg=name)
 
 
-def test_restrict_fields_composes_each_distinct_flag_entry_once(randers3, monkeypatch):
+def test_suite_fibre_point_composes_each_distinct_flag_entry_once(randers3, monkeypatch):
     """At a point of the identity suite, a totally symmetric flag-point tensor
     is composed with y(u) once per sorted multi-index: at n = 3 that is 6
     entries each for g and E, 10 for the Cartan tensor and 1 for the
