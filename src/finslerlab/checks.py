@@ -22,18 +22,23 @@ Every check reads the fibre through the members of one
 :class:`~finslerlab.indicatrix.FibreJets` per point: the four identities of
 the suite from one object at :data:`SUITE_CHART_ORDER`, ``eq-2.5`` from one
 carrying S to chart order 3, and ``thm-1`` from one with g and E only.  The
-audit of a fibre is one pass over its sampled points: one expansion per
-point gives g, E, e and grad e for ``thm-1`` and, while every point so far
-is isotropic, the y-Hessians of S and F for the weak-isotropy test, whose
-residual max |Hess S - c Hess F| with c = e/(n-1) is formed once the fibre
-is found isotropic with constant e.
+suite and the audit walk one :func:`sweep` of seeded base and fibre points,
+which is their one fault boundary: an input fault at a point, or a
+residual, scale or audit quantity that is not finite, is a
+:class:`PointFault` naming base, fibre, chart and u.  The audit of a fibre
+takes one expansion per point for g, E, e and grad e and, while every point
+so far is isotropic, for the weak-isotropy residual max |Hess S - c Hess F|
+with c = e/(n-1) at the fibre's first point.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
-from typing import Mapping
+from functools import partial
+from itertools import groupby
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -46,7 +51,8 @@ __all__ = [
     "TAGS",
     "DEFAULT_TOLERANCES",
     "CheckReport",
-    "FibrePointError",
+    "PointFault",
+    "NonFiniteError",
     "SchurAudit",
     "WeakIsotropyRecord",
     "SUITE_CHART_ORDER",
@@ -57,8 +63,10 @@ __all__ = [
     "check_ricci",
     "isotropy_residual",
     "schur_audit",
+    "run_isotropy_audit",
     "run_identity_suite",
     "sample_base_points",
+    "sweep",
 ]
 
 TAGS = {
@@ -81,21 +89,20 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _where(fibre: int, point: IndicatrixPoint) -> str:
-    return f"fibre {fibre}, chart {point.chart.chart_id}, u={[float(v) for v in point.u]}"
+class PointFault(InputFault):
+    """An input fault at one sampled fibre point of :func:`sweep`, named by
+    its base point, fibre point, chart and chart coordinate, and by the
+    stage of the caller's work where it has one."""
+
+    def __init__(self, error: Exception, base: int, fibre: int, point: IndicatrixPoint, stage):
+        where = f"base {base}, fibre {fibre}, chart {point.chart.chart_id}, u={point.u.tolist()}"
+        where += f", stage {stage}" if stage else ""
+        super().__init__(f"{type(error).__name__} at {where}: {error}")
 
 
-class FibrePointError(InputFault):
-    """A domain fault at one sampled fibre point of the isotropy audit, whose
-    one stage is ``schur``; :meth:`located` adds the base point."""
-
-    def __init__(self, error: Exception, fibre: int, point: IndicatrixPoint):
-        self.error = error
-        self.where = f"{_where(fibre, point)}, stage schur"
-        super().__init__(f"{type(error).__name__} at {self.where}: {error}")
-
-    def located(self, base: int) -> str:
-        return f"{type(self.error).__name__} at base {base}, {self.where}: {self.error}"
+class NonFiniteError(InputFault):
+    """A residual, its scale or an audit quantity at a sampled point is not
+    finite: the numbers behind it overflowed, so it can neither pass nor fail."""
 
 
 def _scale(*terms) -> float:
@@ -197,18 +204,11 @@ class CheckReport:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "tag": self.tag,
-            "name": self.name,
-            "metric_id": self.metric_id,
-            "dim": self.dim,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "max_residual": self.max_residual,
-            "pass": self.passed,
-            "points": self.points,
-            **({"error": self.error} if self.error else {}),
-        }
+        record = asdict(self)
+        record["pass"] = record.pop("passed")
+        if not self.error:
+            del record["error"]
+        return record
 
     def to_bytes(self) -> bytes:
         return json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -218,6 +218,40 @@ def sample_base_points(model: MetricModel, count: int, rng) -> list[np.ndarray]:
     return [model.sample_x(rng) for _ in range(count)]
 
 
+# -- the sweep over sampled fibre points -------------------------------------------
+
+
+def sweep(
+    model: MetricModel, base_points: int, samples: int, rng, chart_order, work, stage
+) -> Iterator[tuple[int, int, IndicatrixPoint, dict]]:
+    """Yield ``(base, fibre, point, quantities)`` in a fixed order: the base
+    points drawn from ``rng`` by :func:`sample_base_points`, then the points
+    of each fibre by :func:`~finslerlab.indicatrix.sample_fibre_points`.
+    ``work(fj, earlier)`` reads one FibreJets of ``chart_order`` per point,
+    given the quantities of the earlier points of its fibre, and returns
+    named floats.  A fault there, or a quantity that is not finite, is a
+    :class:`PointFault` naming the point and ``stage``."""
+    for base, x in enumerate(sample_base_points(model, base_points, rng)):
+        yield from _fibre_sweep(model, base, x, samples, rng, chart_order, work, stage)
+
+
+def _fibre_sweep(model, base, x, samples, rng, chart_order, work, stage):
+    """:func:`sweep` over the one fibre at x, numbered ``base``."""
+    earlier: list[dict] = []
+    for fibre, point in enumerate(sample_fibre_points(model, x, samples, rng)):
+        try:
+            quantities = work(fibre_jets(model, point.chart, point.u, chart_order), earlier)
+            for name, value in quantities.items():
+                if not math.isfinite(value):
+                    raise NonFiniteError(f"the {name} is {value!r}, not a finite number")
+        except InputFault as err:
+            raise PointFault(err, base, fibre, point, stage) from err
+        earlier.append(quantities)
+        yield base, fibre, point, quantities
+
+
+# -- the identity suite ------------------------------------------------------------
+
 _SUITE = (
     ("pde", "vertical-pde", pde_residual),
     ("cartan_symmetry", "cartan-derivative-symmetry", cartan_symmetry_residual),
@@ -226,69 +260,53 @@ _SUITE = (
 )
 
 
+def _suite_point(fj: FibreJets, earlier: list) -> dict:
+    """The four residuals at one point, each with its scale."""
+    # g (through the curvature), S, E, then H: a point where more than one of
+    # them fails names the first
+    for member in ("curvature", "s", "e", "h"):
+        getattr(fj, member)
+    quantities = {}
+    for key, _, residual_fn in _SUITE:
+        tensor, scale = residual_fn(fj)
+        quantities[f"{TAGS[key]} residual"] = _maxabs(tensor) / scale
+        quantities[f"{TAGS[key]} scale"] = scale
+    return quantities
+
+
 def run_identity_suite(
-    model: MetricModel,
-    base_points: int,
-    fibre_samples: int,
-    seed: int,
+    model: MetricModel, base_points: int, fibre_samples: int, seed: int,
     tolerances: Mapping[str, float] | None = None,
 ) -> list[CheckReport]:
-    """Evaluate the four identity checks over a seeded sample.
-
-    One :class:`~finslerlab.indicatrix.FibreJets` per point, at
-    :data:`SUITE_CHART_ORDER`, feeds all four residuals, and a point's rows
-    are recorded once all four are evaluated, so a domain fault leaves no
-    row of its point in any report.  The points are visited in a fixed
-    order, so reports are deterministic for a given (metric, seed, sample
-    counts).
-    """
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(tolerances or {})
+    """The four identity checks over one :func:`sweep` of a seeded sample,
+    one FibreJets per point at :data:`SUITE_CHART_ORDER`; deterministic for
+    a given (metric, seed, sample counts).  A :class:`PointFault` fails
+    every block, which keeps the rows of the points before its point."""
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     rng = np.random.default_rng(seed)
-    bases = sample_base_points(model, base_points, rng)
-    reports = {
-        key: CheckReport(
-            tag=TAGS[key],
-            name=name,
-            metric_id=model.metric_id,
-            dim=model.dim,
-            seed=seed,
-            tolerance=tol[TAGS[key]],
-            max_residual=0.0,
-            passed=True,
-        )
-        for key, name, _ in _SUITE
-    }
-    for b_index, x in enumerate(bases):
-        points = sample_fibre_points(model, x, fibre_samples, rng)
-        for f_index, point in enumerate(points):
-            try:
-                fj = fibre_jets(model, point.chart, point.u, SUITE_CHART_ORDER)
-                # g (through the curvature), S, E, then H: a point where more
-                # than one of them fails names the first
-                for member in ("curvature", "s", "e", "h"):
-                    getattr(fj, member)
-                residuals = [residual_fn(fj) for _, _, residual_fn in _SUITE]
-            except InputFault as err:
-                # the metric is not Finsler at this point, or its volume
-                # coefficient cannot be computed there: not an identity
-                # exceedance; record where and fail the whole block
-                where = f"base {b_index}, {_where(f_index, point)}"
-                for key, _, _ in _SUITE:
-                    reports[key].error = f"{type(err).__name__} at {where}: {err}"
-                    reports[key].passed = False
-                return list(reports.values())
-            for (key, _, _), (tensor, scale) in zip(_SUITE, residuals):
-                value = _maxabs(tensor) / scale
-                report = reports[key]
-                report.points.append(
-                    {"base": b_index, "fibre": f_index, "residual": value}
-                )
-                if value > report.max_residual:
-                    report.max_residual = value
-    for report in reports.values():
-        report.passed = report.error is None and report.max_residual <= report.tolerance
-    return list(reports.values())
+    rows, error = [], None
+    try:
+        for base, fibre, _, quantities in sweep(
+            model, base_points, fibre_samples, rng, SUITE_CHART_ORDER, _suite_point, None
+        ):
+            rows.append((base, fibre, quantities))
+    except PointFault as err:
+        # the metric is not Finsler at this point, its volume coefficient
+        # cannot be computed there, or a residual overflowed: not an identity
+        # exceedance
+        error = str(err)
+    reports = []
+    for key, name, _ in _SUITE:
+        tag = TAGS[key]
+        points = [
+            {"base": b, "fibre": f, "residual": q[f"{tag} residual"]} for b, f, q in rows
+        ]
+        worst = max([0.0] + [row["residual"] for row in points])
+        passed = error is None and worst <= tol[tag]
+        reports.append(CheckReport(
+            tag, name, model.metric_id, model.dim, seed, tol[tag], worst, passed, points, error
+        ))
+    return reports
 
 
 # -- isotropy audit ----------------------------------------------------------------
@@ -352,75 +370,71 @@ def _y_hessians(tj: TensorJets) -> tuple[np.ndarray, np.ndarray]:
     return tuple(jet_partials(*jet, gammas)[..., 0].reshape(n, n) for jet in s_and_f)
 
 
-def schur_audit(
-    model: MetricModel,
-    x,
-    fibre_samples: int = 40,
-    seed: int = 0,
-    tol: float | None = None,
-    rng=None,
-) -> SchurAudit:
-    """Audit one fibre in one pass; ``tol`` (default the ``thm-1``
-    tolerance) bounds both the isotropy residual and the variation of the
-    Berwald scalar.
+_AUDIT_ORDER = {"g": 1, "e": 1}  # g and E to chart order 1, for grad e
 
-    One expansion per sampled point feeds both tests: g, E, e and grad e for
-    ``thm-1`` and, while every point so far is isotropic, the y-Hessians of
-    the volume-free S and of F, from which an ``isotropic-and-constant``
-    verdict forms the weak-isotropy record.  Every point checks that g is
-    positive definite; a domain fault is raised as a
-    :class:`FibrePointError` of stage ``schur``.
-    """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES["thm-1"]
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    points = sample_fibre_points(model, x, fibre_samples, rng)
-    max_iso = 0.0
-    e_values = []
-    max_grad = 0.0
-    hessians = []
-    for f_index, point in enumerate(points):
-        try:
-            fj = fibre_jets(model, point.chart, point.u, {"g": 1, "e": 1})
-            max_iso = max(max_iso, isotropy_residual(fj))
-            if max_iso <= tol:
-                hessians.append(_y_hessians(fj.tj))
-        except InputFault as err:
-            raise FibrePointError(err, f_index, point) from err
-        e_values.append(float(fj.berwald_scalar[0]))
-        e_grad = fj.covariant(fj.berwald_scalar, 1)[..., 0]
-        grad_norm = float(np.sqrt(e_grad @ fj.g_inv[..., 0] @ e_grad))
-        max_grad = max(max_grad, grad_norm)
-    e_min = min(e_values)
-    e_max = max(e_values)
+
+def _audit_point(tol: float, fj: FibreJets, earlier: list) -> dict:
+    """The audit's quantities at one point: the isotropy residual, e, |grad e|
+    and, while every point of the fibre so far is isotropic, c = e/(n-1) at
+    its first point and the weak-isotropy residual max |Hess S - c Hess F|."""
+    iso = isotropy_residual(fj)
+    e = float(fj.berwald_scalar[0])
+    e_grad = fj.covariant(fj.berwald_scalar, 1)[..., 0]
+    grad_norm = float(np.sqrt(e_grad @ fj.g_inv[..., 0] @ e_grad))
+    quantities = {"isotropy residual": iso, "e": e, "|grad e|": grad_norm}
+    if iso <= tol and (not earlier or "Hessian residual" in earlier[-1]):
+        hess_s, hess_f = _y_hessians(fj.tj)
+        c = (earlier[0]["e"] if earlier else e) / (fj.model.dim - 1)
+        quantities.update({"c": c, "Hessian residual": _maxabs(hess_s - c * hess_f)})
+    return quantities
+
+
+def _fibre_audit(model: MetricModel, fibre: list[tuple], seed: int, tol: float) -> SchurAudit:
+    """The verdict of one fibre from the :func:`sweep` items of its points."""
+    points = [quantities for *_, quantities in fibre]
+    max_iso = max(0.0, *(q["isotropy residual"] for q in points))
+    max_grad = max(0.0, *(q["|grad e|"] for q in points))
+    e_min, e_max = min(q["e"] for q in points), max(q["e"] for q in points)
     spread = e_max - e_min
-    isotropic = max_iso <= tol
-    constant = spread <= tol and max_grad <= tol
     weak = None
-    if not isotropic:
+    if max_iso > tol:
         verdict = "non-isotropic"
-    elif constant:
+    elif spread <= tol and max_grad <= tol:
         verdict = "isotropic-and-constant"
-        c = e_values[0] / (model.dim - 1)  # Hess(S - c F) is linear in c, so c comes last
-        worst = max(_maxabs(hess_s - c * hess_f) for hess_s, hess_f in hessians)
-        weak = WeakIsotropyRecord(c=c, max_hessian_residual=worst, samples=len(hessians))
+        worst = max(q["Hessian residual"] for q in points)
+        weak = WeakIsotropyRecord(c=points[0]["c"], max_hessian_residual=worst, samples=len(points))
     elif model.dim >= 3:
         verdict = "VIOLATION"
     else:
         verdict = "isotropic-nonconstant"
     return SchurAudit(
-        verdict=verdict,
-        metric_id=model.metric_id,
-        dim=model.dim,
-        seed=seed,
-        samples=fibre_samples,
-        max_isotropy_residual=max_iso,
-        e_min=e_min,
-        e_max=e_max,
-        e_spread=spread,
-        max_e_gradient=max_grad,
-        asserted=model.dim >= 3,
-        tol=tol,
-        weak=weak,
+        verdict, model.metric_id, model.dim, seed, len(points), max_iso,
+        e_min, e_max, spread, max_grad, model.dim >= 3, tol, weak,
     )
+
+
+def run_isotropy_audit(
+    model: MetricModel, base_points: int, fibre_samples: int, seed: int, tol: float
+) -> list[tuple[np.ndarray, SchurAudit]]:
+    """The audit of each fibre of one :func:`sweep` over a seeded sample,
+    with its base point; ``tol`` bounds both the isotropy residual and the
+    variation of the Berwald scalar.  A fault, also where g is not positive
+    definite, is a :class:`PointFault` of stage ``schur``."""
+    work, rng = partial(_audit_point, tol), np.random.default_rng(seed)
+    points = sweep(model, base_points, fibre_samples, rng, _AUDIT_ORDER, work, "schur")
+    fibres = [list(fibre) for _, fibre in groupby(points, key=lambda item: item[0])]
+    return [(fibre[0][2].chart.x, _fibre_audit(model, fibre, seed, tol)) for fibre in fibres]
+
+
+def schur_audit(
+    model: MetricModel, x, fibre_samples: int = 40, seed: int = 0, tol: float | None = None,
+    rng=None,
+) -> SchurAudit:
+    """:func:`run_isotropy_audit` of the one fibre over x, numbered base 0,
+    its points drawn from ``rng`` (default seeded by ``seed``); ``tol``
+    defaults to the ``thm-1`` tolerance."""
+    tol = DEFAULT_TOLERANCES["thm-1"] if tol is None else tol
+    rng = np.random.default_rng(seed) if rng is None else rng
+    work = partial(_audit_point, tol)
+    points = _fibre_sweep(model, 0, x, fibre_samples, rng, _AUDIT_ORDER, work, "schur")
+    return _fibre_audit(model, list(points), seed, tol)

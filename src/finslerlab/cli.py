@@ -26,14 +26,14 @@ import sys
 import numpy as np
 
 from . import InputFault, __version__
-from .checks import (
-    DEFAULT_TOLERANCES,
-    FibrePointError,
-    run_identity_suite,
-    sample_base_points,
-    schur_audit,
+from .checks import DEFAULT_TOLERANCES, run_identity_suite, run_isotropy_audit
+from .core import (
+    CoordinateTensors,
+    FlagPoint,
+    MetricModel,
+    UnsupportedDimensionError,
+    coordinate_tensors,
 )
-from .core import CoordinateTensors, FlagPoint, MetricModel, coordinate_tensors
 from .indicatrix import FibreChart, direction_chart, fibre_jets
 from .jets import MAX_VARS
 from .zoo import ParamError, build, entries, number_param
@@ -212,10 +212,10 @@ def _resolve_model(config: dict) -> MetricModel:
         raise InputError("metric", str(err.args[0])) from None
     except ParamError as err:
         raise InputError("params", str(err)) from None
+    except UnsupportedDimensionError as err:
+        raise InputError("dim", str(err)) from None
     except ValueError as err:
         raise InputError("metric", str(err)) from None
-    if model.depends_on_x and dim > MAX_VARS // 2:  # its jets run over x and y
-        raise InputError("dim", f"dimension must be at most {MAX_VARS // 2} for an x-dependent F, got {dim}")
     return model
 
 
@@ -260,7 +260,7 @@ def _json_only(config: dict) -> None:
         raise InputError("format", f"this command writes json only, got {fmt!r}")
 
 
-def _echo_config(config: dict, model: MetricModel, extra: dict) -> dict:
+def _echo_config(config: dict, model: MetricModel, **extra) -> dict:
     echo = {
         "metric": config.get("metric") or "expr",
         "metric_expr": config.get("metric_expr"),
@@ -347,7 +347,7 @@ def _cmd_curvature(args) -> int:
     document = {
         "schema_version": SCHEMA_VERSION,
         "command": "curvature",
-        "config": _echo_config(config, model, {}),
+        "config": _echo_config(config, model),
         "x": list(point.x),
         "y": list(point.y),
         "quantities": {
@@ -379,16 +379,8 @@ def _cmd_check(args) -> int:
     reports = run_identity_suite(model, base_points, samples, seed, tolerances)
     reports.sort(key=lambda r: r.tag)
     echo = _echo_config(
-        config,
-        model,
-        {
-            "seed": seed,
-            "samples": samples,
-            "base_points": base_points,
-            "tolerances": {
-                tag: tolerances.get(tag, DEFAULT_TOLERANCES[tag]) for tag in sorted(_TOL_FLAGS)
-            },
-        },
+        config, model, seed=seed, samples=samples, base_points=base_points,
+        tolerances={report.tag: report.tolerance for report in reports},
     )
     fmt = config.get("format", "json")
     if fmt == "csv":
@@ -420,41 +412,19 @@ def _cmd_audit(args) -> int:
     _json_only(config)
     model = _resolve_model(config)
     seed, samples, base_points = _sampling(config, 40)
-    tol = _tolerance(config, "tol_thm_1")
-    rng = np.random.default_rng(seed)
-    bases = sample_base_points(model, base_points, rng)
+    tol = _tolerance(config, "tol_thm_1") or DEFAULT_TOLERANCES["thm-1"]
     audits = []
-    worst = "isotropic-and-constant"
-    for index, x in enumerate(bases):
-        try:
-            audit = schur_audit(model, x, fibre_samples=samples, seed=seed, tol=tol, rng=rng)
-        except FibrePointError as err:
-            print(f"error: {err.located(index)}", file=sys.stderr)
-            return 2
+    for index, (x, audit) in enumerate(run_isotropy_audit(model, base_points, samples, seed, tol)):
         record = {"base": index, "x": list(x), "schur": audit.to_dict()}
         if audit.weak is not None:
             record["weak_isotropy"] = audit.weak.to_dict()
         audits.append(record)
-        if audit.verdict == "VIOLATION":
-            worst = "VIOLATION"
     echo = _echo_config(
-        config,
-        model,
-        {
-            "seed": seed,
-            "samples": samples,
-            "base_points": base_points,
-            "tolerances": {"thm-1": tol if tol is not None else DEFAULT_TOLERANCES["thm-1"]},
-        },
+        config, model, seed=seed, samples=samples, base_points=base_points, tolerances={"thm-1": tol}
     )
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "audit",
-        "config": echo,
-        "audits": audits,
-    }
+    document = {"schema_version": SCHEMA_VERSION, "command": "audit", "config": echo, "audits": audits}
     _emit_json(document, config.get("out"))
-    return 1 if worst == "VIOLATION" else 0
+    return 1 if any(record["schur"]["verdict"] == "VIOLATION" for record in audits) else 0
 
 
 def main(argv=None) -> int:

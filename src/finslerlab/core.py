@@ -86,6 +86,7 @@ __all__ = [
     "s_main_jet",
     "sigma_value",
     "dln_sigma",
+    "sigma_and_dln",
 ]
 
 EIGENVALUE_FLOOR = 1e-10
@@ -118,7 +119,7 @@ class NonPositiveMetricError(InputFault):
 
 
 class UnsupportedDimensionError(InputFault):
-    """The requested computation would exceed the jet engine variable cap."""
+    """The dimension of an x-dependent F exceeds half the jet variable cap."""
 
 
 class VolumeFormError(InputFault):
@@ -171,8 +172,10 @@ class MetricModel:
     through :meth:`sample_x` and :meth:`sample_y` with a scale a in
     [0.1, 10]: at each trial F must be defined, positively 1-homogeneous
     (F(x, a y) = a F(x, y) to 1e-8 relative) and positive, and the first
-    failing trial is named.  Positive definiteness of the fundamental tensor
-    is checked lazily wherever g is assembled.
+    failing trial is named.  An F that depends on x is expanded over x and
+    y, so its dimension is at most half the jet variable cap, else
+    :class:`UnsupportedDimensionError`.  Positive definiteness of the
+    fundamental tensor is checked lazily wherever g is assembled.
 
     ``a_asts`` carries the matrix entries of a Riemannian ground metric and
     is required by the ``riemannian_auto`` volume form, where
@@ -223,6 +226,10 @@ class MetricModel:
             ):
                 raise VolumeFormError("the volume coefficient may only depend on x")
         self._validate()
+        if self.depends_on_x and dim > jets.MAX_VARS // 2:  # its jets run over x and y
+            raise UnsupportedDimensionError(
+                f"dimension must be at most {jets.MAX_VARS // 2} for an x-dependent F, got {dim}"
+            )
 
     def _validate(self):
         """Scan the trials in order; the first that is undefined, not
@@ -343,12 +350,6 @@ class TensorJets:
         self.order = order
         self.y = np.asarray(y, dtype=float)
         self.n_vars = 2 * n if with_x else n
-        if self.n_vars > jets.MAX_VARS:
-            raise UnsupportedDimensionError(
-                f"dim {n} needs jets over {self.n_vars} variables; the engine caps at "
-                f"{jets.MAX_VARS} (x-dependent metrics are supported up to dim "
-                f"{jets.MAX_VARS // 2})"
-            )
         self.y_offset = n if with_x else 0
         self.x_vars = self.y_offset  # the variables limited to x-degree 1
         space = self.space(order)
@@ -531,9 +532,16 @@ def dln_sigma(model: MetricModel, x) -> np.ndarray:
     if kind == "lebesgue":
         return np.zeros(model.dim)
     if kind == "busemann_hausdorff":
-        return volume.bh_log_gradient(model, x)
+        return volume.bh_sigma_and_log_gradient(model, x)[1]
     m, power, _ = _sigma_matrix(model, x, 1)
     return power * np.einsum("ij,jik->k", np.linalg.inv(m[..., 0]), m[..., 1:])
+
+
+def sigma_and_dln(model: MetricModel, x) -> tuple[float, np.ndarray]:
+    """sigma(x) and the gradient of ln sigma at x, from one BH coefficient."""
+    if model.volume.kind == "busemann_hausdorff":
+        return volume.bh_sigma_and_log_gradient(model, x)
+    return sigma_value(model, x), dln_sigma(model, x)
 
 
 # -- public coordinate operations ----------------------------------------------
@@ -555,13 +563,16 @@ def coordinate_tensors(model: MetricModel, point: FlagPoint) -> CoordinateTensor
     with_x = model.depends_on_x
     tj = TensorJets(model, point.x, point.y, 5 if with_x else 3, with_x)
     g = g_jets(tj, 0)[..., 0]
+    cartan, spray = cartan_jets(tj, 0)[..., 0], spray_jets(tj, 0)[..., 0]
+    nonlinear, berwald = nonlinear_jets(tj, 0)[..., 0], berwald_jets(tj, 0)[..., 0]
+    sigma, grad = sigma_and_dln(model, point.x)
     return CoordinateTensors(
         f=tj.f_jet.value,
         g=g,
-        cartan=cartan_jets(tj, 0)[..., 0],
-        spray=spray_jets(tj, 0)[..., 0],
-        nonlinear=nonlinear_jets(tj, 0)[..., 0],
-        mean_berwald=berwald_jets(tj, 0)[..., 0],
-        tau=0.5 * math.log(np.linalg.det(g)) - math.log(sigma_value(model, point.x)),
-        s=float(s_main_jet(tj, 0)[0]) - float(point.y @ dln_sigma(model, point.x)),
+        cartan=cartan,
+        spray=spray,
+        nonlinear=nonlinear,
+        mean_berwald=berwald,
+        tau=0.5 * math.log(np.linalg.det(g)) - math.log(sigma),
+        s=float(s_main_jet(tj, 0)[0]) - float(point.y @ grad),
     )

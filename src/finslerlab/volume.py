@@ -7,8 +7,9 @@ sphere rules are a 2048-point trapezoid on the circle, a Gauss-Legendre by
 trapezoid product on S^2, and Gauss-Jacobi products in higher dimension;
 every evaluation runs the rule twice (base and refined) and reports the
 difference as its error bound, gated relative to the coefficient above 1.
-The gradient of ln sigma_BH differentiates the refined integral under the
-sign, with d_x F from a complex step through the expression evaluator.
+The gradient of ln sigma_BH comes with the coefficient it divides by: it
+differentiates the refined integral under the sign, with d_x F from a
+complex step through the expression evaluator.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "sphere_quadrature",
     "unit_set_volume",
     "bh_volume_coefficient",
+    "bh_sigma_and_log_gradient",
 ]
 
 CIRCLE_POINTS = 2048
@@ -119,14 +121,15 @@ def bh_volume_coefficient(model, x) -> float:
     return fine
 
 
-def bh_log_gradient(model, x) -> np.ndarray:
-    """Gradient of ln(sigma_BH) at x, exact to roundoff: on the rule of the
-    reported coefficient, d_i ln sigma = n * (integral of F^(-n-1) d_i F) /
-    (integral of F^(-n)), with the complex step d_i F = Im F(x + ih e_i) / h."""
+def bh_sigma_and_log_gradient(model, x) -> tuple[float, np.ndarray]:
+    """The Busemann-Hausdorff coefficient at x and the gradient of its log,
+    exact to roundoff: on the rule of the reported coefficient, d_i ln sigma =
+    n * (integral of F^(-n-1) d_i F) / (integral of F^(-n)), with the complex
+    step d_i F = Im F(x + ih e_i) / h."""
     n = model.dim
-    # sigma / vol(B^n) = n / (integral of F^(-n)); the call is also the convergence gate
-    scale = bh_volume_coefficient(model, x) / (unit_ball_volume(n) * _COMPLEX_STEP)
+    sigma = bh_volume_coefficient(model, x)  # also the convergence gate
+    scale = sigma / (unit_ball_volume(n) * _COMPLEX_STEP)  # sigma / vol(B^n) = n / integral of F^-n
     points, weights = sphere_quadrature(n, 1)
     rows = np.asarray(x) + 1j * _COMPLEX_STEP * np.eye(n)  # row i is x + ih e_i
     values = (_norm_on_sphere(model, row, points) for row in rows)
-    return scale * np.array([np.sum(weights * f.real ** (-n - 1) * f.imag) for f in values])
+    return sigma, scale * np.array([np.sum(weights * f.real ** (-n - 1) * f.imag) for f in values])

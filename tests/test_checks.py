@@ -4,7 +4,7 @@ import pytest
 from finslerlab.checks import (
     DEFAULT_TOLERANCES,
     SUITE_CHART_ORDER,
-    FibrePointError,
+    PointFault,
     cartan_symmetry_residual,
     check_ricci,
     codazzi_residual,
@@ -12,7 +12,9 @@ from finslerlab.checks import (
     isotropy_residual,
     pde_residual,
     run_identity_suite,
+    sample_base_points,
     schur_audit,
+    sweep,
 )
 from finslerlab.core import MetricModel, NonPositiveDefiniteError, coordinate_tensors
 from finslerlab.indicatrix import (
@@ -209,13 +211,48 @@ def test_a_fault_in_a_later_residual_leaves_no_row_of_its_point(randers3, monkey
         assert [row["fibre"] for row in report.points] == [0]
 
 
+def test_sweep_visits_the_points_the_samplers_replay(randers3):
+    """perfbench's check workload replays the sweep's points this way."""
+
+    def work(fj, earlier):
+        return {"earlier points": len(earlier)}
+
+    swept = list(sweep(randers3, 2, 3, np.random.default_rng(5), {"g": 1}, work, None))
+    rng = np.random.default_rng(5)
+    replay = [
+        (base, fibre, point)
+        for base, x in enumerate(sample_base_points(randers3, 2, rng))
+        for fibre, point in enumerate(sample_fibre_points(randers3, x, 3, rng))
+    ]
+    assert [item[:2] for item in swept] == [item[:2] for item in replay]
+    for (_, fibre, point, quantities), (_, _, want) in zip(swept, replay):
+        assert point.chart.chart_id == want.chart.chart_id
+        assert point.u.tolist() == want.u.tolist()
+        assert point.chart.x.tolist() == want.chart.x.tolist()
+        assert quantities["earlier points"] == fibre  # the earlier points of its fibre
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_quantity_that_is_not_finite_is_a_point_fault(randers3, value):
+    def work(fj, earlier):
+        return {"eq-2.1 residual": 0.0, "eq-2.1 scale": value} if earlier else {"e": 1.0}
+
+    points = sweep(randers3, 1, 2, np.random.default_rng(0), {"g": 1}, work, "probe")
+    assert next(points)[:2] == (0, 0)
+    with pytest.raises(PointFault, match=r"^NonFiniteError at base 0, fibre 1, chart ") as info:
+        next(points)
+    assert str(info.value).endswith(f", stage probe: the eq-2.1 scale is {value!r}, not a finite number")
+
+
 def test_domain_fault_names_the_fibre_point_and_stage():
     model = MetricModel(3, "sqrt(y1^2+y2^2+y3^2) + 0.9*y1^3/(y1^2+y2^2+y3^2)")
     x = np.zeros(3)
-    with pytest.raises(FibrePointError, match=r"^NonPositiveDefiniteError at fibre 0, chart ") as info:
+    first = sample_fibre_points(model, x, 5, np.random.default_rng(4))[0]
+    where = f"at base 0, fibre 0, chart {first.chart.chart_id}, u={first.u.tolist()}, stage schur: "
+    with pytest.raises(PointFault) as info:
         schur_audit(model, x, fibre_samples=5, seed=4)
-    assert ", stage schur: " in str(info.value)
-    assert info.value.located(2).startswith("NonPositiveDefiniteError at base 2, fibre 0, chart ")
+    assert str(info.value).startswith(f"NonPositiveDefiniteError {where}")
+    assert isinstance(info.value.__cause__, NonPositiveDefiniteError)
 
 
 def test_weak_isotropy_checks_convexity_at_every_point():
@@ -231,10 +268,12 @@ def test_weak_isotropy_checks_convexity_at_every_point():
     assert len(bad) == 9 and bad[0] > 0  # the first point is convex
     # the one-pass audit, which also takes the weak-isotropy Hessians, visits
     # the same points and stops at the first non-convex one
-    first_bad = rf"^NonPositiveDefiniteError at fibre {bad[0]}, chart "
-    with pytest.raises(FibrePointError, match=first_bad) as info:
+    point = points[bad[0]]
+    where = f"at base 0, fibre {bad[0]}, chart {point.chart.chart_id}, u={point.u.tolist()}"
+    with pytest.raises(PointFault) as info:
         schur_audit(model, x, fibre_samples=40, rng=np.random.default_rng(1))
-    assert ", stage schur: fundamental tensor is not positive" in str(info.value)
+    message = f"NonPositiveDefiniteError {where}, stage schur: fundamental tensor is not positive"
+    assert str(info.value).startswith(message)
 
 
 def test_weak_isotropy_funk(funk3):

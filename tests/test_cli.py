@@ -363,6 +363,73 @@ def test_non_convex_point_in_the_audit_is_named_and_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_check_and_audit_name_the_same_non_convex_point(capsys):
+    """Both walk one sweep, so both stop at its first non-convex point."""
+    argv = ["--metric-expr", "sqrt(y1^2+y2^2+y3^2) + 0.9*y1^3/(y1^2+y2^2+y3^2)", "--dim", "3",
+            "--samples", "5", "--base-points", "2"]
+    assert run_cli("check", *argv) == 2
+    check_err = capsys.readouterr().err
+    assert run_cli("audit", *argv) == 2
+    audit_err = capsys.readouterr().err
+    where = "NonPositiveDefiniteError at base 0, fibre 0, chart south, u=[-0.3199284284897"
+    assert check_err.startswith(f"error: {where}")
+    # the same line, with the audit's stage before the message
+    assert audit_err == check_err.replace("]: ", "], stage schur: ", 1)
+
+
+# numpy still warns where these jets overflow, as nothing yet turns the
+# overflow itself into an error; what is tested here is that the number it
+# leaves never passes
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
+@pytest.mark.parametrize(
+    "argv,located",
+    [
+        (
+            ["check", "--metric", "riemannian", "--dim", "2",
+             "--params", "a11=1e200*(1+x1^2)", "a22=1e200", "--samples", "2", "--base-points", "1"],
+            "fibre 0, chart south, u=[0.09699382017751003]: the eq-2.1 residual is nan",
+        ),
+        (
+            ["audit", "--metric", "riemannian", "--dim", "3", "--params", "a11=1e200*(1+x1^2)",
+             "a22=1e200", "a33=1e200", "--samples", "2", "--base-points", "1"],
+            "fibre 0, chart north, u=[-0.1941272469523367, 0.1310424975520206], stage schur: "
+            "the isotropy residual is nan",
+        ),
+        (
+            ["check", "--metric", "euclidean", "--dim", "2", "--volume", "expr:1e300*exp(x1*700)",
+             "--samples", "2", "--base-points", "3"],
+            "fibre 0, chart south, u=[-0.6221760818800789]: the eq-2.1 residual is nan",
+        ),
+    ],
+    ids=["check-jets", "audit-jets", "check-volume"],
+)
+def test_a_residual_that_is_not_finite_is_a_located_fault_and_exits_2(tmp_path, capsys, argv, located):
+    out = tmp_path / "report.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: NonFiniteError at base 0, {located}, not a finite number\n"
+    if argv[0] == "check":  # the report fails every block and holds no row
+        for block in json.loads(out.read_text())["checks"]:
+            assert not block["pass"] and block["points"] == [] and block["error"] in err
+    else:
+        assert not out.exists()
+
+
+def test_curvature_computes_the_bh_coefficient_once(tmp_path, monkeypatch):
+    from finslerlab import volume
+
+    calls = []
+    quadrature = volume.unit_set_volume
+    monkeypatch.setattr(
+        volume, "unit_set_volume", lambda *args, **kw: calls.append(1) or quadrature(*args, **kw)
+    )
+    argv = ["--metric", "funk_ball", "--dim", "3", "--volume", "bh", "--x", "0.2,0.1,0", "--y", "0,1,0"]
+    assert run_cli("curvature", *argv, "--out", str(tmp_path / "curv.json")) == 0
+    assert len(calls) == 2  # the base rule and its refinement
+
+
 def test_guard_rejecting_every_direction_exits_2(monkeypatch, capsys):
     from finslerlab import cli
 

@@ -360,10 +360,12 @@ def test_coordinate_tensors_bundle(funk3):
 def test_unsupported_dimension_for_x_dependent():
     from finslerlab.core import UnsupportedDimensionError
 
-    model = build("funk_ball", 5)  # construction is fine
-    p = FlagPoint(np.zeros(5), np.ones(5))
-    with pytest.raises(UnsupportedDimensionError):
-        coordinate_tensors(model, p)
+    message = "^dimension must be at most 4 for an x-dependent F, got 5$"
+    with pytest.raises(UnsupportedDimensionError, match=message):
+        build("funk_ball", 5)
+    with pytest.raises(UnsupportedDimensionError, match=message):
+        MetricModel(5, "sqrt(y1^2+y2^2+y3^2+y4^2+y5^2)*exp(x1)")
+    assert not build("minkowski_quartic", 8).depends_on_x  # an x-free F keeps the full cap
 
 
 def test_minkowski_high_dimension_still_works():
