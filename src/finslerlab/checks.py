@@ -44,7 +44,7 @@ import numpy as np
 
 from . import InputFault
 from .core import MetricModel, TensorJets, s_main_jet
-from .indicatrix import FibreJets, IndicatrixPoint, fibre_jets, sample_fibre_points
+from .indicatrix import FibreJets, IndicatrixPoint, fibre_jets, fibre_point_draws
 from .jets import jet_partials
 
 __all__ = [
@@ -92,11 +92,14 @@ DEFAULT_TOLERANCES = {
 class PointFault(InputFault):
     """An input fault at one sampled fibre point of :func:`sweep`, named by
     its base point, fibre point, chart and chart coordinate, and by the
-    stage of the caller's work where it has one."""
+    stage of the caller's work where it has one; where drawing the point
+    failed, ``point`` is None and only base and fibre are named."""
 
-    def __init__(self, error: Exception, base: int, fibre: int, point: IndicatrixPoint, stage):
-        where = f"base {base}, fibre {fibre}, chart {point.chart.chart_id}, u={point.u.tolist()}"
-        where += f", stage {stage}" if stage else ""
+    def __init__(self, error: Exception, base: int, fibre: int, point: IndicatrixPoint | None, stage):
+        where = f"base {base}, fibre {fibre}"
+        if point is not None:
+            where += f", chart {point.chart.chart_id}, u={point.u.tolist()}"
+            where += f", stage {stage}" if stage else ""
         super().__init__(f"{type(error).__name__} at {where}: {error}")
 
 
@@ -226,11 +229,11 @@ def sweep(
 ) -> Iterator[tuple[int, int, IndicatrixPoint, dict]]:
     """Yield ``(base, fibre, point, quantities)`` in a fixed order: the base
     points drawn from ``rng`` by :func:`sample_base_points`, then the points
-    of each fibre by :func:`~finslerlab.indicatrix.sample_fibre_points`.
+    of each fibre by :func:`~finslerlab.indicatrix.fibre_point_draws`.
     ``work(fj, earlier)`` reads one FibreJets of ``chart_order`` per point,
     given the quantities of the earlier points of its fibre, and returns
-    named floats.  A fault there, or a quantity that is not finite, is a
-    :class:`PointFault` naming the point and ``stage``."""
+    named floats.  A fault there or in drawing the point, or a quantity that
+    is not finite, is a :class:`PointFault` naming the point and ``stage``."""
     for base, x in enumerate(sample_base_points(model, base_points, rng)):
         yield from _fibre_sweep(model, base, x, samples, rng, chart_order, work, stage)
 
@@ -238,8 +241,11 @@ def sweep(
 def _fibre_sweep(model, base, x, samples, rng, chart_order, work, stage):
     """:func:`sweep` over the one fibre at x, numbered ``base``."""
     earlier: list[dict] = []
-    for fibre, point in enumerate(sample_fibre_points(model, x, samples, rng)):
+    draws = fibre_point_draws(model, x, rng)
+    for fibre in range(samples):
+        point = None
         try:
+            point = next(draws)
             quantities = work(fibre_jets(model, point.chart, point.u, chart_order), earlier)
             for name, value in quantities.items():
                 if not math.isfinite(value):

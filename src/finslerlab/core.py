@@ -526,22 +526,21 @@ def sigma_value(model: MetricModel, x) -> float:
 
 
 def dln_sigma(model: MetricModel, x) -> np.ndarray:
-    """Gradient of ln(sigma) at x; for sigma = (det m)^power it is
-    power * tr(m^{-1} dm) (Jacobi's formula)."""
-    kind = model.volume.kind
-    if kind == "lebesgue":
-        return np.zeros(model.dim)
-    if kind == "busemann_hausdorff":
-        return volume.bh_sigma_and_log_gradient(model, x)[1]
-    m, power, _ = _sigma_matrix(model, x, 1)
-    return power * np.einsum("ij,jik->k", np.linalg.inv(m[..., 0]), m[..., 1:])
+    """Gradient of ln(sigma) at x."""
+    return sigma_and_dln(model, x)[1]
 
 
 def sigma_and_dln(model: MetricModel, x) -> tuple[float, np.ndarray]:
-    """sigma(x) and the gradient of ln sigma at x, from one BH coefficient."""
-    if model.volume.kind == "busemann_hausdorff":
+    """sigma(x) and the gradient of ln sigma at x, from one BH coefficient or
+    one matrix m of order 1; for sigma = (det m)^power the gradient is
+    power * tr(m^{-1} dm) (Jacobi's formula)."""
+    kind = model.volume.kind
+    if kind == "lebesgue":
+        return 1.0, np.zeros(model.dim)
+    if kind == "busemann_hausdorff":
         return volume.bh_sigma_and_log_gradient(model, x)
-    return sigma_value(model, x), dln_sigma(model, x)
+    m, power, det = _sigma_matrix(model, x, 1)
+    return det ** power, power * np.einsum("ij,jik->k", np.linalg.inv(m[..., 0]), m[..., 1:])
 
 
 # -- public coordinate operations ----------------------------------------------

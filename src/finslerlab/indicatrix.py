@@ -41,7 +41,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping
+from itertools import islice
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -68,6 +69,7 @@ __all__ = [
     "parameter_direction",
     "direction_chart",
     "fibre_jets",
+    "fibre_point_draws",
     "sample_fibre_points",
 ]
 
@@ -373,19 +375,21 @@ def _pullback(space: jets.JetSpace, t: np.ndarray, dy: np.ndarray) -> np.ndarray
 # -- sampling ------------------------------------------------------------------
 
 
-def sample_fibre_points(
-    model: MetricModel, x, count: int, rng
-) -> list[IndicatrixPoint]:
-    """Draw fibre points uniformly on the parameter sphere (seeded generator),
-    avoiding the chart poles, and attach each to the chart where |u| <= 1."""
+def sample_fibre_points(model: MetricModel, x, count: int, rng) -> list[IndicatrixPoint]:
+    """The first ``count`` points of :func:`fibre_point_draws`."""
+    return list(islice(fibre_point_draws(model, x, rng), count))
+
+
+def fibre_point_draws(model: MetricModel, x, rng) -> Iterator[IndicatrixPoint]:
+    """Fibre points drawn one at a time, uniformly on the parameter sphere
+    (seeded generator), avoiding the chart poles, each attached to the chart
+    of the fibre where |u| <= 1."""
     x = np.asarray(x, dtype=float)
     north = FibreChart(model, x, "north")
     charts = {"north": north, "south": north.opposite()}
-    points: list[IndicatrixPoint] = []
-    for _ in range(count):
+    while True:
         chart_id, u = direction_chart(_fibre_direction(model, rng))
-        points.append(IndicatrixPoint(charts[chart_id], u))
-    return points
+        yield IndicatrixPoint(charts[chart_id], u)
 
 
 def _fibre_direction(model: MetricModel, rng) -> np.ndarray:

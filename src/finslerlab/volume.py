@@ -3,18 +3,19 @@
 The Busemann-Hausdorff coefficient compares the Euclidean unit-ball volume
 with the volume of the sublevel set {y : F(x, y) < 1}, computed in polar
 form as (1/n) * integral of F(x, theta)^(-n) over the unit sphere.  The
-sphere rules are a 2048-point trapezoid on the circle, a Gauss-Legendre by
-trapezoid product on S^2, and Gauss-Jacobi products in higher dimension;
-every evaluation runs the rule twice (base and refined) and reports the
-difference as its error bound, gated relative to the coefficient above 1.
-The gradient of ln sigma_BH comes with the coefficient it divides by: it
-differentiates the refined integral under the sign, with d_x F from a
-complex step through the expression evaluator.
+sphere rules (a circle trapezoid, a Gauss-Legendre by trapezoid product on
+S^2, Gauss-Jacobi products above) double level by level until two agree to
+``BH_AGREE`` or level 1 is reached; that pair's difference is gated
+relative to the coefficient above 1.  The gradient of ln sigma_BH
+differentiates the accepted level's integral under the sign, with d_x F
+from a complex step through the evaluator; for an F without x it is zero,
+and the coefficient is computed once per model.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -35,6 +36,9 @@ CIRCLE_POINTS = 2048
 SUB_CIRCLE_POINTS = 64
 POLAR_POINTS = 24
 QUAD_TOL = 1e-7
+BH_AGREE = 1e-13  # two ladder levels this close, relative above 1, settle the coefficient
+BH_LEVELS = (-2, -1, 0, 1)  # 576, 4,608, 36,864 and 294,912 nodes at n = 4
+_X_FREE = weakref.WeakKeyDictionary()  # model -> (level, sigma, error) when F has no x
 _COMPLEX_STEP = 1e-20  # Im F(x + ih) = h dF/dx + O(h^3): no subtraction, no cancellation
 
 
@@ -58,13 +62,13 @@ def sphere_quadrature(
     """Nodes (m, n) and weights (m,) integrating smooth functions over S^(n-1).
 
     Weights sum to the sphere area; ``level`` doubles the resolution once per
-    increment for the refinement comparison.  The circle factor inside
-    product rules uses a smaller count than the standalone circle rule.
+    increment (halves it per decrement, down to level -3).  The circle factor
+    inside product rules uses a smaller count than the standalone circle rule.
     """
     if n < 2:
         raise ValueError("sphere_quadrature requires n >= 2")
     if n == 2:
-        m = (SUB_CIRCLE_POINTS if _nested else CIRCLE_POINTS) * 2 ** level
+        m = int((SUB_CIRCLE_POINTS if _nested else CIRCLE_POINTS) * 2.0 ** level)
         angles = 2.0 * math.pi * np.arange(m) / m
         points = np.column_stack([np.cos(angles), np.sin(angles)])
         weights = np.full(m, 2.0 * math.pi / m)
@@ -74,7 +78,7 @@ def sphere_quadrature(
     sub_points, sub_weights = sphere_quadrature(n - 1, level, _nested=True)
     # cos(polar angle) with weight (1 - t^2)^((n-3)/2) from the area element
     a = (n - 3) / 2.0
-    t, wt = roots_jacobi(POLAR_POINTS * 2 ** level, a, a)
+    t, wt = roots_jacobi(int(POLAR_POINTS * 2.0 ** level), a, a)
     sin_t = np.sqrt(1.0 - t ** 2)
     points = np.empty((len(t) * len(sub_points), n))
     weights = np.empty(len(t) * len(sub_points))
@@ -105,31 +109,43 @@ def unit_set_volume(model, x, level: int = 0) -> float:
     return float(np.sum(weights * values ** (-n)) / n)
 
 
-def bh_volume_coefficient(model, x) -> float:
-    """Busemann-Hausdorff coefficient vol(B^n) / vol{F(x, .) < 1}.
+def _accepted(model, x) -> tuple[int, float]:
+    """The finer level of the first pair of ``BH_LEVELS`` whose coefficients
+    agree, else the last level, and its coefficient, that pair gated by
+    ``QUAD_TOL``; an F without x climbs the ladder once per model."""
+    outcome = _X_FREE.get(model)
+    if outcome is None:
+        ball = unit_ball_volume(model.dim)
+        fine = ball / unit_set_volume(model, x, level=BH_LEVELS[0])
+        for level in BH_LEVELS[1:]:
+            coarse, fine = fine, ball / unit_set_volume(model, x, level=level)
+            if abs(fine - coarse) <= BH_AGREE * max(1.0, fine):
+                break
+        outcome = level, fine, abs(fine - coarse)
+        if not model.depends_on_x:
+            _X_FREE[model] = outcome
+    level, sigma, error = outcome
+    if error > QUAD_TOL * max(1.0, sigma):
+        raise QuadratureError("sphere quadrature did not converge", sigma, error)
+    return level, sigma
 
-    Runs the base rule and one refinement; raises :class:`QuadratureError`
-    when the two disagree beyond the tolerance, relative above 1.
-    """
-    n = model.dim
-    ball = unit_ball_volume(n)
-    coarse = ball / unit_set_volume(model, x, level=0)
-    fine = ball / unit_set_volume(model, x, level=1)
-    error = abs(fine - coarse)
-    if error > QUAD_TOL * max(1.0, fine):
-        raise QuadratureError("sphere quadrature did not converge", fine, error)
-    return fine
+
+def bh_volume_coefficient(model, x) -> float:
+    """Busemann-Hausdorff coefficient vol(B^n) / vol{F(x, .) < 1}."""
+    return _accepted(model, x)[1]
 
 
 def bh_sigma_and_log_gradient(model, x) -> tuple[float, np.ndarray]:
     """The Busemann-Hausdorff coefficient at x and the gradient of its log,
-    exact to roundoff: on the rule of the reported coefficient, d_i ln sigma =
+    exact to roundoff: on the rule of the accepted level, d_i ln sigma =
     n * (integral of F^(-n-1) d_i F) / (integral of F^(-n)), with the complex
-    step d_i F = Im F(x + ih e_i) / h."""
+    step d_i F = Im F(x + ih e_i) / h; zero when F does not depend on x."""
     n = model.dim
-    sigma = bh_volume_coefficient(model, x)  # also the convergence gate
+    level, sigma = _accepted(model, x)  # also the convergence gate
+    if not model.depends_on_x:
+        return sigma, np.zeros(n)
     scale = sigma / (unit_ball_volume(n) * _COMPLEX_STEP)  # sigma / vol(B^n) = n / integral of F^-n
-    points, weights = sphere_quadrature(n, 1)
+    points, weights = sphere_quadrature(n, level)
     rows = np.asarray(x) + 1j * _COMPLEX_STEP * np.eye(n)  # row i is x + ih e_i
     values = (_norm_on_sphere(model, row, points) for row in rows)
     return sigma, scale * np.array([np.sum(weights * f.real ** (-n - 1) * f.imag) for f in values])

@@ -417,20 +417,39 @@ def test_a_residual_that_is_not_finite_is_a_located_fault_and_exits_2(tmp_path, 
         assert not out.exists()
 
 
-def test_curvature_computes_the_bh_coefficient_once(tmp_path, monkeypatch):
+@pytest.fixture
+def rule_levels(monkeypatch):
+    """The level of each BH sphere-rule evaluation, in call order."""
     from finslerlab import volume
 
-    calls = []
+    levels = []
     quadrature = volume.unit_set_volume
     monkeypatch.setattr(
-        volume, "unit_set_volume", lambda *args, **kw: calls.append(1) or quadrature(*args, **kw)
+        volume, "unit_set_volume", lambda m, x, level: levels.append(level) or quadrature(m, x, level)
     )
+    return levels
+
+
+def test_curvature_computes_the_bh_coefficient_once(tmp_path, rule_levels):
+    from finslerlab import volume
+
     argv = ["--metric", "funk_ball", "--dim", "3", "--volume", "bh", "--x", "0.2,0.1,0", "--y", "0,1,0"]
     assert run_cli("curvature", *argv, "--out", str(tmp_path / "curv.json")) == 0
-    assert len(calls) == 2  # the base rule and its refinement
+    # one coefficient: one climb of the ladder, each rule at most once
+    climb = list(volume.BH_LEVELS[: len(rule_levels)])
+    assert rule_levels == climb and len(climb) >= 2
 
 
-def test_guard_rejecting_every_direction_exits_2(monkeypatch, capsys):
+def test_x_free_bh_check_climbs_the_ladder_once(tmp_path, rule_levels):
+    from finslerlab import volume
+
+    argv = ["--metric", "minkowski_quartic", "--dim", "3", "--volume", "bh", "--samples", "1"]
+    assert run_cli("check", *argv, "--base-points", "3", "--out", str(tmp_path / "c.json")) == 0
+    # F has no x: one climb for the model, not one per base point
+    assert rule_levels == list(volume.BH_LEVELS)
+
+
+def test_guard_rejecting_every_direction_exits_2(tmp_path, monkeypatch, capsys):
     from finslerlab import cli
 
     resolve = cli._resolve_model
@@ -443,11 +462,21 @@ def test_guard_rejecting_every_direction_exits_2(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_resolve_model", no_directions)
     for command in ("check", "audit"):
+        out = tmp_path / f"{command}.json"
         code = run_cli(
-            command, "--metric", "euclidean", "--dim", "3", "--samples", "2", "--base-points", "1"
+            command, "--metric", "euclidean", "--dim", "3", "--samples", "2", "--base-points", "2",
+            "--out", str(out),
         )
         assert code == 2
-        assert "y_guard" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # located at the draw that gave up, with no chart or u to name
+        assert err.startswith("error: SamplingError at base 0, fibre 0: no admissible direction in 20 draws")
+        assert "y_guard" in err
+        if command == "check":  # the report fails every block and holds no row
+            for block in json.loads(out.read_text())["checks"]:
+                assert not block["pass"] and block["points"] == [] and block["error"] in err
+        else:
+            assert not out.exists()
 
 
 def test_audit_expands_once_per_fibre_point(tmp_path, core_counts):

@@ -292,6 +292,46 @@ def test_bh_log_gradient_matches_closed_forms(metric, dim, params, rng):
         np.testing.assert_allclose(dln_sigma(model, x), expected, rtol=0, atol=1e-13)
 
 
+_SMALL_A = {"a11": "1 + 0.1*x1^2", "a22": "1 + 0.05*x2", "a12": "0.02*x1"}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("metric", zoo_ids())
+def test_bh_ladder_agrees_with_the_level_1_rule(metric, dim, rng, monkeypatch):
+    """The accepted level's sigma and gradient against the level-1 rule's, run
+    by a ladder that never accepts early: two coarse levels that agree
+    falsely would show here."""
+    from finslerlab import volume
+
+    params = _SMALL_A if metric == "riemannian" else None
+    model, reference = (build(metric, dim, params, volume="bh") for _ in range(2))
+    for _ in range(2):
+        x = model.sample_x(rng)
+        sigma, grad = volume.bh_sigma_and_log_gradient(model, x)
+        with monkeypatch.context() as patch:
+            patch.setattr(volume, "BH_AGREE", -1.0)
+            sigma_1, grad_1 = volume.bh_sigma_and_log_gradient(reference, x)
+        assert abs(sigma - sigma_1) <= 1e-13 * abs(sigma_1)
+        np.testing.assert_allclose(grad, grad_1, rtol=0, atol=1e-13)
+
+
+def test_bh_ladder_without_early_agreement_is_the_level_1_rule(rng):
+    from finslerlab import volume
+
+    model = build("minkowski_quartic", 4, volume="bh")
+    x = model.sample_x(rng)
+    expected = volume.unit_ball_volume(4) / volume.unit_set_volume(model, x, level=1)
+    assert volume.bh_volume_coefficient(model, x) == expected
+
+
+def test_bh_log_gradient_without_x_is_exactly_zero(rng):
+    from finslerlab import volume
+
+    for model in (build("minkowski_quartic", 3, volume="bh"), build("euclidean", 4, volume="bh")):
+        grad = volume.bh_sigma_and_log_gradient(model, model.sample_x(rng))[1]
+        assert np.array_equal(grad, np.zeros(model.dim))
+
+
 def test_non_homogeneous_rejected():
     with pytest.raises(MetricDefinitionError, match="homogeneous"):
         MetricModel(2, "y1 + y2^2")
