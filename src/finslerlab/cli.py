@@ -33,6 +33,7 @@ from .core import (
     MetricModel,
     UnsupportedDimensionError,
     coordinate_tensors,
+    sigma_and_dln,
 )
 from .indicatrix import FibreChart, direction_chart, fibre_jets
 from .jets import MAX_VARS
@@ -313,10 +314,16 @@ def _tensors_in_range(model: MetricModel, point: FlagPoint) -> CoordinateTensors
 
 def _overflow_error(model: MetricModel, point: FlagPoint) -> InputError:
     """Name the direction when its jets overflow and those of the same ray at
-    moderate length do not: the degree-k jets of F scale as |y|^(1 - k)."""
+    moderate length do not: the degree-k jets of F scale as |y|^(1 - k).
+    Name the volume when they overflow there too and sigma(x) does."""
     try:
         _tensors_in_range(model, FlagPoint(point.x, point.y / np.max(np.abs(point.y))))
     except FloatingPointError:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                sigma_and_dln(model, point.x)
+        except FloatingPointError:
+            return InputError("volume", f"sigma(x) or its gradient overflows at x = {point.x.tolist()}")
         return InputError("x/y", f"the jets of F overflow at x = {point.x.tolist()}, also with max |y_i| = 1")
     message = f"the jets of F overflow at y = {point.y.tolist()}; give a direction of moderate length"
     return InputError("y", message)

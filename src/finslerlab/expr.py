@@ -412,6 +412,12 @@ def _div_apply(num, den, node: Node):
     return _float_apply(np.divide, "div", node, num, arr)
 
 
+def _mul_apply(a, b, node: Node):
+    if isinstance(a, Jet) or isinstance(b, Jet):
+        return a * b
+    return _float_apply(np.multiply, "mul", node, a, b)
+
+
 def evaluate(node: Node, x: Sequence, y: Sequence, params: Mapping[str, float] | None = None):
     """Evaluate the tree at (x, y).
 
@@ -445,7 +451,7 @@ def evaluate(node: Node, x: Sequence, y: Sequence, params: Mapping[str, float] |
             if nd.op == "-":
                 return a - b
             if nd.op == "*":
-                return a * b
+                return _mul_apply(a, b, nd)
             return _div_apply(a, b, nd)
         if isinstance(nd, Pow):
             return _pow_apply(ev(nd.base), nd.exponent, nd)

@@ -4,9 +4,10 @@ The Busemann-Hausdorff coefficient compares the Euclidean unit-ball volume
 with the volume of the sublevel set {y : F(x, y) < 1}, computed in polar
 form as (1/n) * integral of F(x, theta)^(-n) over the unit sphere.  The
 sphere rules (a circle trapezoid, a Gauss-Legendre by trapezoid product on
-S^2, Gauss-Jacobi products above) double level by level until two agree to
-``BH_AGREE`` or level 1 is reached; that pair's difference is gated
-relative to the coefficient above 1.  The gradient of ln sigma_BH
+S^2, Gauss-Jacobi products above, their nodes and weights computed here in
+numpy) double level by level until two agree to ``BH_AGREE`` or level 1 is
+reached; that pair's difference is gated relative to the coefficient above
+1, and a rule above ``MAX_RULE_NODES`` is refused.  The gradient of ln sigma_BH
 differentiates the accepted level's integral under the sign, with d_x F
 from a complex step through the evaluator; for an F without x it is zero,
 and the coefficient is computed once per model.
@@ -36,6 +37,7 @@ CIRCLE_POINTS = 2048
 SUB_CIRCLE_POINTS = 64
 POLAR_POINTS = 24
 QUAD_TOL = 1e-7
+MAX_RULE_NODES = 2 ** 23  # 8,388,608 nodes; n = 8 needs 95,551,488 at level -1
 BH_AGREE = 1e-13  # two ladder levels this close, relative above 1, settle the coefficient
 BH_LEVELS = (-2, -1, 0, 1)  # 576, 4,608, 36,864 and 294,912 nodes at n = 4
 _X_FREE = weakref.WeakKeyDictionary()  # model -> (level, sigma, error) when F has no x
@@ -55,6 +57,39 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
+def _gauss_jacobi(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (increasing) and weights of the m-point Gauss rule for the weight
+    (1 - t^2)^a on [-1, 1] (Golub & Welsch, Math. Comp. 23, 1969), with the
+    Gegenbauer polynomials of lam = a + 1/2, Legendre at a = 0, normalised to
+    p_k(1) = 1: the eigenvalues of their Jacobi matrix, one Newton step on p_m,
+    and weights 1 / (p_{m-1} p_m') scaled to the integral of the weight."""
+    lam = a + 0.5
+    k = np.arange(1.0, m)
+    # the off-diagonal in a form that is k / sqrt(4k^2 - 1) to the bit at lam = 1/2
+    off = k * np.sqrt((k + 2.0 * lam - 1.0) / (4.0 * k * (k + lam) * (k + lam - 1.0)))
+    t = np.linalg.eigvalsh(np.diag(off, -1))
+
+    def p_prev_and_p_m(t):  # the three-term recurrence in d_j = p_j - p_{j-1}, exact at t = 1
+        p, d = t, t - 1.0
+        for j in range(1, m):
+            d = (2.0 * (j + lam) / (j + 2.0 * lam)) * (t - 1.0) * p + (j / (j + 2.0 * lam)) * d
+            p = p + d
+        return p - d, p
+
+    p_prev, p_m = p_prev_and_p_m(t)
+    dp = (-m * t * p_m + m * p_prev) / (1.0 - t ** 2)
+    t = t - p_m / dp
+    p_prev = p_prev_and_p_m(t)[0]
+    # p_{m-1} and p_m' span many decades: scale each to its geometric middle
+    for values in (p_prev, dp):
+        logs = np.log(np.abs(values))
+        values /= np.exp((logs.max() + logs.min()) / 2.0)
+    w = 1.0 / (p_prev * dp)
+    t, w = (t - t[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    mass = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
+    return t, w * (mass / w.sum())
+
+
 @lru_cache(maxsize=None)
 def sphere_quadrature(
     n: int, level: int = 0, _nested: bool = False
@@ -64,21 +99,26 @@ def sphere_quadrature(
     Weights sum to the sphere area; ``level`` doubles the resolution once per
     increment (halves it per decrement, down to level -3).  The circle factor
     inside product rules uses a smaller count than the standalone circle rule.
+    A rule of more than ``MAX_RULE_NODES`` nodes is refused before it is built.
     """
     if n < 2:
         raise ValueError("sphere_quadrature requires n >= 2")
+    circle = int((SUB_CIRCLE_POINTS if n > 2 or _nested else CIRCLE_POINTS) * 2.0 ** level)
+    polar = int(POLAR_POINTS * 2.0 ** level)
+    nodes = circle * polar ** (n - 2)
+    if nodes > MAX_RULE_NODES:
+        raise InputFault(
+            f"the BH sphere rule at n = {n}, level {level} has {nodes:,} nodes, "
+            f"above the cap of {MAX_RULE_NODES:,}"
+        )
     if n == 2:
-        m = int((SUB_CIRCLE_POINTS if _nested else CIRCLE_POINTS) * 2.0 ** level)
-        angles = 2.0 * math.pi * np.arange(m) / m
+        angles = 2.0 * math.pi * np.arange(circle) / circle
         points = np.column_stack([np.cos(angles), np.sin(angles)])
-        weights = np.full(m, 2.0 * math.pi / m)
+        weights = np.full(circle, 2.0 * math.pi / circle)
         return points, weights
-    from scipy.special import roots_jacobi
-
     sub_points, sub_weights = sphere_quadrature(n - 1, level, _nested=True)
     # cos(polar angle) with weight (1 - t^2)^((n-3)/2) from the area element
-    a = (n - 3) / 2.0
-    t, wt = roots_jacobi(int(POLAR_POINTS * 2.0 ** level), a, a)
+    t, wt = _gauss_jacobi(polar, (n - 3) / 2.0)
     sin_t = np.sqrt(1.0 - t ** 2)
     points = np.empty((len(t) * len(sub_points), n))
     weights = np.empty(len(t) * len(sub_points))
@@ -102,7 +142,7 @@ def unit_set_volume(model, x, level: int = 0) -> float:
     n = model.dim
     points, weights = sphere_quadrature(n, level)
     values = _norm_on_sphere(model, x, points)
-    if np.any(values <= 0.0):
+    if not np.all(values > 0.0):  # also a NaN
         raise QuadratureError(
             "F is not positive on the unit sphere", float(values.min()), math.inf
         )
@@ -125,7 +165,7 @@ def _accepted(model, x) -> tuple[int, float]:
         if not model.depends_on_x:
             _X_FREE[model] = outcome
     level, sigma, error = outcome
-    if error > QUAD_TOL * max(1.0, sigma):
+    if not error <= QUAD_TOL * max(1.0, sigma):  # also a NaN
         raise QuadratureError("sphere quadrature did not converge", sigma, error)
     return level, sigma
 

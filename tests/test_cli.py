@@ -513,6 +513,11 @@ def test_bh_quadrature_gate_is_relative_above_one(tmp_path):
              "--base-points", "1", "--samples", "1"],
             0, "QuadratureError", "sphere quadrature did not converge",
         ),
+        # the level -1 rule at n = 8 would hold 95,551,488 nodes, several GB
+        (
+            ["--metric", "euclidean", "--dim", "8", "--volume", "bh", "--base-points", "1", "--samples", "1"],
+            0, "InputFault", "the BH sphere rule at n = 8, level -1 has 95,551,488 nodes, above the cap of 8,388,608",
+        ),
         # sigma(x) = x1 is positive at base point 0 and negative at base point 1
         (
             ["--metric", "euclidean", "--dim", "2", "--volume", "expr:x1",
@@ -520,7 +525,7 @@ def test_bh_quadrature_gate_is_relative_above_one(tmp_path):
             1, "VolumeFormError", "sigma(x) = -0.534338312799916 must be positive",
         ),
     ],
-    ids=["quadrature", "volume-form"],
+    ids=["quadrature", "rule-cap", "volume-form"],
 )
 def test_a_fault_at_a_sampled_point_is_named_in_the_report_and_exits_2(
     tmp_path, capsys, argv, base, located, message
@@ -574,8 +579,13 @@ def test_only_check_writes_csv(tmp_path, capsys, command):
             ["--metric", "euclidean", "--dim", "3", "--x", "0,0,0", "--y", "1e200,0,0"],
             "y: the jets of F overflow at y = [1e+200, 0.0, 0.0]",
         ),
+        # F is fine; sigma = 1e300 exp(350) is not
+        (
+            ["--metric", "euclidean", "--dim", "2", "--volume", "expr:1e300*exp(x1*700)", "--x", "0.5,0", "--y", "1,0"],
+            "volume: sigma(x) or its gradient overflows at x = [0.5, 0.0]",
+        ),
     ],
-    ids=["tiny-y", "huge-f", "huge-y"],
+    ids=["tiny-y", "huge-f", "huge-y", "huge-volume"],
 )
 def test_curvature_point_whose_jets_overflow_exits_2(capsys, point, err):
     with warnings.catch_warnings():
@@ -669,8 +679,14 @@ def test_every_error_class_of_the_package_is_an_input_fault():
             "metric: div() overflows at value 1e-310 in subexpression 'x1 / 1e-310'"
             " at x=[0.17049474 0.41208141], y=[ 1.3019584 -0.4697052]",
         ),
+        # a float product that overflows, not an F of inf
+        (
+            ["--metric-expr", "sqrt(y1^2+y2^2)*1e300*1e300", "--x", "0,0"],
+            "metric: mul() overflows at value 1e+300 in subexpression 'sqrt(y1^2.0 + y2^2.0) * 1e+300 * 1e+300'"
+            " at x=[0.17049474 0.41208141], y=[ 1.3019584 -0.4697052]",
+        ),
     ],
-    ids=["exp-metric", "exp-volume", "exp-param", "pow", "div"],
+    ids=["exp-metric", "exp-volume", "exp-param", "pow", "div", "mul"],
 )
 def test_curvature_where_a_jet_function_overflows_exits_2(capsys, point, err):
     with warnings.catch_warnings():
