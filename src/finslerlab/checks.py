@@ -18,17 +18,22 @@ Stable tags identify the checks in reports and tolerance flags:
     thm-1    isotropy audit: pointwise isotropy forces a fibrewise-constant
              Berwald scalar (asserted for dim >= 3)
 
-Every check reads the fibre through the members of one
-:class:`~finslerlab.indicatrix.FibreJets` per point: the four identities of
-the suite from one object at :data:`SUITE_CHART_ORDER`, ``eq-2.5`` from one
-carrying S to chart order 3, and ``thm-1`` from one with g and E only.  The
-suite and the audit walk one :func:`sweep` of seeded base and fibre points,
-which is their one fault boundary: an input fault at a point, or a
-residual, scale or audit quantity that is not finite, is a
-:class:`PointFault` naming base, fibre, chart and u.  The audit of a fibre
-takes one expansion per point for g, E, e and grad e and, while every point
-so far is isotropic, for the weak-isotropy residual max |Hess S - c Hess F|
-with c = e/(n-1) at the fibre's first point.
+Every check reads the fibre through the members of a
+:class:`~finslerlab.indicatrix.FibreJets` over a batch of points, and every
+residual and audit quantity below is computed once per batch, one row per
+point: the four identities of the suite at :data:`SUITE_CHART_ORDER`,
+``eq-2.5`` from a batch of one carrying S to chart order 3, and ``thm-1``
+with g and E only.  The suite and the audit walk one :func:`sweep` of
+seeded base and fibre points, drawn in a fixed order and evaluated in
+batches of up to :data:`BATCH_POINTS` points across fibres.  The sweep is
+their one fault boundary: an input fault at a point, or a residual, scale
+or audit quantity that is not finite, is a :class:`PointFault` naming base,
+fibre, chart and u.  A batch with such a point is run again one point at a
+time, so the fault and the points kept before it are those of a sweep of
+batches of one.  The audit of a fibre takes one expansion per point for g,
+E, e and grad e and, at the leading run of isotropic points of the fibre,
+the weak-isotropy residual max |Hess S - c Hess F| with c = e/(n-1) at its
+first point, from one call per batch.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import numpy as np
 
 from . import InputFault
 from .core import MetricModel, TensorJets, s_main_jet
-from .indicatrix import FibreJets, IndicatrixPoint, fibre_jets, fibre_point_draws
+from .indicatrix import FibreJets, IndicatrixPoint, fibre_batch, fibre_point_draws
 from .jets import jet_partials
 
 __all__ = [
@@ -56,6 +61,7 @@ __all__ = [
     "SchurAudit",
     "WeakIsotropyRecord",
     "SUITE_CHART_ORDER",
+    "BATCH_POINTS",
     "pde_residual",
     "codazzi_residual",
     "cartan_symmetry_residual",
@@ -108,15 +114,18 @@ class NonFiniteError(InputFault):
     finite: the numbers behind it overflowed, so it can neither pass nor fail."""
 
 
-def _scale(*terms) -> float:
-    return max(1.0, *(float(np.max(np.abs(t))) for t in terms))
+def _maxabs(t) -> np.ndarray:
+    """max |t| over the slots, one value per point."""
+    return np.abs(t).max(axis=tuple(range(1, t.ndim)))
 
 
-def _maxabs(t) -> float:
-    return float(np.max(np.abs(t)))
+def _scale(*terms) -> np.ndarray:
+    """max(1, max |t| over the terms) per point; as with Python's ``max``
+    from 1.0, a NaN term never wins."""
+    return np.fmax.reduce([np.ones(len(terms[0])), *map(_maxabs, terms)])
 
 
-# -- residual tensors at one fibre point ----------------------------------------
+# -- residual tensors over a batch of fibre points ---------------------------------
 
 # the chart orders of a FibreJets the four residuals below read: g and S to
 # order 2 (the curvature, Hess S), H and E to order 1 (their covariant
@@ -124,53 +133,53 @@ def _maxabs(t) -> float:
 SUITE_CHART_ORDER = {"g": 2, "s": 2, "h": 1, "e": 1}
 
 
-def pde_residual(fj: FibreJets) -> tuple[np.ndarray, float]:
+def pde_residual(fj: FibreJets) -> tuple[np.ndarray, np.ndarray]:
     """Hess(S) + H(., ., grad S) + S g - E, expected to vanish."""
     ds = fj.covariant(fj.s, 2)
     s_hess = fj.covariant(ds, 1)[..., 0]
     berwald = fj.e[..., 0]
-    h_term = np.einsum("abe,ec,c->ab", fj.h[..., 0], fj.g_inv[..., 0], ds[..., 0])
-    s_term = float(fj.s[0]) * fj.g[..., 0]
+    h_term = np.einsum("...abe,...ec,...c->...ab", fj.h[..., 0], fj.g_inv[..., 0], ds[..., 0])
+    s_term = fj.s[:, 0, None, None] * fj.g[..., 0]
     residual = s_hess + h_term + s_term - berwald
     return residual, _scale(s_hess, h_term, s_term, berwald)
 
 
-def codazzi_residual(fj: FibreJets) -> tuple[np.ndarray, float]:
+def codazzi_residual(fj: FibreJets) -> tuple[np.ndarray, np.ndarray]:
     """E_{ab;c} - E_{ac;b} - (H_ab^d E_dc - H_ac^d E_db), expected to vanish."""
     berwald_cov = fj.covariant(fj.e, 1)[..., 0]
-    he = np.einsum("abe,ed,dc->abc", fj.h[..., 0], fj.g_inv[..., 0], fj.e[..., 0])
-    first = berwald_cov - np.transpose(berwald_cov, (0, 2, 1))
-    second = he - np.transpose(he, (0, 2, 1))
+    he = np.einsum("...abe,...ed,...dc->...abc", fj.h[..., 0], fj.g_inv[..., 0], fj.e[..., 0])
+    first = berwald_cov - np.swapaxes(berwald_cov, -1, -2)
+    second = he - np.swapaxes(he, -1, -2)
     return first - second, _scale(berwald_cov, he)
 
 
-def cartan_symmetry_residual(fj: FibreJets) -> tuple[np.ndarray, float]:
+def cartan_symmetry_residual(fj: FibreJets) -> tuple[np.ndarray, np.ndarray]:
     """H_{abc;d} - H_{abd;c}: the covariant derivative of the Cartan pullback
     is symmetric under exchanging the derivative slot with a tensor slot."""
     cartan_cov = fj.covariant(fj.h, 1)[..., 0]
-    residual = cartan_cov - np.transpose(cartan_cov, (0, 1, 3, 2))
+    residual = cartan_cov - np.swapaxes(cartan_cov, -1, -2)
     return residual, _scale(cartan_cov)
 
 
-def gauss_residual(fj: FibreJets) -> tuple[np.ndarray, float]:
+def gauss_residual(fj: FibreJets) -> tuple[np.ndarray, np.ndarray]:
     """Curvature against the quadratic Cartan terms and the constant-curvature
     part, in the calibrated index convention."""
     g, cartan = fj.g[..., 0], fj.h[..., 0]
-    q = np.einsum("bce,ef,fad->bcad", cartan, fj.g_inv[..., 0], cartan)
-    hh = np.einsum("bcad->abcd", q) - np.einsum("bdac->abcd", q)
-    gg = np.einsum("bc,ad->abcd", g, g) - np.einsum("bd,ac->abcd", g, g)
+    q = np.einsum("...bce,...ef,...fad->...bcad", cartan, fj.g_inv[..., 0], cartan)
+    hh = np.einsum("...bcad->...abcd", q) - np.einsum("...bdac->...abcd", q)
+    gg = np.einsum("...bc,...ad->...abcd", g, g) - np.einsum("...bd,...ac->...abcd", g, g)
     riemann = fj.curvature[1]
     residual = riemann - (hh - gg)
     return residual, _scale(riemann, hh, gg)
 
 
-def isotropy_residual(fj: FibreJets) -> float:
-    """max|E - (e/(n-1)) g| / max(1, max|E|) at a fibre point whose g and E
-    are carried to chart order >= 1."""
-    e = float(fj.berwald_scalar[0])
+def isotropy_residual(fj: FibreJets) -> np.ndarray:
+    """max|E - (e/(n-1)) g| / max(1, max|E|) per point, for fibre points
+    whose g and E are carried to chart order >= 1."""
+    e = fj.berwald_scalar[:, 0]
     berwald = fj.e[..., 0]
-    iso = berwald - (e / (fj.model.dim - 1)) * fj.g[..., 0]
-    return _maxabs(iso) / max(1.0, _maxabs(berwald))
+    iso = berwald - (e / (fj.model.dim - 1))[:, None, None] * fj.g[..., 0]
+    return _maxabs(iso) / _scale(berwald)
 
 
 # -- the commutator check, which needs a third derivative of S -------------------
@@ -178,14 +187,15 @@ def isotropy_residual(fj: FibreJets) -> float:
 
 def check_ricci(model: MetricModel, point: IndicatrixPoint) -> np.ndarray:
     """Commutator of the second and third covariant derivatives of the
-    restricted S-curvature against the curvature contraction."""
-    fj = fibre_jets(model, point.chart, point.u, {"g": 2, "s": 3})
+    restricted S-curvature against the curvature contraction, at one point
+    (a batch of one)."""
+    fj = fibre_batch(model, [point], {"g": 2, "s": 3})
     r_up = fj.curvature[0]
     s_grad = fj.covariant(fj.s, 3)
     w = fj.covariant(fj.covariant(s_grad, 2), 1)[..., 0]  # W_abc, derivative slots last
-    lhs = w - np.transpose(w, (0, 2, 1))
-    rhs = np.einsum("eabc,e->abc", r_up, s_grad[..., 0])
-    return lhs - rhs
+    lhs = w - np.swapaxes(w, -1, -2)
+    rhs = np.einsum("...eabc,...e->...abc", r_up, s_grad[..., 0])
+    return (lhs - rhs)[0]
 
 
 # -- reports ---------------------------------------------------------------------
@@ -223,6 +233,14 @@ def sample_base_points(model: MetricModel, count: int, rng) -> list[np.ndarray]:
 
 # -- the sweep over sampled fibre points -------------------------------------------
 
+# the most fibre points one batch of the sweep evaluates at once: a batch
+# holds every field of its points, so the cap bounds the memory of a sweep
+BATCH_POINTS = 16
+
+# what a batch raises when one of its points fails: the batch is then run
+# again one point at a time, which names that point
+_BATCH_FAULTS = (InputFault, ArithmeticError, np.linalg.LinAlgError)
+
 
 def sweep(
     model: MetricModel, base_points: int, samples: int, rng, chart_order, work, stage
@@ -230,30 +248,76 @@ def sweep(
     """Yield ``(base, fibre, point, quantities)`` in a fixed order: the base
     points drawn from ``rng`` by :func:`sample_base_points`, then the points
     of each fibre by :func:`~finslerlab.indicatrix.fibre_point_draws`.
-    ``work(fj, earlier)`` reads one FibreJets of ``chart_order`` per point,
-    given the quantities of the earlier points of its fibre, and returns
-    named floats.  A fault there or in drawing the point, or a quantity that
-    is not finite, is a :class:`PointFault` naming the point and ``stage``."""
-    for base, x in enumerate(sample_base_points(model, base_points, rng)):
-        yield from _fibre_sweep(model, base, x, samples, rng, chart_order, work, stage)
+
+    The points are evaluated in batches of up to :data:`BATCH_POINTS`, across
+    fibres: ``work(fj, fibres)`` reads one FibreJets of ``chart_order`` over
+    the batch and returns one dict of named floats per point.  ``fibres``
+    lists the fibres of the batch in order, each as ``(earlier, count)``:
+    the quantities of its points before the batch, and the number of its
+    points in the batch, which are consecutive.
+
+    A fault there or in drawing the point, or a quantity that is not
+    finite, is a :class:`PointFault` naming the point and ``stage``.  A
+    batch with a faulty point is run again one point at a time, so the fault
+    and the items yielded before it are those of a sweep of batches of
+    one; a draw that fails ends its batch, and is raised once the points
+    drawn before it have run."""
+    bases = sample_base_points(model, base_points, rng)
+    yield from _sweep_over(model, bases, samples, rng, chart_order, work, stage)
 
 
-def _fibre_sweep(model, base, x, samples, rng, chart_order, work, stage):
-    """:func:`sweep` over the one fibre at x, numbered ``base``."""
-    earlier: list[dict] = []
-    draws = fibre_point_draws(model, x, rng)
-    for fibre in range(samples):
-        point = None
+def _sweep_over(model, bases, samples, rng, chart_order, work, stage):
+    """:func:`sweep` over the fibres at the given base points."""
+    earlier: dict[int, list] = {}
+    batch: list = []
+    for base, x in enumerate(bases):
+        draws = fibre_point_draws(model, x, rng)
+        for fibre in range(samples):
+            try:
+                point = next(draws)
+            except InputFault as err:
+                yield from _batch_sweep(model, batch, earlier, chart_order, work, stage)
+                raise PointFault(err, base, fibre, None, stage) from err
+            batch.append((base, fibre, point))
+            if len(batch) == BATCH_POINTS:
+                yield from _batch_sweep(model, batch, earlier, chart_order, work, stage)
+                batch = []
+    yield from _batch_sweep(model, batch, earlier, chart_order, work, stage)
+
+
+def _batch_sweep(model, batch, earlier, chart_order, work, stage):
+    """The sweep items of one batch of drawn points; a batch with a faulty
+    point is replayed as batches of one."""
+    if len(batch) > 1:
         try:
-            point = next(draws)
-            quantities = work(fibre_jets(model, point.chart, point.u, chart_order), earlier)
-            for name, value in quantities.items():
-                if not math.isfinite(value):
-                    raise NonFiniteError(f"the {name} is {value!r}, not a finite number")
+            rows = _quantities(model, batch, earlier, chart_order, work)
+        except _BATCH_FAULTS:
+            pass  # replayed below
+        else:
+            for (base, fibre, point), quantities in zip(batch, rows):
+                earlier.setdefault(base, []).append(quantities)
+                yield base, fibre, point, quantities
+            return
+    for base, fibre, point in batch:
+        try:
+            (quantities,) = _quantities(model, [(base, fibre, point)], earlier, chart_order, work)
         except InputFault as err:
             raise PointFault(err, base, fibre, point, stage) from err
-        earlier.append(quantities)
+        earlier.setdefault(base, []).append(quantities)
         yield base, fibre, point, quantities
+
+
+def _quantities(model, batch, earlier, chart_order, work) -> list[dict]:
+    """``work`` over one batch, each quantity checked to be finite."""
+    fj = fibre_batch(model, [point for *_, point in batch], chart_order)
+    bases = [base for base, *_ in batch]
+    fibres = [(earlier.get(base, []), len(list(run))) for base, run in groupby(bases)]
+    rows = work(fj, fibres)
+    for quantities in rows:
+        for name, value in quantities.items():
+            if not math.isfinite(value):
+                raise NonFiniteError(f"the {name} is {value!r}, not a finite number")
+    return rows
 
 
 # -- the identity suite ------------------------------------------------------------
@@ -266,18 +330,18 @@ _SUITE = (
 )
 
 
-def _suite_point(fj: FibreJets, earlier: list) -> dict:
-    """The four residuals at one point, each with its scale."""
+def _suite_batch(fj: FibreJets, fibres: list) -> list[dict]:
+    """The four residuals at each point of a batch, each with its scale."""
     # g (through the curvature), S, E, then H: a point where more than one of
     # them fails names the first
     for member in ("curvature", "s", "e", "h"):
         getattr(fj, member)
-    quantities = {}
+    columns = {}
     for key, _, residual_fn in _SUITE:
         tensor, scale = residual_fn(fj)
-        quantities[f"{TAGS[key]} residual"] = _maxabs(tensor) / scale
-        quantities[f"{TAGS[key]} scale"] = scale
-    return quantities
+        columns[f"{TAGS[key]} residual"] = _maxabs(tensor) / scale
+        columns[f"{TAGS[key]} scale"] = scale
+    return [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
 
 
 def run_identity_suite(
@@ -285,7 +349,7 @@ def run_identity_suite(
     tolerances: Mapping[str, float] | None = None,
 ) -> list[CheckReport]:
     """The four identity checks over one :func:`sweep` of a seeded sample,
-    one FibreJets per point at :data:`SUITE_CHART_ORDER`; deterministic for
+    with FibreJets at :data:`SUITE_CHART_ORDER`; deterministic for
     a given (metric, seed, sample counts).  A :class:`PointFault` fails
     every block, which keeps the rows of the points before its point."""
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
@@ -293,7 +357,7 @@ def run_identity_suite(
     rows, error = [], None
     try:
         for base, fibre, _, quantities in sweep(
-            model, base_points, fibre_samples, rng, SUITE_CHART_ORDER, _suite_point, None
+            model, base_points, fibre_samples, rng, SUITE_CHART_ORDER, _suite_batch, None
         ):
             rows.append((base, fibre, quantities))
     except PointFault as err:
@@ -365,34 +429,50 @@ class SchurAudit:
 
 
 def _y_hessians(tj: TensorJets) -> tuple[np.ndarray, np.ndarray]:
-    """y-Hessians of the volume-free S and of F at the flag point of an
-    expansion of order >= 5 over (x, y), or >= 2 over y for an x-free F.
+    """y-Hessians of the volume-free S and of F at the flag points of an
+    expansion of order >= 5 over (x, y), or >= 2 over y for an x-free F, one
+    per point.
 
     The volume contribution to S is linear in y at fixed x, so the y-Hessian
     of S - c F is the first minus c times the second.
     """
     gammas, n = tj.gammas(0, 2), tj.n
-    s_and_f = ((tj.x_free(2), s_main_jet(tj, 2)), (tj.f_jet.space, tj.f_jet.coeffs))
-    return tuple(jet_partials(*jet, gammas)[..., 0].reshape(n, n) for jet in s_and_f)
+    s_and_f = ((tj.x_free(2), s_main_jet(tj, 2)), (tj.f_space, tj.f))
+    return tuple(jet_partials(*jet, gammas)[..., 0].reshape(-1, n, n) for jet in s_and_f)
 
 
 _AUDIT_ORDER = {"g": 1, "e": 1}  # g and E to chart order 1, for grad e
 
 
-def _audit_point(tol: float, fj: FibreJets, earlier: list) -> dict:
-    """The audit's quantities at one point: the isotropy residual, e, |grad e|
-    and, while every point of the fibre so far is isotropic, c = e/(n-1) at
-    its first point and the weak-isotropy residual max |Hess S - c Hess F|."""
+def _audit_batch(tol: float, fj: FibreJets, fibres: list) -> list[dict]:
+    """The audit's quantities at each point of a batch: the isotropy
+    residual, e and |grad e|; and, at the leading run of isotropic points of
+    each fibre, c = e/(n-1) at its first point and the weak-isotropy residual
+    max |Hess S - c Hess F|, from one call at those points."""
     iso = isotropy_residual(fj)
-    e = float(fj.berwald_scalar[0])
+    e = fj.berwald_scalar[:, 0]
     e_grad = fj.covariant(fj.berwald_scalar, 1)[..., 0]
-    grad_norm = float(np.sqrt(e_grad @ fj.g_inv[..., 0] @ e_grad))
-    quantities = {"isotropy residual": iso, "e": e, "|grad e|": grad_norm}
-    if iso <= tol and (not earlier or "Hessian residual" in earlier[-1]):
-        hess_s, hess_f = _y_hessians(fj.tj)
-        c = (earlier[0]["e"] if earlier else e) / (fj.model.dim - 1)
-        quantities.update({"c": c, "Hessian residual": _maxabs(hess_s - c * hess_f)})
-    return quantities
+    grad_norm = np.sqrt(e_grad[:, None, :] @ fj.g_inv[..., 0] @ e_grad[:, :, None])[:, 0, 0]
+    rows = [
+        {"isotropy residual": r, "e": v, "|grad e|": g}
+        for r, v, g in zip(iso.tolist(), e.tolist(), grad_norm.tolist())
+    ]
+    at, cs, start = [], [], 0
+    for before, count in fibres:
+        run = not before or "Hessian residual" in before[-1]
+        first = before[0]["e"] if before else rows[start]["e"]
+        for k in range(start, start + count):
+            run = run and rows[k]["isotropy residual"] <= tol
+            if run:
+                at.append(k)
+                cs.append(first / (fj.model.dim - 1))
+        start += count
+    if at:
+        hess_s, hess_f = _y_hessians(fj.tj.take(at))
+        residuals = _maxabs(hess_s - np.array(cs)[:, None, None] * hess_f)
+        for k, c, r in zip(at, cs, residuals.tolist()):
+            rows[k].update({"c": c, "Hessian residual": r})
+    return rows
 
 
 def _fibre_audit(model: MetricModel, fibre: list[tuple], seed: int, tol: float) -> SchurAudit:
@@ -426,7 +506,7 @@ def run_isotropy_audit(
     with its base point; ``tol`` bounds both the isotropy residual and the
     variation of the Berwald scalar.  A fault, also where g is not positive
     definite, is a :class:`PointFault` of stage ``schur``."""
-    work, rng = partial(_audit_point, tol), np.random.default_rng(seed)
+    work, rng = partial(_audit_batch, tol), np.random.default_rng(seed)
     points = sweep(model, base_points, fibre_samples, rng, _AUDIT_ORDER, work, "schur")
     fibres = [list(fibre) for _, fibre in groupby(points, key=lambda item: item[0])]
     return [(fibre[0][2].chart.x, _fibre_audit(model, fibre, seed, tol)) for fibre in fibres]
@@ -441,6 +521,6 @@ def schur_audit(
     defaults to the ``thm-1`` tolerance."""
     tol = DEFAULT_TOLERANCES["thm-1"] if tol is None else tol
     rng = np.random.default_rng(seed) if rng is None else rng
-    work = partial(_audit_point, tol)
-    points = _fibre_sweep(model, 0, x, fibre_samples, rng, _AUDIT_ORDER, work, "schur")
+    work = partial(_audit_batch, tol)
+    points = _sweep_over(model, [x], fibre_samples, rng, _AUDIT_ORDER, work, "schur")
     return _fibre_audit(model, list(points), seed, tol)

@@ -161,7 +161,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 loaded = json.load(handle)
         except OSError as err:
             raise InputError("config", f"cannot read {config_path!r}: {err}") from None
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise InputError("config", f"invalid JSON in {config_path!r}: {err}") from None
         if not isinstance(loaded, dict):
             raise InputError("config", f"expected a JSON object of fields, got {loaded!r}")
@@ -279,8 +279,11 @@ def _echo_config(config: dict, model: MetricModel, **extra) -> dict:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise InputError("out", f"cannot write {out_path!r}: {err.strerror or err}") from None
     else:
         sys.stdout.write(text)
 
@@ -369,9 +372,9 @@ def _cmd_curvature(args) -> int:
         "fibre": {
             "chart": chart_id,
             "u": list(u),
-            "induced_metric": fibre.g[..., 0].tolist(),
-            "berwald_pullback": fibre.e[..., 0].tolist(),
-            "e": float(fibre.berwald_scalar[0]),
+            "induced_metric": fibre.g[0, ..., 0].tolist(),
+            "berwald_pullback": fibre.e[0, ..., 0].tolist(),
+            "e": float(fibre.berwald_scalar[0, 0]),
         },
     }
     _emit_json(document, config.get("out"))

@@ -16,24 +16,27 @@ coefficient sigma(x), and the S-curvature as the derivative of tau along
 the spray, with the divergence form S = dG^m/dy^m - y^m d(ln sigma)/dx^m
 kept as an independent cross-check.
 
-One expansion per flag point: :class:`TensorJets` expands F and F^2 in
-truncated Taylor jets around the point, and each tensor has exactly one
-extractor that reads it off an expansion at a requested jet order --
-:func:`g_jets`, :func:`cartan_jets`, :func:`spray_jets` (with N and E as its
+One assembly per batch of flag points: :class:`TensorJets` walks F once
+per point, expanding F and F^2 in truncated Taylor jets around it, and
+stacks the coefficients of the batch on a leading axis; everything after
+the walks runs once per batch.  Each tensor has exactly one extractor that
+reads it off an expansion at a requested jet order -- :func:`g_jets`,
+:func:`cartan_jets`, :func:`spray_jets` (with N and E as its
 y-derivatives, :func:`nonlinear_jets` and :func:`berwald_jets`) and
 :func:`s_main_jet`, the volume-free part of S.  Every tensor is one float
-array ``(*slots, size)`` of jet coefficients: derivatives of F^2 are
-gathers (:func:`~finslerlab.jets.jet_partials`), products are
+array ``(points, *slots, size)`` of jet coefficients: derivatives of F^2
+are gathers (:func:`~finslerlab.jets.jet_partials`), products are
 :func:`~finslerlab.jets.jet_einsum` contractions, and the one matrix
-inverse, g^{-1} for the spray, is :func:`~finslerlab.jets.neumann_inverse`.
-S needs no determinant: by Jacobi's formula d ln sqrt(det g) =
-(1/2) tr(g^{-1} dg) with the same g^{-1}.  g, g^{-1} and G are
-assembled once per expansion, at the highest order it carries, and every
-reader takes a prefix; a lower-order jet is the truncation of a
+inverse, g^{-1} for the spray, is :func:`~finslerlab.jets.neumann_inverse`,
+each taking the batch axis.  S needs no determinant: by Jacobi's formula
+d ln sqrt(det g) = (1/2) tr(g^{-1} dg) with the same g^{-1}.  g, g^{-1}
+and G are assembled once per expansion, at the highest order it carries,
+and every reader takes a prefix; a lower-order jet is the truncation of a
 higher-order one, so one deep expansion serves every order below it.
-:func:`coordinate_tensors` reads every tensor at a flag point off a single
-expansion, and the fibre pipeline in :mod:`finslerlab.indicatrix` reads the
-same extractors; there is no second entry point per tensor.
+:func:`coordinate_tensors` reads every tensor at a flag point off an
+expansion of a batch of one, and the fibre pipeline in
+:mod:`finslerlab.indicatrix` reads the same extractors over its batches;
+there is no second entry point per tensor.
 
 x enters to first order.  No tensor here needs more than one x-derivative
 of F (G takes [F^2]_x and [F^2]_{xy}; N, E and S differentiate G and
@@ -52,6 +55,7 @@ to parallelise over points.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -325,16 +329,18 @@ class CoordinateTensors:
 
 
 class TensorJets:
-    """Taylor data of F and F^2 around a flag point: the one expansion every
-    coordinate tensor is read from.
+    """Taylor data of F and F^2 around a batch of flag points: the one
+    expansion every coordinate tensor is read from.
 
+    F is walked once per point, at ``xs[k]``, ``ys[k]``; everything after
+    the walks runs once per batch, on a leading axis with one row per point.
     ``with_x`` selects jets over the 2n variables (x1..xn, y1..yn) in which
     x enters to first order (joint x-degree at most 1, see
     :func:`~finslerlab.jets.jet_space`), since no tensor needs more than one
     x-derivative of F; without it the x coordinates enter as constants and
     the jets run over y only, which keeps x-independent metrics usable up to
-    the variable cap.  Every tensor is one float array ``(*slots, size)`` of
-    coefficients over :meth:`space`.  A field that has taken its
+    the variable cap.  Every tensor is one float array ``(points, *slots,
+    size)`` of coefficients over :meth:`space`.  A field that has taken its
     x-derivative (the spray, and N, E and the volume-free S read from it)
     lives in the x-free space of the same variables (:meth:`x_free`); its
     other factors are restricted to it explicitly.  An expansion of order p
@@ -342,28 +348,35 @@ class TensorJets:
     at that order, when first read.
     """
 
-    def __init__(self, model: MetricModel, x, y, order: int, with_x: bool):
+    def __init__(self, model: MetricModel, xs, ys, order: int, with_x: bool):
         n = model.dim
         self.n = n
         self.with_x = with_x
         self.depends_on_x = model.depends_on_x
         self.order = order
-        self.y = np.asarray(y, dtype=float)
+        self.y = np.asarray(ys, dtype=float).reshape(-1, n)
         self.n_vars = 2 * n if with_x else n
         self.y_offset = n if with_x else 0
         self.x_vars = self.y_offset  # the variables limited to x-degree 1
-        space = self.space(order)
-        if with_x:
-            xs = [space.variable(i + 1, float(x[i])) for i in range(n)]
-        else:
-            xs = [float(v) for v in x]
-        ys = [space.variable(self.y_offset + i + 1, float(self.y[i])) for i in range(n)]
-        self.f_jet = evaluate(model.f_ast, xs, ys, model.params)
-        if not self.f_jet.value > 0.0:
-            raise NonPositiveMetricError(
-                f"F(x, y) = {self.f_jet.value!r} must be positive at x={x}, y={y}"
-            )
-        self.f2_jet = self.f_jet * self.f_jet
+        self.f_space = space = self.space(order)
+        xs = np.asarray(xs, dtype=float).reshape(-1, n)
+        self.f, self.f2 = np.empty((2, len(xs), space.size))
+        for k, (x, y) in enumerate(zip(xs.tolist(), self.y.tolist())):
+            xj = [space.variable(i + 1, v) for i, v in enumerate(x)] if with_x else x
+            yj = [space.variable(self.y_offset + i + 1, v) for i, v in enumerate(y)]
+            f_jet = evaluate(model.f_ast, xj, yj, model.params)
+            if not f_jet.value > 0.0:
+                raise NonPositiveMetricError(
+                    f"F(x, y) = {f_jet.value!r} must be positive at x={xs[k]}, y={self.y[k]}"
+                )
+            self.f[k], self.f2[k] = f_jet.coeffs, (f_jet * f_jet).coeffs
+
+    def take(self, rows) -> "TensorJets":
+        """The expansion at these rows of the batch, with the assemblies
+        made so far; every array attribute has one row per point."""
+        out = copy.copy(self)
+        out.__dict__.update((k, v[rows]) for k, v in vars(self).items() if isinstance(v, np.ndarray))
+        return out
 
     def space(self, order: int, x_degree: int = 1) -> jets.JetSpace:
         """The jet space of this order over the expansion variables, with x
@@ -376,9 +389,14 @@ class TensorJets:
         return self.space(order, 0)
 
     def y_jets(self, order: int) -> np.ndarray:
-        """The coordinates y^i as x-free jets of the given order, one row each."""
-        space, y0 = self.x_free(order), self.y_offset + 1
-        return np.array([space.variable(y0 + i, v).coeffs for i, v in enumerate(self.y)])
+        """The coordinates y^i as x-free jets of the given order, one row
+        each, per point."""
+        space = self.x_free(order)
+        out = np.zeros(self.y.shape + (space.size,))
+        out[..., 0] = self.y
+        if order:  # the unit multi-index of y^i is that of d/dy^i
+            out[:, range(self.n), [space.index_of[unit] for unit in self.gammas(0, 1)]] = 1.0
+        return out
 
     def gammas(self, x_slots: int, y_slots: int) -> tuple[tuple[int, ...], ...]:
         """The multi-index of d_{x^i}.. d_{y^a}.. for every index tuple,
@@ -389,10 +407,10 @@ class TensorJets:
 
     def d_f2(self, x_slots: int, y_slots: int) -> np.ndarray:
         """d_{x^i}.. d_{y^a}.. F^2 for every index tuple, x-slots first:
-        shape ``(n,) * (x_slots + y_slots) + (size,)``, x-free after a
-        derivative along x."""
-        d = jets.jet_partials(self.f2_jet.space, self.f2_jet.coeffs, self.gammas(x_slots, y_slots))
-        return d.reshape((self.n,) * (x_slots + y_slots) + d.shape[-1:])
+        shape ``(points,) + (n,) * (x_slots + y_slots) + (size,)``, x-free
+        after a derivative along x."""
+        d = jets.jet_partials(self.f_space, self.f2, self.gammas(x_slots, y_slots))
+        return d.reshape(d.shape[:1] + (self.n,) * (x_slots + y_slots) + d.shape[-1:])
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -413,7 +431,7 @@ class TensorJets:
         x-free."""
         space = self.x_free(self.order - 2)
         y_d = jets.jet_einsum(space, "kl,k->l", self.d_f2(1, 1), self.y_jets(space.order))
-        b = y_d - self.d_f2(1, 0)[:, : space.size]
+        b = y_d - self.d_f2(1, 0)[..., : space.size]
         return 0.25 * jets.jet_einsum(space, "il,l->i", self.g_inv, b)
 
 
@@ -429,9 +447,12 @@ def _gammas(n_vars: int, y_offset: int, n: int, x_slots: int, y_slots: int) -> t
 
 
 def _check_pd(gmat: np.ndarray, where: str) -> None:
-    eigenvalues = np.linalg.eigvalsh(gmat)
-    if eigenvalues.min() < EIGENVALUE_FLOOR:
-        raise NonPositiveDefiniteError(float(eigenvalues.min()), where)
+    """Raise for the first matrix of a batch (or the one matrix) whose
+    smallest eigenvalue is below the floor."""
+    lowest = np.linalg.eigvalsh(gmat)[..., 0]  # the eigenvalues ascend
+    if lowest.min() < EIGENVALUE_FLOOR:
+        lowest = lowest.ravel()
+        raise NonPositiveDefiniteError(float(lowest[np.argmax(lowest < EIGENVALUE_FLOOR)]), where)
 
 
 def g_jets(tj: TensorJets, order: int) -> np.ndarray:
@@ -442,7 +463,7 @@ def g_jets(tj: TensorJets, order: int) -> np.ndarray:
 def cartan_jets(tj: TensorJets, order: int) -> np.ndarray:
     """A_ijk = (F/4) [F^2]_{y^i y^j y^k} over ``tj.space(order)`` (order at most p - 3)."""
     space = tj.space(order)
-    quarter_f = 0.25 * tj.f_jet.coeffs[: space.size]
+    quarter_f = 0.25 * tj.f[..., : space.size]
     return jets.jet_einsum(space, ",ijk->ijk", quarter_f, tj.d_f2(0, 3)[..., : space.size])
 
 
@@ -451,7 +472,7 @@ def spray_jets(tj: TensorJets, order: int) -> np.ndarray:
     when F does not depend on x."""
     size = tj.x_free(order).size
     if not tj.depends_on_x:
-        return np.zeros((tj.n, size))
+        return np.zeros((len(tj.y), tj.n, size))
     return tj.spray[..., :size]
 
 
@@ -464,7 +485,8 @@ def berwald_jets(tj: TensorJets, order: int) -> np.ndarray:
     """E_ij = d^3 G^p / dy^i dy^j dy^p over ``tj.x_free(order)`` (order at most p - 5)."""
     n, p = tj.n, np.arange(tj.n)
     d = jets.jet_partials(tj.x_free(order + 3), spray_jets(tj, order + 3), tj.gammas(0, 3))
-    return d.reshape((n,) * 4 + d.shape[-1:])[p, :, :, p].sum(axis=0)  # [p, i, j, p]
+    d = d.reshape(d.shape[:1] + (n,) * 4 + d.shape[-1:])
+    return d[:, p, :, :, p].sum(axis=0)  # [point, p, i, j, p], summed over p
 
 
 def s_main_jet(tj: TensorJets, order: int) -> np.ndarray:
@@ -480,7 +502,7 @@ def s_main_jet(tj: TensorJets, order: int) -> np.ndarray:
     """
     space = tj.x_free(order)
     if not tj.depends_on_x:
-        return np.zeros(space.size)
+        return np.zeros((len(tj.y), space.size))
     g_inv, g_space = tj.g_inv[..., : space.size], tj.space(tj.order - 2)
     dg_x = jets.jet_partials(g_space, tj.g, tj.gammas(1, 0))[..., : space.size]
     dg_y = jets.jet_partials(g_space, tj.g, tj.gammas(0, 1))
@@ -550,28 +572,28 @@ def s_curvature_alt(model: MetricModel, point: FlagPoint) -> float:
     """Divergence form S = dG^m/dy^m - y^m d(ln sigma)/dx^m (cross-check route)."""
     div = 0.0
     if model.depends_on_x:
-        tj = TensorJets(model, point.x, point.y, 3, with_x=True)
-        div = float(np.trace(nonlinear_jets(tj, 0)[..., 0]))
+        tj = TensorJets(model, point.x[None], point.y[None], 3, with_x=True)
+        div = float(np.trace(nonlinear_jets(tj, 0)[0, ..., 0]))
     return float(div - point.y @ dln_sigma(model, point.x))
 
 
 def coordinate_tensors(model: MetricModel, point: FlagPoint) -> CoordinateTensors:
-    """Every coordinate tensor at the flag point, read off one expansion: of
-    order 5 over (x, y) when F depends on x (E takes three y-derivatives of
-    G), of order 3 over y otherwise (the Cartan tensor)."""
+    """Every coordinate tensor at the flag point, read off one expansion (a
+    batch of one): of order 5 over (x, y) when F depends on x (E takes three
+    y-derivatives of G), of order 3 over y otherwise (the Cartan tensor)."""
     with_x = model.depends_on_x
-    tj = TensorJets(model, point.x, point.y, 5 if with_x else 3, with_x)
-    g = g_jets(tj, 0)[..., 0]
-    cartan, spray = cartan_jets(tj, 0)[..., 0], spray_jets(tj, 0)[..., 0]
-    nonlinear, berwald = nonlinear_jets(tj, 0)[..., 0], berwald_jets(tj, 0)[..., 0]
+    tj = TensorJets(model, point.x[None], point.y[None], 5 if with_x else 3, with_x)
+    g = g_jets(tj, 0)[0, ..., 0]
+    cartan, spray = cartan_jets(tj, 0)[0, ..., 0], spray_jets(tj, 0)[0, ..., 0]
+    nonlinear, berwald = nonlinear_jets(tj, 0)[0, ..., 0], berwald_jets(tj, 0)[0, ..., 0]
     sigma, grad = sigma_and_dln(model, point.x)
     return CoordinateTensors(
-        f=tj.f_jet.value,
+        f=float(tj.f[0, 0]),
         g=g,
         cartan=cartan,
         spray=spray,
         nonlinear=nonlinear,
         mean_berwald=berwald,
         tau=0.5 * math.log(np.linalg.det(g)) - math.log(sigma),
-        s=float(s_main_jet(tj, 0)[0]) - float(point.y @ grad),
+        s=float(s_main_jet(tj, 0)[0, 0]) - float(point.y @ grad),
     )

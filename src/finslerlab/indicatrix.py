@@ -9,25 +9,30 @@ so F(x, y(u)) = 1 identically.  The induced metric is the pullback of the
 fundamental tensor, the fibre connection is its Levi-Civita connection, and
 curvature and covariant derivatives are computed in chart coordinates.
 
-One object per fibre point: :func:`fibre_jets` expands F once at the
-embedded flag point (one :class:`~finslerlab.core.TensorJets`, read through
-the core extractors) and composes it with y(u) into the chart jets of the
-induced metric g, the Cartan pullback H, the mean Berwald pullback E and
-the restricted S-curvature, each computed when first read at the chart
-order the caller asked for.  The same :class:`FibreJets` owns the chart
-calculus, each piece written once: the inverse metric, the Levi-Civita
-symbols, the curvature, the Berwald scalar e = tr_g E and the covariant
-derivative of any chart tensor.  Flag-point tensors and chart fields share
-one form, a float array of jet coefficients ``(*slots, size)``; a chart
-field is over ``jet_space(n - 1, order)``.  The distinct entries of a
-flag-point tensor are restricted to the x-free space by one gather and
-composed with y(u) by :func:`~finslerlab.jets.jet_compose`; products are
+One object per batch of fibre points: :func:`fibre_batch` walks F once
+per point for its embedding y(u), expands F once at the embedded flag
+points (one :class:`~finslerlab.core.TensorJets` over the batch, read
+through the core extractors) and composes it with y(u) into the chart jets
+of the induced metric g, the Cartan pullback H, the mean Berwald pullback E
+and the restricted S-curvature, each computed when first read at the chart
+order the caller asked for.  The points of a batch may lie on any fibres
+and charts: after y(u) nothing reads the chart, and x enters only through
+each point's own expansion and its base point's volume gradient.  The same
+:class:`FibreJets` owns the chart calculus, each piece written once: the
+inverse metric, the Levi-Civita symbols, the curvature, the Berwald scalar
+e = tr_g E and the covariant derivative of any chart tensor.  Flag-point
+tensors and chart fields share one form, a float array of jet coefficients
+``(points, *slots, size)``; a chart field is over ``jet_space(n - 1,
+order)``.  The distinct entries of a flag-point tensor are restricted to
+the x-free space by one gather and composed with y(u) by
+:func:`~finslerlab.jets.jet_compose`, with one monomial basis of
+y(u) - y(u0) per point and chart order; products are
 :func:`~finslerlab.jets.jet_einsum` contractions, derivatives
-:func:`~finslerlab.jets.jet_partials` gathers along the last axis.  The
-fields of one chart order share one monomial basis of y(u) - y(u0), and
-the two charts of a fibre share one gradient of ln sigma.  Every
-u-derivative is exact to roundoff.  Every check of
-:mod:`finslerlab.checks` reads the fibre through this one object.
+:func:`~finslerlab.jets.jet_partials` gathers along the last axis, each
+running once per batch.  The two charts of a fibre share one gradient of
+ln sigma.  Every u-derivative is exact to roundoff.  :func:`fibre_jets` is
+the batch of one point; every check of :mod:`finslerlab.checks` reads the
+fibre through this one object.
 
 Sign and index conventions are frozen by the Euclidean calibration: for
 F = |y| in dimension 3 the induced metric at the chart centre is 4 times
@@ -68,6 +73,7 @@ __all__ = [
     "FibreJets",
     "parameter_direction",
     "direction_chart",
+    "fibre_batch",
     "fibre_jets",
     "fibre_point_draws",
     "sample_fibre_points",
@@ -185,28 +191,29 @@ _DEPTH = {"g": 2, "h": 3, "e": 5, "s": 3}
 
 
 class FibreJets:
-    """The fibre at one point: chart jets of g, H, E and S, each over the
-    :meth:`space` of its chart order (see :func:`fibre_jets`), and the chart
-    calculus of the induced metric built from them."""
+    """The fibre at a batch of points: chart jets of g, H, E and S, each over
+    the :meth:`space` of its chart order (see :func:`fibre_batch`), and the
+    chart calculus of the induced metric built from them.  Every member has
+    a leading axis with one row per point, in the order of ``points``."""
 
-    def __init__(self, model: MetricModel, chart: FibreChart, y_u: np.ndarray, chart_order):
+    def __init__(self, model: MetricModel, points: list, y_u: np.ndarray, chart_order):
         self.model = model
-        self.chart = chart
+        self.points = points
         self.chart_order = chart_order
         self.y_u = y_u
-        space = jets.jet_space(len(y_u) - 1, max(chart_order.values()) + 1)  # that of y_u
-        self.dy = np.moveaxis(jets.jet_partials(space, y_u), -2, 0)  # dy^i/du^a at [a, i]
+        space = jets.jet_space(y_u.shape[1] - 1, max(chart_order.values()) + 1)  # that of y_u
+        self.dy = np.moveaxis(jets.jet_partials(space, y_u), -2, 1)  # dy^i/du^a at [k, a, i]
         self._bases: dict[int, jets.MonomialBasis] = {}
 
     def space(self, order: int) -> jets.JetSpace:
         """The jet space of the chart fields of this chart order."""
-        return jets.jet_space(len(self.dy), order)
+        return jets.jet_space(self.dy.shape[1], order)
 
     @cached_property
     def tj(self) -> TensorJets:
-        """The one expansion of F at the embedded flag point, deep enough for
-        every requested field and over (x, y) only where E or S needs the
-        spray of an x-dependent F."""
+        """The one expansion of F at the embedded flag points, deep enough
+        for every requested field and over (x, y) only where E or S needs
+        the spray of an x-dependent F."""
         x_dep = self.model.depends_on_x
         depth = {
             field: order + _DEPTH[field]
@@ -214,36 +221,37 @@ class FibreJets:
             if x_dep or field in ("g", "h")
         }
         with_x = x_dep and ("e" in depth or "s" in depth)
-        return TensorJets(self.model, self.chart.x, self.y_u[:, 0], max(depth.values()), with_x)
+        xs = [point.chart.x for point in self.points]
+        return TensorJets(self.model, xs, self.y_u[..., 0], max(depth.values()), with_x)
 
     def _basis(self, order: int) -> jets.MonomialBasis:
         """Monomials of the offsets of the expansion variables along the chart,
-        shared by every field composed at this chart order.  x stays at the
-        base point (zero offset), so the monomials are those of the x-free
-        jets of the expansion."""
+        one basis per point, shared by every field composed at this chart
+        order.  x stays at the base point (zero offset), so the monomials are
+        those of the x-free jets of the expansion."""
         basis = self._bases.get(order)
         if basis is None:
             space = self.space(order)
-            deltas = self.y_u[:, : space.size].copy()
-            deltas[:, 0] = 0.0  # the offsets y(u) - y(u0)
+            deltas = self.y_u[..., : space.size].copy()
+            deltas[..., 0] = 0.0  # the offsets y(u) - y(u0)
             if self.tj.with_x:
-                deltas = np.concatenate([np.zeros_like(deltas), deltas])
+                deltas = np.concatenate([np.zeros_like(deltas), deltas], axis=1)
             basis = self._bases[order] = jets.monomial_basis(space, deltas, self.tj.x_vars, 0)
         return basis
 
     def _on_chart(self, extractor: Callable, field: str, x_degree: int = 1) -> np.ndarray:
-        """A totally symmetric tensor at the flag point, over the expansion
+        """A totally symmetric tensor at the flag points, over the expansion
         space with this x-degree limit: its distinct entries, restricted to
         the x-free space by one gather, are composed with y(u) and pulled
         back to the chart at the field's chart order."""
         order = self.chart_order[field]
         space, tj = self.space(order), self.tj
         t = extractor(tj, order)
-        _, distinct, inverse = _symmetric_layout(t.shape[:-1])
+        _, distinct, inverse = _symmetric_layout(t.shape[1:-1])
         flag = tj.x_free(order)
         src = tj.space(order, x_degree).restriction(flag)
-        rows = t.reshape(-1, t.shape[-1])[np.ix_(distinct, src)]
-        composed = jets.jet_compose(flag, rows, self._basis(order))[inverse]
+        rows = t.reshape(len(t), -1, t.shape[-1])[:, distinct][..., src]
+        composed = jets.jet_compose(flag, rows, self._basis(order))[:, inverse]
         return _pullback(space, composed, self.dy[..., : space.size])
 
     @cached_property
@@ -265,8 +273,8 @@ class FibreJets:
     def e(self) -> np.ndarray:
         """Mean Berwald pullback E_ab; zero when F does not depend on x."""
         if not self.model.depends_on_x:
-            m = len(self.dy)
-            return np.zeros((m, m, self.space(self.chart_order["e"]).size))
+            points, m = self.dy.shape[:2]
+            return np.zeros((points, m, m, self.space(self.chart_order["e"]).size))
         return self._on_chart(berwald_jets, "e", x_degree=0)
 
     @cached_property
@@ -274,7 +282,8 @@ class FibreJets:
         """Restricted S-curvature: the volume-free part composed with y(u),
         minus y(u) . grad ln sigma."""
         order = self.chart_order["s"]
-        s = -(self.chart.sigma_grad @ self.y_u[:, : self.space(order).size])
+        grads = np.array([point.chart.sigma_grad for point in self.points])
+        s = -(grads[:, None, :] @ self.y_u[..., : self.space(order).size])[:, 0]
         if self.model.depends_on_x:
             flag = self.tj.x_free(order)
             s = s + jets.jet_compose(flag, s_main_jet(self.tj, order), self._basis(order))
@@ -290,9 +299,9 @@ class FibreJets:
     def gamma(self) -> np.ndarray:
         """Levi-Civita symbols Gamma^c_ab (upper index first) to chart order
         1, from g at chart order 2."""
-        dg = np.moveaxis(jets.jet_partials(self.space(2), self.g), -2, 0)  # dg[c, a, b] = d_c g_ab
+        dg = np.moveaxis(jets.jet_partials(self.space(2), self.g), -2, 1)  # dg[k, c, a, b] = d_c g_ab
         # [d, a, b] = d_a g_db + d_b g_da - d_d g_ab
-        bracket = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
+        bracket = dg.transpose(0, 2, 1, 3, 4) + dg.transpose(0, 2, 3, 1, 4) - dg
         return jets.jet_einsum(self.space(1), "cd,dab->cab", self.g_inv, bracket) * 0.5
 
     @cached_property
@@ -306,15 +315,15 @@ class FibreJets:
         Gamma^f_db - Gamma^e_df Gamma^f_cb and its lowered form
         R_abcd = g_ae R^e_bcd, as floats."""
         gam = self.gamma[..., 0]
-        # d_d Gamma^c_ab at [c, a, b, d]
+        # d_d Gamma^c_ab at [k, c, a, b, d]
         dgam = jets.jet_partials(self.space(1), self.gamma)[..., 0]
         r_up = (
-            np.einsum("edbc->ebcd", dgam)
-            - np.einsum("ecbd->ebcd", dgam)
-            + np.einsum("ecf,fdb->ebcd", gam, gam)
-            - np.einsum("edf,fcb->ebcd", gam, gam)
+            np.einsum("...edbc->...ebcd", dgam)
+            - np.einsum("...ecbd->...ebcd", dgam)
+            + np.einsum("...ecf,...fdb->...ebcd", gam, gam)
+            - np.einsum("...edf,...fcb->...ebcd", gam, gam)
         )
-        return r_up, np.einsum("ae,ebcd->abcd", self.g[..., 0], r_up)
+        return r_up, np.einsum("...ae,...ebcd->...abcd", self.g[..., 0], r_up)
 
     def covariant(self, t: np.ndarray, order: int) -> np.ndarray:
         """Covariant derivative of a chart tensor over the space of this chart
@@ -323,7 +332,7 @@ class FibreJets:
         scalar reads no Christoffel symbols."""
         out = jets.jet_partials(self.space(order), t)
         low = self.space(order - 1)
-        slots = "abcdefgh"[: t.ndim - 1]
+        slots = "abcdefgh"[: t.ndim - 2]
         for a in slots:  # y is the summed index e, z the derivative index d
             term = f"{slots.replace(a, 'y')},yz{a}->{slots}z"
             gamma = self.gamma[..., : low.size]
@@ -331,21 +340,28 @@ class FibreJets:
         return out
 
 
-def fibre_jets(
-    model: MetricModel, chart: FibreChart, u, chart_order: Mapping[str, int]
-) -> FibreJets:
-    """The fibre pipeline at chart coordinate u.
+def fibre_batch(model: MetricModel, points, chart_order: Mapping[str, int]) -> FibreJets:
+    """The fibre pipeline at a batch of fibre points, of any base points and
+    charts.
 
     ``chart_order`` maps each field the caller will read -- ``"g"`` (induced
     metric), ``"h"`` (Cartan pullback), ``"e"`` (mean Berwald pullback) and
-    ``"s"`` (restricted S-curvature) -- to its chart jet order.  One
-    expansion of F at the embedded flag point, of the lowest order that
-    serves every requested field, feeds them all.
+    ``"s"`` (restricted S-curvature) -- to its chart jet order.  F is walked
+    once per point for its embedding y(u), then one expansion of F at the
+    embedded flag points, of the lowest order that serves every requested
+    field, feeds them all.
     """
-    u0 = np.asarray(u, dtype=float)
-    _validate_chart_coord(u0)
-    y_u = _y_ujets(chart, u0, max(chart_order.values()) + 1)
-    return FibreJets(model, chart, y_u, dict(chart_order))
+    points = list(points)
+    order = max(chart_order.values()) + 1
+    y_u = np.array([_y_ujets(point.chart, point.u, order) for point in points])
+    return FibreJets(model, points, y_u, dict(chart_order))
+
+
+def fibre_jets(
+    model: MetricModel, chart: FibreChart, u, chart_order: Mapping[str, int]
+) -> FibreJets:
+    """:func:`fibre_batch` at the one chart coordinate u: a batch of one."""
+    return fibre_batch(model, [IndicatrixPoint(chart, u)], chart_order)
 
 
 # -- symmetric tensors; ``space`` is that of the chart field ------------------------
@@ -364,12 +380,14 @@ def _symmetric_layout(shape: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], l
 
 
 def _pullback(space: jets.JetSpace, t: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """T_ab.. = T_ij.. dy^i/du^a dy^j/du^b .. for a totally symmetric T,
-    contracted one slot at a time; made exactly symmetric by reading every
-    entry at its sorted multi-index."""
-    for _ in range(t.ndim - 1):
-        t = jets.jet_einsum(space, "i...,ai->...a", t, dy)
-    return t[_symmetric_layout(t.shape[:-1])[0]]
+    """T_ab.. = T_ij.. dy^i/du^a dy^j/du^b .. for a totally symmetric T, per
+    point of the batch, contracted one slot at a time; made exactly
+    symmetric by reading every entry at its sorted multi-index."""
+    slots = "ijkl"[: t.ndim - 2]
+    for new in "abcd"[: len(slots)]:
+        t = jets.jet_einsum(space, f"{slots},{new}{slots[0]}->{slots[1:]}{new}", t, dy)
+        slots = slots[1:] + new
+    return t[(slice(None),) + _symmetric_layout(t.shape[1:-1])[0]]
 
 
 # -- sampling ------------------------------------------------------------------

@@ -194,7 +194,7 @@ class FibreJets:
             if x_dep or field in ("g", "h")
         }
         with_x = x_dep and ("e" in depth or "s" in depth)
-        return TensorJets(self.model, self.chart.x, self.y0, max(depth.values()), with_x)
+        return TensorJets(self.model, [self.chart.x], [self.y0], max(depth.values()), with_x)
 
     def _basis(self, order: int) -> jets.MonomialBasis:
         """Monomials of the offsets of the expansion variables along the chart,
@@ -217,7 +217,7 @@ class FibreJets:
         basis = self._basis(order)
         x_free = self.tj.x_free(order)
         kept = self.tj.space(order, x_degree).restriction(x_free)
-        flag = _as_jets(x_free, extractor(self.tj, order)[..., kept])
+        flag = _as_jets(x_free, extractor(self.tj, order)[0][..., kept])
         composed = _symmetric(lambda jet: _compose(jet, basis), flag)
         return _pullback(composed, jet_truncated(self.dy, order))
 
@@ -252,7 +252,7 @@ class FibreJets:
         space = jets.jet_space(len(self.dy), order)
         s = space.constant(0.0)
         if self.model.depends_on_x:
-            s_main = Jet(self.tj.x_free(order), s_main_jet(self.tj, order))
+            s_main = Jet(self.tj.x_free(order), s_main_jet(self.tj, order)[0])
             s = _compose(s_main, self._basis(order))
         for i, grad_i in enumerate(self.chart.sigma_grad):
             if grad_i != 0.0:

@@ -56,7 +56,7 @@ def chart_embed(chart, u):
     from finslerlab.core import FlagPoint
     from finslerlab.indicatrix import fibre_jets
 
-    return FlagPoint(chart.x, fibre_jets(chart.model, chart, u, {"g": 0}).y_u[:, 0])
+    return FlagPoint(chart.x, fibre_jets(chart.model, chart, u, {"g": 0}).y_u[0, :, 0])
 
 
 @pytest.fixture
@@ -66,7 +66,8 @@ def rng():
 
 @pytest.fixture
 def core_counts(monkeypatch):
-    """Counts TensorJets expansions and the g and spray assemblies they run."""
+    """Counts the points of TensorJets expansions (the walks of F) and of
+    the g and spray assemblies they run."""
     from functools import cached_property
 
     from finslerlab import core
@@ -75,15 +76,15 @@ def core_counts(monkeypatch):
     init = core.TensorJets.__init__
 
     def counted_init(self, *args, **kwargs):
-        counts["expansions"] += 1
         init(self, *args, **kwargs)
+        counts["expansions"] += len(self.y)  # one walk of F per point
 
     monkeypatch.setattr(core.TensorJets, "__init__", counted_init)
     for name in ("g", "spray"):
         assemble = vars(core.TensorJets)[name].func
 
         def counted(self, assemble=assemble, name=name):
-            counts[name] += 1
+            counts[name] += len(self.y)  # one assembly per point of the batch
             return assemble(self)
 
         prop = cached_property(counted)

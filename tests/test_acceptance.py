@@ -105,8 +105,8 @@ def test_criterion_3_degeneration_suite(riem2, riem3, quartic3):
     for pt in sample_fibre_points(quartic3, np.zeros(3), 10, rng):
         fj = fibre_jets(quartic3, pt.chart, pt.u, SUITE_CHART_ORDER)
         tensor, scale = gauss_residual(fj)
-        worst_gauss = max(worst_gauss, np.max(np.abs(tensor)) / scale)
-        min_cartan = min(min_cartan, np.max(np.abs(fj.h[..., 0])))
+        worst_gauss = max(worst_gauss, np.max(np.abs(tensor[0])) / scale[0])
+        min_cartan = min(min_cartan, np.max(np.abs(fj.h[0, ..., 0])))
     ok = (
         worst["cartan"] <= 1e-10
         and worst["berwald"] <= 1e-10
@@ -132,7 +132,7 @@ def test_criterion_4_euclidean_calibration(euclid3):
     for _ in range(50):
         u = rng.uniform(-1.5, 1.5, 2)
         fj = fibre_jets(euclid3, chart, u, SUITE_CHART_ORDER)
-        g, r = fj.g[..., 0], fj.curvature[1]
+        g, r = fj.g[0, ..., 0], fj.curvature[1][0]
         sectional = r[0, 1, 0, 1] / (g[0, 0] * g[1, 1] - g[0, 1] ** 2)
         worst_sectional = max(worst_sectional, abs(sectional - 1.0))
         constant_curvature = np.einsum("ac,bd->abcd", g, g) - np.einsum(
@@ -226,26 +226,26 @@ def test_criterion_6_cross_validation(zoo_models):
             if model.depends_on_x:
                 component = int(rng.integers(0, n))
                 gamma = (0,) * n + tuple(int(a) for a in alpha)  # along y
-                tj = TensorJets(model, x, y, 2 + order, with_x=True)
-                spray = spray_jets(tj, order)[component]
+                tj = TensorJets(model, [x], [y], 2 + order, with_x=True)
+                spray = spray_jets(tj, order)[0, component]
                 exact_g = jet_partials(tj.x_free(order), spray, [gamma])[0, 0]
 
                 # the stencils evaluate G and S thousands of times, so each
                 # reads the expansion of the lowest order that carries it
                 def g_plain(yvec, component=component):
-                    tj = TensorJets(model, x, yvec, 2, with_x=True)
-                    return float(spray_jets(tj, 0)[component, 0])
+                    tj = TensorJets(model, [x], [yvec], 2, with_x=True)
+                    return float(spray_jets(tj, 0)[0, component, 0])
 
                 estimate_g = finite_difference_oracle(g_plain, y, tuple(alpha), step)
                 worst_g = max(worst_g, abs(estimate_g - exact_g) / max(1.0, abs(exact_g)))
 
-                tj_s = TensorJets(model, x, y, 3 + order, with_x=True)
-                s_jet = s_main_jet(tj_s, order)
+                tj_s = TensorJets(model, [x], [y], 3 + order, with_x=True)
+                s_jet = s_main_jet(tj_s, order)[0]
                 exact_s = jet_partials(tj_s.x_free(order), s_jet, [gamma])[0, 0]
 
                 def s_plain(yvec):
-                    tj = TensorJets(model, x, yvec, 3, with_x=True)
-                    return float(s_main_jet(tj, 0)[0]) - float(yvec @ dln_sigma(model, x))
+                    tj = TensorJets(model, [x], [yvec], 3, with_x=True)
+                    return float(s_main_jet(tj, 0)[0, 0]) - float(yvec @ dln_sigma(model, x))
 
                 estimate_s = finite_difference_oracle(s_plain, y, tuple(alpha), step_s)
                 worst_s = max(worst_s, abs(estimate_s - exact_s) / max(1.0, abs(exact_s)))

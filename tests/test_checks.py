@@ -90,12 +90,12 @@ def test_gauss_euclidean_reduces_to_round_sphere(euclid3):
 
 def test_isotropy_residual_funk(funk3):
     point = fibre_point(funk3, [0.3, 0.1, 0.0], np.array([0.5, -0.4]))
-    assert isotropy_residual(audit_jets(funk3, point)) <= 1e-6
+    assert isotropy_residual(audit_jets(funk3, point))[0] <= 1e-6
 
 
 def test_isotropy_residual_riemannian(riem3):
     point = fibre_point(riem3, [0.2, -0.3, 0.1], np.array([0.4, 0.2]))
-    assert isotropy_residual(audit_jets(riem3, point)) <= 1e-12
+    assert isotropy_residual(audit_jets(riem3, point))[0] <= 1e-12
 
 
 def test_isotropy_residual_randers_flags_non_isotropy(randers3, rng):
@@ -105,7 +105,7 @@ def test_isotropy_residual_randers_flags_non_isotropy(randers3, rng):
     for _ in range(3):
         x = randers3.sample_x(rng)
         for point in sample_fibre_points(randers3, x, 10, rng):
-            worst = max(worst, isotropy_residual(audit_jets(randers3, point)))
+            worst = max(worst, isotropy_residual(audit_jets(randers3, point))[0])
     assert worst > 1e-2
 
 
@@ -179,11 +179,12 @@ def test_non_isotropic_audit_takes_no_hessians_after_the_first_anisotropic_point
     # with this bound the fifth of the six points is the only anisotropic one
     model, x, tol = build("randers", 3), np.array([0.3, 0.2, -0.1]), 5e-3
     points = sample_fibre_points(model, x, 6, np.random.default_rng(3))
-    residuals = [isotropy_residual(audit_jets(model, p)) for p in points]
+    residuals = [isotropy_residual(audit_jets(model, p))[0] for p in points]
     assert [r <= tol for r in residuals] == [True, True, True, True, False, True]
     calls = []
     hessians = checks._y_hessians
-    monkeypatch.setattr(checks, "_y_hessians", lambda tj: calls.append(1) or hessians(tj))
+    # one batched call: count its points
+    monkeypatch.setattr(checks, "_y_hessians", lambda tj: calls.extend(tj.y.tolist()) or hessians(tj))
     audit = schur_audit(model, x, fibre_samples=6, tol=tol, rng=np.random.default_rng(3))
     assert audit.verdict == "non-isotropic" and audit.weak is None
     assert len(calls) == 4
@@ -192,11 +193,12 @@ def test_non_isotropic_audit_takes_no_hessians_after_the_first_anisotropic_point
 def test_a_fault_in_a_later_residual_leaves_no_row_of_its_point(randers3, monkeypatch):
     from finslerlab import checks
 
-    calls = []
+    # the second point of the sweep, a middle row of its batch of three
+    rng = np.random.default_rng(0)
+    second = sample_fibre_points(randers3, sample_base_points(randers3, 1, rng)[0], 2, rng)[1]
 
     def gauss_failing_at_the_second_point(fj):
-        calls.append(fj)
-        if len(calls) == 2:
+        if any(point.u.tolist() == second.u.tolist() for point in fj.points):
             raise NonPositiveDefiniteError(-1.0)
         return gauss_residual(fj)
 
@@ -214,8 +216,8 @@ def test_a_fault_in_a_later_residual_leaves_no_row_of_its_point(randers3, monkey
 def test_sweep_visits_the_points_the_samplers_replay(randers3):
     """perfbench's check workload replays the sweep's points this way."""
 
-    def work(fj, earlier):
-        return {"earlier points": len(earlier)}
+    def work(fj, fibres):
+        return [{"earlier points": len(earlier) + k} for earlier, count in fibres for k in range(count)]
 
     swept = list(sweep(randers3, 2, 3, np.random.default_rng(5), {"g": 1}, work, None))
     rng = np.random.default_rng(5)
@@ -234,8 +236,12 @@ def test_sweep_visits_the_points_the_samplers_replay(randers3):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_a_quantity_that_is_not_finite_is_a_point_fault(randers3, value):
-    def work(fj, earlier):
-        return {"eq-2.1 residual": 0.0, "eq-2.1 scale": value} if earlier else {"e": 1.0}
+    def work(fj, fibres):
+        return [
+            {"eq-2.1 residual": 0.0, "eq-2.1 scale": value} if len(earlier) + k else {"e": 1.0}
+            for earlier, count in fibres
+            for k in range(count)
+        ]
 
     points = sweep(randers3, 1, 2, np.random.default_rng(0), {"g": 1}, work, "probe")
     assert next(points)[:2] == (0, 0)
@@ -284,7 +290,7 @@ def test_weak_isotropy_funk(funk3):
     assert record.samples == 10
     # c is e at the first audited point over n - 1
     first = sample_fibre_points(funk3, x, 1, np.random.default_rng(4))[0]
-    assert record.c == float(audit_jets(funk3, first).berwald_scalar[0]) / 2
+    assert record.c == float(audit_jets(funk3, first).berwald_scalar[0, 0]) / 2
 
 
 def test_weak_isotropy_minkowski(quartic3):

@@ -293,6 +293,28 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, document):
     assert capsys.readouterr().err.startswith("error: config: expected a JSON object")
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark
+    assert run_cli("check", "--config", str(config), "--metric", "randers", "--dim", "3") == 2
+    assert capsys.readouterr().err.startswith(f"error: config: invalid JSON in {str(config)!r}: 'utf-8' codec")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--metric", "randers", "--dim", "3", "--samples", "1", "--base-points", "1"),
+        ("zoo",),
+    ],
+    ids=["check", "zoo"],
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "report.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: out: cannot write {str(out)!r}: No such file or directory\n"
+
+
 def test_curvature_point_that_is_not_a_string_exits_2(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"metric": "euclidean", "dim": 3, "x": [0, 0, 0], "y": "0,0,1"}))

@@ -35,20 +35,20 @@ def suite_fields(model, chart, u) -> dict:
     ds = fj.covariant(fj.s, 2)
     e = fj.berwald_scalar
     return {
-        "g": fj.g[..., 0],
-        "g_inv": fj.g_inv[..., 0],
-        "gamma": fj.gamma[..., 0],
-        "riemann": r_low,
-        "riemann_up": r_up,
-        "s": float(fj.s[0]),
-        "s_grad": ds[..., 0],
-        "s_hess": fj.covariant(ds, 1)[..., 0],
-        "cartan": fj.h[..., 0],
-        "cartan_cov": fj.covariant(fj.h, 1)[..., 0],
-        "berwald": fj.e[..., 0],
-        "berwald_cov": fj.covariant(fj.e, 1)[..., 0],
-        "e": float(e[0]),
-        "e_grad": fj.covariant(e, 1)[..., 0],
+        "g": fj.g[0, ..., 0],
+        "g_inv": fj.g_inv[0, ..., 0],
+        "gamma": fj.gamma[0, ..., 0],
+        "riemann": r_low[0],
+        "riemann_up": r_up[0],
+        "s": float(fj.s[0, 0]),
+        "s_grad": ds[0, ..., 0],
+        "s_hess": fj.covariant(ds, 1)[0, ..., 0],
+        "cartan": fj.h[0, ..., 0],
+        "cartan_cov": fj.covariant(fj.h, 1)[0, ..., 0],
+        "berwald": fj.e[0, ..., 0],
+        "berwald_cov": fj.covariant(fj.e, 1)[0, ..., 0],
+        "e": float(e[0, 0]),
+        "e_grad": fj.covariant(e, 1)[0, ..., 0],
     }
 
 
@@ -58,11 +58,11 @@ def audit_fields(model, chart, u) -> dict:
     fj = fibre_jets(model, chart, u, {"g": 1, "e": 1})
     e = fj.berwald_scalar
     return {
-        "g": fj.g[..., 0],
-        "g_inv": fj.g_inv[..., 0],
-        "berwald": fj.e[..., 0],
-        "e": float(e[0]),
-        "e_grad": fj.covariant(e, 1)[..., 0],
+        "g": fj.g[0, ..., 0],
+        "g_inv": fj.g_inv[0, ..., 0],
+        "berwald": fj.e[0, ..., 0],
+        "e": float(e[0, 0]),
+        "e_grad": fj.covariant(e, 1)[0, ..., 0],
     }
 
 
@@ -73,10 +73,10 @@ def ricci_fields(model, chart, u) -> dict:
     s_grad = fj.covariant(fj.s, 3)
     r_up, r_low = fj.curvature
     return {
-        "w": fj.covariant(fj.covariant(s_grad, 2), 1)[..., 0],
-        "s_grad": s_grad[..., 0],
-        "riemann_up": r_up,
-        "riemann": r_low,
+        "w": fj.covariant(fj.covariant(s_grad, 2), 1)[0, ..., 0],
+        "s_grad": s_grad[0, ..., 0],
+        "riemann_up": r_up[0],
+        "riemann": r_low[0],
     }
 
 
@@ -121,17 +121,17 @@ def test_embedding_unit_level_and_rank(zoo_models, rng):
 def test_induced_metric_euclidean_round_factor(euclid3):
     chart = north_chart(euclid3, [0.0, 0.0, 0.0])
     np.testing.assert_allclose(
-        suite_jets(euclid3, chart, np.zeros(2)).g[..., 0], 4.0 * np.eye(2), atol=1e-12
+        suite_jets(euclid3, chart, np.zeros(2)).g[0, ..., 0], 4.0 * np.eye(2), atol=1e-12
     )
     np.testing.assert_allclose(
-        suite_jets(euclid3, chart, np.array([1.0, 0.0])).g[..., 0], np.eye(2), atol=1e-12
+        suite_jets(euclid3, chart, np.array([1.0, 0.0])).g[0, ..., 0], np.eye(2), atol=1e-12
     )
 
 
 def test_induced_metric_matches_fd_pullback(randers3, rng):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
     u = np.array([0.4, -0.6])
-    g_dot = suite_jets(randers3, chart, u).g[..., 0]
+    g_dot = suite_jets(randers3, chart, u).g[0, ..., 0]
     flag = chart_embed(chart, u)
     g = coordinate_tensors(randers3, flag).g
     jacobian = np.empty((3, 2))
@@ -146,12 +146,12 @@ def test_induced_metric_matches_fd_pullback(randers3, rng):
 
 def test_christoffels_euclidean_center(euclid3):
     chart = north_chart(euclid3, [0.0, 0.0, 0.0])
-    np.testing.assert_allclose(suite_jets(euclid3, chart, np.zeros(2)).gamma[..., 0], 0.0, atol=1e-12)
+    np.testing.assert_allclose(suite_jets(euclid3, chart, np.zeros(2)).gamma[0, ..., 0], 0.0, atol=1e-12)
 
 
 def test_riemann_euclidean_calibration(euclid3):
     chart = north_chart(euclid3, [0.0, 0.0, 0.0])
-    r = suite_jets(euclid3, chart, np.zeros(2)).curvature[1]
+    r = suite_jets(euclid3, chart, np.zeros(2)).curvature[1][0]
     assert r[0, 1, 0, 1] == pytest.approx(16.0, rel=1e-10)
 
 
@@ -159,7 +159,7 @@ def test_riemann_algebraic_symmetries(randers3, rng):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
     for _ in range(3):
         u = rng.uniform(-1.0, 1.0, 2)
-        r = suite_jets(randers3, chart, u).curvature[1]
+        r = suite_jets(randers3, chart, u).curvature[1][0]
         scale = max(1.0, np.max(np.abs(r)))
         assert np.max(np.abs(r + np.transpose(r, (1, 0, 2, 3)))) <= 1e-6 * scale
         assert np.max(np.abs(r + np.transpose(r, (0, 1, 3, 2)))) <= 1e-6 * scale
@@ -173,7 +173,7 @@ def test_euclidean_sectional_curvature(euclid3, rng):
     for _ in range(50):
         u = rng.uniform(-1.5, 1.5, 2)
         fj = suite_jets(euclid3, chart, u)
-        g, r = fj.g[..., 0], fj.curvature[1]
+        g, r = fj.g[0, ..., 0], fj.curvature[1][0]
         sectional = r[0, 1, 0, 1] / (g[0, 0] * g[1, 1] - g[0, 1] ** 2)
         assert sectional == pytest.approx(1.0, abs=1e-7)
 
@@ -191,15 +191,15 @@ def test_restricted_fields_funk(funk3):
 def test_restricted_fields_riemannian_zeros(riem3, rng):
     chart = north_chart(riem3, [0.2, -0.3, 0.1])
     fj = suite_jets(riem3, chart, rng.uniform(-1, 1, 2))
-    np.testing.assert_allclose(fj.h[..., 0], 0.0, atol=1e-10)
-    np.testing.assert_allclose(fj.e[..., 0], 0.0, atol=1e-10)
-    assert fj.berwald_scalar[0] == pytest.approx(0.0, abs=1e-10)
+    np.testing.assert_allclose(fj.h[0, ..., 0], 0.0, atol=1e-10)
+    np.testing.assert_allclose(fj.e[0, ..., 0], 0.0, atol=1e-10)
+    assert fj.berwald_scalar[0, 0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_covariant_derivative_constant_scalar(randers3):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
     fj = fibre_jets(randers3, chart, np.array([0.4, 0.1]), {"g": 1})
-    scalar = fj.space(1).constant(3.0).coeffs
+    scalar = fj.space(1).constant(3.0).coeffs[None]  # a batch of one
     np.testing.assert_allclose(fj.covariant(scalar, 1), 0.0, atol=1e-10)
 
 
@@ -215,7 +215,7 @@ def test_cartan_derivative_total_symmetry(randers3, quartic3, rng):
         x = model.sample_x(rng)
         for point in sample_fibre_points(model, x, 3, rng):
             fj = suite_jets(model, point.chart, point.u)
-            cartan_cov = fj.covariant(fj.h, 1)[..., 0]
+            cartan_cov = fj.covariant(fj.h, 1)[0, ..., 0]
             scale = max(1.0, np.max(np.abs(cartan_cov)))
             for perm in ((0, 1, 3, 2), (0, 3, 2, 1), (3, 1, 2, 0)):
                 deviation = cartan_cov - np.transpose(cartan_cov, perm)
@@ -272,7 +272,7 @@ def test_fibre_covariant_derivative_matches_fd(randers3):
     rf = suite_fields(randers3, chart, u)
 
     def berwald_component(uvec, a, b):
-        return fibre_jets(randers3, chart, uvec, {"e": 0}).e[a, b, 0]
+        return fibre_jets(randers3, chart, uvec, {"e": 0}).e[0, a, b, 0]
 
     m = 2
     partial = np.empty((m, m, m))
@@ -317,7 +317,7 @@ def test_chart_embed_rejects_nonpositive_ray(monkeypatch):
 
 def test_christoffels_torsion_free(randers3, rng):
     chart = north_chart(randers3, [0.3, 0.2, -0.1])
-    gamma = suite_jets(randers3, chart, rng.uniform(-1, 1, 2)).gamma[..., 0]
+    gamma = suite_jets(randers3, chart, rng.uniform(-1, 1, 2)).gamma[0, ..., 0]
     np.testing.assert_allclose(gamma, np.transpose(gamma, (0, 2, 1)), atol=1e-14)
 
 
