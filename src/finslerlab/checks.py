@@ -243,11 +243,12 @@ _BATCH_FAULTS = (InputFault, ArithmeticError, np.linalg.LinAlgError)
 
 
 def sweep(
-    model: MetricModel, base_points: int, samples: int, rng, chart_order, work, stage
+    model: MetricModel, bases: list[np.ndarray], samples: int, rng, chart_order, work, stage
 ) -> Iterator[tuple[int, int, IndicatrixPoint, dict]]:
     """Yield ``(base, fibre, point, quantities)`` in a fixed order: the base
-    points drawn from ``rng`` by :func:`sample_base_points`, then the points
-    of each fibre by :func:`~finslerlab.indicatrix.fibre_point_draws`.
+    points x in ``bases`` in turn, each numbered by its position, and the
+    ``samples`` points of the fibre over each drawn from ``rng`` by
+    :func:`~finslerlab.indicatrix.fibre_point_draws`.
 
     The points are evaluated in batches of up to :data:`BATCH_POINTS`, across
     fibres: ``work(fj, fibres)`` reads one FibreJets of ``chart_order`` over
@@ -262,12 +263,6 @@ def sweep(
     and the items yielded before it are those of a sweep of batches of
     one; a draw that fails ends its batch, and is raised once the points
     drawn before it have run."""
-    bases = sample_base_points(model, base_points, rng)
-    yield from _sweep_over(model, bases, samples, rng, chart_order, work, stage)
-
-
-def _sweep_over(model, bases, samples, rng, chart_order, work, stage):
-    """:func:`sweep` over the fibres at the given base points."""
     earlier: dict[int, list] = {}
     batch: list = []
     for base, x in enumerate(bases):
@@ -354,10 +349,11 @@ def run_identity_suite(
     every block, which keeps the rows of the points before its point."""
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     rng = np.random.default_rng(seed)
+    bases = sample_base_points(model, base_points, rng)
     rows, error = [], None
     try:
         for base, fibre, _, quantities in sweep(
-            model, base_points, fibre_samples, rng, SUITE_CHART_ORDER, _suite_batch, None
+            model, bases, fibre_samples, rng, SUITE_CHART_ORDER, _suite_batch, None
         ):
             rows.append((base, fibre, quantities))
     except PointFault as err:
@@ -507,7 +503,8 @@ def run_isotropy_audit(
     variation of the Berwald scalar.  A fault, also where g is not positive
     definite, is a :class:`PointFault` of stage ``schur``."""
     work, rng = partial(_audit_batch, tol), np.random.default_rng(seed)
-    points = sweep(model, base_points, fibre_samples, rng, _AUDIT_ORDER, work, "schur")
+    bases = sample_base_points(model, base_points, rng)
+    points = sweep(model, bases, fibre_samples, rng, _AUDIT_ORDER, work, "schur")
     fibres = [list(fibre) for _, fibre in groupby(points, key=lambda item: item[0])]
     return [(fibre[0][2].chart.x, _fibre_audit(model, fibre, seed, tol)) for fibre in fibres]
 
@@ -522,5 +519,5 @@ def schur_audit(
     tol = DEFAULT_TOLERANCES["thm-1"] if tol is None else tol
     rng = np.random.default_rng(seed) if rng is None else rng
     work = partial(_audit_batch, tol)
-    points = _sweep_over(model, [x], fibre_samples, rng, _AUDIT_ORDER, work, "schur")
+    points = sweep(model, [x], fibre_samples, rng, _AUDIT_ORDER, work, "schur")
     return _fibre_audit(model, list(points), seed, tol)

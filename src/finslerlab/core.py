@@ -27,12 +27,13 @@ y-derivatives, :func:`nonlinear_jets` and :func:`berwald_jets`) and
 array ``(points, *slots, size)`` of jet coefficients: derivatives of F^2
 are gathers (:func:`~finslerlab.jets.jet_partials`), products are
 :func:`~finslerlab.jets.jet_einsum` contractions, and the one matrix
-inverse, g^{-1} for the spray, is :func:`~finslerlab.jets.neumann_inverse`,
-each taking the batch axis.  S needs no determinant: by Jacobi's formula
-d ln sqrt(det g) = (1/2) tr(g^{-1} dg) with the same g^{-1}.  g, g^{-1}
-and G are assembled once per expansion, at the highest order it carries,
-and every reader takes a prefix; a lower-order jet is the truncation of a
-higher-order one, so one deep expansion serves every order below it.
+inverse, g^{-1} for the spray, is :func:`~finslerlab.jets.neumann_inverse`;
+these kernels take only arrays with the batch axis.  S needs no
+determinant: by Jacobi's formula d ln sqrt(det g) = (1/2) tr(g^{-1} dg)
+with the same g^{-1}.  g, g^{-1} and G are assembled once per expansion,
+at the highest order it carries, and every reader takes a prefix; a
+lower-order jet is the truncation of a higher-order one, so one deep
+expansion serves every order below it.
 :func:`coordinate_tensors` reads every tensor at a flag point off an
 expansion of a batch of one, and the fibre pipeline in
 :mod:`finslerlab.indicatrix` reads the same extractors over its batches;

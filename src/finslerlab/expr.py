@@ -21,6 +21,7 @@ expressions can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -164,7 +165,10 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         if c.isdigit():
             m = _NUM_RE.match(text, i)
-            tokens.append(_Token("NUM", m.group(), float(m.group()), i))
+            value = float(m.group())
+            if math.isinf(value):
+                raise ParseError(f"numeric literal {m.group()} overflows", i)
+            tokens.append(_Token("NUM", m.group(), value, i))
             i = m.end()
             continue
         if c.isalpha() or c == "_":
@@ -239,7 +243,8 @@ class _Parser:
 
     def exponent(self) -> float:
         # A signed real literal, optionally parenthesised; chained '^' folds
-        # right-associatively into a single literal value.
+        # right-associatively into a single literal value, a finite real.
+        start = self.peek().pos
         paren = self.accept_op("(") is not None
         sign = -1.0 if self.accept_op("-") is not None else 1.0
         tok = self.peek()
@@ -252,7 +257,12 @@ class _Parser:
         if paren:
             self.expect_op(")", "')'")
         if self.accept_op("^") is not None:
-            value = value ** self.exponent()
+            try:
+                value = value ** self.exponent()
+            except (OverflowError, ZeroDivisionError):
+                value = None
+            if not isinstance(value, float):  # it overflowed, divided by zero or is complex
+                raise ParseError("exponent chain does not fold to a finite real", start)
         return value
 
     def atom(self) -> Node:
@@ -316,13 +326,13 @@ def _prec(node: Node) -> int:
     return 9
 
 
-def serialize(node: Node, full_parens: bool = False) -> str:
+def serialize(node: Node) -> str:
     """Render a tree back to source text; reparsing gives a structurally
     identical tree for any tree the parser can produce."""
 
     def wrap(child: Node, needs: bool) -> str:
-        text = serialize(child, full_parens)
-        return f"({text})" if needs or (full_parens and _prec(child) < 9) else text
+        text = serialize(child)
+        return f"({text})" if needs else text
 
     if isinstance(node, Num):
         return repr(node.value)
@@ -331,7 +341,7 @@ def serialize(node: Node, full_parens: bool = False) -> str:
     if isinstance(node, Param):
         return node.name
     if isinstance(node, Call):
-        return f"{node.fn}({serialize(node.arg, full_parens)})"
+        return f"{node.fn}({serialize(node.arg)})"
     if isinstance(node, Neg):
         return "-" + wrap(node.operand, _prec(node.operand) <= 3)
     if isinstance(node, Pow):

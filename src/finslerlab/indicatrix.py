@@ -29,10 +29,10 @@ the x-free space by one gather and composed with y(u) by
 y(u) - y(u0) per point and chart order; products are
 :func:`~finslerlab.jets.jet_einsum` contractions, derivatives
 :func:`~finslerlab.jets.jet_partials` gathers along the last axis, each
-running once per batch.  The two charts of a fibre share one gradient of
-ln sigma.  Every u-derivative is exact to roundoff.  :func:`fibre_jets` is
-the batch of one point; every check of :mod:`finslerlab.checks` reads the
-fibre through this one object.
+running once per batch on kernels that take only batched arrays.  The two
+charts of a fibre share one gradient of ln sigma.  Every u-derivative is
+exact to roundoff.  :func:`fibre_jets` is the batch of one point; every
+check of :mod:`finslerlab.checks` reads the fibre through this one object.
 
 Sign and index conventions are frozen by the Euclidean calibration: for
 F = |y| in dimension 3 the induced metric at the chart centre is 4 times

@@ -60,8 +60,8 @@ in the full table; the CLI rejects a non-finite point.)
 
 Jets are built by :meth:`JetSpace.constant` and :meth:`JetSpace.variable`
 on a space from :func:`jet_space`; they are the scalars the expression
-evaluator runs on.  A tensor of jets is one float array ``(*slots, size)``
-of coefficients over one space, optionally behind a batch axis of points:
+evaluator runs on.  A tensor of jets is one float array ``(points, *slots,
+size)`` of coefficients over one space; a single point is a batch of one.
 :func:`jet_partials` gathers its derivatives, :meth:`JetSpace.restriction`
 its coefficients in a smaller space, :func:`jet_einsum` contracts two such
 arrays (point by point, with the plan of one), :func:`neumann_inverse`
@@ -302,15 +302,21 @@ class JetSpace:
         return plan
 
     def _einsum_plan(self, subscripts: str, a_shape: tuple, b_shape: tuple) -> "_Contraction":
-        """The contraction of :func:`jet_einsum` for operands of these shapes."""
+        """The contraction of :func:`jet_einsum`, the plan of one point, for
+        operands of these shapes after the batch axis."""
         key = (subscripts, a_shape, b_shape)
         plan = self._einsum_plans.get(key)
         if plan is None:
             left, right, out = subscripts.replace("->", ",").split(",")
+            if (len(a_shape), len(b_shape)) != (len(left) + 1, len(right) + 1):
+                raise ValueError(
+                    f"{subscripts!r} needs operands of a batch axis, its slot axes and the "
+                    f"coefficients; got {a_shape} and {b_shape} after the batch axis"
+                )
             # numpy's own broadcast of the slot axes, so plan and contraction agree
             slots = np.zeros(a_shape[:-1]), np.zeros(b_shape[:-1])
             shape = np.einsum(f"{left},{right}->{out}", *slots).shape
-            plan = _contraction(f"{left}Z,{right}Z->{out}Z", *self._mul(), shape, self.size)
+            plan = _contraction(f"P{left}Z,P{right}Z->P{out}Z", *self._mul(), shape, self.size)
             self._einsum_plans[key] = plan
         return plan
 
@@ -324,7 +330,7 @@ class JetSpace:
             plan = []
             for lo, hi in zip(self.grade_offsets[1:-1], self.grade_offsets[2:]):
                 keep = (kk >= lo) & (kk < hi) & (ii >= self.grade_offsets[1])
-                plan.append(_contraction("abZ,bcZ->acZ", ii[keep], jj[keep], kk[keep] - lo, (m, m), hi - lo))
+                plan.append(_contraction("PabZ,PbcZ->PacZ", ii[keep], jj[keep], kk[keep] - lo, (m, m), hi - lo))
             self._neumann_plans[m] = plan
         return plan
 
@@ -549,32 +555,32 @@ class MonomialBasis(NamedTuple):
 
 
 def monomial_basis(space: JetSpace, deltas, x_vars: int = 0, x_degree: int = 1) -> MonomialBasis:
-    """Every monomial, up to their order, of the deltas: one row of
-    coefficients in ``space`` per expanded variable, with no order-0 part,
-    optionally behind a leading batch axis (one set of deltas per point).
-    The monomials are those of the jets with this x-degree limit; each grade
-    is one product of the monomials a grade lower and their first deltas."""
+    """Every monomial, up to their order, of the deltas ``(points, vars,
+    space.size)``: per point, one row of coefficients in ``space`` per
+    expanded variable, with no order-0 part.  The monomials are those of
+    the jets with this x-degree limit; each grade is one product of the
+    monomials a grade lower and their first deltas."""
     deltas = np.asarray(deltas, dtype=float)
-    if deltas.ndim not in (2, 3) or not deltas.shape[-2] or deltas.shape[-1] != space.size:
+    if deltas.ndim != 3 or not deltas.shape[1] or deltas.shape[2] != space.size:
         raise ValueError("one delta jet is required per variable; they share one jet space")
     if np.any(deltas[..., 0] != 0.0):
         raise ValueError("delta jets must have zero order-0 coefficient")
-    src = jet_space(deltas.shape[-2], space.order, x_vars, x_degree)
+    src = jet_space(deltas.shape[1], space.order, x_vars, x_degree)
     first = np.argmax(src._alphas != 0, axis=1)
     sub = src._positions(src._keys - src._radix[first])
-    rows = np.zeros(deltas.shape[:-2] + (src.size, space.size))
-    rows[..., 0, 0] = 1.0
+    rows = np.zeros((len(deltas), src.size, space.size))
+    rows[:, 0, 0] = 1.0
     for lo, hi in zip(src.grade_offsets[1:-1], src.grade_offsets[2:]):
-        rows[..., lo:hi, :] = jet_einsum(space, "r,r->r", rows[..., sub[lo:hi], :], deltas[..., first[lo:hi], :])
+        rows[:, lo:hi] = jet_einsum(space, "r,r->r", rows[:, sub[lo:hi]], deltas[:, first[lo:hi]])
     return MonomialBasis(space, src, rows)
 
 
 def jet_compose(space: JetSpace, coeffs: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     """Substitute the deltas of ``basis``, built for the x-degree limit of
     ``space``, for the variables of jets over ``space``: coefficient rows
-    ``(..., space.size)`` in, the rows of their compositions in the space
-    of the deltas out.  A basis with a batch axis composes the rows of
-    ``coeffs[k]`` with its own ``rows[k]``."""
+    ``(points, ..., space.size)`` in, the rows of their compositions in the
+    space of the deltas out, the rows of ``coeffs[k]`` composed with the
+    basis ``rows[k]`` of point k."""
     rows = basis.rows_space
     if rows.n_vars != space.n_vars:
         raise ValueError("one delta jet is required per variable")
@@ -583,9 +589,8 @@ def jet_compose(space: JetSpace, coeffs: np.ndarray, basis: MonomialBasis) -> np
     if coeffs.shape[-1] != space.size:
         raise ValueError(f"the composed rows must hold the {space.size} coefficients of {space!r}")
     limit = space.grade_offsets[min(basis.space.order, space.order) + 1]
-    monomials = basis.rows[..., :limit, :]
-    if monomials.ndim == 3:  # one basis per point: broadcast over the slots of each
-        monomials = monomials.reshape(monomials.shape[:1] + (1,) * (coeffs.ndim - 2) + monomials.shape[1:])
+    monomials = basis.rows[:, :limit]  # one basis per point: broadcast over the slots of each
+    monomials = monomials.reshape(monomials.shape[:1] + (1,) * (coeffs.ndim - 2) + monomials.shape[1:])
     return (coeffs[..., :limit, None] * monomials).sum(axis=-2)  # in layout order
 
 
@@ -599,12 +604,11 @@ def jet_partials(space: JetSpace, t: np.ndarray, gammas=None) -> np.ndarray:
 
 
 class _Contraction(NamedTuple):
-    """Product-table terms (ii, jj) contracted by ``spec`` over the slot axes
-    and summed into an array of ``shape`` by one offset ``np.bincount``;
-    ``batched`` is the spec with a leading batch axis on every operand."""
+    """Product-table terms (ii, jj) contracted by ``spec`` over a leading
+    batch axis and the slot axes, and summed into an array of ``shape`` per
+    point by one offset ``np.bincount``."""
 
     spec: str
-    batched: str
     ii: np.ndarray
     jj: np.ndarray
     slots: np.ndarray
@@ -614,59 +618,42 @@ class _Contraction(NamedTuple):
 def _contraction(spec: str, ii, jj, kk, slot_shape: tuple[int, ...], width: int) -> _Contraction:
     """Term ``t`` of slot row ``r`` lands in bin ``r * width + kk[t]``."""
     slots = (np.arange(math.prod(slot_shape))[:, None] * width + kk).ravel()
-    batched = "..." + spec.replace(",", ",...").replace("->", "->...")
-    return _Contraction(spec, batched, ii, jj, slots, slot_shape + (width,))
+    return _Contraction(spec, ii, jj, slots, slot_shape + (width,))
 
 
-def _contract(plan: _Contraction, a: np.ndarray, b: np.ndarray, batched: bool = False) -> np.ndarray:
-    """The contraction of ``plan`` on two arrays of jet coefficients, with a
-    leading batch axis on both if ``batched``: the bins of point k are those
-    of one point offset by k times its output size, so each entry sums the
-    same terms in the same order as a call on that point alone."""
+def _contract(plan: _Contraction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The contraction of ``plan`` on two batches of jet arrays: the bins of
+    point k are those of one point offset by k times its output size, so
+    each entry sums the same terms in the same order as a call on that
+    point alone."""
     # gathered from C-order operands, the terms of a point are laid out as
     # in a call on that point alone, so einsum sums them in the same order
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    terms = np.einsum(plan.batched if batched else plan.spec, a[..., plan.ii], b[..., plan.jj])
-    size, points = math.prod(plan.shape), len(terms) if batched else 1
+    terms = np.einsum(plan.spec, a[..., plan.ii], b[..., plan.jj])
+    size, points = math.prod(plan.shape), len(terms)
     bins = plan.slots if points == 1 else (np.arange(points)[:, None] * size + plan.slots).ravel()
     summed = np.bincount(bins, weights=terms.ravel(), minlength=points * size)
     return summed.reshape(terms.shape[:-1] + plan.shape[-1:])
 
 
-# jet_einsum's contraction and batch flag per space, subscripts and operand
-# shapes; the contraction is the plan of one point
-_EINSUM_CALLS: dict[tuple, tuple[_Contraction, bool]] = {}
-
-
 def jet_einsum(space: JetSpace, subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.einsum(subscripts, a, b)`` over the slot axes of two arrays of
-    jets, with the jet product of ``space`` along their last axis.  Each
-    product-table term is contracted over the slots, then summed in table
-    order by one offset ``np.bincount``: with no summed index every entry is
-    :meth:`JetSpace.multiply` of its operands, bit for bit.  The einsum
-    spec, output shape and bincount bins are built once per subscripts and
-    operand shapes.
-
-    Subscripts without an ellipsis name every slot axis, so operands that
-    both carry one more leading axis are a batch of points, contracted point
-    by point with the plan of one point: the batch's bins are that plan's,
-    offset per point at call time, so no plan grows with the batch."""
-    key = (space, subscripts, a.shape, b.shape)
-    call = _EINSUM_CALLS.get(key)
-    if call is None:
-        left, right, _ = subscripts.replace("->", ",").split(",")
-        batched = "..." not in subscripts and a.ndim == len(left) + 2
-        if batched and (b.ndim != len(right) + 2 or len(a) != len(b)):
-            raise ValueError("both operands of a batched contraction carry the batch axis")
-        plan = space._einsum_plan(subscripts, a.shape[batched:], b.shape[batched:])
-        call = _EINSUM_CALLS[key] = plan, batched
-    plan, batched = call
-    return _contract(plan, a, b, batched)
+    """``np.einsum(subscripts, a, b)`` over the slot axes of two batches of
+    jet arrays ``(points, *slots, size)``, point by point, with the jet
+    product of ``space`` along their last axis.  The subscripts name every
+    slot axis.  Each product-table term is contracted over the slots, then
+    summed in table order by one offset ``np.bincount``: with no summed
+    index every entry is :meth:`JetSpace.multiply` of its operands, bit for
+    bit.  The einsum spec, output shape and bincount bins are those of one
+    point, built once per subscripts and operand shapes; the batch's bins
+    are offset per point at call time, so no plan grows with the batch."""
+    if len(a) != len(b):
+        raise ValueError(f"the operands differ in their batch axis: {len(a)} and {len(b)} points")
+    return _contract(space._einsum_plan(subscripts, a.shape[1:], b.shape[1:]), a, b)
 
 
 def neumann_inverse(space: JetSpace, a: np.ndarray) -> np.ndarray:
-    """Inverse of an (m, m) matrix of jets over ``space`` with an invertible
-    value matrix a0, optionally behind a leading batch axis: a = a0 + N with
+    """Inverse of a batch of (m, m) matrices of jets over ``space``, ``(points,
+    m, m, size)``, each with an invertible value matrix a0: a = a0 + N with
     N nilpotent, so the Neumann series sum_k (-a0^-1 N)^k a0^-1 ends at
     k = order.
 
@@ -682,9 +669,9 @@ def neumann_inverse(space: JetSpace, a: np.ndarray) -> np.ndarray:
     """
     out = np.zeros(a.shape)  # C order whatever the layout of a, so no row depends on the batch
     out[..., 0] = np.linalg.inv(a[..., 0])
-    step = -np.einsum("...ab,...bcz->...acz", out[..., 0], a)
+    step = -np.einsum("pab,pbcz->pacz", out[..., 0], a)
     if space.order:
         out[..., 0] += 0.0
     for lo, plan in zip(space.grade_offsets[1:], space._neumann_plan(a.shape[-2])):
-        out[..., lo : lo + plan.shape[-1]] = _contract(plan, step, out, a.ndim == 4)
+        out[..., lo : lo + plan.shape[-1]] = _contract(plan, step, out)
     return out

@@ -49,7 +49,8 @@ def _swept(monkeypatch, cap, model, work, chart_order, seed, bases=BASES, sample
         patch.setattr(checks, "BATCH_POINTS", cap)
         patch.setattr(checks, "_quantities", counted)
         rng = np.random.default_rng(seed)
-        items = list(sweep(model, bases, samples, rng, chart_order, work, None))
+        points = checks.sample_base_points(model, bases, rng)
+        items = list(sweep(model, points, samples, rng, chart_order, work, None))
     return items, sizes
 
 
@@ -113,7 +114,7 @@ def test_a_broken_run_across_a_batch_boundary_takes_hessians_at_its_leading_poin
     for cap in (3, 1):
         monkeypatch.setattr(checks, "BATCH_POINTS", cap)
         rng = np.random.default_rng(3)
-        rows[cap] = [q for *_, q in checks._sweep_over(model, [x], 6, rng, checks._AUDIT_ORDER, work, None)]
+        rows[cap] = [q for *_, q in sweep(model, [x], 6, rng, checks._AUDIT_ORDER, work, None)]
     assert calls == [3, 1] + [1] * 4  # one call per batch, at the run's points
     assert [q["isotropy residual"] <= tol for q in rows[3]] == [True, True, True, True, False, True]
     assert ["Hessian residual" in q for q in rows[3]] == [True] * 4 + [False] * 2
@@ -125,9 +126,10 @@ def test_a_broken_run_across_a_batch_boundary_takes_hessians_at_its_leading_poin
 def _fault_run(monkeypatch, cap, model, bases, samples, seed=0):
     """The rows of the suite's sweep before its fault, and the fault's text."""
     monkeypatch.setattr(checks, "BATCH_POINTS", cap)
-    rows, rng = [], np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    rows, points = [], checks.sample_base_points(model, bases, rng)
     with pytest.raises(PointFault) as info:
-        for base, fibre, _, _ in sweep(model, bases, samples, rng, SUITE_CHART_ORDER, checks._suite_batch, None):
+        for base, fibre, _, _ in sweep(model, points, samples, rng, SUITE_CHART_ORDER, checks._suite_batch, None):
             rows.append((base, fibre))
     return rows, str(info.value)
 

@@ -219,7 +219,8 @@ def test_sweep_visits_the_points_the_samplers_replay(randers3):
     def work(fj, fibres):
         return [{"earlier points": len(earlier) + k} for earlier, count in fibres for k in range(count)]
 
-    swept = list(sweep(randers3, 2, 3, np.random.default_rng(5), {"g": 1}, work, None))
+    rng = np.random.default_rng(5)
+    swept = list(sweep(randers3, sample_base_points(randers3, 2, rng), 3, rng, {"g": 1}, work, None))
     rng = np.random.default_rng(5)
     replay = [
         (base, fibre, point)
@@ -243,7 +244,8 @@ def test_a_quantity_that_is_not_finite_is_a_point_fault(randers3, value):
             for k in range(count)
         ]
 
-    points = sweep(randers3, 1, 2, np.random.default_rng(0), {"g": 1}, work, "probe")
+    rng = np.random.default_rng(0)
+    points = sweep(randers3, sample_base_points(randers3, 1, rng), 2, rng, {"g": 1}, work, "probe")
     assert next(points)[:2] == (0, 0)
     with pytest.raises(PointFault, match=r"^NonFiniteError at base 0, fibre 1, chart ") as info:
         next(points)

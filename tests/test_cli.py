@@ -101,6 +101,29 @@ def test_non_homogeneous_expression_exits_2(capsys):
     assert "homogeneous" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "source,err",
+    [
+        (["--metric-expr", "sqrt(y1^2+y2^2)^10^400"], "exponent chain does not fold to a finite real at offset 16"),
+        (["--metric-expr", "sqrt(y1^2+y2^2)^(-0)^(-1)"], "exponent chain does not fold to a finite real at offset 16"),
+        (["--metric-expr", "sqrt(y1^2+y2^2)^(-8)^0.5"], "exponent chain does not fold to a finite real at offset 16"),
+        (["--metric-expr", "sqrt(y1^2+y2^2)^1e400"], "numeric literal 1e400 overflows at offset 16"),
+        (
+            ["--metric-expr", "sqrt(y1^2+y2^2)", "--volume", "expr:exp(x1)^1e400"],
+            "numeric literal 1e400 overflows at offset 8",
+        ),
+        (["--metric-expr", "sqrt(y1^2+y2^2)", "--volume", "expr:1e400"], "numeric literal 1e400 overflows at offset 0"),
+    ],
+    ids=["overflow", "zero-division", "complex", "exponent-literal", "volume-exponent", "volume-literal"],
+)
+def test_expression_that_is_not_a_finite_real_exits_2(capsys, source, err):
+    """A literal that overflows, or an exponent chain that folds to no finite
+    real, is a parse error at its offset, not a traceback or an infinite tau."""
+    code = run_cli("curvature", "--dim", "2", "--x", "0,0", "--y", "1,0", *source)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: metric: {err}\n"
+
+
 def test_conflicting_metric_flags(capsys):
     code = run_cli("check", "--metric", "euclidean", "--metric-expr", "y1", "--dim", "2")
     assert code == 2

@@ -76,6 +76,30 @@ def test_precedence_structure():
     assert parse("y1^2^3", 2) == Pow(Var("y", 1), 8.0)
     assert parse("y1^-2", 2) == Pow(Var("y", 1), -2.0)
     assert parse("y1^(-2)", 2) == Pow(Var("y", 1), -2.0)
+    assert parse("y1^(-2)^3", 2) == Pow(Var("y", 1), -8.0)
+    # a chain or literal that underflows to zero is still a finite real
+    assert parse("y1^2^-1075", 2) == Pow(Var("y", 1), 0.0)
+    assert parse("y1*1e-400", 2) == Binary("*", Var("y", 1), Num(0.0))
+
+
+@pytest.mark.parametrize(
+    "text, offset, message",
+    [
+        ("sqrt(y1^2+y2^2)^10^400", 16, "exponent chain does not fold to a finite real"),  # overflows
+        ("sqrt(y1^2+y2^2)^(-0)^(-1)", 16, "exponent chain does not fold to a finite real"),  # 1 / -0
+        ("sqrt(y1^2+y2^2)^(-8)^0.5", 16, "exponent chain does not fold to a finite real"),  # complex
+        ("y1^2^10^400", 5, "exponent chain does not fold to a finite real"),  # the inner fold
+        ("sqrt(y1^2+y2^2)^1e400", 16, "numeric literal 1e400 overflows"),
+        ("sqrt(y1^2+y2^2)*1e400", 16, "numeric literal 1e400 overflows"),
+        ("exp(x1)^1e400", 8, "numeric literal 1e400 overflows"),
+        ("1e400", 0, "numeric literal 1e400 overflows"),
+    ],
+)
+def test_a_literal_or_exponent_that_is_not_a_finite_real_is_a_parse_error(text, offset, message):
+    with pytest.raises(ParseError) as info:
+        parse(text, 2)
+    assert info.value.offset == offset
+    assert str(info.value) == f"{message} at offset {offset}"
 
 
 _leaves = st.one_of(
@@ -99,7 +123,6 @@ def _extend(children):
 def test_serialize_parse_round_trip(ast):
     params = {"alpha", "beta"}
     assert parse(serialize(ast), 2, params) == ast
-    assert parse(serialize(ast, full_parens=True), 2, params) == ast
 
 
 def test_evaluate_examples():

@@ -107,8 +107,8 @@ def test_derivative_shift():
 
 
 def _basis_of(deltas, *limit):
-    """The monomial basis of a list of delta jets."""
-    return monomial_basis(deltas[0].space, [d.coeffs for d in deltas], *limit)
+    """The monomial basis of a list of delta jets, a batch of one point."""
+    return monomial_basis(deltas[0].space, [[d.coeffs for d in deltas]], *limit)
 
 
 def test_compose_univariate_against_direct():
@@ -117,7 +117,7 @@ def test_compose_univariate_against_direct():
     f = y * y * y
     u = jet_space(1, 3).variable(1, 0.5)
     delta = u * u - 0.25  # nilpotent: (u0+h)^2 - u0^2
-    composed = jet_compose(f.space, f.coeffs, _basis_of([delta]))
+    composed = jet_compose(f.space, f.coeffs[None], _basis_of([delta]))[0]
     direct = (u * u + 2.0 - 0.25) ** 3
     np.testing.assert_allclose(composed, direct.coeffs, rtol=1e-13)
 
@@ -498,7 +498,7 @@ def test_compose_basis_matches_the_monomial_route(n_vars, n_chart, chart_order, 
     basis = _basis_of(deltas)
     assert basis.space is chart
     trials = [Jet(space, rng.standard_normal(space.size)) for _ in range(3)]
-    for jet, got in zip(trials, jet_compose(space, np.array([t.coeffs for t in trials]), basis)):
+    for jet, got in zip(trials, jet_compose(space, np.array([[t.coeffs for t in trials]]), basis)[0]):
         want = _reference_compose(jet, deltas)
         scale = max(1.0, np.max(np.abs(want)))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
@@ -508,13 +508,13 @@ def test_compose_validates_deltas():
     jet = jet_space(2, 2).variable(1, 1.0)
     u = jet_space(1, 2).variable(1, 0.5)
     with pytest.raises(ValueError, match="one delta jet is required per variable"):
-        jet_compose(jet.space, jet.coeffs, _basis_of([u - 0.5]))
+        jet_compose(jet.space, jet.coeffs[None], _basis_of([u - 0.5]))
     with pytest.raises(ValueError, match="zero order-0 coefficient"):
         _basis_of([u, u - 0.5])
     with pytest.raises(ValueError, match="share one jet space"):
-        monomial_basis(u.space, np.zeros((2, jet_space(1, 3).size)))
+        monomial_basis(u.space, np.zeros((1, 2, jet_space(1, 3).size)))
     with pytest.raises(ValueError, match="must hold the 6 coefficients of"):
-        jet_compose(jet.space, jet_space(2, 3).variable(1, 1.0).coeffs, _basis_of([u - 0.5] * 2))
+        jet_compose(jet.space, jet_space(2, 3).variable(1, 1.0).coeffs[None], _basis_of([u - 0.5] * 2))
 
 
 # -- x-linear spaces: the first x_vars variables enter to joint degree 1 -------
@@ -670,14 +670,14 @@ def test_compose_needs_a_basis_of_the_same_x_degree_limit():
     x_free = jet.coeffs[jet.space.restriction(x_free_space)]
     basis = _basis_of(deltas, 2, 0)
     with pytest.raises(ValueError, match="another x-degree limit"):
-        jet_compose(jet.space, jet.coeffs, basis)
+        jet_compose(jet.space, jet.coeffs[None], basis)
     # x stays put (zero deltas), so the x-linear part contributes nothing
-    full = jet_compose(jet.space, jet.coeffs, _basis_of(deltas, 2, 1))
-    got = jet_compose(x_free_space, x_free, basis)
+    full = jet_compose(jet.space, jet.coeffs[None], _basis_of(deltas, 2, 1))
+    got = jet_compose(x_free_space, x_free[None], basis)
     np.testing.assert_allclose(got, full, rtol=0, atol=1e-13)
 
 
-# -- chart fields: arrays of jet coefficients, (*slots, size) over one space ----
+# -- chart fields: arrays of jet coefficients, (points, *slots, size) over one space --
 
 _chart_spaces = st.one_of(
     st.tuples(st.integers(1, 3), st.integers(0, 4)),
@@ -685,16 +685,19 @@ _chart_spaces = st.one_of(
     st.sampled_from([(6, 4, 3, 0), (8, 4, 4, 0), (6, 3, 3, 1)]),
 )
 _slot_shapes = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+_points = st.integers(1, 3)
 _seeds = st.integers(0, 2**32 - 1)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_chart_spaces, _slot_shapes, _seeds)
-def test_jet_einsum_products_are_entrywise_multiply_bit_for_bit(key, shape, seed):
+@given(_chart_spaces, _points, _slot_shapes, _seeds)
+def test_jet_einsum_products_are_entrywise_multiply_bit_for_bit(key, points, slots, seed):
     space = jet_space(*key)
     rng = np.random.default_rng(seed)
+    shape = (points,) + slots
     a, b = rng.standard_normal((2,) + shape + (space.size,))
-    got = jet_einsum(space, "...,...->...", a, b)
+    entry = "ab"[: len(slots)]
+    got = jet_einsum(space, f"{entry},{entry}->{entry}", a, b)
     for index in np.ndindex(shape):
         want = Jet(space, a[index]) * Jet(space, b[index])
         assert got[index].tobytes() == want.coeffs.tobytes()
@@ -709,34 +712,37 @@ def _sum_of_products(space, pairs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_chart_spaces, st.tuples(*[st.integers(1, 3)] * 3), _seeds)
-def test_jet_einsum_contractions_are_sums_of_jet_products(key, shape, seed):
-    """A matrix product of jets and the full contraction of two matrices, each
-    coefficient within 1e-15 of the sum of the magnitudes of its terms."""
+@given(_chart_spaces, _points, st.tuples(*[st.integers(1, 3)] * 3), _seeds)
+def test_jet_einsum_contractions_are_sums_of_jet_products(key, points, shape, seed):
+    """A matrix product of jets and the full contraction of two matrices, at
+    each point, each coefficient within 1e-15 of the sum of the magnitudes
+    of its terms."""
     space = jet_space(*key)
     rng = np.random.default_rng(seed)
     p, q, r = shape
-    a, c = rng.standard_normal((2, p, q, space.size))
-    b = rng.standard_normal((q, r, space.size))
+    a, c = rng.standard_normal((2, points, p, q, space.size))
+    b = rng.standard_normal((points, q, r, space.size))
     got = jet_einsum(space, "ab,bc->ac", a, b)
     bound = 1e-15 * jet_einsum(space, "ab,bc->ac", abs(a), abs(b))
-    for i, k in np.ndindex(p, r):
-        want = _sum_of_products(space, [(a[i, j], b[j, k]) for j in range(q)])
-        assert np.all(np.abs(got[i, k] - want) <= bound[i, k])
+    for n, i, k in np.ndindex(points, p, r):
+        want = _sum_of_products(space, [(a[n, i, j], b[n, j, k]) for j in range(q)])
+        assert np.all(np.abs(got[n, i, k] - want) <= bound[n, i, k])
     got = jet_einsum(space, "ab,ab->", a, c)
-    want = _sum_of_products(space, [(a[ij], c[ij]) for ij in np.ndindex(p, q)])
-    assert np.all(np.abs(got - want) <= 1e-15 * jet_einsum(space, "ab,ab->", abs(a), abs(c)))
+    bound = 1e-15 * jet_einsum(space, "ab,ab->", abs(a), abs(c))
+    for n in range(points):
+        want = _sum_of_products(space, [(a[n][ij], c[n][ij]) for ij in np.ndindex(p, q)])
+        assert np.all(np.abs(got[n] - want) <= bound[n])
 
 
 @settings(max_examples=60, deadline=None)
-@given(_chart_spaces, st.integers(1, 3), _seeds)
-def test_neumann_inverse_times_the_matrix_is_the_identity(key, m, seed):
+@given(_chart_spaces, _points, st.integers(1, 3), _seeds)
+def test_neumann_inverse_times_the_matrix_is_the_identity(key, points, m, seed):
     """Both products with the inverse are the identity to roundoff: every
     coefficient within 1e-13 of the sum of the magnitudes of its terms."""
     space = jet_space(*key)
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, m, space.size))
-    a[..., 0] = 2.0 * np.eye(m) + 0.5 * rng.standard_normal((m, m))
+    a = rng.standard_normal((points, m, m, space.size))
+    a[..., 0] = 2.0 * np.eye(m) + 0.5 * rng.standard_normal((points, m, m))
     inverse = neumann_inverse(space, a)
     identity = np.zeros_like(a)
     identity[..., 0] = np.eye(m)
@@ -784,19 +790,38 @@ def _horner_inverse(space, a):
     "subscripts,shapes",
     [
         ("ab,bc->ac", [((2, 3), (3, 4)), ((3, 1), (1, 2))]),
-        ("i...,ai->...a", [((3,), (2, 3)), ((3, 2, 2), (4, 3))]),
-        ("...,...->...", [((2, 1), (1, 3)), ((), ())]),
+        ("ijk,ai->jka", [((3, 2, 2), (4, 3)), ((2, 1, 3), (2, 2))]),
+        ("ab,ab->ab", [((2, 1), (1, 3)), ((2, 2), (2, 2))]),
         (",ijk->ijk", [((), (2, 2, 2)), ((), (1, 3, 2))]),
+        (",->", [((), ())]),
     ],
 )
 def test_jet_einsum_plans_are_keyed_by_the_operand_shapes(subscripts, shapes):
-    """One subscripts string on two pairs of leading shapes, called in turn."""
+    """One subscripts string on two pairs of slot shapes, called in turn on
+    three points: each row of the call equals its point as a batch of one,
+    which equals the reference on that point, bit for bit."""
     space = jet_space(2, 3)
     rng = np.random.default_rng(3)
-    operands = [tuple(rng.standard_normal(shape + (space.size,)) for shape in pair) for pair in shapes]
+    operands = [tuple(rng.standard_normal((3,) + shape + (space.size,)) for shape in pair) for pair in shapes]
     for a, b in operands + operands:
-        want = _reference_einsum(space, subscripts, a, b)
-        assert jet_einsum(space, subscripts, a, b).tobytes() == want.tobytes()
+        got = jet_einsum(space, subscripts, a, b)
+        for k in range(len(a)):
+            alone = jet_einsum(space, subscripts, a[k : k + 1], b[k : k + 1])
+            assert got[k].tobytes() == alone[0].tobytes()
+            assert alone[0].tobytes() == _reference_einsum(space, subscripts, a[k], b[k]).tobytes()
+
+
+def test_jet_einsum_operands_carry_one_batch_axis():
+    """An operand without the batch axis, or with a slot axis too many, and
+    two batch lengths that differ are refused, naming the batch axis."""
+    space = jet_space(2, 3)
+    a, b = np.zeros((2, 2, 2, space.size)), np.zeros((2, 2, space.size))
+    with pytest.raises(ValueError, match="batch axis"):
+        jet_einsum(space, "ab,bc->ac", a[0], a[0])  # one matrix: no batch axis
+    with pytest.raises(ValueError, match="batch axis"):
+        jet_einsum(space, "ab,bc->ac", a, b)  # b has one slot axis
+    with pytest.raises(ValueError, match="batch axis: 2 and 1 points"):
+        jet_einsum(space, "ab,bc->ac", a, a[:1])
 
 
 def test_jet_partials_plans_are_keyed_by_the_gammas():
@@ -812,19 +837,23 @@ def test_jet_partials_plans_are_keyed_by_the_gammas():
 
 
 @settings(max_examples=60, deadline=None)
-@given(_chart_spaces, st.integers(1, 4), st.booleans(), _seeds)
-def test_neumann_inverse_equals_the_horner_loop_bit_for_bit(key, m, diagonal, seed):
+@given(_chart_spaces, _points, st.integers(1, 4), st.booleans(), _seeds)
+def test_neumann_inverse_equals_the_horner_loop_bit_for_bit(key, points, m, diagonal, seed):
     """Signed zeros included: the inverse of a diagonal a0 with negative
-    entries has -0.0 off its diagonal, and N has zero coefficients."""
+    entries has -0.0 off its diagonal, and N has zero coefficients.  Each
+    point of the batch is compared with the loop on that point alone."""
     space = jet_space(*key)
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, m, space.size))
+    a = rng.standard_normal((points, m, m, space.size))
     a[rng.random(a.shape) < 0.3] = 0.0
-    if diagonal:
-        a[..., 0] = np.diag(rng.choice([-2.0, -0.5, 1.5], m))
-    else:
-        a[..., 0] = 2.0 * np.eye(m) + 0.5 * rng.standard_normal((m, m))
-    assert neumann_inverse(space, a).tobytes() == _horner_inverse(space, a).tobytes()
+    for k in range(points):
+        if diagonal:
+            a[k, ..., 0] = np.diag(rng.choice([-2.0, -0.5, 1.5], m))
+        else:
+            a[k, ..., 0] = 2.0 * np.eye(m) + 0.5 * rng.standard_normal((m, m))
+    inverse = neumann_inverse(space, a)
+    for k in range(points):
+        assert inverse[k].tobytes() == _horner_inverse(space, a[k]).tobytes()
 
 
 @pytest.fixture
@@ -853,5 +882,5 @@ def test_terms_per_neumann_inverse(term_count, key, m, horner, terms):
     _horner_inverse(space, a)
     assert term_count[0] == horner * m * m
     term_count[0] = 0
-    neumann_inverse(space, a)
+    neumann_inverse(space, a[None])
     assert term_count[0] == terms * m * m
