@@ -19,8 +19,10 @@ configurations; the sampling generator is numpy's seeded PCG64.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -32,6 +34,7 @@ from .core import (
     FlagPoint,
     MetricModel,
     UnsupportedDimensionError,
+    VolumeFormError,
     coordinate_tensors,
     sigma_and_dln,
 )
@@ -215,6 +218,8 @@ def _resolve_model(config: dict) -> MetricModel:
         raise InputError("params", str(err)) from None
     except UnsupportedDimensionError as err:
         raise InputError("dim", str(err)) from None
+    except VolumeFormError as err:
+        raise InputError("volume", str(err)) from None
     except ValueError as err:
         raise InputError("metric", str(err)) from None
     return model
@@ -277,13 +282,33 @@ def _echo_config(config: dict, model: MetricModel, **extra) -> dict:
     return {k: v for k, v in echo.items() if v is not None}
 
 
+def _unwritable(out_path: str, err: OSError) -> InputError:
+    return InputError("out", f"cannot write {out_path!r}: {err.strerror or err}")
+
+
+def _check_writable(out_path: str | None) -> None:
+    """Refuse an output path that cannot be opened for writing before any
+    point is swept.  It is opened to append, so a report already there keeps
+    its bytes, and a file the probe created is removed again."""
+    if not out_path:
+        return
+    existed = os.path.lexists(out_path)
+    try:
+        with open(out_path, "a"):
+            pass
+    except OSError as err:
+        raise _unwritable(out_path, err) from None
+    if not existed:
+        os.remove(out_path)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         try:
             with open(out_path, "w") as handle:
                 handle.write(text)
         except OSError as err:
-            raise InputError("out", f"cannot write {out_path!r}: {err.strerror or err}") from None
+            raise _unwritable(out_path, err) from None
     else:
         sys.stdout.write(text)
 
@@ -386,6 +411,7 @@ def _cmd_check(args) -> int:
     model = _resolve_model(config)
     seed, samples, base_points = _sampling(config, 50)
     tolerances = _tolerances_from(config)
+    _check_writable(config.get("out"))
     reports = run_identity_suite(model, base_points, samples, seed, tolerances)
     reports.sort(key=lambda r: r.tag)
     echo = _echo_config(
@@ -423,6 +449,7 @@ def _cmd_audit(args) -> int:
     model = _resolve_model(config)
     seed, samples, base_points = _sampling(config, 40)
     tol = _tolerance(config, "tol_thm_1") or DEFAULT_TOLERANCES["thm-1"]
+    _check_writable(config.get("out"))
     audits = []
     for index, (x, audit) in enumerate(run_isotropy_audit(model, base_points, samples, seed, tol)):
         record = {"base": index, "x": list(x), "schur": audit.to_dict()}
@@ -437,9 +464,15 @@ def _cmd_audit(args) -> int:
     return 1 if any(record["schur"]["verdict"] == "VIOLATION" for record in audits) else 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: parsing leaves it
+    as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "zoo": _cmd_zoo,
         "curvature": _cmd_curvature,

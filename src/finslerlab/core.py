@@ -66,7 +66,7 @@ from typing import Mapping
 import numpy as np
 
 from . import InputFault, jets, volume
-from .expr import EvalDomainError, Node, Var, evaluate, iter_nodes, parse
+from .expr import EvalDomainError, ExprError, Node, Var, evaluate, iter_nodes, parse
 
 __all__ = [
     "EIGENVALUE_FLOOR",
@@ -101,6 +101,8 @@ EIGENVALUE_FLOOR = 1e-10
 VALIDATION_TRIALS = 64
 VALIDATION_SEED = 987654321
 HOMOGENEITY_TOL = 1e-8
+# the trials of the models without a y_guard, per (dim, x_radius)
+_TRIALS: dict[tuple[int, float], tuple] = {}
 
 VOLUME_KINDS = ("lebesgue", "busemann_hausdorff", "riemannian_auto", "custom")
 
@@ -163,7 +165,10 @@ def _normalize_volume(spec, dim: int, params) -> VolumeSpec:
         alias = {"bh": "busemann_hausdorff", "auto": "riemannian_auto"}
         kind = alias.get(spec, spec)
         if kind.startswith("expr:"):
-            ast = parse(kind[len("expr:"):], dim, params)
+            try:
+                ast = parse(kind[len("expr:"):], dim, params)
+            except ExprError as err:
+                raise VolumeFormError(str(err)) from None
             return VolumeSpec("custom", ast)
         return VolumeSpec(kind)
     raise VolumeFormError(f"cannot interpret volume form {spec!r}")
@@ -236,15 +241,30 @@ class MetricModel:
                 f"dimension must be at most {jets.MAX_VARS // 2} for an x-dependent F, got {dim}"
             )
 
+    def _trials(self) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+        """The seeded validation trials: the (x, y) draws, the scales a and
+        the stacked xs and ys.  Without a ``y_guard`` they depend only on
+        (dim, x_radius), so they are drawn once per process and kept
+        read-only; a guarded model draws its own."""
+        key = (self.dim, self.x_radius)
+        trials = None if self.y_guard is not None else _TRIALS.get(key)
+        if trials is None:
+            rng = np.random.default_rng(VALIDATION_SEED)
+            draws = tuple((self.sample_x(rng), self.sample_y(rng)) for _ in range(VALIDATION_TRIALS))
+            scales = np.exp(rng.uniform(math.log(0.1), math.log(10.0), VALIDATION_TRIALS))
+            trials = (draws, scales, *np.transpose(draws, (1, 2, 0)))
+            if self.y_guard is None:
+                for array in (*(v for pair in draws for v in pair), *trials[1:]):
+                    array.flags.writeable = False
+                _TRIALS[key] = trials
+        return trials
+
     def _validate(self):
         """Scan the trials in order; the first that is undefined, not
         1-homogeneous or not positive raises.  F is evaluated once at y and
         once at a*y over the stacked trials."""
         trials = VALIDATION_TRIALS
-        rng = np.random.default_rng(VALIDATION_SEED)
-        draws = [(self.sample_x(rng), self.sample_y(rng)) for _ in range(trials)]
-        scales = np.exp(rng.uniform(math.log(0.1), math.log(10.0), trials))
-        xs, ys = np.transpose(draws, (1, 2, 0))
+        draws, scales, xs, ys = self._trials()
         try:
             stacked = [self.f(xs, ys), self.f(xs, scales * ys)]
             values = zip(*(np.broadcast_to(v, trials).tolist() for v in stacked))

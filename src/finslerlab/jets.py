@@ -9,9 +9,22 @@ discretisation error.
 
 Coefficients are Taylor-normalised (factorials divided out), which keeps the
 truncated Cauchy product free of factorial bookkeeping; factorials reappear
-only in the derivative tables (:meth:`JetSpace.derivative_table`).  Unary
-functions go through Horner evaluation of the univariate Taylor polynomial of
-the outer function at the order-0 value.
+only in the derivative tables (:meth:`JetSpace.derivative_table`).  The
+quotient and the elementary functions are computed one degree at a time from
+the lower degrees of their result, by the Taylor recurrences of Griewank &
+Walther (*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13), each read
+off an identity that holds degree by degree: with |i| and |j| the degrees of
+the two factors of a product-table term and d that of its result,
+
+    q = u / v        v_0 q_d = u_d - sum v_i q_j
+    p = a^r          d a_0 p_d = sum (r|i| - |j|) a_i p_j       (sqrt: r = 1/2)
+    e = exp(a)       d e_d = sum |i| a_i e_j
+    l = ln(a)        a_0 l_d = a_d - sum |j| a_i l_j / d
+
+where each sum runs over the terms that land at degree d with a left factor
+of degree 1..grade(a), so q_j, p_j, e_j and l_j are of lower degree.  Each
+term is summed once; floating-point errors follow the caller's
+``np.errstate``, as those of :meth:`JetSpace.multiply` do.
 
 A space may limit the joint degree of its first ``x_vars`` variables to
 ``x_degree`` (``jet_space(n_vars, order, x_vars, x_degree)``): it keeps the
@@ -40,15 +53,17 @@ The array kernels look up a plan built once per call signature and kept on
 the space: :func:`jet_partials` the stacked derivative tables of its tuple
 of gammas, :func:`jet_einsum` the einsum spec, output shape and offset
 ``np.bincount`` bins of its subscripts and operand shapes, and
-:func:`neumann_inverse` one sub-table of the product table per degree.  A
+:func:`neumann_inverse` and the recurrences (per grade of their argument)
+one sub-table of the product table per degree.  A
 plan moves index work out of the call and leaves the arithmetic and its
 order as they were, so each result is bit-identical to the one the call
 would give building its index work anew (the tests keep those bodies).
 
 A :class:`Jet` carries a ``grade``, an upper bound on the degree of its
 nonzero coefficients: 0 for a constant, 1 for a variable, the larger grade
-for a sum, ``min(order, ga + gb)`` for a product, and the order when built
-from raw coefficients.  A product of grades ``(ga, gb)`` reduces the terms
+for a sum, ``min(order, ga + gb)`` for a product, the order for a quotient
+or an elementary function of a jet that is not constant, and the order when
+built from raw coefficients.  A product of grades ``(ga, gb)`` reduces the terms
 of the product table whose left factor has degree at most ``ga`` and whose
 right factor at most ``gb`` -- a sub-table cached per grade pair, in the
 full table's order.  Every skipped term has an exactly zero factor, so for
@@ -72,7 +87,7 @@ inverts a matrix of jets, and :func:`jet_compose` substitutes each point's
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,7 +111,7 @@ MAX_VARS = 8
 
 class JetDomainError(ArithmeticError):
     """A jet operation left its domain (sqrt/ln/div/pow at order 0), or its
-    value or Taylor coefficients overflowed there (exp/ln/pow)."""
+    order-0 value overflowed there (exp/pow)."""
 
     def __init__(self, fn: str, value: float, overflows: bool = False):
         state = "overflows" if overflows else "undefined"
@@ -190,6 +205,7 @@ class JetSpace:
         self._partial_plans: dict[tuple | None, tuple[np.ndarray, np.ndarray]] = {}
         self._einsum_plans: dict[tuple, _Contraction] = {}
         self._neumann_plans: dict[int, list[_Contraction]] = {}
+        self._recurrence_plans: dict[int, _Recurrence] = {}
 
     def __repr__(self):
         if not self.x_vars:
@@ -334,6 +350,29 @@ class JetSpace:
             self._neumann_plans[m] = plan
         return plan
 
+    def _recurrence_plan(self, grade: int) -> "_Recurrence":
+        """The terms of :meth:`Jet._recur` for a jet of this grade >= 1: per
+        degree d >= 1, the product-table terms that land at degree d and
+        whose left factor has degree 1..grade, in table order."""
+        plan = self._recurrence_plans.get(grade)
+        if plan is None:
+            ii, jj, kk = self._mul()
+            offsets = self.grade_offsets
+            degree = np.repeat(np.arange(self.order + 1.0), np.diff(offsets))
+            left = (ii >= offsets[1]) & (ii < offsets[min(grade, self.order) + 1])
+            lefts, degrees, start = [], [], 0
+            for d in range(1, self.order + 1):
+                lo, hi = offsets[d], offsets[d + 1]
+                keep = left & (kk >= lo) & (kk < hi)
+                lefts.append(ii[keep])
+                terms = slice(start, start + len(lefts[-1]))
+                degrees.append((d, lo, hi, terms, jj[keep], kk[keep] - lo))
+                start = terms.stop
+            i = np.concatenate(lefts)
+            j = np.concatenate([jj for *_, jj, _ in degrees])
+            plan = self._recurrence_plans[grade] = _Recurrence(i, degree[i], degree[j], degrees)
+        return plan
+
     def constant(self, value: float) -> "Jet":
         coeffs = np.zeros(self.size)
         coeffs[0] = float(value)
@@ -436,7 +475,7 @@ class Jet:
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            return self * other.reciprocal()
+            return _quotient(self, self._coerce(other))
         if isinstance(other, (int, float, np.floating, np.integer)):
             if float(other) == 0.0:
                 raise JetDomainError("div", 0.0)
@@ -447,7 +486,7 @@ class Jet:
         c = self._coerce(other)
         if c is None:
             return NotImplemented
-        return c * self.reciprocal()
+        return _quotient(c, self)
 
     def __pow__(self, exponent):
         if isinstance(exponent, Jet):
@@ -459,12 +498,10 @@ class Jet:
         if f0 <= 0.0:
             raise JetDomainError(f"pow[{e}]", f0)
         try:
-            series = [f0 ** e]
+            head = f0 ** e
         except OverflowError:
             raise JetDomainError(f"pow[{e}]", f0, overflows=True) from None
-        for k in range(1, self.order + 1):
-            series.append(series[-1] * (e - (k - 1)) / (k * f0))
-        return self._compose_outer(series)
+        return self._power(e, head)
 
     def _int_pow(self, n: int) -> "Jet":
         """Binary powering from the lowest set bit of n: y**2 is one product,
@@ -486,62 +523,65 @@ class Jet:
             n >>= 1
         return result
 
-    # -- univariate composition and elementary functions -------------------
+    # -- elementary functions, degree by degree ----------------------------
 
-    def _compose_outer(self, series: Sequence[float]) -> "Jet":
-        """Horner evaluation of sum_k series[k] * h^k with h the nilpotent part;
-        the grade of the partial sum grows by that of h at each step."""
-        h = self.coeffs.copy()
-        h[0] = 0.0
+    def _recur(self, head: float, block, weight) -> "Jet":
+        """The jet with order-0 coefficient ``head`` whose degree-d block
+        ``[lo, hi)`` is ``block(d, lo, hi, s)``: s sums, in table order, the
+        terms ``weight(|i|, |j|) a_i out_j`` of the product table that land
+        at degree d with a left factor a_i of this jet of degree 1..grade,
+        so out_j is of a lower degree, already computed.  A constant has a
+        constant image."""
         out = np.zeros(self.space.size)
-        out[0] = series[-1]
-        grade = 0
-        for k in range(len(series) - 2, -1, -1):
-            out = self.space.multiply(out, h, grade, self.grade)
-            grade = min(self.space.order, grade + self.grade)
-            out[0] += series[k]
-        return Jet(self.space, out, grade)
+        out[0] = head
+        if not self.grade:
+            return Jet(self.space, out, 0)
+        plan = self.space._recurrence_plan(self.grade)
+        left = self.coeffs[plan.ii] * weight(plan.di, plan.dj)
+        for d, lo, hi, terms, jj, kk in plan.degrees:
+            s = np.bincount(kk, weights=left[terms] * out[jj], minlength=hi - lo)
+            out[lo:hi] = block(d, lo, hi, s)
+        return Jet(self.space, out)
+
+    def _power(self, r: float, head: float) -> "Jet":
+        """p = a^r from p_0 = ``head``: d a_0 p_d = sum (r|i| - |j|) a_i p_j."""
+        f0 = self.value
+        return self._recur(head, lambda d, lo, hi, s: s / (d * f0), lambda di, dj: r * di - dj)
 
     def reciprocal(self) -> "Jet":
-        f0 = self.value
-        if f0 == 0.0:
-            raise JetDomainError("div", f0)
-        series = [1.0 / f0]
-        for _ in range(self.order):
-            series.append(-series[-1] / f0)
-        return self._compose_outer(series)
+        return _quotient(self.space.constant(1.0), self)
 
     def sqrt(self) -> "Jet":
         f0 = self.value
         if f0 <= 0.0:
             raise JetDomainError("sqrt", f0)
-        series = [math.sqrt(f0)]
-        for k in range(1, self.order + 1):
-            series.append(series[-1] * (0.5 - (k - 1)) / (k * f0))
-        return self._compose_outer(series)
+        return self._power(0.5, math.sqrt(f0))
 
     def exp(self) -> "Jet":
+        """e = exp(a): d e_d = sum |i| a_i e_j."""
         try:
-            series = [math.exp(self.value)]
+            head = math.exp(self.value)
         except OverflowError:
             raise JetDomainError("exp", self.value, overflows=True) from None
-        for k in range(1, self.order + 1):
-            series.append(series[-1] / k)
-        return self._compose_outer(series)
+        return self._recur(head, lambda d, lo, hi, s: s / d, lambda di, dj: di)
 
     def ln(self) -> "Jet":
+        """l = ln(a): a_0 l_d = a_d - sum |j| a_i l_j / d."""
         f0 = self.value
         if f0 <= 0.0:
             raise JetDomainError("ln", f0)
-        series = [math.log(f0)]
-        sign = 1.0
-        try:  # f0 ** k underflows to 0 or overflows for f0 far from 1
-            for k in range(1, self.order + 1):
-                series.append(sign / (k * f0 ** k))
-                sign = -sign
-        except (ZeroDivisionError, OverflowError):
-            raise JetDomainError("ln", f0, overflows=True) from None
-        return self._compose_outer(series)
+        a = self.coeffs
+        return self._recur(math.log(f0), lambda d, lo, hi, s: (a[lo:hi] - s / d) / f0, lambda di, dj: dj)
+
+
+def _quotient(u: Jet, v: Jet) -> Jet:
+    """u / v: v_0 q_d = u_d - sum v_i q_j, with q_0 = u_0 / v_0."""
+    v0 = v.value
+    if v0 == 0.0:
+        raise JetDomainError("div", v0)
+    if not v.grade:
+        return Jet(u.space, u.coeffs / v0, u.grade)
+    return v._recur(u.coeffs[0] / v0, lambda d, lo, hi, s: (u.coeffs[lo:hi] - s) / v0, lambda di, dj: 1.0)
 
 
 class MonomialBasis(NamedTuple):
@@ -588,6 +628,9 @@ def jet_compose(space: JetSpace, coeffs: np.ndarray, basis: MonomialBasis) -> np
         raise ValueError("the monomial basis is built for another x-degree limit")
     if coeffs.shape[-1] != space.size:
         raise ValueError(f"the composed rows must hold the {space.size} coefficients of {space!r}")
+    if len(coeffs) != len(basis.rows):
+        points = f"{len(coeffs)} and {len(basis.rows)} points"
+        raise ValueError(f"the rows and the basis differ in their batch axis: {points}")
     limit = space.grade_offsets[min(basis.space.order, space.order) + 1]
     monomials = basis.rows[:, :limit]  # one basis per point: broadcast over the slots of each
     monomials = monomials.reshape(monomials.shape[:1] + (1,) * (coeffs.ndim - 2) + monomials.shape[1:])
@@ -601,6 +644,18 @@ def jet_partials(space: JetSpace, t: np.ndarray, gammas=None) -> np.ndarray:
     stacked once per tuple of gammas.  The gammas share one result space."""
     src, factor = space._partials_plan(gammas)
     return t[..., src] * factor
+
+
+class _Recurrence(NamedTuple):
+    """From :meth:`JetSpace._recurrence_plan`: the left factors ``ii`` of
+    the terms of every degree, in degree order, the degrees ``di`` and ``dj``
+    of the two factors of each, and per degree d >= 1 the tuple (d, lo, hi,
+    its slice of the terms, their right factors, their bins in [lo, hi))."""
+
+    ii: np.ndarray
+    di: np.ndarray
+    dj: np.ndarray
+    degrees: list[tuple[int, int, int, slice, np.ndarray, np.ndarray]]
 
 
 class _Contraction(NamedTuple):

@@ -182,9 +182,8 @@ def _build_randers(dim: int, params: dict, volume) -> MetricModel:
     eps = number_param(params.get("eps", 0.2), "eps")
     b0 = _float_list(params.get("b0", [0.0] * dim), dim, "b0")
     b_of_x = _randers_b(dim, eps, b0)
-    rng = np.random.default_rng(20240817)
-    for _ in range(128):
-        x = rng.uniform(-1.0, 1.0, size=dim)
+    # one draw of all 128 points gives the bytes of 128 draws of one point
+    for x in np.random.default_rng(20240817).uniform(-1.0, 1.0, size=(128, dim)):
         norm = math.hypot(*b_of_x(x))  # does not overflow
         if norm >= 1.0:
             raise RandersConditionViolated(x, norm)

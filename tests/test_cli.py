@@ -104,24 +104,43 @@ def test_non_homogeneous_expression_exits_2(capsys):
 @pytest.mark.parametrize(
     "source,err",
     [
-        (["--metric-expr", "sqrt(y1^2+y2^2)^10^400"], "exponent chain does not fold to a finite real at offset 16"),
-        (["--metric-expr", "sqrt(y1^2+y2^2)^(-0)^(-1)"], "exponent chain does not fold to a finite real at offset 16"),
-        (["--metric-expr", "sqrt(y1^2+y2^2)^(-8)^0.5"], "exponent chain does not fold to a finite real at offset 16"),
-        (["--metric-expr", "sqrt(y1^2+y2^2)^1e400"], "numeric literal 1e400 overflows at offset 16"),
+        (["--metric-expr", "sqrt(y1^2+y2^2)^10^400"], "metric: exponent chain does not fold to a finite real at offset 16"),
+        (["--metric-expr", "sqrt(y1^2+y2^2)^(-0)^(-1)"], "metric: exponent chain does not fold to a finite real at offset 16"),
+        (["--metric-expr", "sqrt(y1^2+y2^2)^(-8)^0.5"], "metric: exponent chain does not fold to a finite real at offset 16"),
+        (["--metric-expr", "sqrt(y1^2+y2^2)^1e400"], "metric: numeric literal 1e400 overflows at offset 16"),
         (
             ["--metric-expr", "sqrt(y1^2+y2^2)", "--volume", "expr:exp(x1)^1e400"],
-            "numeric literal 1e400 overflows at offset 8",
+            "volume: numeric literal 1e400 overflows at offset 8",
         ),
-        (["--metric-expr", "sqrt(y1^2+y2^2)", "--volume", "expr:1e400"], "numeric literal 1e400 overflows at offset 0"),
+        (["--metric-expr", "sqrt(y1^2+y2^2)", "--volume", "expr:1e400"], "volume: numeric literal 1e400 overflows at offset 0"),
     ],
     ids=["overflow", "zero-division", "complex", "exponent-literal", "volume-exponent", "volume-literal"],
 )
 def test_expression_that_is_not_a_finite_real_exits_2(capsys, source, err):
     """A literal that overflows, or an exponent chain that folds to no finite
-    real, is a parse error at its offset, not a traceback or an infinite tau."""
+    real, is a parse error at its offset, not a traceback or an infinite tau;
+    it is labelled by the expression it is in."""
     code = run_cli("curvature", "--dim", "2", "--x", "0,0", "--y", "1,0", *source)
     assert code == 2
-    assert capsys.readouterr().err == f"error: metric: {err}\n"
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "volume,err",
+    [
+        ("expr:x1+", "unexpected 'end of input' at offset 3 (expected an operand)"),
+        ("expr:y1", "the volume coefficient may only depend on x"),
+        ("simplex", "unknown volume form kind 'simplex'"),
+    ],
+    ids=["parse", "y-dependent", "kind"],
+)
+def test_a_volume_the_model_refuses_is_labelled_volume(capsys, volume, err):
+    """Every fault of the volume form at model construction names the volume,
+    not the metric, whose F is fine."""
+    metric = ["--metric-expr", "sqrt(y1^2+y2^2)", "--dim", "2", "--volume", volume]
+    for argv in (["curvature", "--x", "0,0", "--y", "1,0"], ["check", "--samples", "1", "--base-points", "1"]):
+        assert run_cli(*argv, *metric) == 2
+        assert capsys.readouterr().err == f"error: volume: {err}\n"
 
 
 def test_conflicting_metric_flags(capsys):
@@ -336,6 +355,61 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err == f"error: out: cannot write {str(out)!r}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "command,sweep",
+    [("check", "run_identity_suite"), ("audit", "run_isotropy_audit")],
+)
+def test_unwritable_out_is_refused_before_the_sweep(monkeypatch, tmp_path, capsys, command, sweep):
+    from finslerlab import cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, sweep, unreachable)
+    out = tmp_path / "missing" / "report.json"
+    assert run_cli(command, "--metric", "randers", "--dim", "3", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: out: cannot write {str(out)!r}: No such file or directory\n"
+
+
+def test_the_out_probe_keeps_an_existing_report_and_leaves_no_file(tmp_path, capsys):
+    """A run that passes the writability probe and then faults in its sweep
+    (a non-convex F) leaves a file already there as it was, and no file
+    where there was none."""
+    argv = [
+        "audit", "--metric-expr", "sqrt(y1^2+y2^2+y3^2) + 0.9*y1^3/(y1^2+y2^2+y3^2)", "--dim", "3",
+        "--samples", "5", "--base-points", "2",
+    ]
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("earlier report\n")
+    assert run_cli(*argv, "--out", str(kept)) == 2
+    assert kept.read_text() == "earlier report\n"
+    assert run_cli(*argv, "--out", str(fresh)) == 2
+    assert not fresh.exists()
+    assert ", stage schur:" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    from finslerlab import cli
+
+    calls = [0]
+    build_parser = cli.build_parser
+
+    def counted():
+        calls[0] += 1
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert run_cli("zoo") == 0
+        assert run_cli("check", "--metric", "euclidean", "--dim", "2", "--samples", "1", "--base-points", "1") == 0
+    finally:
+        cli._parser.cache_clear()
+    assert calls[0] == 1
+    capsys.readouterr()
 
 
 def test_curvature_point_that_is_not_a_string_exits_2(tmp_path, capsys):
@@ -609,10 +683,10 @@ def test_only_check_writes_csv(tmp_path, capsys, command):
 @pytest.mark.parametrize(
     "point,err",
     [
-        # |y| = 1e-100 is a fine direction, but the degree-k jets of F scale as |y|^(1 - k)
+        # |y| = 1e-160 is a fine direction, but the degree-k jets of F scale as |y|^(1 - k)
         (
-            ["--metric", "euclidean", "--dim", "3", "--x", "0,0,0", "--y", "1e-100,0,0"],
-            "y: the jets of F overflow at y = [1e-100, 0.0, 0.0]",
+            ["--metric", "euclidean", "--dim", "3", "--x", "0,0,0", "--y", "1e-160,0,0"],
+            "y: the jets of F overflow at y = [1e-160, 0.0, 0.0]",
         ),
         # here F itself is too large, whatever the length of y
         (
@@ -638,6 +712,20 @@ def test_curvature_point_whose_jets_overflow_exits_2(capsys, point, err):
         code = run_cli("curvature", *point)
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {err}")
+
+
+def test_curvature_at_a_tiny_direction_whose_jets_are_finite(tmp_path):
+    """At |y| = 1e-100 the jets of F up to the order of the expansion are
+    finite (|y|^(1 - k) <= 1e300), so the Euclidean g is the identity."""
+    out = tmp_path / "tiny.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("curvature", "--metric", "euclidean", "--dim", "3", "--x", "0,0,0", "--y", "1e-100,0,0", "--out", str(out))
+    assert code == 0
+    quantities = json.loads(out.read_text())["quantities"]
+    assert quantities["F"] == pytest.approx(1e-100, rel=1e-15)
+    for i, row in enumerate(quantities["g"]):
+        assert row == pytest.approx([float(i == j) for j in range(3)], abs=1e-12)
 
 
 @pytest.mark.parametrize("dim", ["9", "10", "2000"])

@@ -15,7 +15,7 @@ from finslerlab.core import (
     sigma_value,
 )
 from finslerlab.expr import EvalDomainError
-from finslerlab.zoo import build, funk_norm, zoo_ids
+from finslerlab.zoo import RandersConditionViolated, build, funk_norm, zoo_ids
 
 from conftest import random_flag
 from fd_oracle import finite_difference_oracle
@@ -494,3 +494,38 @@ def test_x_linear_expansion_matches_the_full_space_bit_for_bit(family, dim):
             _assert_restriction(s_main_jet(tj, p), s_main_jet(ref, p), (dim, p, 0))
         for p in (0, order - 5):
             _assert_restriction(berwald_jets(tj, p), berwald_jets(ref, p), (dim, p, 0))
+
+
+def test_validation_trials_are_drawn_once_per_dim_and_radius_bit_for_bit():
+    """Models without a y_guard share one read-only trial set per (dim,
+    x_radius), equal byte for byte to a fresh sequential draw; a guarded
+    model draws its own."""
+    from finslerlab import core
+
+    model = build("funk_ball", 3)
+    draws, scales, xs, ys = model._trials()
+    assert build("randers", 3)._trials()[0] is draws  # x_radius 0.8 for both
+    rng = np.random.default_rng(core.VALIDATION_SEED)
+    fresh = [(model.sample_x(rng), model.sample_y(rng)) for _ in range(core.VALIDATION_TRIALS)]
+    fresh_scales = np.exp(rng.uniform(math.log(0.1), math.log(10.0), core.VALIDATION_TRIALS))
+    assert np.array(draws).tobytes() == np.array(fresh).tobytes()
+    assert scales.tobytes() == fresh_scales.tobytes()
+    fresh_xs, fresh_ys = np.transpose(fresh, (1, 2, 0))
+    assert (xs.tobytes(), ys.tobytes()) == (fresh_xs.tobytes(), fresh_ys.tobytes())
+    assert not any(array.flags.writeable for array in (draws[0][0], draws[-1][1], scales, xs, ys))
+    quartic = build("minkowski_quartic", 3)
+    assert quartic.y_guard is not None
+    assert quartic._trials()[0] is not quartic._trials()[0]
+
+
+def test_randers_domain_points_are_one_draw_of_the_sequential_points():
+    """The 128 points on which a Randers build checks ||b(x)|| < 1 are the
+    bytes of 128 draws of one point, and the first violation is named."""
+    rng = np.random.default_rng(20240817)
+    sequential = np.array([rng.uniform(-1.0, 1.0, size=3) for _ in range(128)])
+    at_once = np.random.default_rng(20240817).uniform(-1.0, 1.0, size=(128, 3))
+    assert at_once.tobytes() == sequential.tobytes()
+    first = next(x for x in sequential if math.hypot(2.0 * x[1], 2.0 * x[0]) >= 1.0)
+    with pytest.raises(RandersConditionViolated) as info:
+        build("randers", 3, {"eps": 2.0})
+    assert info.value.x == first.tolist()

@@ -145,8 +145,7 @@ def test_evaluate_domain_error_reports_node():
     [
         ("sqrt(y1^2 + y2^2)*exp(x1)", 800.0, "exp", "exp(x1)"),
         ("sqrt(y1^2 + y2^2)*(1 + x1^2)^1.5", 1e103, "pow[1.5]", "(1.0 + x1^2.0)^1.5"),
-        # 1 / x1^2 overflows in the second Taylor coefficient of ln
-        ("sqrt(y1^2 + y2^2)*ln(x1*1e-200)", 0.7, "ln", "ln(x1 * 1e-200)"),
+        ("sqrt(y1^2 + y2^2)*ln(x1 - 1)", 0.7, "ln", "ln(x1 - 1.0)"),
         ("sqrt(y1^2 + y2^2)*x1/-(0.0)", 0.7, "div", "sqrt(y1^2.0 + y2^2.0) * x1 / -0.0"),
     ],
     ids=["exp", "pow", "ln", "div-by-negative-zero"],
@@ -160,6 +159,14 @@ def test_jet_function_outside_its_range_is_a_domain_error(text, x1, fn, subexpre
         evaluate(ast, x, y)
     assert info.value.fn == fn
     assert repr(subexpression) in str(info.value)
+
+
+def test_ln_of_a_tiny_argument_has_its_true_coefficients():
+    """ln(x1 * 1e-200) = ln(x1) + const: its x1-coefficients are 1/x1 and
+    -1/(2 x1^2), whatever the size of the argument's value."""
+    space = jet_space(1, 2)
+    jet = evaluate(parse("ln(x1*1e-200)", 1), [space.variable(1, 0.7)], [0.0])
+    np.testing.assert_allclose(jet.coeffs[1:], [1 / 0.7, -1 / (2 * 0.7**2)], rtol=1e-14)
 
 
 def test_evaluate_unbound_parameter():

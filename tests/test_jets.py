@@ -424,25 +424,6 @@ def test_integer_power_products(product_count, exponent, products):
     assert slope == pytest.approx(exponent * 1.5 ** (exponent - 1), rel=1e-14)
 
 
-@pytest.mark.parametrize(
-    "metric,dim,products",
-    [("funk_ball", 4, 35), ("funk_ball", 3, 30), ("randers", 3, 11), ("minkowski_quartic", 3, 12)],
-)
-def test_products_per_f_expansion(product_count, metric, dim, products):
-    """One order-6 expansion of F over (x, y) with x to first order, as at a
-    flag point; the count includes the Horner steps of sqrt and pow."""
-    from finslerlab.expr import evaluate
-    from finslerlab.zoo import build
-
-    model = build(metric, dim)
-    space = jet_space(2 * dim, 6, dim, 1)
-    xs = [space.variable(i + 1, 0.1 * (i + 1)) for i in range(dim)]
-    ys = [space.variable(dim + i + 1, 1.0 - 0.2 * i) for i in range(dim)]
-    product_count[0] = 0
-    evaluate(model.f_ast, xs, ys, model.params)
-    assert product_count[0] == products
-
-
 def _reference_compose(jet, deltas):
     """Composition by one memoised product chain per monomial."""
     uspace = deltas[0].space
@@ -517,6 +498,17 @@ def test_compose_validates_deltas():
         jet_compose(jet.space, jet_space(2, 3).variable(1, 1.0).coeffs[None], _basis_of([u - 0.5] * 2))
 
 
+def test_compose_rows_and_basis_share_the_batch_axis():
+    """Rows of three points against a basis of one or of two points are
+    refused naming the batch axis, as jet_einsum refuses its operands."""
+    space, u = jet_space(1, 3), jet_space(1, 2).variable(1, 0.5)
+    rows = np.zeros((3, space.size))
+    for points in (1, 2):
+        basis = monomial_basis(u.space, np.tile((u - 0.5).coeffs, (points, 1, 1)))
+        with pytest.raises(ValueError, match=f"batch axis: 3 and {points} points"):
+            jet_compose(space, rows, basis)
+
+
 # -- x-linear spaces: the first x_vars variables enter to joint degree 1 -------
 
 
@@ -572,7 +564,11 @@ def test_x_linear_products_are_the_restricted_full_products_bit_for_bit(n_vars, 
         assert (ra * rb).coeffs.tobytes() == (a * b).coeffs[kept].tobytes()
         c = a + (2.0 + abs(a.value))  # positive order-0 part for the unary functions
         rc = Jet(space, c.coeffs[kept])
-        for op in (Jet.reciprocal, Jet.sqrt, Jet.ln, lambda jet: jet ** 3):
+        ops = (
+            Jet.reciprocal, Jet.sqrt, Jet.ln, lambda jet: jet ** 3, lambda jet: jet ** 1.5,
+            lambda jet: (jet - jet.value).exp(), lambda jet: Jet(jet.space, b.coeffs[_kept(full, jet.space)]) / jet,
+        )
+        for op in ops:
             assert op(rc).coeffs.tobytes() == op(c).coeffs[kept].tobytes()
 
 
@@ -884,3 +880,119 @@ def test_terms_per_neumann_inverse(term_count, key, m, horner, terms):
     term_count[0] = 0
     neumann_inverse(space, a[None])
     assert term_count[0] == terms * m * m
+
+
+# -- the elementary functions: degree-by-degree recurrences against Horner --
+
+
+def _horner(jet, series):
+    """Horner evaluation of sum_k series[k] * h^k, h the nilpotent part of
+    the jet: the composition the elementary functions are checked against."""
+    h = jet.coeffs.copy()
+    h[0] = 0.0
+    out = np.zeros(jet.space.size)
+    out[0] = series[-1]
+    grade = 0
+    for k in range(len(series) - 2, -1, -1):
+        out = jet.space.multiply(out, h, grade, jet.grade)
+        grade = min(jet.space.order, grade + jet.grade)
+        out[0] += series[k]
+    return Jet(jet.space, out, grade)
+
+
+def _horner_power(jet, r, head):
+    series = [head]
+    for k in range(1, jet.order + 1):
+        series.append(series[-1] * (r - (k - 1)) / (k * jet.value))
+    return _horner(jet, series)
+
+
+def _horner_reciprocal(jet):
+    series = [1.0 / jet.value]
+    for _ in range(jet.order):
+        series.append(-series[-1] / jet.value)
+    return _horner(jet, series)
+
+
+def _horner_exp(jet):
+    series = [math.exp(jet.value)]
+    for k in range(1, jet.order + 1):
+        series.append(series[-1] / k)
+    return _horner(jet, series)
+
+
+def _horner_ln(jet):
+    series, sign = [math.log(jet.value)], 1.0
+    for k in range(1, jet.order + 1):
+        series.append(sign / (k * jet.value**k))
+        sign = -sign
+    return _horner(jet, series)
+
+
+_HORNER_FUNCTIONS = {
+    "reciprocal": (Jet.reciprocal, _horner_reciprocal),
+    "quotient": (lambda a, b: b / a, lambda a, b: b * _horner_reciprocal(a)),
+    "sqrt": (Jet.sqrt, lambda a: _horner_power(a, 0.5, math.sqrt(a.value))),
+    "pow": (lambda a: a ** -1.7, lambda a: _horner_power(a, -1.7, a.value ** -1.7)),
+    "exp": (Jet.exp, _horner_exp),
+    "ln": (Jet.ln, _horner_ln),
+}
+
+
+@pytest.mark.parametrize("key", [(1, 3), (3, 5), (6, 6, 3), (8, 6, 4)])
+@pytest.mark.parametrize("name", sorted(_HORNER_FUNCTIONS))
+def test_jet_functions_match_horner_to_roundoff(key, name):
+    """Each function, on random jets of every grade from 1 to the order, is
+    the Horner composition to 1e-13 times the largest coefficient."""
+    space = jet_space(*key)
+    rng = np.random.default_rng(sum(key))
+    function, reference = _HORNER_FUNCTIONS[name]
+    for grade in sorted({1, 2, space.order}):
+        for _ in range(2):
+            coeffs = rng.standard_normal((2, space.size))
+            coeffs[:, space.grade_offsets[min(grade, space.order) + 1] :] = 0.0
+            coeffs[0, 0] = rng.uniform(0.5, 2.0)  # in the domain of every function
+            operands = [Jet(space, row, grade) for row in coeffs]
+            args = operands if name == "quotient" else operands[:1]
+            got, want = function(*args), reference(*args)
+            assert got.grade == want.grade
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * np.max(np.abs(want.coeffs))
+
+
+@pytest.mark.parametrize(
+    "metric,dim,horner,terms",
+    [
+        ("funk_ball", 4, 97478, 19371),
+        ("funk_ball", 3, 28139, 5842),
+        ("randers", 3, 7296, 1736),
+        ("minkowski_quartic", 3, 17207, 4166),
+    ],
+)
+def test_terms_per_f_walk(monkeypatch, term_count, metric, dim, horner, terms):
+    """Product-table terms of one order-6 walk of F over (x, y) with x to
+    first order, as at a flag point: Horner's rule multiplies the whole
+    argument into its partial sum once per order, the recurrences sum each
+    term that lands at a degree d with a left factor of degree 1..grade
+    once.  Both walks give F to roundoff."""
+    from finslerlab import jets
+    from finslerlab.expr import evaluate
+    from finslerlab.zoo import build
+
+    model = build(metric, dim)
+    space = jet_space(2 * dim, 6, dim, 1)
+    xs = [space.variable(i + 1, 0.1 * (i + 1)) for i in range(dim)]
+    ys = [space.variable(dim + i + 1, 1.0 - 0.2 * i) for i in range(dim)]
+    term_count[0] = 0
+    walked = evaluate(model.f_ast, xs, ys, model.params)
+    assert term_count[0] == terms
+    with monkeypatch.context() as horner_walk:
+        horner_walk.setattr(Jet, "reciprocal", _horner_reciprocal)
+        horner_walk.setattr(Jet, "_power", _horner_power)
+        horner_walk.setattr(Jet, "exp", _horner_exp)
+        horner_walk.setattr(Jet, "ln", _horner_ln)
+        horner_walk.setattr(jets, "_quotient", lambda u, v: u * v.reciprocal())
+        term_count[0] = 0
+        reference = evaluate(model.f_ast, xs, ys, model.params)
+        assert term_count[0] == horner
+    scale = np.max(np.abs(reference.coeffs))
+    assert np.max(np.abs(walked.coeffs - reference.coeffs)) <= 1e-13 * scale
