@@ -335,9 +335,13 @@ def _cmd_zoo(args) -> int:
 
 
 def _tensors_in_range(model: MetricModel, point: FlagPoint) -> CoordinateTensors:
-    """The coordinate tensors, with ``FloatingPointError`` where a jet overflows."""
+    """The coordinate tensors, with ``FloatingPointError`` where a jet
+    overflows, and a volume refused at the point labelled as the volume."""
     with np.errstate(over="raise", invalid="raise"):
-        return coordinate_tensors(model, point)
+        try:
+            return coordinate_tensors(model, point)
+        except VolumeFormError as err:
+            raise InputError("volume", str(err)) from None
 
 
 def _overflow_error(model: MetricModel, point: FlagPoint) -> InputError:
@@ -352,6 +356,8 @@ def _overflow_error(model: MetricModel, point: FlagPoint) -> InputError:
                 sigma_and_dln(model, point.x)
         except FloatingPointError:
             return InputError("volume", f"sigma(x) or its gradient overflows at x = {point.x.tolist()}")
+        except VolumeFormError as err:
+            return InputError("volume", str(err))
         return InputError("x/y", f"the jets of F overflow at x = {point.x.tolist()}, also with max |y_i| = 1")
     message = f"the jets of F overflow at y = {point.y.tolist()}; give a direction of moderate length"
     return InputError("y", message)

@@ -541,7 +541,8 @@ def _sigma_matrix(model: MetricModel, x, order: int) -> tuple[np.ndarray, float,
     """sigma = (det m)^power for a matrix m of expressions in x: the ground
     metric a(x) with power 1/2 (riemannian_auto), or the 1 x 1 matrix
     (sigma(x)) with power 1 (custom).  Returns m as jets of the given order
-    over x, the power and det m at x."""
+    over x, the power and det m at x.  Jets that overflow are refused, as
+    sigma(x) or its gradient overflowing there."""
     n = model.dim
     space = jets.jet_space(n, order)
     xs = [space.variable(i + 1, float(x[i])) for i in range(n)]
@@ -550,7 +551,14 @@ def _sigma_matrix(model: MetricModel, x, order: int) -> tuple[np.ndarray, float,
     else:
         asts, power, what = model.a_asts, 0.5, "det a(x)"
     ys, zero = [0.0] * n, space.constant(0.0)  # zero + a float entry is a jet
-    m = np.array([[(zero + evaluate(a, xs, ys, model.params)).coeffs for a in row] for row in asts])
+    try:
+        m = np.array([[(zero + evaluate(a, xs, ys, model.params)).coeffs for a in row] for row in asts])
+    except EvalDomainError as err:
+        if not err.overflows:
+            raise
+        m = np.array(math.inf)  # refused below
+    if not np.all(np.isfinite(m)):  # also a NaN left by an overflow
+        raise VolumeFormError(f"sigma(x) or its gradient overflows at x = {np.asarray(x, float).tolist()}")
     det = float(np.linalg.det(m[..., 0]))
     if not det > 0.0:
         raise VolumeFormError(f"{what} = {det!r} must be positive")
@@ -569,7 +577,10 @@ def sigma_value(model: MetricModel, x) -> float:
 
 
 def dln_sigma(model: MetricModel, x) -> np.ndarray:
-    """Gradient of ln(sigma) at x."""
+    """Gradient of ln(sigma) at x; zero with no quadrature for the BH
+    coefficient of an F without x, a constant."""
+    if model.volume.kind == "busemann_hausdorff" and not model.depends_on_x:
+        return np.zeros(model.dim)
     return sigma_and_dln(model, x)[1]
 
 

@@ -84,6 +84,7 @@ class EvalDomainError(ExprError):
         self.node = node
         self.fn = fn
         self.value = value
+        self.overflows = overflows
 
 
 @dataclass(frozen=True)
@@ -424,7 +425,10 @@ def _div_apply(num, den, node: Node):
 
 def _mul_apply(a, b, node: Node):
     if isinstance(a, Jet) or isinstance(b, Jet):
-        return a * b
+        try:
+            return a * b
+        except JetDomainError as err:
+            raise EvalDomainError(node, "mul", err.value, err.overflows) from None
     return _float_apply(np.multiply, "mul", node, a, b)
 
 
@@ -434,39 +438,38 @@ def evaluate(node: Node, x: Sequence, y: Sequence, params: Mapping[str, float] |
     Coordinate entries may be floats, complex numbers, numpy arrays or jets,
     as long as all entries share one kind; the result has the same kind.
     """
-    params = params or {}
+    return _ev(node, x, y, params or {})
 
-    def ev(nd: Node):
-        if isinstance(nd, Num):
-            return nd.value
-        if isinstance(nd, Var):
-            vec = x if nd.kind == "x" else y
-            if nd.index > len(vec):
-                raise ExprError(
-                    f"variable {nd.kind}{nd.index} outside the provided coordinates"
-                )
-            return vec[nd.index - 1]
-        if isinstance(nd, Param):
-            try:
-                return float(params[nd.name])
-            except KeyError:
-                raise ExprError(f"unbound parameter {nd.name!r}") from None
-        if isinstance(nd, Neg):
-            return -ev(nd.operand)
-        if isinstance(nd, Binary):
-            a = ev(nd.lhs)
-            b = ev(nd.rhs)
-            if nd.op == "+":
-                return a + b
-            if nd.op == "-":
-                return a - b
-            if nd.op == "*":
-                return _mul_apply(a, b, nd)
-            return _div_apply(a, b, nd)
-        if isinstance(nd, Pow):
-            return _pow_apply(ev(nd.base), nd.exponent, nd)
-        if isinstance(nd, Call):
-            return _fn_apply(nd.fn, ev(nd.arg), nd)
-        raise TypeError(f"not an expression node: {nd!r}")
 
-    return ev(node)
+def _ev(nd: Node, x: Sequence, y: Sequence, params: Mapping[str, float]):
+    """The walk behind :func:`evaluate`; a module function, so no closure
+    cycle keeps the coordinates alive after it returns."""
+    if isinstance(nd, Num):
+        return nd.value
+    if isinstance(nd, Var):
+        vec = x if nd.kind == "x" else y
+        if nd.index > len(vec):
+            raise ExprError(f"variable {nd.kind}{nd.index} outside the provided coordinates")
+        return vec[nd.index - 1]
+    if isinstance(nd, Param):
+        try:
+            return float(params[nd.name])
+        except KeyError:
+            raise ExprError(f"unbound parameter {nd.name!r}") from None
+    if isinstance(nd, Neg):
+        return -_ev(nd.operand, x, y, params)
+    if isinstance(nd, Binary):
+        a = _ev(nd.lhs, x, y, params)
+        b = _ev(nd.rhs, x, y, params)
+        if nd.op == "+":
+            return a + b
+        if nd.op == "-":
+            return a - b
+        if nd.op == "*":
+            return _mul_apply(a, b, nd)
+        return _div_apply(a, b, nd)
+    if isinstance(nd, Pow):
+        return _pow_apply(_ev(nd.base, x, y, params), nd.exponent, nd)
+    if isinstance(nd, Call):
+        return _fn_apply(nd.fn, _ev(nd.arg, x, y, params), nd)
+    raise TypeError(f"not an expression node: {nd!r}")

@@ -468,7 +468,11 @@ class Jet:
             coeffs = self.space.multiply(self.coeffs, c.coeffs, self.grade, c.grade)
             return Jet(self.space, coeffs, min(self.space.order, self.grade + c.grade))
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet(self.space, self.coeffs * float(other), self.grade)
+            try:
+                with np.errstate(over="raise"):
+                    return Jet(self.space, self.coeffs * float(other), self.grade)
+            except FloatingPointError:
+                raise JetDomainError("mul", self.value, overflows=True) from None
         return NotImplemented
 
     __rmul__ = __mul__

@@ -7,16 +7,16 @@ sphere rules (a circle trapezoid, a Gauss-Legendre by trapezoid product on
 S^2, Gauss-Jacobi products above, their nodes and weights computed here in
 numpy) double level by level until two agree to ``BH_AGREE`` or level 1 is
 reached; that pair's difference is gated relative to the coefficient above
-1, and a rule above ``MAX_RULE_NODES`` is refused.  The gradient of ln sigma_BH
-differentiates the accepted level's integral under the sign, with d_x F
-from a complex step through the evaluator; for an F without x it is zero,
-and the coefficient is computed once per model.
+1, and a rule above ``MAX_RULE_NODES`` is refused.  F is evaluated one
+polar block of a rule at a time; only its inner factor is kept.  The
+gradient of ln sigma_BH differentiates the accepted level's integral under
+the sign, with d_x F from a complex step through the evaluator; for an F
+without x it is zero, and ``core.dln_sigma`` returns it with no quadrature.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +27,7 @@ from .expr import evaluate
 __all__ = [
     "QuadratureError",
     "unit_ball_volume",
-    "sphere_quadrature",
+    "sphere_blocks",
     "unit_set_volume",
     "bh_volume_coefficient",
     "bh_sigma_and_log_gradient",
@@ -40,7 +40,6 @@ QUAD_TOL = 1e-7
 MAX_RULE_NODES = 2 ** 23  # 8,388,608 nodes; n = 8 needs 95,551,488 at level -1
 BH_AGREE = 1e-13  # two ladder levels this close, relative above 1, settle the coefficient
 BH_LEVELS = (-2, -1, 0, 1)  # 576, 4,608, 36,864 and 294,912 nodes at n = 4
-_X_FREE = weakref.WeakKeyDictionary()  # model -> (level, sigma, error) when F has no x
 _COMPLEX_STEP = 1e-20  # Im F(x + ih) = h dF/dx + O(h^3): no subtraction, no cancellation
 
 
@@ -90,20 +89,29 @@ def _gauss_jacobi(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     return t, w * (mass / w.sum())
 
 
-@lru_cache(maxsize=None)
-def sphere_quadrature(
-    n: int, level: int = 0, _nested: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (m, n) and weights (m,) integrating smooth functions over S^(n-1).
+def _circle(count: int) -> tuple[np.ndarray, np.ndarray]:
+    angles = 2.0 * math.pi * np.arange(count) / count
+    return np.column_stack([np.cos(angles), np.sin(angles)]), np.full(count, 2.0 * math.pi / count)
 
-    Weights sum to the sphere area; ``level`` doubles the resolution once per
-    increment (halves it per decrement, down to level -3).  The circle factor
-    inside product rules uses a smaller count than the standalone circle rule.
-    A rule of more than ``MAX_RULE_NODES`` nodes is refused before it is built.
-    """
+
+@lru_cache(maxsize=None)
+def _inner_rule(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The whole rule on S^(n-1) inside a product rule, with the smaller circle."""
+    if n == 2:
+        return _circle(int(SUB_CIRCLE_POINTS * 2.0 ** level))
+    points, weights = zip(*sphere_blocks(n, level)[1])
+    return np.concatenate(points), np.concatenate(weights)
+
+
+def sphere_blocks(n: int, level: int = 0):
+    """The node count of a rule integrating smooth functions over S^(n-1), and
+    an iterator of its blocks of nodes (m, n) and weights (m,), one per polar
+    node of the outer factor (the circle at n = 2); the weights sum to the
+    area.  ``level`` doubles the resolution per increment.  A rule above
+    ``MAX_RULE_NODES`` nodes is refused here, before any block is built."""
     if n < 2:
-        raise ValueError("sphere_quadrature requires n >= 2")
-    circle = int((SUB_CIRCLE_POINTS if n > 2 or _nested else CIRCLE_POINTS) * 2.0 ** level)
+        raise ValueError("sphere rules require n >= 2")
+    circle = int((SUB_CIRCLE_POINTS if n > 2 else CIRCLE_POINTS) * 2.0 ** level)
     polar = int(POLAR_POINTS * 2.0 ** level)
     nodes = circle * polar ** (n - 2)
     if nodes > MAX_RULE_NODES:
@@ -112,62 +120,54 @@ def sphere_quadrature(
             f"above the cap of {MAX_RULE_NODES:,}"
         )
     if n == 2:
-        angles = 2.0 * math.pi * np.arange(circle) / circle
-        points = np.column_stack([np.cos(angles), np.sin(angles)])
-        weights = np.full(circle, 2.0 * math.pi / circle)
-        return points, weights
-    sub_points, sub_weights = sphere_quadrature(n - 1, level, _nested=True)
+        return nodes, iter([_circle(circle)])
+    sub_points, sub_weights = _inner_rule(n - 1, level)
     # cos(polar angle) with weight (1 - t^2)^((n-3)/2) from the area element
     t, wt = _gauss_jacobi(polar, (n - 3) / 2.0)
-    sin_t = np.sqrt(1.0 - t ** 2)
-    points = np.empty((len(t) * len(sub_points), n))
-    weights = np.empty(len(t) * len(sub_points))
-    for i, (ti, si, wi) in enumerate(zip(t, sin_t, wt)):
-        block = slice(i * len(sub_points), (i + 1) * len(sub_points))
-        points[block, : n - 1] = si * sub_points
-        points[block, n - 1] = ti
-        weights[block] = wi * sub_weights
-    return points, weights
+    return nodes, (
+        (np.column_stack([si * sub_points, np.full(len(sub_weights), ti)]), wi * sub_weights)
+        for ti, si, wi in zip(t, np.sqrt(1.0 - t ** 2), wt)
+    )
 
 
-def _norm_on_sphere(model, x, points: np.ndarray) -> np.ndarray:
-    """F(x, .) at the nodes; complex where x is (a complex step)."""
-    xs = np.asarray(x).tolist()
-    ys = [points[:, i] for i in range(points.shape[1])]
-    return np.asarray(evaluate(model.f_ast, xs, ys, model.params))
+def _rule_sums(model, xs, level: int, term) -> list[float]:
+    """For each base point of ``xs`` (complex for a complex step), the sum over
+    the sphere rule of term(weights, F(x, nodes)): F, which must be positive, is
+    evaluated one block at a time, and each point's terms are summed once."""
+    nodes, blocks = sphere_blocks(model.dim, level)
+    terms, low, stop = np.empty((len(xs), nodes)), math.inf, 0
+    for points, weights in blocks:
+        start, stop = stop, stop + len(weights)
+        for row, x in zip(terms, xs):
+            values = np.asarray(evaluate(model.f_ast, np.asarray(x).tolist(), list(points.T), model.params))
+            low = np.minimum(low, values.real.min())  # a NaN stays
+            if low > 0.0:  # else refused below
+                row[start:stop] = term(weights, values)
+    if not low > 0.0:  # also a NaN
+        raise QuadratureError("F is not positive on the unit sphere", float(low), math.inf)
+    return [float(np.sum(row)) for row in terms]
 
 
 def unit_set_volume(model, x, level: int = 0) -> float:
     """Volume of {y : F(x, y) < 1} by the polar-form sphere integral."""
     n = model.dim
-    points, weights = sphere_quadrature(n, level)
-    values = _norm_on_sphere(model, x, points)
-    if not np.all(values > 0.0):  # also a NaN
-        raise QuadratureError(
-            "F is not positive on the unit sphere", float(values.min()), math.inf
-        )
-    return float(np.sum(weights * values ** (-n)) / n)
+    return _rule_sums(model, [x], level, lambda weights, f: weights * f ** (-n))[0] / n
 
 
 def _accepted(model, x) -> tuple[int, float]:
     """The finer level of the first pair of ``BH_LEVELS`` whose coefficients
     agree, else the last level, and its coefficient, that pair gated by
-    ``QUAD_TOL``; an F without x climbs the ladder once per model."""
-    outcome = _X_FREE.get(model)
-    if outcome is None:
-        ball = unit_ball_volume(model.dim)
-        fine = ball / unit_set_volume(model, x, level=BH_LEVELS[0])
-        for level in BH_LEVELS[1:]:
-            coarse, fine = fine, ball / unit_set_volume(model, x, level=level)
-            if abs(fine - coarse) <= BH_AGREE * max(1.0, fine):
-                break
-        outcome = level, fine, abs(fine - coarse)
-        if not model.depends_on_x:
-            _X_FREE[model] = outcome
-    level, sigma, error = outcome
-    if not error <= QUAD_TOL * max(1.0, sigma):  # also a NaN
-        raise QuadratureError("sphere quadrature did not converge", sigma, error)
-    return level, sigma
+    ``QUAD_TOL``."""
+    ball = unit_ball_volume(model.dim)
+    fine = ball / unit_set_volume(model, x, level=BH_LEVELS[0])
+    for level in BH_LEVELS[1:]:
+        coarse, fine = fine, ball / unit_set_volume(model, x, level=level)
+        if abs(fine - coarse) <= BH_AGREE * max(1.0, fine):
+            break
+    error = abs(fine - coarse)
+    if not error <= QUAD_TOL * max(1.0, fine):  # also a NaN
+        raise QuadratureError("sphere quadrature did not converge", fine, error)
+    return level, fine
 
 
 def bh_volume_coefficient(model, x) -> float:
@@ -185,7 +185,6 @@ def bh_sigma_and_log_gradient(model, x) -> tuple[float, np.ndarray]:
     if not model.depends_on_x:
         return sigma, np.zeros(n)
     scale = sigma / (unit_ball_volume(n) * _COMPLEX_STEP)  # sigma / vol(B^n) = n / integral of F^-n
-    points, weights = sphere_quadrature(n, level)
     rows = np.asarray(x) + 1j * _COMPLEX_STEP * np.eye(n)  # row i is x + ih e_i
-    values = (_norm_on_sphere(model, row, points) for row in rows)
-    return sigma, scale * np.array([np.sum(weights * f.real ** (-n - 1) * f.imag) for f in values])
+    sums = _rule_sums(model, rows, level, lambda weights, f: weights * f.real ** (-n - 1) * f.imag)
+    return sigma, scale * np.array(sums)

@@ -516,13 +516,8 @@ def test_check_and_audit_name_the_same_non_convex_point(capsys):
             "fibre 0, chart north, u=[-0.1941272469523367, 0.1310424975520206], stage schur: "
             "the isotropy residual is nan",
         ),
-        (
-            ["check", "--metric", "euclidean", "--dim", "2", "--volume", "expr:1e300*exp(x1*700)",
-             "--samples", "2", "--base-points", "3"],
-            "fibre 0, chart south, u=[-0.6221760818800789]: the eq-2.1 residual is nan",
-        ),
     ],
-    ids=["check-jets", "audit-jets", "check-volume"],
+    ids=["check-jets", "audit-jets"],
 )
 def test_a_residual_that_is_not_finite_is_a_located_fault_and_exits_2(tmp_path, capsys, argv, located):
     out = tmp_path / "report.json"
@@ -534,6 +529,23 @@ def test_a_residual_that_is_not_finite_is_a_located_fault_and_exits_2(tmp_path, 
             assert not block["pass"] and block["points"] == [] and block["error"] in err
     else:
         assert not out.exists()
+
+
+def test_a_volume_that_overflows_at_a_sampled_point_names_sigma(tmp_path, capsys):
+    """sigma = 1e300 exp(700 x1) overflows where F is fine: the fault is the
+    volume's, located at its point, with no numpy warning and no residual."""
+    argv = ["--metric", "euclidean", "--dim", "2", "--volume", "expr:1e300*exp(x1*700)"]
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("check", *argv, "--samples", "2", "--base-points", "3", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: VolumeFormError at base 0, fibre 0, chart south, u=[-0.6221760818800789]: "
+        "sigma(x) or its gradient overflows at x = [0.13955057475168636, -0.1466259220692872]\n"
+    )
+    for block in json.loads(out.read_text())["checks"]:
+        assert not block["pass"] and block["points"] == [] and block["error"] in err
 
 
 @pytest.fixture
@@ -559,13 +571,22 @@ def test_curvature_computes_the_bh_coefficient_once(tmp_path, rule_levels):
     assert rule_levels == climb and len(climb) >= 2
 
 
-def test_x_free_bh_check_climbs_the_ladder_once(tmp_path, rule_levels):
-    from finslerlab import volume
-
+@pytest.mark.parametrize("command", ["check", "audit"])
+def test_x_free_bh_check_and_audit_make_no_quadrature(tmp_path, rule_levels, command):
     argv = ["--metric", "minkowski_quartic", "--dim", "3", "--volume", "bh", "--samples", "1"]
-    assert run_cli("check", *argv, "--base-points", "3", "--out", str(tmp_path / "c.json")) == 0
-    # F has no x: one climb for the model, not one per base point
-    assert rule_levels == list(volume.BH_LEVELS)
+    assert run_cli(command, *argv, "--base-points", "3", "--out", str(tmp_path / "c.json")) == 0
+    # F has no x: sigma_BH is a constant, and no reported number reads its value
+    assert rule_levels == []
+
+
+def test_a_bh_rule_above_the_cap_exits_2_before_it_is_built(tmp_path, capsys):
+    # the level -1 rule at n = 8 would hold 95,551,488 nodes, several GB;
+    # curvature reads sigma through tau
+    argv = ["--metric", "euclidean", "--dim", "8", "--volume", "bh", "--x", ",".join("0" * 8)]
+    assert run_cli("curvature", *argv, "--y", "1" + ",0" * 7, "--out", str(tmp_path / "c.json")) == 2
+    assert capsys.readouterr().err == (
+        "error: the BH sphere rule at n = 8, level -1 has 95,551,488 nodes, above the cap of 8,388,608\n"
+    )
 
 
 def test_guard_rejecting_every_direction_exits_2(tmp_path, monkeypatch, capsys):
@@ -625,17 +646,13 @@ def test_bh_quadrature_gate_is_relative_above_one(tmp_path):
 @pytest.mark.parametrize(
     "argv,base,located,message",
     [
-        # b = 0.97 puts the unit set so close to the origin that the BH sphere
-        # quadrature of F^-3 does not settle
+        # b near 0.97 puts the unit set so close to the origin that the BH
+        # sphere quadrature of F^-3 does not settle; b depends on x, so S
+        # reads grad ln sigma_BH
         (
-            ["--metric-expr", "sqrt(y1^2+y2^2+y3^2) + 0.97*y1", "--dim", "3", "--volume", "bh",
-             "--base-points", "1", "--samples", "1"],
+            ["--metric-expr", "sqrt(y1^2+y2^2+y3^2) + (0.97 + 0.001*x1)*y1", "--dim", "3",
+             "--volume", "bh", "--base-points", "1", "--samples", "1"],
             0, "QuadratureError", "sphere quadrature did not converge",
-        ),
-        # the level -1 rule at n = 8 would hold 95,551,488 nodes, several GB
-        (
-            ["--metric", "euclidean", "--dim", "8", "--volume", "bh", "--base-points", "1", "--samples", "1"],
-            0, "InputFault", "the BH sphere rule at n = 8, level -1 has 95,551,488 nodes, above the cap of 8,388,608",
         ),
         # sigma(x) = x1 is positive at base point 0 and negative at base point 1
         (
@@ -644,7 +661,7 @@ def test_bh_quadrature_gate_is_relative_above_one(tmp_path):
             1, "VolumeFormError", "sigma(x) = -0.534338312799916 must be positive",
         ),
     ],
-    ids=["quadrature", "rule-cap", "volume-form"],
+    ids=["quadrature", "volume-form"],
 )
 def test_a_fault_at_a_sampled_point_is_named_in_the_report_and_exits_2(
     tmp_path, capsys, argv, base, located, message
@@ -703,8 +720,14 @@ def test_only_check_writes_csv(tmp_path, capsys, command):
             ["--metric", "euclidean", "--dim", "2", "--volume", "expr:1e300*exp(x1*700)", "--x", "0.5,0", "--y", "1,0"],
             "volume: sigma(x) or its gradient overflows at x = [0.5, 0.0]",
         ),
+        # F and sigma = exp(1000 x1) both overflow at x: the volume is named
+        (
+            ["--metric-expr", "exp(300*x1)*sqrt(y1^2+y2^2)", "--dim", "2", "--volume", "expr:exp(1000*x1)",
+             "--x", "0.9,0", "--y", "1,0"],
+            "volume: sigma(x) or its gradient overflows at x = [0.9, 0.0]",
+        ),
     ],
-    ids=["tiny-y", "huge-f", "huge-y", "huge-volume"],
+    ids=["tiny-y", "huge-f", "huge-y", "huge-volume", "huge-f-and-volume"],
 )
 def test_curvature_point_whose_jets_overflow_exits_2(capsys, point, err):
     with warnings.catch_warnings():
@@ -791,9 +814,10 @@ def test_every_error_class_of_the_package_is_an_input_fault():
             ["--metric-expr", "sqrt(y1^2+y2^2)*exp(x1)", "--x", "800,0"],
             "exp() overflows at value 800.0 in subexpression 'exp(x1)'",
         ),
+        # an overflow in the volume names sigma
         (
             ["--metric-expr", "sqrt(y1^2+y2^2)", "--x", "1,0", "--volume", "expr:exp(1000*x1)"],
-            "exp() overflows at value 1000.0 in subexpression 'exp(1000.0 * x1)'",
+            "volume: sigma(x) or its gradient overflows at x = [1.0, 0.0]",
         ),
         # a11 overflows at a validation trial, so the model is rejected and
         # the trial named

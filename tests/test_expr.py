@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -147,8 +149,9 @@ def test_evaluate_domain_error_reports_node():
         ("sqrt(y1^2 + y2^2)*(1 + x1^2)^1.5", 1e103, "pow[1.5]", "(1.0 + x1^2.0)^1.5"),
         ("sqrt(y1^2 + y2^2)*ln(x1 - 1)", 0.7, "ln", "ln(x1 - 1.0)"),
         ("sqrt(y1^2 + y2^2)*x1/-(0.0)", 0.7, "div", "sqrt(y1^2.0 + y2^2.0) * x1 / -0.0"),
+        ("1e300*exp(x1)*sqrt(y1^2 + y2^2)", 700.0, "mul", "1e+300 * exp(x1)"),
     ],
-    ids=["exp", "pow", "ln", "div-by-negative-zero"],
+    ids=["exp", "pow", "ln", "div-by-negative-zero", "mul"],
 )
 def test_jet_function_outside_its_range_is_a_domain_error(text, x1, fn, subexpression):
     ast = parse(text, 2)
@@ -167,6 +170,20 @@ def test_ln_of_a_tiny_argument_has_its_true_coefficients():
     space = jet_space(1, 2)
     jet = evaluate(parse("ln(x1*1e-200)", 1), [space.variable(1, 0.7)], [0.0])
     np.testing.assert_allclose(jet.coeffs[1:], [1 / 0.7, -1 / (2 * 0.7**2)], rtol=1e-14)
+
+
+def test_evaluate_keeps_no_reference_to_its_inputs():
+    """The walk is no closure in a cycle, so an input array is freed as soon
+    as evaluate returns, without the cyclic collector."""
+    y1 = np.linspace(1.0, 2.0, 5)
+    alive = weakref.ref(y1)
+    gc.disable()
+    try:
+        evaluate(parse("sqrt(y1^2 + y2^2)*exp(x1)", 2), [0.5, 0.0], [y1, y1[::-1]])
+        del y1
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_evaluate_unbound_parameter():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,18 @@ def test_division_by_zero_jet():
     j = jet_space(1, 2).variable(1, 0.0)
     with pytest.raises(JetDomainError):
         jet_space(1, 2).constant(1.0) / j
+
+
+def test_a_float_product_that_overflows_is_a_domain_error_without_a_warning():
+    """1e300 times a jet whose value is 1e10 overflows: the overflow rule of
+    exp and pow, not an inf coefficient."""
+    j = jet_space(1, 2).variable(1, 1e10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(JetDomainError) as info:
+            1e300 * j
+    assert (info.value.fn, info.value.value, info.value.overflows) == ("mul", 1e10, True)
+    assert (j * 1e298).value == 1e308
 
 
 def test_extract_cubic():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import finslerlab
-from finslerlab import InputFault, volume
+from finslerlab import InputFault, volume, zoo
+from finslerlab.core import UnsupportedDimensionError
 
 A_VALUES = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)  # (n - 3) / 2 for n = 3..8
 M_VALUES = (3, 6, 12, 24, 48)  # 48 is the polar count at level 1
@@ -67,10 +68,11 @@ def test_sphere_rules_under_the_cap_integrate_the_low_moments(n):
         nodes = int(volume.SUB_CIRCLE_POINTS * 2.0 ** level) * int(volume.POLAR_POINTS * 2.0 ** level) ** (n - 2)
         if nodes > volume.MAX_RULE_NODES:
             with pytest.raises(InputFault, match=f"{nodes:,} nodes"):
-                volume.sphere_quadrature(n, level)
+                volume.sphere_blocks(n, level)
             continue
-        points, weights = volume.sphere_quadrature(n, level)
-        assert points.shape == (nodes, n)
+        count, blocks = volume.sphere_blocks(n, level)
+        points, weights = (np.concatenate(parts) for parts in zip(*blocks))
+        assert points.shape == (nodes, n) and count == nodes
         assert abs(weights.sum() - area) <= 1e-13 * area
         for i in range(n):
             assert abs(weights @ points[:, i] ** 2 - second) <= 1e-13 * second, (level, i)
@@ -80,8 +82,8 @@ def test_sphere_rules_under_the_cap_integrate_the_low_moments(n):
 def test_a_sphere_rule_above_the_cap_is_refused_before_it_is_built():
     tracemalloc.start()
     try:
-        with pytest.raises(InputFault) as info:
-            volume.sphere_quadrature(8, -1)
+        with pytest.raises(InputFault) as info:  # at the call, before any block is drawn
+            volume.sphere_blocks(8, -1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -89,6 +91,91 @@ def test_a_sphere_rule_above_the_cap_is_refused_before_it_is_built():
         "the BH sphere rule at n = 8, level -1 has 95,551,488 nodes, above the cap of 8,388,608"
     )
     assert peak < 2 ** 20
+
+
+def _whole_rule(n, level, nested=False):
+    """The sphere rule as one node array and one weight array, built as the
+    product rule was before F was evaluated one block at a time."""
+    if n == 2:
+        count = int((volume.SUB_CIRCLE_POINTS if nested else volume.CIRCLE_POINTS) * 2.0 ** level)
+        angles = 2.0 * math.pi * np.arange(count) / count
+        return np.column_stack([np.cos(angles), np.sin(angles)]), np.full(count, 2.0 * math.pi / count)
+    sub_points, sub_weights = _whole_rule(n - 1, level, nested=True)
+    t, wt = volume._gauss_jacobi(int(volume.POLAR_POINTS * 2.0 ** level), (n - 3) / 2.0)
+    points = np.empty((len(t) * len(sub_points), n))
+    weights = np.empty(len(t) * len(sub_points))
+    for i, (ti, si, wi) in enumerate(zip(t, np.sqrt(1.0 - t ** 2), wt)):
+        block = slice(i * len(sub_points), (i + 1) * len(sub_points))
+        points[block, : n - 1] = si * sub_points
+        points[block, n - 1] = ti
+        weights[block] = wi * sub_weights
+    return points, weights
+
+
+def _f_on_sphere(model, x, points):
+    return np.asarray(volume.evaluate(model.f_ast, np.asarray(x).tolist(), list(points.T), model.params))
+
+
+def _bh_models(n):
+    """Every zoo family at dimension n with the BH volume, and a base point in
+    its domain; an x-dependent F above the dimension cap is left out."""
+    for family in zoo.zoo_ids():
+        try:
+            yield zoo.build(family, n, volume="bh"), np.linspace(-0.2, 0.3, n)
+        except UnsupportedDimensionError:
+            pass
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_streamed_rule_gives_the_whole_rule_sums_bit_for_bit(n):
+    """unit_set_volume at every level under the cap, sigma_BH and the
+    gradient of ln sigma_BH equal the sums over the whole rule, to the bit."""
+    models = list(_bh_models(n))
+    for level in (-3,) + volume.BH_LEVELS:
+        try:
+            volume.sphere_blocks(n, level)
+        except InputFault:
+            continue
+        points, weights = _whole_rule(n, level)
+        for model, x in models:
+            values = _f_on_sphere(model, x, points)
+            expected = np.sum(weights * values ** (-n)) / n
+            assert volume.unit_set_volume(model, x, level) == expected, (model.metric_id, level)
+        del points, weights
+    for model, x in models:
+        try:
+            sigma, gradient = volume.bh_sigma_and_log_gradient(model, x)
+        except InputFault:  # the ladder climbs to a rule above the cap
+            continue
+        level = volume._accepted(model, x)[0]
+        points, weights = _whole_rule(n, level)
+        values = _f_on_sphere(model, x, points)
+        assert sigma == volume.unit_ball_volume(n) / (np.sum(weights * values ** (-n)) / n)
+        if not model.depends_on_x:
+            assert np.array_equal(gradient, np.zeros(n))
+            continue
+        h = volume._COMPLEX_STEP
+        sums = []
+        for row in x + 1j * h * np.eye(n):
+            f = _f_on_sphere(model, row, points)
+            sums.append(np.sum(weights * f.real ** (-n - 1) * f.imag))
+        expected = sigma / (volume.unit_ball_volume(n) * h) * np.array(sums)
+        assert np.array_equal(gradient, expected), model.metric_id
+
+
+def test_the_streamed_volume_never_holds_the_whole_rule():
+    """At n = 6, level -1, the whole rule's node array alone is 663,552 x 6
+    doubles (31.9 MB); the streamed volume holds only blocks of 55,296 nodes
+    and the 5.3 MB vector of weighted terms."""
+    model = zoo.build("euclidean", 6, volume="bh")
+    volume._inner_rule.cache_clear()  # its build counts too
+    tracemalloc.start()
+    try:
+        assert volume.unit_set_volume(model, np.zeros(6), level=-1) > 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
 
 
 def test_a_nan_coefficient_never_passes_the_bh_gate(funk3, monkeypatch):
@@ -106,14 +193,14 @@ def test_a_nan_coefficient_never_passes_the_bh_gate(funk3, monkeypatch):
 
 
 def test_a_nan_value_of_f_on_the_sphere_is_refused(funk3, monkeypatch):
-    norm_on_sphere = volume._norm_on_sphere
+    evaluate = volume.evaluate
 
-    def one_nan(model, x, points):
-        values = norm_on_sphere(model, x, points)
+    def one_nan(*args):
+        values = np.array(evaluate(*args))
         values[0] = math.nan
         return values
 
-    monkeypatch.setattr(volume, "_norm_on_sphere", one_nan)
+    monkeypatch.setattr(volume, "evaluate", one_nan)
     with pytest.raises(volume.QuadratureError, match="not positive"):
         volume.unit_set_volume(funk3, np.array([0.2, 0.1, 0.0]))
 
