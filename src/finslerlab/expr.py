@@ -416,7 +416,7 @@ def _div_apply(num, den, node: Node):
         try:
             return num / den
         except JetDomainError as err:
-            raise EvalDomainError(node, "div", err.value) from None
+            raise EvalDomainError(node, "div", err.value, err.overflows) from None
     arr = _as_array(den)
     if np.any(arr.real == 0.0):
         raise EvalDomainError(node, "div", 0.0)

@@ -40,24 +40,28 @@ carries.  Jets of different limits do not mix (``ValueError``); callers
 truncate explicitly, by a prefix of the coefficients (the layout is
 prefix-closed) or by a :meth:`JetSpace.restriction` of them.
 
-Index work is done by gather tables, built once per :class:`JetSpace` with
-numpy from one position map (the radix keys of the multi-indices): the
-product table, which :meth:`JetSpace.multiply` and :func:`jet_einsum` reduce
-with ``np.bincount``, and one table per derivative multi-index gamma, which
-makes :func:`jet_partials` one gather scaled by exact integer factors.
-The tables list their terms in a fixed order, so every product and
-derivative is bit-identical from run to run and to the per-multi-index
-loops kept as references in the tests.
+Index work is done by gather tables, built with numpy from one position
+map (the radix keys of the multi-indices): the product table, which
+:meth:`JetSpace.multiply` and :func:`jet_einsum` reduce with
+``np.bincount``, and one table per derivative multi-index gamma, which makes
+:func:`jet_partials` one gather scaled by exact integer factors.  The tables
+list their terms in a fixed order, so every product and derivative is
+bit-identical from run to run and to the per-multi-index loops kept as
+references in the tests.
 
-The array kernels look up a plan built once per call signature and kept on
-the space: :func:`jet_partials` the stacked derivative tables of its tuple
-of gammas, :func:`jet_einsum` the einsum spec, output shape and offset
-``np.bincount`` bins of its subscripts and operand shapes, and
-:func:`neumann_inverse` and the recurrences (per grade of their argument)
-one sub-table of the product table per degree.  A
-plan moves index work out of the call and leaves the arithmetic and its
-order as they were, so each result is bit-identical to the one the call
-would give building its index work anew (the tests keep those bodies).
+Every table and plan is built on first use by a method of the space cached
+with ``functools.cache``, keyed by the space and the call's arguments, and
+:func:`jet_space` caches the spaces the same way; the product table alone
+is kept by hand, in ``JetSpace._mul_table``.  The array kernels look up a
+plan per call signature: :func:`jet_partials` the stacked derivative tables
+of its tuple of gammas, :func:`jet_einsum` the einsum spec, output shape and
+offset ``np.bincount`` bins of its subscripts and operand shapes, and the
+recurrences, per grade of their argument, the product-table terms of each
+degree; :func:`neumann_inverse`, the matrix case of the quotient recurrence,
+reads its contractions off the recurrence plan of the full grade.  A plan
+moves index work out of the call and leaves the arithmetic and its order as
+they were, so each result is bit-identical to the one the call would give
+building its index work anew (the tests keep those bodies).
 
 A :class:`Jet` carries a ``grade``, an upper bound on the degree of its
 nonzero coefficients: 0 for a constant, 1 for a variable, the larger grade
@@ -86,6 +90,7 @@ inverts a matrix of jets, and :func:`jet_compose` substitutes each point's
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -138,31 +143,17 @@ def _compositions(total, parts, capped=0, cap=0):
             yield (head,) + tail
 
 
-_SPACES: dict[tuple[int, int, int, int], "JetSpace"] = {}
-
-
-def jet_space(n_vars: int, order: int, x_vars: int = 0, x_degree: int = 1) -> "JetSpace":
-    """The shared index tables for jets of this signature, one object per
-    space: the first ``x_vars`` variables (none by default) enter with joint
-    degree at most ``x_degree``.  At order 0 the limit keeps only the
-    constant whatever its value, so it is stored as 0."""
-    key = (n_vars, order, x_vars, x_degree if x_vars and order else 0)
-    space = _SPACES.get(key)
-    if space is None:
-        space = _SPACES[key] = JetSpace(*key)
-    return space
-
-
 class JetSpace:
     """Index tables for all jets of a fixed (n_vars, order, x_vars, x_degree).
 
-    Holds the graded-lex multi-index list, its inverse as a vectorised
-    position map, and the gather tables built from that map: the sparse
-    convolution table used by multiplication and one derivative table per
-    multi-index gamma.  With ``x_vars`` > 0 the list keeps only the
-    multi-indices whose first ``x_vars`` entries sum to at most
-    ``x_degree``.  Instances are obtained through :func:`jet_space` so the
-    tables are built once per signature.
+    Holds the graded-lex multi-index list and its inverse as a vectorised
+    position map.  Its methods build from that map, on first use and once
+    per argument (``functools.cache``), the gather tables: the sparse
+    convolution table used by multiplication, its graded sub-tables, one
+    derivative table per multi-index gamma, and the kernel plans.  With
+    ``x_vars`` > 0 the list keeps only the multi-indices whose first
+    ``x_vars`` entries sum to at most ``x_degree``.  Instances are obtained
+    through :func:`jet_space`, so there is one per signature.
     """
 
     def __init__(self, n_vars: int, order: int, x_vars: int = 0, x_degree: int = 0):
@@ -196,16 +187,10 @@ class JetSpace:
         self._keys = self._alphas @ self._radix
         self._key_order = np.argsort(self._keys)
         self._sorted_keys = self._keys[self._key_order]
+        # The product table alone is kept by hand rather than by
+        # functools.cache: perfbench/spans.py wraps _mul and reads _mul_table
+        # to tell the call that builds the table from a cache hit.
         self._mul_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._graded_tables: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-        self._derivative_tables: dict[tuple[int, ...], tuple[JetSpace, np.ndarray, np.ndarray]] = {}
-        self._restrictions: dict[JetSpace, np.ndarray] = {}
-        # kernel plans, one per call signature: see jet_partials, jet_einsum
-        # and neumann_inverse
-        self._partial_plans: dict[tuple | None, tuple[np.ndarray, np.ndarray]] = {}
-        self._einsum_plans: dict[tuple, _Contraction] = {}
-        self._neumann_plans: dict[int, list[_Contraction]] = {}
-        self._recurrence_plans: dict[int, _Recurrence] = {}
 
     def __repr__(self):
         if not self.x_vars:
@@ -236,11 +221,13 @@ class JetSpace:
             self._mul_table = (ii, jj, kk)
         return self._mul_table
 
+    @functools.cache
     def _graded_mul(self, ga: int, gb: int) -> tuple[np.ndarray, ...]:
         """The terms of :meth:`_mul` with a factor of degree at most ``ga``
         on the left and at most ``gb`` on the right, in the same order: a
         prefix of the table (the terms are ordered by i, which is ordered by
-        degree), filtered by the degree of j unless ``gb`` is the order."""
+        degree), filtered by the degree of j unless ``gb`` reaches the
+        order."""
         table = self._mul()
         if ga < self.order:
             end = np.searchsorted(table[0], self.grade_offsets[ga + 1])
@@ -256,13 +243,10 @@ class JetSpace:
         """The truncated product of two coefficient arrays that are zero above
         degree ``ga`` and ``gb`` (by default no zero is known): the terms of
         the product table with a zero factor are skipped."""
-        table = self._graded_tables.get((ga, gb))
-        if table is None:
-            grades = min(ga, self.order), min(gb, self.order)
-            table = self._graded_tables[ga, gb] = self._graded_mul(*grades)
-        ii, jj, kk = table
+        ii, jj, kk = self._graded_mul(ga, gb)
         return np.bincount(kk, weights=a[ii] * b[jj], minlength=self.size)
 
+    @functools.cache
     def derivative_table(self, gamma: tuple[int, ...]) -> tuple["JetSpace", np.ndarray, np.ndarray]:
         """The gather table of d^gamma: the result space, and for each of its
         multi-indices beta the position of beta + gamma here and the factor
@@ -272,106 +256,90 @@ class JetSpace:
         ``x_degree`` minus the x-part of gamma, so no coefficient it holds
         depends on a coefficient this space does not carry.
         """
-        table = self._derivative_tables.get(gamma)
-        if table is None:
-            if len(gamma) != self.n_vars:
-                raise ValueError("gamma must have one entry per variable")
-            total = sum(gamma)
-            if total > self.order:
-                raise ValueError(f"|gamma| = {total} exceeds jet order {self.order}")
-            x_part = sum(gamma[: self.x_vars])
-            if x_part > self.x_degree:
-                raise ValueError(f"x-degree {x_part} of gamma exceeds the limit {self.x_degree}")
-            space = jet_space(self.n_vars, self.order - total, self.x_vars, self.x_degree - x_part)
-            beta = space._alphas
-            alpha = beta + np.array(gamma, dtype=np.int64)
-            factor = _FACTORIALS[alpha].prod(axis=1) // _FACTORIALS[beta].prod(axis=1)
-            table = (space, self._positions(alpha @ self._radix), factor.astype(float))
-            self._derivative_tables[gamma] = table
-        return table
+        if len(gamma) != self.n_vars:
+            raise ValueError("gamma must have one entry per variable")
+        total = sum(gamma)
+        if total > self.order:
+            raise ValueError(f"|gamma| = {total} exceeds jet order {self.order}")
+        x_part = sum(gamma[: self.x_vars])
+        if x_part > self.x_degree:
+            raise ValueError(f"x-degree {x_part} of gamma exceeds the limit {self.x_degree}")
+        space = jet_space(self.n_vars, self.order - total, self.x_vars, self.x_degree - x_part)
+        beta = space._alphas
+        alpha = beta + np.array(gamma, dtype=np.int64)
+        factor = _FACTORIALS[alpha].prod(axis=1) // _FACTORIALS[beta].prod(axis=1)
+        return space, self._positions(alpha @ self._radix), factor.astype(float)
 
+    @functools.cache
     def restriction(self, space: "JetSpace") -> np.ndarray:
         """Positions here of the multi-indices of ``space``, a space of the
         same variables whose order and x-degree limit are no higher."""
-        src = self._restrictions.get(space)
-        if src is None:
-            if (space.n_vars, space.x_vars) != (self.n_vars, self.x_vars) or (
-                space.order > self.order or space.x_degree > self.x_degree
-            ):
-                raise ValueError("can only restrict to a lower order or x-degree")
-            src = self._restrictions[space] = self._positions(space._alphas @ self._radix)
-        return src
+        if (space.n_vars, space.x_vars) != (self.n_vars, self.x_vars) or (
+            space.order > self.order or space.x_degree > self.x_degree
+        ):
+            raise ValueError("can only restrict to a lower order or x-degree")
+        return self._positions(space._alphas @ self._radix)
 
-    def _partials_plan(self, gammas) -> tuple[np.ndarray, np.ndarray]:
-        """The stacked derivative tables of :func:`jet_partials`, keyed by
-        the gammas as a tuple (``None``: every first partial)."""
-        key = None if gammas is None else tuple(gammas)
-        plan = self._partial_plans.get(key)
-        if plan is None:
-            if gammas is None:
-                gammas = [tuple(map(int, unit)) for unit in np.eye(self.n_vars, dtype=int)]
-            tables = [self.derivative_table(gamma) for gamma in gammas]
-            if any(table[0] is not tables[0][0] for table in tables):
-                raise ValueError("the derivatives must share one result space")
-            plan = tuple(np.array([table[k] for table in tables]) for k in (1, 2))
-            self._partial_plans[key] = plan
-        return plan
+    @functools.cache
+    def _partials_plan(self, gammas: tuple | None) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked derivative tables of :func:`jet_partials` for a tuple
+        of gammas (``None``: every first partial)."""
+        if gammas is None:
+            gammas = [tuple(map(int, unit)) for unit in np.eye(self.n_vars, dtype=int)]
+        tables = [self.derivative_table(gamma) for gamma in gammas]
+        if any(table[0] is not tables[0][0] for table in tables):
+            raise ValueError("the derivatives must share one result space")
+        return tuple(np.array([table[k] for table in tables]) for k in (1, 2))
 
+    @functools.cache
     def _einsum_plan(self, subscripts: str, a_shape: tuple, b_shape: tuple) -> "_Contraction":
         """The contraction of :func:`jet_einsum`, the plan of one point, for
         operands of these shapes after the batch axis."""
-        key = (subscripts, a_shape, b_shape)
-        plan = self._einsum_plans.get(key)
-        if plan is None:
-            left, right, out = subscripts.replace("->", ",").split(",")
-            if (len(a_shape), len(b_shape)) != (len(left) + 1, len(right) + 1):
-                raise ValueError(
-                    f"{subscripts!r} needs operands of a batch axis, its slot axes and the "
-                    f"coefficients; got {a_shape} and {b_shape} after the batch axis"
-                )
-            # numpy's own broadcast of the slot axes, so plan and contraction agree
-            slots = np.zeros(a_shape[:-1]), np.zeros(b_shape[:-1])
-            shape = np.einsum(f"{left},{right}->{out}", *slots).shape
-            plan = _contraction(f"P{left}Z,P{right}Z->P{out}Z", *self._mul(), shape, self.size)
-            self._einsum_plans[key] = plan
-        return plan
+        left, right, out = subscripts.replace("->", ",").split(",")
+        if (len(a_shape), len(b_shape)) != (len(left) + 1, len(right) + 1):
+            raise ValueError(
+                f"{subscripts!r} needs operands of a batch axis, its slot axes and the "
+                f"coefficients; got {a_shape} and {b_shape} after the batch axis"
+            )
+        # numpy's own broadcast of the slot axes, so plan and contraction agree
+        slots = np.zeros(a_shape[:-1]), np.zeros(b_shape[:-1])
+        shape = np.einsum(f"{left},{right}->{out}", *slots).shape
+        return _contraction(f"P{left}Z,P{right}Z->P{out}Z", *self._mul(), shape, self.size)
 
-    def _neumann_plan(self, m: int) -> list["_Contraction"]:
+    @functools.cache
+    def _neumann_plan(self, m: int) -> tuple["_Contraction", ...]:
         """Per degree d >= 1, the contraction of :func:`neumann_inverse` for
-        (m, m) matrices: the product-table terms that land at degree d and
-        whose left factor has degree >= 1, in table order."""
-        plan = self._neumann_plans.get(m)
-        if plan is None:
-            ii, jj, kk = self._mul()
-            plan = []
-            for lo, hi in zip(self.grade_offsets[1:-1], self.grade_offsets[2:]):
-                keep = (kk >= lo) & (kk < hi) & (ii >= self.grade_offsets[1])
-                plan.append(_contraction("PabZ,PbcZ->PacZ", ii[keep], jj[keep], kk[keep] - lo, (m, m), hi - lo))
-            self._neumann_plans[m] = plan
-        return plan
+        (m, m) matrices: the terms of :meth:`_recurrence_plan` for a jet of
+        the full order, those that land at degree d with a left factor of
+        degree >= 1, in table order.  An order-0 space has no such degree."""
+        if not self.order:
+            return ()
+        plan = self._recurrence_plan(self.order)
+        return tuple(
+            _contraction("PabZ,PbcZ->PacZ", plan.ii[terms], jj, kk, (m, m), hi - lo)
+            for _, lo, hi, terms, jj, kk in plan.degrees
+        )
 
+    @functools.cache
     def _recurrence_plan(self, grade: int) -> "_Recurrence":
         """The terms of :meth:`Jet._recur` for a jet of this grade >= 1: per
         degree d >= 1, the product-table terms that land at degree d and
         whose left factor has degree 1..grade, in table order."""
-        plan = self._recurrence_plans.get(grade)
-        if plan is None:
-            ii, jj, kk = self._mul()
-            offsets = self.grade_offsets
-            degree = np.repeat(np.arange(self.order + 1.0), np.diff(offsets))
-            left = (ii >= offsets[1]) & (ii < offsets[min(grade, self.order) + 1])
-            lefts, degrees, start = [], [], 0
-            for d in range(1, self.order + 1):
-                lo, hi = offsets[d], offsets[d + 1]
-                keep = left & (kk >= lo) & (kk < hi)
-                lefts.append(ii[keep])
-                terms = slice(start, start + len(lefts[-1]))
-                degrees.append((d, lo, hi, terms, jj[keep], kk[keep] - lo))
-                start = terms.stop
-            i = np.concatenate(lefts)
-            j = np.concatenate([jj for *_, jj, _ in degrees])
-            plan = self._recurrence_plans[grade] = _Recurrence(i, degree[i], degree[j], degrees)
-        return plan
+        ii, jj, kk = self._mul()
+        offsets = self.grade_offsets
+        degree = np.repeat(np.arange(self.order + 1.0), np.diff(offsets))
+        left = (ii >= offsets[1]) & (ii < offsets[min(grade, self.order) + 1])
+        lefts, degrees, start = [], [], 0
+        for d in range(1, self.order + 1):
+            lo, hi = offsets[d], offsets[d + 1]
+            keep = left & (kk >= lo) & (kk < hi)
+            lefts.append(ii[keep])
+            terms = slice(start, start + len(lefts[-1]))
+            degrees.append((d, lo, hi, terms, jj[keep], kk[keep] - lo))
+            start = terms.stop
+        i = np.concatenate(lefts)
+        j = np.concatenate([jj for *_, jj, _ in degrees])
+        return _Recurrence(i, degree[i], degree[j], degrees)
 
     def constant(self, value: float) -> "Jet":
         coeffs = np.zeros(self.size)
@@ -388,6 +356,17 @@ class JetSpace:
             jet.coeffs[self.index_of[unit]] = 1.0
             jet.grade = 1
         return jet
+
+
+_spaces = functools.cache(JetSpace)
+
+
+def jet_space(n_vars: int, order: int, x_vars: int = 0, x_degree: int = 1) -> JetSpace:
+    """The shared index tables for jets of this signature, one object per
+    space: the first ``x_vars`` variables (none by default) enter with joint
+    degree at most ``x_degree``.  At order 0 the limit keeps only the
+    constant whatever its value, so it is stored as 0."""
+    return _spaces(n_vars, order, x_vars, x_degree if x_vars and order else 0)
 
 
 class Jet:
@@ -468,11 +447,7 @@ class Jet:
             coeffs = self.space.multiply(self.coeffs, c.coeffs, self.grade, c.grade)
             return Jet(self.space, coeffs, min(self.space.order, self.grade + c.grade))
         if isinstance(other, (int, float, np.floating, np.integer)):
-            try:
-                with np.errstate(over="raise"):
-                    return Jet(self.space, self.coeffs * float(other), self.grade)
-            except FloatingPointError:
-                raise JetDomainError("mul", self.value, overflows=True) from None
+            return _scaled(self, np.multiply, float(other), "mul")
         return NotImplemented
 
     __rmul__ = __mul__
@@ -483,7 +458,7 @@ class Jet:
         if isinstance(other, (int, float, np.floating, np.integer)):
             if float(other) == 0.0:
                 raise JetDomainError("div", 0.0)
-            return Jet(self.space, self.coeffs / float(other), self.grade)
+            return _scaled(self, np.divide, float(other), "div")
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -578,13 +553,24 @@ class Jet:
         return self._recur(math.log(f0), lambda d, lo, hi, s: (a[lo:hi] - s / d) / f0, lambda di, dj: dj)
 
 
+def _scaled(jet: Jet, op, factor: float, fn: str) -> Jet:
+    """``op(coefficients, factor)`` of a jet and a float, by the overflow
+    rule of exp and pow: a coefficient that overflows is a domain error at
+    the jet's value, not an inf coefficient and a numpy warning."""
+    try:
+        with np.errstate(over="raise"):
+            return Jet(jet.space, op(jet.coeffs, factor), jet.grade)
+    except FloatingPointError:
+        raise JetDomainError(fn, jet.value, overflows=True) from None
+
+
 def _quotient(u: Jet, v: Jet) -> Jet:
     """u / v: v_0 q_d = u_d - sum v_i q_j, with q_0 = u_0 / v_0."""
     v0 = v.value
     if v0 == 0.0:
         raise JetDomainError("div", v0)
     if not v.grade:
-        return Jet(u.space, u.coeffs / v0, u.grade)
+        return _scaled(u, np.divide, v0, "div")
     return v._recur(u.coeffs[0] / v0, lambda d, lo, hi, s: (u.coeffs[lo:hi] - s) / v0, lambda di, dj: 1.0)
 
 
@@ -646,7 +632,7 @@ def jet_partials(space: JetSpace, t: np.ndarray, gammas=None) -> np.ndarray:
     gamma (by default every first partial), on a new axis before the last:
     one gather of the :meth:`JetSpace.derivative_table` of each gamma,
     stacked once per tuple of gammas.  The gammas share one result space."""
-    src, factor = space._partials_plan(gammas)
+    src, factor = space._partials_plan(None if gammas is None else tuple(gammas))
     return t[..., src] * factor
 
 
@@ -721,7 +707,8 @@ def neumann_inverse(space: JetSpace, a: np.ndarray) -> np.ndarray:
     last reads only degrees below d of the one before (-a0^-1 N has no
     degree-0 part).  So each degree is contracted once, in place, from the
     lower ones: the product-table terms that land at degree d with a left
-    factor of degree >= 1, in table order.  A skipped term has an exactly
+    factor of degree >= 1, in table order, which are those of the quotient
+    recurrence of a jet of the full grade.  A skipped term has an exactly
     zero factor, and ``np.bincount`` sums from +0.0, so for finite entries
     each degree is bit-identical to the Horner loop's; at degree 0 that
     loop adds its empty sum, +0.0, which turns a -0.0 of a0^-1 into +0.0.

@@ -548,6 +548,19 @@ def test_a_volume_that_overflows_at_a_sampled_point_names_sigma(tmp_path, capsys
         assert not block["pass"] and block["points"] == [] and block["error"] in err
 
 
+def test_a_volume_whose_float_quotient_overflows_names_sigma(capsys):
+    """sigma = 1 + x1/1e-310: the jet of x1 divided by a float overflows,
+    which is the volume's fault at its point, with no numpy warning."""
+    argv = ["--metric", "euclidean", "--dim", "2", "--volume", "expr:1+x1/1e-310"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("check", *argv, "--samples", "1", "--base-points", "1") == 2
+    assert capsys.readouterr().err == (
+        "error: VolumeFormError at base 0, fibre 0, chart south, u=[0.09699382017751003]: "
+        "sigma(x) or its gradient overflows at x = [0.13955057475168636, -0.1466259220692872]\n"
+    )
+
+
 @pytest.fixture
 def rule_levels(monkeypatch):
     """The level of each BH sphere-rule evaluation, in call order."""

@@ -150,8 +150,9 @@ def test_evaluate_domain_error_reports_node():
         ("sqrt(y1^2 + y2^2)*ln(x1 - 1)", 0.7, "ln", "ln(x1 - 1.0)"),
         ("sqrt(y1^2 + y2^2)*x1/-(0.0)", 0.7, "div", "sqrt(y1^2.0 + y2^2.0) * x1 / -0.0"),
         ("1e300*exp(x1)*sqrt(y1^2 + y2^2)", 700.0, "mul", "1e+300 * exp(x1)"),
+        ("sqrt(y1^2 + y2^2)*(1 + x1/1e-310)", 0.5, "div", "x1 / 1e-310"),
     ],
-    ids=["exp", "pow", "ln", "div-by-negative-zero", "mul"],
+    ids=["exp", "pow", "ln", "div-by-negative-zero", "mul", "div-overflow"],
 )
 def test_jet_function_outside_its_range_is_a_domain_error(text, x1, fn, subexpression):
     ast = parse(text, 2)

@@ -76,6 +76,20 @@ def test_a_float_product_that_overflows_is_a_domain_error_without_a_warning():
     assert (j * 1e298).value == 1e308
 
 
+def test_a_float_quotient_that_overflows_is_a_domain_error_without_a_warning():
+    """A jet whose value is 0.5 divided by 1e-310, or by a constant jet of
+    that value, overflows by the rule of the float product."""
+    space = jet_space(1, 2)
+    j = space.variable(1, 0.5)
+    for den in (1e-310, space.constant(1e-310)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(JetDomainError) as info:
+                j / den
+        assert (info.value.fn, info.value.value, info.value.overflows) == ("div", 0.5, True)
+    assert (j / 1e-300).value == 0.5 / 1e-300
+
+
 def test_extract_cubic():
     t = jet_space(1, 3).variable(1, 2.0)
     cubic = t * t * t
@@ -745,6 +759,8 @@ def test_jet_einsum_contractions_are_sums_of_jet_products(key, points, shape, se
 
 @settings(max_examples=60, deadline=None)
 @given(_chart_spaces, _points, st.integers(1, 3), _seeds)
+@example((2, 0), 2, 2, 0)  # order 0: no degree >= 1, so no contraction
+@example((6, 3, 3, 1), 2, 3, 0)  # x-linear
 def test_neumann_inverse_times_the_matrix_is_the_identity(key, points, m, seed):
     """Both products with the inverse are the identity to roundoff: every
     coefficient within 1e-13 of the sum of the magnitudes of its terms."""
@@ -847,6 +863,8 @@ def test_jet_partials_plans_are_keyed_by_the_gammas():
 
 @settings(max_examples=60, deadline=None)
 @given(_chart_spaces, _points, st.integers(1, 4), st.booleans(), _seeds)
+@example((2, 0), 2, 2, True, 0)  # order 0: no degree >= 1, so no contraction
+@example((6, 3, 3, 1), 2, 3, True, 0)  # x-linear
 def test_neumann_inverse_equals_the_horner_loop_bit_for_bit(key, points, m, diagonal, seed):
     """Signed zeros included: the inverse of a diagonal a0 with negative
     entries has -0.0 off its diagonal, and N has zero coefficients.  Each
