@@ -53,7 +53,6 @@ from .indicatrix import FibreJets, IndicatrixPoint, fibre_batch, fibre_point_dra
 from .jets import jet_partials
 
 __all__ = [
-    "TAGS",
     "DEFAULT_TOLERANCES",
     "CheckReport",
     "PointFault",
@@ -74,15 +73,6 @@ __all__ = [
     "sample_base_points",
     "sweep",
 ]
-
-TAGS = {
-    "pde": "eq-2.1",
-    "codazzi": "eq-2.2",
-    "cartan_symmetry": "eq-1.11",
-    "gauss": "eq-1.12",
-    "ricci": "eq-2.5",
-    "schur": "thm-1",
-}
 
 # tolerance scales with the depth of the derivative chain behind each check
 DEFAULT_TOLERANCES = {
@@ -318,10 +308,10 @@ def _quantities(model, batch, earlier, chart_order, work) -> list[dict]:
 # -- the identity suite ------------------------------------------------------------
 
 _SUITE = (
-    ("pde", "vertical-pde", pde_residual),
-    ("cartan_symmetry", "cartan-derivative-symmetry", cartan_symmetry_residual),
-    ("gauss", "fibre-gauss", gauss_residual),
-    ("codazzi", "berwald-codazzi", codazzi_residual),
+    ("eq-2.1", "vertical-pde", pde_residual),
+    ("eq-1.11", "cartan-derivative-symmetry", cartan_symmetry_residual),
+    ("eq-1.12", "fibre-gauss", gauss_residual),
+    ("eq-2.2", "berwald-codazzi", codazzi_residual),
 )
 
 
@@ -332,10 +322,10 @@ def _suite_batch(fj: FibreJets, fibres: list) -> list[dict]:
     for member in ("curvature", "s", "e", "h"):
         getattr(fj, member)
     columns = {}
-    for key, _, residual_fn in _SUITE:
+    for tag, _, residual_fn in _SUITE:
         tensor, scale = residual_fn(fj)
-        columns[f"{TAGS[key]} residual"] = _maxabs(tensor) / scale
-        columns[f"{TAGS[key]} scale"] = scale
+        columns[f"{tag} residual"] = _maxabs(tensor) / scale
+        columns[f"{tag} scale"] = scale
     return [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
 
 
@@ -362,8 +352,7 @@ def run_identity_suite(
         # exceedance
         error = str(err)
     reports = []
-    for key, name, _ in _SUITE:
-        tag = TAGS[key]
+    for tag, name, _ in _SUITE:
         points = [
             {"base": b, "fibre": f, "residual": q[f"{tag} residual"]} for b, f, q in rows
         ]
@@ -421,7 +410,7 @@ class SchurAudit:
         record = asdict(self)
         del record["weak"]
         tol = record.pop("tol")  # bounds both the isotropy and the constancy test
-        return {"tag": TAGS["schur"], **record, "tol_isotropy": tol, "tol_constancy": tol}
+        return {"tag": "thm-1", **record, "tol_isotropy": tol, "tol_constancy": tol}
 
 
 def _y_hessians(tj: TensorJets) -> tuple[np.ndarray, np.ndarray]:

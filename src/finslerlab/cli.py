@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import InputFault, __version__
-from .checks import DEFAULT_TOLERANCES, run_identity_suite, run_isotropy_audit
+from .checks import _SUITE, DEFAULT_TOLERANCES, run_identity_suite, run_isotropy_audit
 from .core import (
     CoordinateTensors,
     FlagPoint,
@@ -44,12 +44,12 @@ from .zoo import ParamError, build, entries, number_param
 
 SCHEMA_VERSION = "1"
 
-# the checks `check` runs, and the config key of each tolerance
+# the checks `check` runs, in the order of DEFAULT_TOLERANCES, and the config
+# key of each tolerance: tol_eq_2_1 for eq-2.1
 _TOL_FLAGS = {
-    "eq-2.1": "tol_eq_2_1",
-    "eq-2.2": "tol_eq_2_2",
-    "eq-1.11": "tol_eq_1_11",
-    "eq-1.12": "tol_eq_1_12",
+    tag: "tol_" + tag.replace("-", "_").replace(".", "_")
+    for tag in DEFAULT_TOLERANCES
+    if tag in {suite_tag for suite_tag, _, _ in _SUITE}
 }
 
 

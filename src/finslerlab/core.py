@@ -83,6 +83,7 @@ __all__ = [
     "SamplingError",
     "s_curvature_alt",
     "coordinate_tensors",
+    "expansion_order",
     "g_jets",
     "cartan_jets",
     "spray_jets",
@@ -355,12 +356,13 @@ class TensorJets:
 
     F is walked once per point, at ``xs[k]``, ``ys[k]``; everything after
     the walks runs once per batch, on a leading axis with one row per point.
-    ``with_x`` selects jets over the 2n variables (x1..xn, y1..yn) in which
-    x enters to first order (joint x-degree at most 1, see
+    When F depends on x the jets run over the 2n variables (x1..xn, y1..yn)
+    in which x enters to first order (joint x-degree at most 1, see
     :func:`~finslerlab.jets.jet_space`), since no tensor needs more than one
-    x-derivative of F; without it the x coordinates enter as constants and
+    x-derivative of F; otherwise the x coordinates enter as constants and
     the jets run over y only, which keeps x-independent metrics usable up to
-    the variable cap.  Every tensor is one float array ``(points, *slots,
+    the variable cap.  :func:`expansion_order` gives the order that serves a
+    set of tensors.  Every tensor is one float array ``(points, *slots,
     size)`` of coefficients over :meth:`space`.  A field that has taken its
     x-derivative (the spray, and N, E and the volume-free S read from it)
     lives in the x-free space of the same variables (:meth:`x_free`); its
@@ -369,21 +371,20 @@ class TensorJets:
     at that order, when first read.
     """
 
-    def __init__(self, model: MetricModel, xs, ys, order: int, with_x: bool):
+    def __init__(self, model: MetricModel, xs, ys, order: int):
         n = model.dim
         self.n = n
-        self.with_x = with_x
         self.depends_on_x = model.depends_on_x
         self.order = order
         self.y = np.asarray(ys, dtype=float).reshape(-1, n)
-        self.n_vars = 2 * n if with_x else n
-        self.y_offset = n if with_x else 0
-        self.x_vars = self.y_offset  # the variables limited to x-degree 1
+        # the x variables, limited to x-degree 1, come first
+        self.x_vars = self.y_offset = n if self.depends_on_x else 0
+        self.n_vars = n + self.x_vars
         self.f_space = space = self.space(order)
         xs = np.asarray(xs, dtype=float).reshape(-1, n)
         self.f, self.f2 = np.empty((2, len(xs), space.size))
         for k, (x, y) in enumerate(zip(xs.tolist(), self.y.tolist())):
-            xj = [space.variable(i + 1, v) for i, v in enumerate(x)] if with_x else x
+            xj = [space.variable(i + 1, v) for i, v in enumerate(x)] if self.x_vars else x
             yj = [space.variable(self.y_offset + i + 1, v) for i, v in enumerate(y)]
             f_jet = evaluate(model.f_ast, xj, yj, model.params)
             if not f_jet.value > 0.0:
@@ -401,8 +402,8 @@ class TensorJets:
 
     def space(self, order: int, x_degree: int = 1) -> jets.JetSpace:
         """The jet space of this order over the expansion variables, with x
-        entering to ``x_degree`` (the same space for every limit without
-        ``with_x``)."""
+        entering to ``x_degree`` (the same space for every limit when F does
+        not depend on x)."""
         return jets.jet_space(self.n_vars, order, self.x_vars, x_degree)
 
     def x_free(self, order: int) -> jets.JetSpace:
@@ -422,7 +423,7 @@ class TensorJets:
     def gammas(self, x_slots: int, y_slots: int) -> tuple[tuple[int, ...], ...]:
         """The multi-index of d_{x^i}.. d_{y^a}.. for every index tuple,
         x-slots first, in C order."""
-        if x_slots and not self.with_x:
+        if x_slots and not self.depends_on_x:
             raise ValueError("x derivatives need jets over the x variables")
         return _gammas(self.n_vars, self.y_offset, self.n, x_slots, y_slots)
 
@@ -454,6 +455,24 @@ class TensorJets:
         y_d = jets.jet_einsum(space, "kl,k->l", self.d_f2(1, 1), self.y_jets(space.order))
         b = y_d - self.d_f2(1, 0)[..., : space.size]
         return 0.25 * jets.jet_einsum(space, "il,l->i", self.g_inv, b)
+
+
+# The expansion order each tensor needs beyond its own jet order: g from
+# [F^2]_yy, the Cartan tensor "h" from F [F^2]_yyy, E = d^3 G/dy^3 with G
+# built from [F^2]_xy, and the volume-free S from the y- and x-derivatives of
+# ln det g.
+_DEPTH = {"g": 2, "h": 3, "e": 5, "s": 3}
+
+
+def expansion_order(model: MetricModel, jet_orders: Mapping[str, int]) -> int:
+    """The order of the one expansion of F that carries each tensor named
+    in ``jet_orders`` (keys of :data:`_DEPTH`) at its jet order.  E and the
+    volume-free S are exact zeros for an F without x and need none of it."""
+    return max(
+        (order + _DEPTH[name] for name, order in jet_orders.items()
+         if model.depends_on_x or name in ("g", "h")),
+        default=0,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -604,17 +623,16 @@ def s_curvature_alt(model: MetricModel, point: FlagPoint) -> float:
     """Divergence form S = dG^m/dy^m - y^m d(ln sigma)/dx^m (cross-check route)."""
     div = 0.0
     if model.depends_on_x:
-        tj = TensorJets(model, point.x[None], point.y[None], 3, with_x=True)
+        tj = TensorJets(model, point.x[None], point.y[None], 3)
         div = float(np.trace(nonlinear_jets(tj, 0)[0, ..., 0]))
     return float(div - point.y @ dln_sigma(model, point.x))
 
 
 def coordinate_tensors(model: MetricModel, point: FlagPoint) -> CoordinateTensors:
     """Every coordinate tensor at the flag point, read off one expansion (a
-    batch of one): of order 5 over (x, y) when F depends on x (E takes three
-    y-derivatives of G), of order 3 over y otherwise (the Cartan tensor)."""
-    with_x = model.depends_on_x
-    tj = TensorJets(model, point.x[None], point.y[None], 5 if with_x else 3, with_x)
+    batch of one) that serves each of them at jet order 0."""
+    order = expansion_order(model, dict.fromkeys(_DEPTH, 0))
+    tj = TensorJets(model, point.x[None], point.y[None], order)
     g = g_jets(tj, 0)[0, ..., 0]
     cartan, spray = cartan_jets(tj, 0)[0, ..., 0], spray_jets(tj, 0)[0, ..., 0]
     nonlinear, berwald = nonlinear_jets(tj, 0)[0, ..., 0], berwald_jets(tj, 0)[0, ..., 0]

@@ -61,6 +61,7 @@ from .core import (
     berwald_jets,
     cartan_jets,
     dln_sigma,
+    expansion_order,
     g_jets,
     s_main_jet,
 )
@@ -184,11 +185,6 @@ def _y_ujets(chart: FibreChart, u0: np.ndarray, order: int) -> np.ndarray:
 
 # -- the fibre pipeline -----------------------------------------------------------
 
-# Expansion order each field needs at the flag point beyond its chart order:
-# g = (1/2)[F^2]_yy, H from (F/4)[F^2]_yyy, E = d^3 G/dy^3 with G built from
-# [F^2]_xy, and S from the y- and x-derivatives of ln det g.
-_DEPTH = {"g": 2, "h": 3, "e": 5, "s": 3}
-
 
 class FibreJets:
     """The fibre at a batch of points: chart jets of g, H, E and S, each over
@@ -211,18 +207,12 @@ class FibreJets:
 
     @cached_property
     def tj(self) -> TensorJets:
-        """The one expansion of F at the embedded flag points, deep enough
-        for every requested field and over (x, y) only where E or S needs
-        the spray of an x-dependent F."""
-        x_dep = self.model.depends_on_x
-        depth = {
-            field: order + _DEPTH[field]
-            for field, order in self.chart_order.items()
-            if x_dep or field in ("g", "h")
-        }
-        with_x = x_dep and ("e" in depth or "s" in depth)
+        """The one expansion of F at the embedded flag points, of the order
+        :func:`~finslerlab.core.expansion_order` plans for the chart orders
+        of the fields."""
         xs = [point.chart.x for point in self.points]
-        return TensorJets(self.model, xs, self.y_u[..., 0], max(depth.values()), with_x)
+        order = expansion_order(self.model, self.chart_order)
+        return TensorJets(self.model, xs, self.y_u[..., 0], order)
 
     def _basis(self, order: int) -> jets.MonomialBasis:
         """Monomials of the offsets of the expansion variables along the chart,
@@ -232,10 +222,8 @@ class FibreJets:
         basis = self._bases.get(order)
         if basis is None:
             space = self.space(order)
-            deltas = self.y_u[..., : space.size].copy()
+            deltas = np.pad(self.y_u[..., : space.size], ((0, 0), (self.tj.x_vars, 0), (0, 0)))
             deltas[..., 0] = 0.0  # the offsets y(u) - y(u0)
-            if self.tj.with_x:
-                deltas = np.concatenate([np.zeros_like(deltas), deltas], axis=1)
             basis = self._bases[order] = jets.monomial_basis(space, deltas, self.tj.x_vars, 0)
         return basis
 
@@ -271,10 +259,7 @@ class FibreJets:
 
     @cached_property
     def e(self) -> np.ndarray:
-        """Mean Berwald pullback E_ab; zero when F does not depend on x."""
-        if not self.model.depends_on_x:
-            points, m = self.dy.shape[:2]
-            return np.zeros((points, m, m, self.space(self.chart_order["e"]).size))
+        """Mean Berwald pullback E_ab."""
         return self._on_chart(berwald_jets, "e", x_degree=0)
 
     @cached_property
@@ -283,11 +268,8 @@ class FibreJets:
         minus y(u) . grad ln sigma."""
         order = self.chart_order["s"]
         grads = np.array([point.chart.sigma_grad for point in self.points])
-        s = -(grads[:, None, :] @ self.y_u[..., : self.space(order).size])[:, 0]
-        if self.model.depends_on_x:
-            flag = self.tj.x_free(order)
-            s = s + jets.jet_compose(flag, s_main_jet(self.tj, order), self._basis(order))
-        return s
+        s_main = jets.jet_compose(self.tj.x_free(order), s_main_jet(self.tj, order), self._basis(order))
+        return s_main - (grads[:, None, :] @ self.y_u[..., : self.space(order).size])[:, 0]
 
     @cached_property
     def g_inv(self) -> np.ndarray:

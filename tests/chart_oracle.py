@@ -185,16 +185,14 @@ class FibreJets:
     @cached_property
     def tj(self) -> TensorJets:
         """The one expansion of F at the embedded flag point, deep enough for
-        every requested field and over (x, y) only where E or S needs the
-        spray of an x-dependent F."""
+        every requested field; it runs over (x, y) when F depends on x."""
         x_dep = self.model.depends_on_x
         depth = {
             field: order + _DEPTH[field]
             for field, order in self.chart_order.items()
             if x_dep or field in ("g", "h")
         }
-        with_x = x_dep and ("e" in depth or "s" in depth)
-        return TensorJets(self.model, [self.chart.x], [self.y0], max(depth.values()), with_x)
+        return TensorJets(self.model, [self.chart.x], [self.y0], max(depth.values()))
 
     def _basis(self, order: int) -> jets.MonomialBasis:
         """Monomials of the offsets of the expansion variables along the chart,
@@ -204,7 +202,7 @@ class FibreJets:
         basis = self._bases.get(order)
         if basis is None:
             deltas = list(jet_truncated(self.deltas, order))
-            if self.tj.with_x:
+            if self.tj.x_vars:
                 deltas = [deltas[0].space.constant(0.0)] * len(deltas) + deltas
             basis = self._bases[order] = _monomial_basis(deltas, self.tj.x_vars, 0)
         return basis

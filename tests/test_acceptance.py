@@ -226,25 +226,25 @@ def test_criterion_6_cross_validation(zoo_models):
             if model.depends_on_x:
                 component = int(rng.integers(0, n))
                 gamma = (0,) * n + tuple(int(a) for a in alpha)  # along y
-                tj = TensorJets(model, [x], [y], 2 + order, with_x=True)
+                tj = TensorJets(model, [x], [y], 2 + order)
                 spray = spray_jets(tj, order)[0, component]
                 exact_g = jet_partials(tj.x_free(order), spray, [gamma])[0, 0]
 
                 # the stencils evaluate G and S thousands of times, so each
                 # reads the expansion of the lowest order that carries it
                 def g_plain(yvec, component=component):
-                    tj = TensorJets(model, [x], [yvec], 2, with_x=True)
+                    tj = TensorJets(model, [x], [yvec], 2)
                     return float(spray_jets(tj, 0)[0, component, 0])
 
                 estimate_g = finite_difference_oracle(g_plain, y, tuple(alpha), step)
                 worst_g = max(worst_g, abs(estimate_g - exact_g) / max(1.0, abs(exact_g)))
 
-                tj_s = TensorJets(model, [x], [y], 3 + order, with_x=True)
+                tj_s = TensorJets(model, [x], [y], 3 + order)
                 s_jet = s_main_jet(tj_s, order)[0]
                 exact_s = jet_partials(tj_s.x_free(order), s_jet, [gamma])[0, 0]
 
                 def s_plain(yvec):
-                    tj = TensorJets(model, [x], [yvec], 3, with_x=True)
+                    tj = TensorJets(model, [x], [yvec], 3)
                     return float(s_main_jet(tj, 0)[0, 0]) - float(yvec @ dln_sigma(model, x))
 
                 estimate_s = finite_difference_oracle(s_plain, y, tuple(alpha), step_s)

@@ -148,7 +148,7 @@ def test_a_fault_in_a_middle_row_names_its_point_and_keeps_the_earlier_rows(rand
             raise NonPositiveDefiniteError(-1.0)
         return gauss(fj)
 
-    suite = [(key, name, failing_at_the_target if key == "gauss" else fn) for key, name, fn in checks._SUITE]
+    suite = [(tag, name, failing_at_the_target if tag == "eq-1.12" else fn) for tag, name, fn in checks._SUITE]
     monkeypatch.setattr(checks, "_SUITE", suite)
     where = f"base 1, fibre 7, chart {points[17].chart.chart_id}, u={target}"
     rows, message = _fault_run(monkeypatch, checks.BATCH_POINTS, randers3, 2, 10)

@@ -203,10 +203,10 @@ def test_a_fault_in_a_later_residual_leaves_no_row_of_its_point(randers3, monkey
         return gauss_residual(fj)
 
     suite = [
-        (key, name, gauss_failing_at_the_second_point if key == "gauss" else residual_fn)
-        for key, name, residual_fn in checks._SUITE
+        (tag, name, gauss_failing_at_the_second_point if tag == "eq-1.12" else residual_fn)
+        for tag, name, residual_fn in checks._SUITE
     ]
-    assert [key for key, _, _ in suite].index("gauss") > 0  # a residual ran before it
+    assert [tag for tag, _, _ in suite].index("eq-1.12") > 0  # a residual ran before it
     monkeypatch.setattr(checks, "_SUITE", suite)
     for report in run_identity_suite(randers3, 1, 3, seed=0):
         assert report.error.startswith("NonPositiveDefiniteError at base 0, fibre 1, ")

@@ -2,6 +2,7 @@ import json
 import warnings
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from finslerlab.cli import main
@@ -93,6 +94,23 @@ def test_randers_form_whose_norm_overflows_a_dot_product_exits_2_without_a_warni
     assert capsys.readouterr().err.startswith(
         "error: metric: Randers condition ||b(x)|| < 1 violated: norm 5.01378e+307 at x = "
     )
+
+
+@pytest.mark.parametrize("params", [["b0=0.1,0,0"], ["b0=0.1,0,0", "eps=0"]], ids=["with-x", "without-x"])
+def test_randers_with_a_constant_form_b0_checks_clean(tmp_path, params):
+    out = tmp_path / "report.json"
+    code = run_cli(
+        "check", "--metric", "randers", "--dim", "3", "--params", *params,
+        "--samples", "4", "--base-points", "2", "--out", str(out),
+    )
+    assert code == 0
+    assert all(check["pass"] for check in json.loads(out.read_text())["checks"])
+
+
+def test_randers_form_b0_outside_the_unit_ball_exits_2(capsys):
+    code = run_cli("check", "--metric", "randers", "--dim", "3", "--params", "b0=1.5,0,0", "eps=0")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: metric: Randers condition ||b(x)|| < 1 violated: norm 1.5 at x = ")
 
 
 def test_non_homogeneous_expression_exits_2(capsys):
@@ -241,6 +259,22 @@ def test_audit_funk(tmp_path):
         assert record["schur"]["verdict"] == "isotropic-and-constant"
         assert record["schur"]["tag"] == "thm-1"
         assert record["weak_isotropy"]["c"] == pytest.approx(2.0, abs=1e-5)
+
+
+def test_audit_reports_a_violation_and_exits_1(tmp_path, monkeypatch):
+    """A planted defect: every point reads as isotropic, while the Berwald
+    scalar of randers varies along each fibre."""
+    from finslerlab import checks
+
+    monkeypatch.setattr(checks, "isotropy_residual", lambda fj: np.zeros(len(fj.points)))
+    out = tmp_path / "audit.json"
+    code = run_cli(
+        "audit", "--metric", "randers", "--dim", "3", "--samples", "4", "--base-points", "2", "--out", str(out),
+    )
+    assert code == 1
+    audits = json.loads(out.read_text())["audits"]
+    assert [record["schur"]["verdict"] for record in audits] == ["VIOLATION", "VIOLATION"]
+    assert all(record["schur"]["e_spread"] > record["schur"]["tol_constancy"] for record in audits)
 
 
 def test_audit_randers_non_isotropy_is_a_finding_not_a_failure(tmp_path):
@@ -855,8 +889,18 @@ def test_every_error_class_of_the_package_is_an_input_fault():
             "metric: mul() overflows at value 1e+300 in subexpression 'sqrt(y1^2.0 + y2^2.0) * 1e+300 * 1e+300'"
             " at x=[0.17049474 0.41208141], y=[ 1.3019584 -0.4697052]",
         ),
+        # the jets of F are finite; det a = 1e400 (1 + x1^2) overflows
+        (
+            ["--metric", "riemannian", "--params", "a11=1e200*(1+x1^2)", "a22=1e200", "--x", "0,0"],
+            "volume: sigma(x) or its gradient overflows at x = [0.0, 0.0]",
+        ),
+        # the jets of F overflow at every length of y, and sigma(x) is refused
+        (
+            ["--metric-expr", "sqrt(y1^2+y2^2)*exp(x1*705)", "--volume", "expr:1e300*exp(x1*700)", "--x", "0.5,0"],
+            "volume: sigma(x) or its gradient overflows at x = [0.5, 0.0]",
+        ),
     ],
-    ids=["exp-metric", "exp-volume", "exp-param", "pow", "div", "mul"],
+    ids=["exp-metric", "exp-volume", "exp-param", "pow", "div", "mul", "det-volume", "f-and-volume"],
 )
 def test_curvature_where_a_jet_function_overflows_exits_2(capsys, point, err):
     with warnings.catch_warnings():

@@ -12,6 +12,7 @@ from finslerlab.core import (
     coordinate_tensors,
     dln_sigma,
     s_curvature_alt,
+    sigma_and_dln,
     sigma_value,
 )
 from finslerlab.expr import EvalDomainError
@@ -252,6 +253,33 @@ def test_custom_sigma_gradient(rng):
     np.testing.assert_allclose(dln_sigma(model, x), [1.0, 2.0, 0.0], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "metric,dim,params,volume",
+    [
+        ("euclidean", 3, {}, "lebesgue"),
+        ("euclidean", 3, {}, "bh"),
+        ("funk_ball", 3, {}, "bh"),
+        ("funk_ball", 4, {}, "bh"),
+        ("riemannian", 3, {"a11": "exp(x1)", "a22": "1 + x2^2", "a12": "0.3*x3"}, "auto"),
+        ("euclidean", 3, {}, "expr:exp(x1 + 2*x2)"),
+    ],
+)
+def test_sigma_value_of_every_volume_kind(rng, metric, dim, params, volume):
+    """Lebesgue gives 1.0; the BH coefficient is 1 for the Euclidean norm and
+    for the Funk metric, whose unit set at x is a translated unit ball; a
+    volume from a ground metric or an expression gives the value of
+    sigma_and_dln."""
+    model = build(metric, dim, params, volume)
+    for _ in range(3):
+        x = model.sample_x(rng)
+        if model.volume.kind == "lebesgue":
+            assert sigma_value(model, x) == 1.0
+        elif model.volume.kind == "busemann_hausdorff":
+            assert abs(sigma_value(model, x) - 1.0) <= 1e-12
+        else:
+            assert sigma_value(model, x) == sigma_and_dln(model, x)[0]
+
+
 def test_riemannian_auto_sigma_and_gradient_in_closed_form(rng):
     """sigma = sqrt(det a) and d ln sigma = (1/2) tr(a^-1 da) against the
     closed forms for det a = e^x1 (1 + x2^2) - 0.09 x3^2."""
@@ -417,6 +445,23 @@ def test_minkowski_high_dimension_still_works():
     np.testing.assert_allclose(tensors.spray, 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "family,jet_orders,order",
+    [
+        ("randers", {"g": 0, "h": 0, "e": 0, "s": 0}, 5),
+        ("minkowski_quartic", {"g": 0, "h": 0, "e": 0, "s": 0}, 3),
+        ("randers", {"g": 2, "s": 3}, 6),
+        ("minkowski_quartic", {"g": 2, "s": 3}, 4),
+        # E and S of an F without x are zeros that need no expansion
+        ("minkowski_quartic", {"e": 1, "s": 2}, 0),
+    ],
+)
+def test_expansion_order_serves_every_tensor_read(family, jet_orders, order):
+    from finslerlab.core import expansion_order
+
+    assert expansion_order(build(family, 3), jet_orders) == order
+
+
 @pytest.mark.parametrize("family", ["randers", "minkowski_quartic"])
 def test_coordinate_tensors_one_expansion_per_point(family, core_counts, rng):
     model = build(family, 3)
@@ -442,7 +487,7 @@ def _full_space_reference(model, x, y, order):
 
     n = model.dim
     space = jet_space(2 * n, order)
-    ref = copy.copy(TensorJets(model, [x], [y], order, with_x=True))
+    ref = copy.copy(TensorJets(model, [x], [y], order))
     ref.x_vars, ref.f_space = 0, space
     xs = [space.variable(i + 1, x[i]) for i in range(n)]
     ys = [space.variable(n + i + 1, y[i]) for i in range(n)]
@@ -482,7 +527,7 @@ def test_x_linear_expansion_matches_the_full_space_bit_for_bit(family, dim):
     order = 6
     for _ in range(2):
         x, y = model.sample_x(rng) * 0.8, model.sample_y(rng)
-        tj = TensorJets(model, [x], [y], order, with_x=True)
+        tj = TensorJets(model, [x], [y], order)
         ref = _full_space_reference(model, x, y, order)
         _assert_restriction(tj.f, ref.f, (dim, order, 1))
         assert tj.f_space.size < ref.f_space.size

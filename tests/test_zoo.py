@@ -87,10 +87,12 @@ def test_randers_default_instance(randers3):
 
 
 def test_x_independent_entries_have_zero_spray(euclid3, quartic3, rng):
-    for model in (euclid3, quartic3):
+    # randers with eps = 0 has the constant form b0, so F has no x
+    randers_b0 = build("randers", 3, {"b0": [0.1, 0.0, 0.0], "eps": 0.0})
+    for model in (euclid3, quartic3, randers_b0):
         assert not model.depends_on_x
-        p = random_flag(model, rng)
-        np.testing.assert_allclose(coordinate_tensors(model, p).spray, 0.0, atol=1e-14)
+        tensors = coordinate_tensors(model, random_flag(model, rng))
+        assert not tensors.spray.any() and not tensors.mean_berwald.any()
 
 
 def test_riemannian_expression_entries(rng):
